@@ -131,9 +131,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents) -> bool:
+    return _grad_enabled and any(_needs_grad(p) for p in parents)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(_needs_grad(p) for p in parents):
+    if _recording(parents):
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -433,22 +437,75 @@ def cross_entropy_mean(logits, labels):
     if labels.shape != a.data.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} does not match logits "
                          f"{a.data.shape[:-1]}")
-    m = np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    denom = e.sum(axis=-1, keepdims=True)
-    lse = np.log(denom) + m
-    chosen = np.take_along_axis(a.data, labels[..., None], axis=-1)
     count = labels.size
-    out = np.asarray((lse - chosen).sum() / count, dtype=a.data.dtype)
-    vocab = a.data.shape[-1]
+    z = a.data.reshape(-1, a.data.shape[-1]).copy()
+    nll = _softmax_xent(z, labels.reshape(-1), 1.0 / count if _recording((a,)) else None)
+    out = np.asarray(nll / count, dtype=a.data.dtype)
+    return _make(out, (a,), lambda g: (z.reshape(a.data.shape) * float(g),))
 
-    def backward(g):
-        grad = (e / denom).reshape(-1, vocab)
-        grad[np.arange(count), labels.reshape(-1)] -= 1.0
-        grad *= float(g) / count
-        return (grad.reshape(a.data.shape),)
 
-    return _make(out, (a,), backward)
+def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
+    """Mean NLL of ``num_codebooks`` independent softmaxes over ``x @ w + b``.
+
+    ``x`` is (rows, H), ``w`` (H, N*V), ``b`` (N*V,) and ``labels`` (rows, N)
+    integers. The value is ``cross_entropy_mean`` of ``linear(x, w, b)``
+    reshaped to (rows, N, V), but the op runs one codebook at a time in one
+    reused (rows, V) buffer, so the (rows, N*V) logits are never held (the
+    blockwise loss of Wijmans et al., 2024). When the tape records, the
+    gradients are computed in the same pass and the backward only scales them.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    labels = np.asarray(labels)
+    rows, n_out = x.data.shape[0], w.data.shape[1]
+    if labels.shape != (rows, num_codebooks):
+        raise ValueError(f"labels shape {labels.shape} does not match "
+                         f"(rows, codebooks) {(rows, num_codebooks)}")
+    if n_out % num_codebooks:
+        raise ValueError(f"{n_out} head outputs do not split into "
+                         f"{num_codebooks} codebooks")
+    vocab = n_out // num_codebooks
+    count = labels.size
+    recording = _recording((x, w, b))
+    # the bias rides in the matmuls as a last weight row against a ones
+    # column, which saves a pass over each block for the add and for gb
+    dtype = np.result_type(x.data, w.data, b.data)
+    x1 = np.concatenate([x.data, np.ones((rows, 1), dtype)], axis=1, dtype=dtype)
+    wb = np.concatenate([w.data, b.data[None]], axis=0, dtype=dtype)
+    buf = np.empty((rows, vocab), dtype)
+    if recording:
+        gx = np.zeros(x.data.shape, dtype)
+        gwb = np.empty(wb.shape, dtype)
+    nll = 0.0
+    for j in range(num_codebooks):
+        cols = slice(j * vocab, (j + 1) * vocab)
+        np.matmul(x1, wb[:, cols], out=buf)
+        nll += _softmax_xent(buf, labels[:, j], 1.0 / count if recording else None)
+        if recording:
+            gx += buf @ w.data[:, cols].T
+            gwb[:, cols] = x1.T @ buf
+    out = np.asarray(nll / count, dtype=dtype)
+    return _make(out, (x, w, b), lambda g: (gx * float(g), gwb[:-1] * float(g),
+                                            gwb[-1] * float(g)))
+
+
+def _softmax_xent(z, labels, scale=None) -> float:
+    """Summed softmax cross-entropy of 2-D logits ``z`` against ``labels``.
+
+    Works in place: ``z`` is overwritten with the exponentials of the shifted
+    logits and, when ``scale`` is given, then with ``scale * (softmax(z) -
+    onehot(labels))``, the gradient of ``scale`` times the returned sum.
+    """
+    rows = np.arange(z.shape[0])
+    chosen = z[rows, labels]
+    m = z.max(axis=1, keepdims=True)
+    z -= m
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
+    nll = float(np.sum(np.log(denom[:, 0]) + m[:, 0] - chosen))
+    if scale is not None:
+        z *= scale / denom
+        z[rows, labels] -= scale
+    return nll
 
 
 def logaddexp(a, b):

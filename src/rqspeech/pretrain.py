@@ -70,6 +70,7 @@ class StepMetrics:
     learning_rate: float
     masked_label_frames: int
     codebook_utilization: float
+    grad_norm: float           # global gradient norm before clipping
 
 
 def lr_schedule(step: int, peak_lr: float, warmup_steps: int) -> float:
@@ -251,9 +252,8 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
     assert l_out == l_max and np.array_equal(out.lengths, label_lengths)
 
     rows = ad.take_rows(ad.reshape(out.final, (b * l_out, h)), flat_rows)
-    logits = ad.linear(rows, state.params["head.weight"], state.params["head.bias"])
-    logits = ad.reshape(logits, (flat_rows.size, qcfg.num_codebooks, qcfg.vocab_size))
-    loss = _nll_mean(logits, flat_labels)
+    loss = ad.multi_softmax_nll(rows, state.params["head.weight"], state.params["head.bias"],
+                                flat_labels, qcfg.num_codebooks)
 
     loss_val = loss.item()
     if not np.isfinite(loss_val):
@@ -264,7 +264,7 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
     loss.backward()
     grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for name, p in state.params.items()}
-    clip_global_norm(grads, cfg.grad_clip)
+    grad_norm = clip_global_norm(grads, cfg.grad_clip)
 
     state.step += 1
     lr = lr_schedule(state.step, cfg.peak_lr, cfg.warmup_steps)
@@ -275,7 +275,8 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
         step=state.step, loss=loss_val, learning_rate=lr,
         masked_label_frames=int(flat_rows.size),
         codebook_utilization=codebook_utilization(flat_labels, qcfg.num_codebooks,
-                                                  qcfg.vocab_size))
+                                                  qcfg.vocab_size),
+        grad_norm=float(grad_norm))
 
 
 # checkpoint I/O --------------------------------------------------------------
@@ -335,16 +336,24 @@ def read_checkpoint(path):
         header = json.loads(raw[12: 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"corrupt checkpoint: {path} (bad header)") from None
+
+    def require(record, key):
+        try:
+            return record[key]
+        except (KeyError, TypeError):
+            raise CheckpointError(f"corrupt checkpoint: {path} "
+                                  f"(missing header key {key!r})") from None
+
+    require(header, "step")
     data = raw[12 + header_len:]
     tensors = {}
-    for entry in header["tensors"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
+    for entry in require(header, "tensors"):
+        name, shape, start = (require(entry, key) for key in ("name", "shape", "offset"))
+        count = int(np.prod(shape)) if shape else 1
         end = start + count * 4
         if end > len(data):
             raise CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
-        tensors[entry["name"]] = np.frombuffer(data[start:end], dtype="<f4") \
-            .reshape(entry["shape"]).copy()
+        tensors[name] = np.frombuffer(data[start:end], dtype="<f4").reshape(shape).copy()
     return header, tensors
 
 
@@ -392,7 +401,7 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
 class MetricsWriter:
     """Appends one CSV row per training step."""
 
-    FIELDS = ("step", "loss", "lr", "masked_frames", "utilization")
+    FIELDS = ("step", "loss", "lr", "masked_frames", "utilization", "grad_norm")
 
     def __init__(self, path):
         self.path = Path(path)
@@ -404,7 +413,8 @@ class MetricsWriter:
 
     def write(self, m: StepMetrics) -> None:
         self._w.writerow([m.step, f"{m.loss:.6f}", f"{m.learning_rate:.8f}",
-                          m.masked_label_frames, f"{m.codebook_utilization:.6f}"])
+                          m.masked_label_frames, f"{m.codebook_utilization:.6f}",
+                          f"{m.grad_norm:.6f}"])
         self._f.flush()
 
     def close(self) -> None:

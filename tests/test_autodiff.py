@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rqspeech import autodiff as ad
 from rqspeech.autodiff import Tensor
@@ -114,6 +115,12 @@ class TestPrimitives:
         labels = np.array([[0, 3], [2, 1]])
         check_op(lambda a: ad.cross_entropy_mean(a, labels), (2, 2, 4))
 
+    def test_multi_softmax_nll(self):
+        # three codebooks of 4; every codebook repeats a label across rows
+        labels = np.array([[0, 3, 1], [2, 3, 1], [0, 1, 1], [2, 0, 3], [0, 3, 2]])
+        check_op(lambda x, w, b: ad.multi_softmax_nll(x, w, b, labels, 3),
+                 (5, 6), (6, 12), (12,))
+
     def test_logaddexp(self):
         check_op(ad.logaddexp, (4,), (4,))
 
@@ -150,6 +157,22 @@ class TestSemantics:
         with ad.no_grad():
             y = ad.mul(x, 3.0)
         assert y._backward is None and y._parents == ()
+
+    def test_multi_softmax_nll_no_grad_records_nothing(self):
+        rng = np.random.default_rng(0)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in ((3, 4), (4, 6), (6,)))
+        with ad.no_grad():
+            y = ad.multi_softmax_nll(x, w, b, np.zeros((3, 2), np.int64), 2)
+        assert y._backward is None and y._parents == ()
+
+    def test_multi_softmax_nll_labels_shape_rejected(self):
+        rng = np.random.default_rng(0)
+        x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 6)), np.zeros(6)
+        with pytest.raises(ValueError, match="labels shape"):
+            ad.multi_softmax_nll(x, w, b, np.zeros((3, 3), np.int64), 2)
+        with pytest.raises(ValueError, match="labels shape"):
+            ad.cross_entropy_mean(np.zeros((3, 2, 3)), np.zeros((3, 3), np.int64))
 
     def test_zero_upstream_gives_zero_grads(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 3)), requires_grad=True)

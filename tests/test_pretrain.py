@@ -1,6 +1,11 @@
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rqspeech import autodiff as ad
 from rqspeech import encoder as enc
 from rqspeech import masking, pretrain
 from rqspeech import quantizer as quant
@@ -93,6 +98,25 @@ class TestLoss:
             lo = multi_softmax_loss(logits.data, labels, mask).item()
             flat[i] = saved
             assert abs(g[i] - (hi - lo) / (2 * step)) < 1e-6
+
+    def test_fused_head_matches_composed_path(self):
+        rng = np.random.default_rng(3)
+        rows, hidden, n, v = 7, 5, 3, 6
+        arrays = (rng.standard_normal((rows, hidden)), rng.standard_normal((hidden, n * v)),
+                  rng.standard_normal(n * v))
+        labels = rng.integers(0, v, size=(rows, n))
+
+        def run(head):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            loss = head(x, w, b)
+            loss.backward()
+            return [loss.data, x.grad, w.grad, b.grad]
+
+        fused = run(lambda x, w, b: ad.multi_softmax_nll(x, w, b, labels, n))
+        composed = run(lambda x, w, b: pretrain._nll_mean(
+            ad.reshape(ad.linear(x, w, b), (rows, n, v)), labels))
+        for got, want in zip(fused, composed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSchedule:
@@ -216,6 +240,35 @@ class TestTrainStep:
             pretrain.train_step(state, batch, epoch=0)
         assert state.quantizer_state.fingerprint() == fp
 
+    def test_grad_norm_is_pre_clip_norm(self):
+        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=12, grad_clip=1e-3))
+        metrics = pretrain.train_step(state, random_batch(np.random.default_rng(8)), epoch=0)
+        assert metrics.grad_norm > 1e-3  # reported before clipping scales it down
+        clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
+                              for p in state.params.values()))
+        assert clipped == pytest.approx(1e-3, rel=1e-4)
+
+    def test_peak_memory_below_full_logits(self):
+        # the head dominates: 800 target rows x 16 x 512 float32 logits are
+        # 26 MB, while the rest of the step, one (rows, 512) block included,
+        # peaks near 16 MB, so a step that built the full logits exceeds the bound
+        qcfg = quant.QuantizerConfig(num_codebooks=16, vocab_size=512, dim=8)
+        enc_cfg = enc.EncoderConfig(num_layers=1, hidden=16, ffn=32, heads=2, dropout=0.0)
+        state = pretrain.init_train_state(
+            enc_cfg, tiny_config(seed=13, quantizer=qcfg,
+                                 mask=masking.MaskConfig(prob=1.0, span_frames=4)))
+        batch = random_batch(np.random.default_rng(10), n_utts=8, frames=400)
+        pretrain.train_step(state, batch, epoch=0)  # fills the label cache
+        tracemalloc.start()
+        try:
+            metrics = pretrain.train_step(state, batch, epoch=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        logit_bytes = metrics.masked_label_frames * qcfg.num_codebooks * qcfg.vocab_size * 4
+        assert metrics.masked_label_frames == 800
+        assert peak < logit_bytes
+
 
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -299,6 +352,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             pretrain.read_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["tensors", "step", "name", "shape", "offset"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        state = pretrain.init_train_state(TINY_ENC, tiny_config())
+        path = tmp_path / "k.msec"
+        pretrain.save_checkpoint(state, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12: 12 + header_len])
+        del (header if key in header else header["tensors"][0])[key]
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + header_len:])
+        with pytest.raises(CheckpointError, match=f"missing header key '{key}'"):
+            pretrain.read_checkpoint(path)
+        with pytest.raises(CheckpointError, match=f"missing header key '{key}'"):
+            pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config())
+
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="load mode"):
             pretrain.load_checkpoint(tmp_path / "x", "partial", TINY_ENC, tiny_config())
@@ -310,7 +380,8 @@ class TestMetricsWriter:
         with pretrain.MetricsWriter(path) as w:
             w.write(pretrain.StepMetrics(step=1, loss=2.5, learning_rate=1e-4,
                                          masked_label_frames=10,
-                                         codebook_utilization=0.25))
+                                         codebook_utilization=0.25, grad_norm=3.5))
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,loss,lr,masked_frames,utilization"
+        assert lines[0] == "step,loss,lr,masked_frames,utilization,grad_norm"
         assert lines[1].startswith("1,2.5")
+        assert lines[1].endswith(",3.500000")
