@@ -198,17 +198,6 @@ def sigmoid(a):
     return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
-def exp(a):
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    return _make(y, (a,), lambda g: (g * y,))
-
-
-def log(a):
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def rsqrt(a):
     a = as_tensor(a)
     y = 1.0 / np.sqrt(a.data)

@@ -64,7 +64,10 @@ def cmd_pretrain(args) -> int:
 
     cache_dir = cfg["pretrain"]["label_cache_dir"]
     if cache_dir:
-        _warm_label_cache(state, index, Path(cache_dir))
+        try:
+            _warm_label_cache(state, index, Path(cache_dir))
+        except (ValueError, OSError) as err:
+            return _fail(1, str(err))
 
     spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
                                   cfg["datapipe"]["tokens_per_batch"])

@@ -78,7 +78,7 @@ class EncoderOutput:
 
 # parameter construction ----------------------------------------------------
 
-def _param_shapes(cfg: EncoderConfig) -> dict:
+def param_shapes(cfg: EncoderConfig) -> dict:
     h, f, k = cfg.hidden, cfg.ffn, cfg.conv_kernel
     shapes = {
         "extractor.conv1.weight": (3 * 80, h),
@@ -146,12 +146,12 @@ def init_param(name: str, shape, seed: int, dtype=np.float32) -> np.ndarray:
 
 def init_encoder_params(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:
     return {name: init_param(name, shape, seed, dtype)
-            for name, shape in _param_shapes(cfg).items()}
+            for name, shape in param_shapes(cfg).items()}
 
 
 def count_params(cfg: EncoderConfig):
     """(total, per-tensor breakdown) by shape arithmetic; nothing is allocated."""
-    breakdown = {name: int(np.prod(shape)) for name, shape in _param_shapes(cfg).items()}
+    breakdown = {name: int(np.prod(shape)) for name, shape in param_shapes(cfg).items()}
     return sum(breakdown.values()), breakdown
 
 
@@ -310,8 +310,6 @@ def forward(params: dict, cfg: EncoderConfig, features: Tensor,
             lengths: np.ndarray, *, train: bool = False, rng=None,
             attn_sink: list | None = None) -> EncoderOutput:
     """Run the Conformer stack over extractor features; retain every state."""
-    if isinstance(params, dict) and params and not isinstance(next(iter(params.values())), Tensor):
-        params = {k: ad.as_tensor(v) for k, v in params.items()}
     x = ad.as_tensor(features)
     b, l, _ = x.shape
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -346,8 +344,6 @@ def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray,
            lengths: np.ndarray | None = None, *, train: bool = False,
            rng=None, attn_sink: list | None = None) -> EncoderOutput:
     """Feature extractor plus Conformer stack in one call."""
-    if isinstance(params, dict) and params and not isinstance(next(iter(params.values())), Tensor):
-        params = {k: ad.as_tensor(v) for k, v in params.items()}
     features, out_lengths = extract(params, cfg, mel, lengths)
     return forward(params, cfg, features, out_lengths, train=train, rng=rng,
                    attn_sink=attn_sink)

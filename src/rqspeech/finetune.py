@@ -266,19 +266,41 @@ def score(refs, hyps, unit: str = "word"):
 
 @dataclass
 class FinetuneState:
+    """Encoder + CTC head with one Adam group each; the optimizers start fresh."""
     encoder_cfg: enc.EncoderConfig
     cfg: FinetuneConfig
     tokenizer: CharTokenizer
     params: dict                  # encoder tensors + "ctc_head.*"
-    adam_encoder: pretrain.AdamState
-    adam_head: pretrain.AdamState
     step: int = 0
+    adam_encoder: pretrain.AdamState = field(init=False)
+    adam_head: pretrain.AdamState = field(init=False)
+
+    def __post_init__(self):
+        self.adam_encoder = pretrain.AdamState.init(self.encoder_params())
+        self.adam_head = pretrain.AdamState.init(self.head_params())
+
+    def _group(self, head: bool) -> dict:
+        return {k: p for k, p in self.params.items() if k.startswith("ctc_head.") == head}
 
     def encoder_params(self) -> dict:
-        return {k: p for k, p in self.params.items() if not k.startswith("ctc_head.")}
+        return self._group(head=False)
 
     def head_params(self) -> dict:
-        return {k: p for k, p in self.params.items() if k.startswith("ctc_head.")}
+        return self._group(head=True)
+
+
+def _new_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
+               tokenizer: CharTokenizer) -> FinetuneState:
+    """Every encoder tensor of a read checkpoint, a fresh CTC head, step 0."""
+    encoder_cfg = pretrain.header_value(header, "encoder_config",
+                                        lambda raw: enc.EncoderConfig(**raw), path)
+    arrays = {name: pretrain.restore_tensor(tensors, name, shape)
+              for name, shape in enc.param_shapes(encoder_cfg).items()}
+    arrays["ctc_head.weight"] = enc.init_param(
+        "ctc_head.weight", (encoder_cfg.hidden, tokenizer.vocab_size), cfg.seed)
+    arrays["ctc_head.bias"] = np.zeros(tokenizer.vocab_size, dtype=np.float32)
+    return FinetuneState(encoder_cfg=encoder_cfg, cfg=cfg, tokenizer=tokenizer,
+                         params=enc.params_to_tensors(arrays))
 
 
 def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
@@ -286,23 +308,7 @@ def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
     """Load every encoder tensor from a pretraining checkpoint (full restore);
     the CTC head and both optimizers start fresh."""
     header, tensors = pretrain.read_checkpoint(checkpoint_path)
-    encoder_cfg = enc.EncoderConfig(**header["encoder_config"])
-    arrays = {}
-    for name, shape in enc.count_params(encoder_cfg)[1].items():
-        if name not in tensors:
-            raise pretrain.CheckpointError(f"checkpoint missing tensor {name}")
-        arrays[name] = tensors[name]
-    arrays["ctc_head.weight"] = enc.init_param(
-        "ctc_head.weight", (encoder_cfg.hidden, tokenizer.vocab_size), cfg.seed)
-    arrays["ctc_head.bias"] = np.zeros(tokenizer.vocab_size, dtype=np.float32)
-    params = enc.params_to_tensors(arrays)
-    state = FinetuneState(
-        encoder_cfg=encoder_cfg, cfg=cfg, tokenizer=tokenizer, params=params,
-        adam_encoder=pretrain.AdamState.init(
-            {k: p for k, p in params.items() if not k.startswith("ctc_head.")}),
-        adam_head=pretrain.AdamState.init(
-            {k: p for k, p in params.items() if k.startswith("ctc_head.")}))
-    return state
+    return _new_state(header, tensors, checkpoint_path, cfg, tokenizer)
 
 
 def _ctc_logprobs(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
@@ -385,57 +391,33 @@ def transcribe(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
 # finetune checkpoints --------------------------------------------------------
 
 def save_finetune_checkpoint(state: FinetuneState, path) -> None:
-    shim = pretrain.TrainState(
-        encoder_cfg=state.encoder_cfg,
-        cfg=pretrain.PretrainConfig(seed=state.cfg.seed),
-        params=state.params,
-        adam=pretrain.AdamState(
-            m={**state.adam_encoder.m, **state.adam_head.m},
-            v={**state.adam_encoder.v, **state.adam_head.v},
-            count=state.adam_head.count),
-        quantizer_state=None,
-        step=state.step,
-        run_config={"kind": "finetune",
-                    "alphabet": state.tokenizer.alphabet,
-                    "finetune_config": {**asdict(state.cfg),
-                                        "spec_augment": asdict(state.cfg.spec_augment)},
-                    "adam_count_encoder": state.adam_encoder.count,
-                    "adam_count_head": state.adam_head.count})
-    pretrain.save_checkpoint(shim, path)
+    pretrain.write_checkpoint(
+        path, state.step, state.encoder_cfg,
+        pretrain.checkpoint_tensors(state.params, [state.adam_encoder, state.adam_head]),
+        {"run_config": {"kind": "finetune",
+                        "alphabet": state.tokenizer.alphabet,
+                        "finetune_config": asdict(state.cfg),
+                        "adam_count_encoder": state.adam_encoder.count,
+                        "adam_count_head": state.adam_head.count}})
+
+
+def _finetune_config(raw: dict) -> FinetuneConfig:
+    return FinetuneConfig(**{**raw, "spec_augment": SpecAugmentConfig(**raw["spec_augment"])})
 
 
 def load_finetune_checkpoint(path) -> FinetuneState:
     header, tensors = pretrain.read_checkpoint(path)
-    run = header.get("run_config", {})
-    if run.get("kind") != "finetune":
+    run = header.get("run_config")
+    if not isinstance(run, dict) or run.get("kind") != "finetune":
         raise pretrain.CheckpointError(f"not a finetune checkpoint: {path}")
-    encoder_cfg = enc.EncoderConfig(**header["encoder_config"])
-    tokenizer = CharTokenizer(run["alphabet"])
-    ft_raw = dict(run["finetune_config"])
-    ft_raw["spec_augment"] = SpecAugmentConfig(**ft_raw["spec_augment"])
-    cfg = FinetuneConfig(**ft_raw)
-    param_names = set(enc.count_params(encoder_cfg)[1]) | {"ctc_head.weight", "ctc_head.bias"}
-    params = {}
-    adam_m = {}
-    adam_v = {}
-    for name in sorted(param_names):
-        if name not in tensors:
-            raise pretrain.CheckpointError(f"checkpoint missing tensor {name}")
-        params[name] = Tensor(tensors[name], requires_grad=True)
-        adam_m[name] = tensors.get(f"opt.m.{name}", np.zeros_like(tensors[name]))
-        adam_v[name] = tensors.get(f"opt.v.{name}", np.zeros_like(tensors[name]))
-    is_head = lambda k: k.startswith("ctc_head.")
-    state = FinetuneState(
-        encoder_cfg=encoder_cfg, cfg=cfg, tokenizer=tokenizer, params=params,
-        adam_encoder=pretrain.AdamState(
-            m={k: v for k, v in adam_m.items() if not is_head(k)},
-            v={k: v for k, v in adam_v.items() if not is_head(k)},
-            count=int(run.get("adam_count_encoder", 0))),
-        adam_head=pretrain.AdamState(
-            m={k: v for k, v in adam_m.items() if is_head(k)},
-            v={k: v for k, v in adam_v.items() if is_head(k)},
-            count=int(run.get("adam_count_head", 0))),
-        step=int(header["step"]))
+    tokenizer = pretrain.header_value(run, "alphabet", CharTokenizer, path)
+    cfg = pretrain.header_value(run, "finetune_config", _finetune_config, path)
+    state = _new_state(header, tensors, path, cfg, tokenizer)
+    pretrain.restore_training_tensors(tensors, state.params,
+                                      [state.adam_encoder, state.adam_head])
+    state.adam_encoder.count = pretrain.header_value(run, "adam_count_encoder", int, path)
+    state.adam_head.count = pretrain.header_value(run, "adam_count_head", int, path)
+    state.step = pretrain.header_value(header, "step", int, path)
     return state
 
 

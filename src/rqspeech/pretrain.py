@@ -7,7 +7,8 @@ every masked 40 ms frame. Adam with an inverse-square-root schedule, global
 gradient-norm clipping at 1.0, and no weight decay.
 
 Checkpoints (format "MSEC") carry every named tensor (encoder + head + Adam
-moments), the step counter, and the run configuration. Three load modes:
+moments), the step counter, and the run configuration; finetune checkpoints
+go through the same writer and restore helpers. Three load modes:
 ``full`` restores everything, ``feature_extractor_only`` restores just the
 ``extractor.*`` tensors, ``none`` restores nothing. The quantizer is always
 rebuilt from the seed and config of the *current* run.
@@ -281,32 +282,30 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
 
 # checkpoint I/O --------------------------------------------------------------
 
-def _state_tensors(state: TrainState) -> dict:
-    tensors = {name: p.data for name, p in state.params.items()}
-    tensors.update({f"opt.m.{k}": v for k, v in state.adam.m.items()})
-    tensors.update({f"opt.v.{k}": v for k, v in state.adam.v.items()})
+def checkpoint_tensors(params: dict, adams) -> dict:
+    """Parameters plus the ``opt.m.*``/``opt.v.*`` moments of each Adam group."""
+    tensors = {name: p.data for name, p in params.items()}
+    for adam in adams:
+        tensors.update({f"opt.m.{k}": v for k, v in adam.m.items()})
+        tensors.update({f"opt.v.{k}": v for k, v in adam.v.items()})
     return tensors
 
 
-def save_checkpoint(state: TrainState, path) -> None:
-    """Write magic, version, length-prefixed JSON header, then f32 tensor data."""
-    tensors = _state_tensors(state)
+def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: dict,
+                     fields: dict) -> None:
+    """Write magic, version, length-prefixed JSON header, then f32 tensor data;
+    ``fields`` are the header entries that depend on the kind of run."""
     entries = []
     offset = 0
     for name in sorted(tensors):
         shape = list(tensors[name].shape)
         entries.append({"name": name, "shape": shape, "offset": offset})
         offset += int(np.prod(shape)) * 4
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "step": state.step,
-        "adam_count": state.adam.count,
-        "encoder_config": state.encoder_cfg.to_dict(),
-        "quantizer": ({"seed": state.quantizer_state.seed, **asdict(state.cfg.quantizer)}
-                      if state.quantizer_state is not None else None),
-        "run_config": state.run_config,
-        "tensors": entries,
-    }
+    header = {**fields,
+              "format_version": CHECKPOINT_VERSION,
+              "step": step,
+              "encoder_config": encoder_cfg.to_dict(),
+              "tensors": entries}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -315,6 +314,33 @@ def save_checkpoint(state: TrainState, path) -> None:
         f.write(blob)
         for entry in entries:
             f.write(tensors[entry["name"]].astype("<f4").tobytes())
+
+
+def save_checkpoint(state: TrainState, path) -> None:
+    write_checkpoint(path, state.step, state.encoder_cfg,
+                     checkpoint_tensors(state.params, [state.adam]),
+                     {"adam_count": state.adam.count,
+                      "quantizer": {"seed": state.quantizer_state.seed,
+                                    **asdict(state.cfg.quantizer)},
+                      "run_config": state.run_config})
+
+
+def header_key(record, key: str, path):
+    """``record[key]`` from a checkpoint header; CheckpointError when absent."""
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise CheckpointError(f"corrupt checkpoint: {path} "
+                              f"(missing header key {key!r})") from None
+
+
+def header_value(record, key: str, parse, path):
+    """``parse(record[key])``; a missing or malformed entry is a CheckpointError."""
+    raw = header_key(record, key, path)
+    try:
+        return parse(raw)
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"corrupt checkpoint: {path} (bad {key}: {err})") from None
 
 
 def read_checkpoint(path):
@@ -337,24 +363,38 @@ def read_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"corrupt checkpoint: {path} (bad header)") from None
 
-    def require(record, key):
-        try:
-            return record[key]
-        except (KeyError, TypeError):
-            raise CheckpointError(f"corrupt checkpoint: {path} "
-                                  f"(missing header key {key!r})") from None
-
-    require(header, "step")
+    header_key(header, "step", path)
     data = raw[12 + header_len:]
     tensors = {}
-    for entry in require(header, "tensors"):
-        name, shape, start = (require(entry, key) for key in ("name", "shape", "offset"))
+    for entry in header_key(header, "tensors", path):
+        name, shape, start = (header_key(entry, key, path) for key in ("name", "shape", "offset"))
         count = int(np.prod(shape)) if shape else 1
         end = start + count * 4
         if end > len(data):
             raise CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
         tensors[name] = np.frombuffer(data[start:end], dtype="<f4").reshape(shape).copy()
     return header, tensors
+
+
+def restore_tensor(tensors: dict, name: str, shape) -> np.ndarray:
+    """Checkpoint tensor ``name``, which must have ``shape``."""
+    if name not in tensors:
+        raise CheckpointError(f"checkpoint missing tensor {name}")
+    arr = tensors[name]
+    if arr.shape != shape:
+        raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint "
+                              f"{arr.shape}, config {shape}")
+    return arr
+
+
+def restore_training_tensors(tensors: dict, params: dict, adams) -> None:
+    """Replace every parameter and the moments of every Adam group in place."""
+    for name, p in params.items():
+        p.data = restore_tensor(tensors, name, p.data.shape)
+    for adam in adams:
+        for name in adam.m:
+            adam.m[name] = restore_tensor(tensors, f"opt.m.{name}", adam.m[name].shape)
+            adam.v[name] = restore_tensor(tensors, f"opt.v.{name}", adam.v[name].shape)
 
 
 def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
@@ -371,30 +411,14 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
         return state
 
     header, tensors = read_checkpoint(path)
-
-    def restore(name: str, target: np.ndarray) -> np.ndarray:
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {name}")
-        arr = tensors[name]
-        if arr.shape != target.shape:
-            raise CheckpointError(
-                f"shape mismatch for tensor {name}: checkpoint {arr.shape}, "
-                f"config {target.shape}")
-        return arr.astype(target.dtype)
-
     if mode == "feature_extractor_only":
-        for name, p in state.params.items():
-            if name.startswith("extractor."):
-                p.data = restore(name, p.data)
+        restore_training_tensors(tensors, {name: p for name, p in state.params.items()
+                                           if name.startswith("extractor.")}, [])
         return state
 
-    for name, p in state.params.items():
-        p.data = restore(name, p.data)
-    for name in state.adam.m:
-        state.adam.m[name] = restore(f"opt.m.{name}", state.adam.m[name])
-        state.adam.v[name] = restore(f"opt.v.{name}", state.adam.v[name])
-    state.step = int(header["step"])
-    state.adam.count = int(header.get("adam_count", header["step"]))
+    restore_training_tensors(tensors, state.params, [state.adam])
+    state.step = header_value(header, "step", int, path)
+    state.adam.count = header_value(header, "adam_count", int, path)
     return state
 
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,19 @@ def make_speechlike(rng, seconds, rate=16000):
         x += rng.uniform(0.05, 0.25) * np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
     x += 0.01 * rng.standard_normal(n)
     return np.clip(x, -0.99, 0.99)
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Apply ``edit`` to the JSON header of an MSEC checkpoint in place.
+
+    ``edit`` mutates the header dict; the tensor data is kept byte for byte.
+    """
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12: 12 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
 
 
 @pytest.fixture

@@ -64,9 +64,7 @@ class TestPrimitives:
     def test_sigmoid(self):
         check_op(ad.sigmoid, (5,))
 
-    def test_exp_log_rsqrt(self):
-        check_op(ad.exp, (6,))
-        check_op(lambda a: ad.log(ad.add(ad.mul(a, a), 1.0)), (6,))
+    def test_rsqrt(self):
         check_op(lambda a: ad.rsqrt(ad.add(ad.mul(a, a), 0.5)), (6,))
 
     def test_swish(self):

@@ -5,7 +5,7 @@ from rqspeech import config as cfgmod
 from rqspeech import datapipe, finetune, frontend, pretrain, quantizer
 from rqspeech.cli import main
 
-from conftest import make_speechlike
+from conftest import make_speechlike, rewrite_checkpoint_header
 
 
 def write_corpus(root, durations, seed=0):
@@ -136,6 +136,17 @@ class TestPretrainCommand:
                      "--init-mode", "full"]) == 0
         header2, _ = pretrain.read_checkpoint(out2 / "final.msec")
         assert header2["step"] == 4
+
+    def test_corrupt_label_cache_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "utt00.lab").write_bytes(b"garbage!")
+        cfg = tmp_path / "c.ini"
+        write_pretrain_config(cfg, corpus, tmp_path / "out", label_cache_dir=cache)
+        assert main(["pretrain", "--config", str(cfg)]) == 1
+        assert "utt00.lab" in capsys.readouterr().err
 
 
 class TestQuantizeCommand:
@@ -318,6 +329,19 @@ tokens_per_batch = 1000
         bad = tmp / "bad.msec"
         bad.write_bytes(ckpt.read_bytes()[:50])
         assert main(["decode", "--ckpt", str(bad), "--manifest", str(manifest)]) == 1
+
+    def test_decode_header_without_encoder_config_exit_1(self, finetuned_setup, capsys):
+        ckpt, manifest, _, _ = finetuned_setup
+        rewrite_checkpoint_header(ckpt, lambda h: h.pop("encoder_config"))
+        assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest)]) == 1
+        assert "missing header key 'encoder_config'" in capsys.readouterr().err
+
+    def test_finetune_header_without_encoder_config_exit_1(self, finetuned_setup, capsys):
+        _, _, _, base = finetuned_setup
+        rewrite_checkpoint_header(base / "pre_out" / "final.msec",
+                                  lambda h: h.pop("encoder_config"))
+        assert main(["finetune", "--config", str(base / "ft.ini")]) == 1
+        assert "missing header key 'encoder_config'" in capsys.readouterr().err
 
 
 class TestInspectCommand:

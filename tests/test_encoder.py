@@ -92,6 +92,9 @@ class TestForward:
         a = encoder.encode(params, TINY, mel)
         b = encoder.encode(params, TINY, mel)
         assert np.array_equal(a.final.data, b.final.data)
+        # raw arrays work as params too: every op wraps its inputs
+        raw = encoder.encode(encoder.init_encoder_params(TINY, 3), TINY, mel)
+        assert np.array_equal(a.final.data, raw.final.data)
 
     def test_attention_rows_sum_to_one_over_valid_keys(self):
         cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=4, dropout=0.0)

@@ -14,6 +14,8 @@ from rqspeech.finetune import (BLANK_ID, CharTokenizer, FinetuneConfig,
                                spec_augment)
 from rqspeech.seeding import keyed_rng
 
+from conftest import rewrite_checkpoint_header
+
 TINY_ENC = enc.EncoderConfig(num_layers=1, hidden=16, ffn=32, heads=2, dropout=0.0)
 
 
@@ -353,6 +355,118 @@ class TestFinetuneLoop:
         ma = finetune.finetune_step(state, batch, transcripts, epoch=1)
         mb = finetune.finetune_step(loaded, batch, transcripts, epoch=1)
         assert ma["loss"] == pytest.approx(mb["loss"], rel=1e-6)
+
+
+def trained_state(ckpt, steps=2):
+    texts = ["ab", "ba"]
+    state = TestFinetuneLoop().make_state(ckpt, texts, freeze_steps=1)
+    batch = synth_batch(texts)
+    for _ in range(steps):
+        finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
+    return state
+
+
+def assert_same_state(a, b):
+    assert (a.step, a.tokenizer.alphabet, a.cfg, a.encoder_cfg) == \
+        (b.step, b.tokenizer.alphabet, b.cfg, b.encoder_cfg)
+    assert list(a.params) == list(b.params)
+    for name in a.params:
+        assert np.array_equal(a.params[name].data, b.params[name].data), name
+    for group_a, group_b in ((a.adam_encoder, b.adam_encoder), (a.adam_head, b.adam_head)):
+        assert group_a.count == group_b.count
+        assert list(group_a.m) == list(group_b.m)
+        for name in group_a.m:
+            assert np.array_equal(group_a.m[name], group_b.m[name]), name
+            assert np.array_equal(group_a.v[name], group_b.v[name]), name
+
+
+def drop_entry(name):
+    def edit(header):
+        header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
+    return edit
+
+
+def reshape_entry(name, shape):
+    def edit(header):
+        for entry in header["tensors"]:
+            if entry["name"] == name:
+                entry["shape"] = shape
+    return edit
+
+
+class TestFinetuneCheckpoint:
+    @pytest.fixture
+    def saved(self, pretrained_ckpt, tmp_path):
+        state = trained_state(pretrained_ckpt)
+        path = tmp_path / "ft.msec"
+        finetune.save_finetune_checkpoint(state, path)
+        return state, path
+
+    def test_save_load_save_byte_identical(self, saved, tmp_path):
+        state, path = saved
+        loaded = finetune.load_finetune_checkpoint(path)
+        assert_same_state(loaded, state)
+        again = tmp_path / "again.msec"
+        finetune.save_finetune_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_older_header_form_loads(self, saved):
+        # earlier writers also stored "quantizer": null and the head's Adam
+        # count as "adam_count"; both are ignored on load
+        state, path = saved
+
+        def older(header):
+            header["quantizer"] = None
+            header["adam_count"] = state.adam_head.count
+        rewrite_checkpoint_header(path, older)
+        assert_same_state(finetune.load_finetune_checkpoint(path), state)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("encoder_config", lambda h: h.pop("encoder_config")),
+        ("encoder_config", lambda h: h["encoder_config"].update(bogus=1)),
+        ("encoder_config", lambda h: h["encoder_config"].update(heads=3)),
+        ("alphabet", lambda h: h["run_config"].pop("alphabet")),
+        ("alphabet", lambda h: h["run_config"].update(alphabet="")),
+        ("finetune_config", lambda h: h["run_config"].pop("finetune_config")),
+        ("finetune_config", lambda h: h["run_config"]["finetune_config"].pop("spec_augment")),
+        ("adam_count_head", lambda h: h["run_config"].pop("adam_count_head")),
+        ("adam_count_encoder", lambda h: h["run_config"].update(adam_count_encoder=None)),
+    ], ids=["encoder_config-missing", "encoder_config-unknown-key",
+            "encoder_config-bad-value", "alphabet-missing", "alphabet-empty",
+            "finetune_config-missing", "finetune_config-malformed",
+            "adam_count_head-missing", "adam_count_encoder-null"])
+    def test_bad_header_rejected(self, saved, key, edit):
+        _, path = saved
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(pretrain.CheckpointError, match=key):
+            finetune.load_finetune_checkpoint(path)
+
+    def test_init_rejects_missing_encoder_config(self, pretrained_ckpt, tmp_path):
+        path = tmp_path / "enc.msec"
+        path.write_bytes(pretrained_ckpt.read_bytes())
+        rewrite_checkpoint_header(path, lambda h: h.pop("encoder_config"))
+        with pytest.raises(pretrain.CheckpointError, match="encoder_config"):
+            TestFinetuneLoop().make_state(path, ["ab"])
+
+    def test_reshaped_tensor_rejected(self, saved):
+        _, path = saved
+        hidden = TINY_ENC.hidden
+        rewrite_checkpoint_header(path, reshape_entry("extractor.proj.bias",
+                                                      [2, hidden // 2]))
+        with pytest.raises(pretrain.CheckpointError, match="extractor.proj.bias"):
+            finetune.load_finetune_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["opt.m.ctc_head.bias", "opt.v.extractor.proj.bias",
+                                      "ctc_head.weight"])
+    def test_missing_tensor_rejected(self, saved, name):
+        _, path = saved
+        rewrite_checkpoint_header(path, drop_entry(name))
+        with pytest.raises(pretrain.CheckpointError, match=f"missing tensor {name}"):
+            finetune.load_finetune_checkpoint(path)
+
+    def test_pretrain_checkpoint_is_not_a_finetune_checkpoint(self, pretrained_ckpt):
+        with pytest.raises(pretrain.CheckpointError, match="not a finetune checkpoint"):
+            finetune.load_finetune_checkpoint(pretrained_ckpt)
 
 
 class TestTranscriptManifest:

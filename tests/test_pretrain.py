@@ -1,5 +1,3 @@
-import json
-import struct
 import tracemalloc
 
 import numpy as np
@@ -13,6 +11,8 @@ from rqspeech.autodiff import Tensor
 from rqspeech.datapipe import Batch
 from rqspeech.pretrain import (CheckpointError, NonFiniteLossError, PretrainConfig,
                                lr_schedule, multi_softmax_loss)
+
+from conftest import rewrite_checkpoint_header
 
 TINY_ENC = enc.EncoderConfig(num_layers=2, hidden=32, ffn=64, heads=4, dropout=0.0)
 TINY_Q = quant.QuantizerConfig(num_codebooks=2, vocab_size=64, dim=8)
@@ -357,16 +357,23 @@ class TestCheckpoint:
         state = pretrain.init_train_state(TINY_ENC, tiny_config())
         path = tmp_path / "k.msec"
         pretrain.save_checkpoint(state, path)
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12: 12 + header_len])
-        del (header if key in header else header["tensors"][0])[key]
-        blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
-                         + raw[12 + header_len:])
+        rewrite_checkpoint_header(
+            path, lambda header: (header if key in header else header["tensors"][0]).pop(key))
         with pytest.raises(CheckpointError, match=f"missing header key '{key}'"):
             pretrain.read_checkpoint(path)
         with pytest.raises(CheckpointError, match=f"missing header key '{key}'"):
+            pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config())
+
+    @pytest.mark.parametrize("key, edit", [
+        ("adam_count", lambda h: h.pop("adam_count")),
+        ("step", lambda h: h.update(step="x")),
+    ])
+    def test_bad_counter_rejected(self, tmp_path, key, edit):
+        state = pretrain.init_train_state(TINY_ENC, tiny_config())
+        path = tmp_path / "c.msec"
+        pretrain.save_checkpoint(state, path)
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(CheckpointError, match=key):
             pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config())
 
     def test_bad_mode_rejected(self, tmp_path):
