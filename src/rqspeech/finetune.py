@@ -7,8 +7,10 @@ trains jointly with distinct encoder/decoder learning-rate schedules.
 SpecAugment runs on the input features during training only.
 
 The CTC loss is the exact forward recursion in log space, differentiated by
-the autodiff tape; decoding offers per-frame greedy collapse and a prefix beam
-search that merges equivalent prefixes by log-sum-exp. No language model.
+the autodiff tape. Decoding offers per-frame greedy collapse and a prefix beam
+search that merges equivalent prefixes by log-sum-exp. Both are vectorised:
+the greedy collapse is one mask over the argmax path, and the beam search
+scores each frame as one (beams × vocabulary) numpy grid. No language model.
 """
 
 from __future__ import annotations
@@ -172,54 +174,79 @@ class Hypothesis:
     log_prob: float
 
 
+def _decoder_input(logprobs) -> np.ndarray:
+    lp = logprobs.data if isinstance(logprobs, Tensor) else np.asarray(logprobs)
+    if lp.ndim != 2:
+        raise ValueError(f"logprobs must be 2-D (frames, vocab), got shape {lp.shape}")
+    return lp
+
+
 def greedy_decode(logprobs) -> Hypothesis:
     """Per-frame argmax, collapse repeats, drop blanks; best-path score."""
-    lp = logprobs.data if isinstance(logprobs, Tensor) else np.asarray(logprobs)
+    lp = _decoder_input(logprobs)
     path = np.argmax(lp, axis=1)
     score = float(lp[np.arange(len(path)), path].sum())
-    tokens = []
-    prev = -1
-    for sym in path:
-        if sym != prev and sym != BLANK_ID:
-            tokens.append(int(sym))
-        prev = sym
-    return Hypothesis(tokens=tuple(tokens), log_prob=score)
+    keep = path != BLANK_ID
+    keep[1:] &= path[1:] != path[:-1]
+    return Hypothesis(tokens=tuple(path[keep].tolist()), log_prob=score)
 
 
 def beam_decode(logprobs, beam_width: int) -> Hypothesis:
-    """CTC prefix beam search merging equivalent prefixes by log-sum-exp."""
+    """CTC prefix beam search merging equivalent prefixes by log-sum-exp.
+
+    Each frame scores a (beams, vocab) float64 grid: column 0 is the prefix
+    itself, column c >= 1 is the prefix extended by symbol c. An extension
+    that equals another kept prefix is folded into that prefix's column 0.
+    The ``beam_width`` best candidates survive, ties going to the earlier
+    candidate in prefix-then-symbol order.
+    """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    lp = logprobs.data if isinstance(logprobs, Tensor) else np.asarray(logprobs)
-    t_frames, vocab = lp.shape
+    lp = np.asarray(_decoder_input(logprobs), dtype=np.float64)
+    vocab = lp.shape[1]
+    prefixes = [()]
+    last = np.array([-1])          # last symbol of each prefix; -1 when empty
+    pb = np.array([0.0])           # log P(prefix, path ends in blank)
+    pnb = np.array([NEG_INF])      # log P(prefix, path ends in its last symbol)
+    total = np.logaddexp(pb, pnb)
+    for frame in lp:
+        ended = np.flatnonzero(last >= 0)
+        # column c >= 1 appends c; repeating the last symbol needs a blank in
+        # between, so only the paths that end in blank extend by it
+        grid = total[:, None] + frame
+        grid[ended, last[ended]] = pb[ended] + frame[last[ended]]
+        blank = total + frame[BLANK_ID]
+        stay = np.where(last >= 0, pnb + frame[last], NEG_INF)  # repeat collapses
 
-    beams = {(): (0.0, NEG_INF)}  # prefix -> (log P ending in blank, in non-blank)
-    for t in range(t_frames):
-        frame = lp[t]
-        new: dict = {}
+        # an extension of beam i that equals beam j merges into (j, 0) and
+        # sorts where the first of the two was found
+        position = np.arange(grid.size).reshape(grid.shape)
+        keep = np.ones(grid.shape, dtype=bool)
+        index = {prefix: i for i, prefix in enumerate(prefixes)}
+        for j, prefix in enumerate(prefixes):
+            i = index.get(prefix[:-1]) if prefix else None
+            if i is not None:
+                c = prefix[-1]
+                if grid[i, c] != NEG_INF:
+                    stay[j] = np.logaddexp(stay[j], grid[i, c])
+                keep[i, c] = False
+                position[j, 0] = min(position[j, 0], position[i, c])
+        grid[:, 0] = np.logaddexp(blank, stay)
 
-        def bump(prefix, blank_part, nonblank_part):
-            pb, pnb = new.get(prefix, (NEG_INF, NEG_INF))
-            new[prefix] = (np.logaddexp(pb, blank_part) if blank_part != NEG_INF else pb,
-                           np.logaddexp(pnb, nonblank_part) if nonblank_part != NEG_INF else pnb)
+        candidates = np.flatnonzero(keep)
+        scores = grid.ravel()[candidates]
+        order = np.lexsort((position.ravel()[candidates], -scores))[:beam_width]
+        src, sym = np.divmod(candidates[order], vocab)
+        extended = sym > 0
+        prefixes = [prefixes[i] + (c,) if c else prefixes[i]
+                    for i, c in zip(src.tolist(), sym.tolist())]
+        total = scores[order]
+        pb = np.where(extended, NEG_INF, blank[src])
+        pnb = np.where(extended, total, stay[src])
+        last = np.where(extended, sym, last[src])
 
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            bump(prefix, total + frame[BLANK_ID], NEG_INF)
-            if prefix:
-                bump(prefix, NEG_INF, pnb + frame[prefix[-1]])  # repeat collapses
-            for c in range(1, vocab):
-                extended = prefix + (c,)
-                if prefix and c == prefix[-1]:
-                    bump(extended, NEG_INF, pb + frame[c])  # needs a blank in between
-                else:
-                    bump(extended, NEG_INF, total + frame[c])
-
-        ranked = sorted(new.items(), key=lambda kv: -np.logaddexp(kv[1][0], kv[1][1]))
-        beams = dict(ranked[:beam_width])
-
-    best, (pb, pnb) = max(beams.items(), key=lambda kv: np.logaddexp(kv[1][0], kv[1][1]))
-    return Hypothesis(tokens=best, log_prob=float(np.logaddexp(pb, pnb)))
+    # survivors are sorted best first
+    return Hypothesis(tokens=prefixes[0], log_prob=float(total[0]))
 
 
 # scoring -----------------------------------------------------------------------

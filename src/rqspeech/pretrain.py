@@ -176,24 +176,33 @@ class TrainState:
     run_config: dict = field(default_factory=dict)
 
 
+def _head_shapes(encoder_cfg: enc.EncoderConfig, qcfg: quant.QuantizerConfig) -> dict:
+    n_out = qcfg.num_codebooks * qcfg.vocab_size
+    return {"head.weight": (encoder_cfg.hidden, n_out), "head.bias": (n_out,)}
+
+
 def init_head_params(encoder_cfg: enc.EncoderConfig, qcfg: quant.QuantizerConfig,
                      seed: int, dtype=np.float32) -> dict:
-    n_out = qcfg.num_codebooks * qcfg.vocab_size
-    return {
-        "head.weight": enc.init_param("head.weight", (encoder_cfg.hidden, n_out), seed, dtype),
-        "head.bias": np.zeros(n_out, dtype=dtype),
-    }
+    return {name: enc.init_param(name, shape, seed, dtype)
+            for name, shape in _head_shapes(encoder_cfg, qcfg).items()}
+
+
+def _train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig, arrays: dict,
+                 run_config: dict | None) -> TrainState:
+    """A step-0 TrainState over ``arrays`` with fresh Adam moments and the
+    quantizer of ``cfg``."""
+    params = enc.params_to_tensors(arrays)
+    return TrainState(encoder_cfg=encoder_cfg, cfg=cfg, params=params,
+                      adam=AdamState.init(params),
+                      quantizer_state=quant.init_quantizer(cfg.seed, cfg.quantizer),
+                      run_config=dict(run_config or {}))
 
 
 def init_train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig,
                      run_config: dict | None = None, dtype=np.float32) -> TrainState:
     arrays = enc.init_encoder_params(encoder_cfg, cfg.seed, dtype)
     arrays.update(init_head_params(encoder_cfg, cfg.quantizer, cfg.seed, dtype))
-    params = enc.params_to_tensors(arrays)
-    return TrainState(encoder_cfg=encoder_cfg, cfg=cfg, params=params,
-                      adam=AdamState.init(params),
-                      quantizer_state=quant.init_quantizer(cfg.seed, cfg.quantizer),
-                      run_config=dict(run_config or {}))
+    return _train_state(encoder_cfg, cfg, arrays, run_config)
 
 
 def _labels_for(state: TrainState, utt_id: str, mel: np.ndarray,
@@ -401,24 +410,30 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
                     cfg: PretrainConfig, run_config: dict | None = None) -> TrainState:
     """Build a TrainState from a checkpoint under one of the three init modes.
 
-    The quantizer always comes from ``cfg`` (seed and config of the current
-    run); a continued run may deliberately pick a new quantizer seed.
+    A ``full`` load takes every parameter and moment from the file and draws
+    no random initialisation; the other two modes start from
+    ``init_train_state``. The quantizer always comes from ``cfg`` (seed and
+    config of the current run); a continued run may deliberately pick a new
+    quantizer seed.
     """
     if mode not in LOAD_MODES:
         raise ValueError(f"unknown load mode: {mode!r} (expected one of {LOAD_MODES})")
-    state = init_train_state(encoder_cfg, cfg, run_config)
-    if mode == "none":
+    if mode == "full":
+        header, tensors = read_checkpoint(path)
+        shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
+        state = _train_state(encoder_cfg, cfg,
+                             {name: restore_tensor(tensors, name, shape)
+                              for name, shape in shapes.items()}, run_config)
+        restore_training_tensors(tensors, {}, [state.adam])  # the Adam moments
+        state.step = header_value(header, "step", int, path)
+        state.adam.count = header_value(header, "adam_count", int, path)
         return state
 
-    header, tensors = read_checkpoint(path)
+    state = init_train_state(encoder_cfg, cfg, run_config)
     if mode == "feature_extractor_only":
+        _, tensors = read_checkpoint(path)
         restore_training_tensors(tensors, {name: p for name, p in state.params.items()
                                            if name.startswith("extractor.")}, [])
-        return state
-
-    restore_training_tensors(tensors, state.params, [state.adam])
-    state.step = header_value(header, "step", int, path)
-    state.adam.count = header_value(header, "adam_count", int, path)
     return state
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,41 @@ def enumerate_output_probs(logprobs):
         key = collapse(path)
         table[key] = table.get(key, 0.0) + p
     return table
+
+
+def reference_beam_decode(logprobs, beam_width):
+    """The dict-based prefix beam search that ``beam_decode`` replaced, kept as
+    the oracle its results must equal bit for bit."""
+    lp = np.asarray(logprobs)
+    t_frames, vocab = lp.shape
+    ninf = -np.inf
+    beams = {(): (0.0, ninf)}  # prefix -> (log P ending in blank, in non-blank)
+    for t in range(t_frames):
+        frame = lp[t]
+        new = {}
+
+        def bump(prefix, blank_part, nonblank_part):
+            pb, pnb = new.get(prefix, (ninf, ninf))
+            new[prefix] = (np.logaddexp(pb, blank_part) if blank_part != ninf else pb,
+                           np.logaddexp(pnb, nonblank_part) if nonblank_part != ninf else pnb)
+
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            bump(prefix, total + frame[BLANK_ID], ninf)
+            if prefix:
+                bump(prefix, ninf, pnb + frame[prefix[-1]])  # repeat collapses
+            for c in range(1, vocab):
+                extended = prefix + (c,)
+                if prefix and c == prefix[-1]:
+                    bump(extended, ninf, pb + frame[c])  # needs a blank in between
+                else:
+                    bump(extended, ninf, total + frame[c])
+
+        ranked = sorted(new.items(), key=lambda kv: -np.logaddexp(kv[1][0], kv[1][1]))
+        beams = dict(ranked[:beam_width])
+
+    best, (pb, pnb) = max(beams.items(), key=lambda kv: np.logaddexp(kv[1][0], kv[1][1]))
+    return best, float(np.logaddexp(pb, pnb))
 
 
 class TestTokenizer:
@@ -195,6 +231,49 @@ class TestBeamDecode:
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             beam_decode(np.zeros((2, 2)), 0)
+
+    @staticmethod
+    def assert_matches_reference(lp, width):
+        hyp = beam_decode(lp, width)
+        tokens, log_prob = reference_beam_decode(lp, width)
+        assert hyp.tokens == tokens
+        # bitwise: equal, and the same sign of zero
+        assert np.float64(hyp.log_prob).tobytes() == np.float64(log_prob).tobytes()
+
+    def test_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(8)
+        for case in range(1000):
+            t = int(rng.integers(1, 9))
+            v = int(rng.integers(2, 6))
+            lp = random_logprobs(rng, t, v)
+            if case % 2:
+                lp = np.round(lp * 2) / 2  # coarse values make exact ties
+            if case % 3 == 0:
+                lp[rng.random(lp.shape) < 0.2] = -np.inf
+            if case % 4 < 2:
+                lp = lp.astype(np.float32)
+            self.assert_matches_reference(lp, int(rng.integers(1, 71)))
+
+    def test_edge_cases_match_reference(self):
+        rng = np.random.default_rng(9)
+        self.assert_matches_reference(np.zeros((0, 4)), 8)  # no frames
+        assert beam_decode(np.zeros((0, 4)), 8) == finetune.Hypothesis((), 0.0)
+        blank_only = np.log(rng.uniform(0.5, 1.0, size=(6, 1)))
+        self.assert_matches_reference(blank_only, 3)
+        assert beam_decode(blank_only, 3).tokens == ()
+        self.assert_matches_reference(random_logprobs(rng, 2, 3), 100)  # 7 candidates
+
+    def test_tensor_input(self):
+        lp = random_logprobs(np.random.default_rng(10), 5, 4)
+        assert beam_decode(Tensor(lp), 4) == beam_decode(lp, 4)
+
+
+@pytest.mark.parametrize("decode", [greedy_decode, lambda lp: beam_decode(lp, 4)],
+                         ids=["greedy", "beam"])
+@pytest.mark.parametrize("shape", [(5,), (2, 5, 3)])
+def test_decoder_rejects_non_matrix(decode, shape):
+    with pytest.raises(ValueError, match=f"2-D.*{re.escape(str(shape))}"):
+        decode(np.zeros(shape))
 
 
 class TestScore:

@@ -285,6 +285,22 @@ class TestCheckpoint:
         pretrain.save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_full_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=7))
+        pretrain.train_step(state, random_batch(np.random.default_rng(6)), epoch=0)
+        path = tmp_path / "a.msec"
+        pretrain.save_checkpoint(state, path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("a full load initialised a parameter at random")
+        monkeypatch.setattr(enc, "init_param", no_init)
+        loaded = pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config(seed=7))
+        assert list(loaded.params) == list(state.params)
+        assert list(loaded.adam.m) == list(loaded.adam.v) == list(state.adam.m)
+        again = tmp_path / "b.msec"
+        pretrain.save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_feature_extractor_only_restores_exact_subset(self, tmp_path):
         cfg = tiny_config(seed=8)
         state = pretrain.init_train_state(TINY_ENC, cfg)
