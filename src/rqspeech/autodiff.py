@@ -6,9 +6,10 @@ accumulates gradients into every Tensor created with ``requires_grad=True``.
 Gradients are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
-The op set is intentionally small: just what the encoder, losses, and CTC
-recursion need. All ops preserve dtype, so the same graph runs in float32 for
-training and float64 for gradient verification.
+The op set is intentionally small: just what the encoder and the losses
+need, the CTC loss being one fused node per utterance. All ops preserve
+dtype, so the same graph runs in float32 for training and float64 for
+gradient verification.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class Tensor:
     def backward(self, grad=None):
         if grad is None:
             grad = np.ones_like(self.data)
-        # iterative DFS: CTC graphs grow linearly with frame count and would
-        # overflow the recursion limit on long utterances
+        # iterative DFS: a deep encoder stack records chains of nodes long
+        # enough to overflow the recursion limit
         topo, seen = [], set()
         stack = [(self, False)]
         while stack:
@@ -241,14 +242,6 @@ def pad_time(a, before, after, value=0.0):
     return _make(data, (a,), lambda g: (g[:, before: before + t],))
 
 
-def pad1d(a, before, after, value=0.0):
-    """Pad a 1-D tensor with a constant (used by the CTC recursion shifts)."""
-    a = as_tensor(a)
-    data = np.pad(a.data, (before, after), constant_values=value)
-    n = a.data.shape[0]
-    return _make(data, (a,), lambda g: (g[before: before + n],))
-
-
 def take_rows(a, idx):
     """Select rows of a 2-D tensor by integer index; backward scatter-adds."""
     a = as_tensor(a)
@@ -285,14 +278,6 @@ def _grid_indices(shape):
         dims[i] = s
         out.append(np.arange(s).reshape(dims))
     return tuple(out)
-
-
-def where_const(cond, const_value, a):
-    """Elementwise select between a constant and a tensor: cond ? const : a."""
-    a = as_tensor(a)
-    cond = np.asarray(cond, dtype=bool)
-    data = np.where(cond, np.asarray(const_value, dtype=a.data.dtype), a.data)
-    return _make(data, (a,), lambda g: (np.where(cond, 0.0, g),))
 
 
 # reductions ---------------------------------------------------------------
@@ -497,18 +482,40 @@ def _softmax_xent(z, labels, scale=None) -> float:
     return nll
 
 
-def logaddexp(a, b):
-    """Stable log(exp(a) + exp(b)); gradients vanish on -inf branches."""
-    a, b = as_tensor(a), as_tensor(b)
-    y = np.logaddexp(a.data, b.data)
+def ctc_nll(logprobs, ext, allow_skip):
+    """CTC negative log-likelihood (Graves et al., 2006) of (T, V) log-probs
+    over the extended target ``ext``, where ``allow_skip[s]`` lets state s be
+    entered from s - 2; +inf when no alignment fits. The backward gets the
+    betas from the same recursion over the reversed lattice."""
+    lp = as_tensor(logprobs)
+    emit = lp.data[:, ext]
+    alphas = _ctc_alphas(emit, allow_skip)
+    log_p = np.logaddexp(alphas[-1, -1], alphas[-1, -2])
 
     def backward(g):
-        with np.errstate(invalid="ignore"):
-            wa = np.where(np.isneginf(y), 0.0, np.exp(a.data - y))
-            wb = np.where(np.isneginf(y), 0.0, np.exp(b.data - y))
-        return (_unbroadcast(g * wa, a.data.shape), _unbroadcast(g * wb, b.data.shape))
+        # reversed state s' may be entered from s' - 2 iff original S+1-s' may
+        skip_back = np.concatenate([[False, False], allow_skip[:1:-1]])
+        betas = _ctc_alphas(emit[::-1, ::-1], skip_back)[::-1, ::-1]
+        # alpha and beta both hold the emission, and are -inf where it is
+        post = np.exp(alphas + betas - np.where(np.isneginf(emit), 0.0, emit) - log_p)
+        grad = np.zeros_like(lp.data)
+        np.add.at(grad, (np.arange(len(emit))[:, None], ext), post * -float(g))
+        return (grad,)
 
-    return _make(y, (a, b), backward)
+    return _make(np.asarray(-log_p), (lp,), backward)
+
+
+def _ctc_alphas(emit, allow_skip):
+    """(T, S) log-space CTC forward variables: paths start in state 0 or 1 and
+    move 0, 1 or, where ``allow_skip``, 2 states per frame."""
+    alphas = np.full_like(emit, -np.inf)
+    alphas[0, :2] = emit[0, :2]
+    shifted = np.full(emit.shape[1] + 2, -np.inf, emit.dtype)
+    for t in range(1, len(emit)):
+        shifted[2:] = alphas[t - 1]
+        prev2 = np.where(allow_skip, shifted[:-2], -np.inf)
+        alphas[t] = np.logaddexp(np.logaddexp(alphas[t - 1], shifted[1:-1]), prev2) + emit[t]
+    return alphas
 
 
 # composite helpers --------------------------------------------------------

@@ -90,6 +90,10 @@ def cmd_pretrain(args) -> int:
                 epoch += 1
     except pretrain.NonFiniteLossError as err:
         return _fail(1, str(err))
+    except FileNotFoundError as err:
+        # an utterance that cannot be read ends the run at its last step
+        pretrain.save_checkpoint(state, out_dir / "final.msec")
+        return _fail(1, str(err))
     pretrain.save_checkpoint(state, out_dir / "final.msec")
     print(f"pretrain done: {state.step} steps, checkpoints in {out_dir}")
     return 0
@@ -158,7 +162,7 @@ def cmd_finetune(args) -> int:
     epoch = 0
     with open(out_dir / "finetune_metrics.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["step", "loss", "lr_encoder", "lr_head", "frozen"])
+        writer.writerow(["step", "loss", "lr_encoder", "lr_head", "frozen", "grad_norm"])
         try:
             while state.step < total:
                 for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
@@ -166,11 +170,14 @@ def cmd_finetune(args) -> int:
                     m = finetune.finetune_step(state, batch, transcripts, epoch)
                     writer.writerow([m["step"], f"{m['loss']:.6f}",
                                      f"{m['lr_encoder']:.8f}", f"{m['lr_head']:.8f}",
-                                     int(m["frozen"])])
+                                     int(m["frozen"]), f"{m['grad_norm']:.6f}"])
                     if m["step"] >= total:
                         break
                 epoch += 1
         except (pretrain.NonFiniteLossError, finetune.InfeasibleTargetError) as err:
+            return _fail(1, str(err))
+        except FileNotFoundError as err:
+            finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")
             return _fail(1, str(err))
     finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")
     print(f"finetune done: {state.step} steps, checkpoint in {out_dir}")

@@ -6,11 +6,12 @@ Finetuning keeps the encoder frozen for the first ``freeze_steps`` steps, then
 trains jointly with distinct encoder/decoder learning-rate schedules.
 SpecAugment runs on the input features during training only.
 
-The CTC loss is the exact forward recursion in log space, differentiated by
-the autodiff tape. Decoding offers per-frame greedy collapse and a prefix beam
-search that merges equivalent prefixes by log-sum-exp. Both are vectorised:
-the greedy collapse is one mask over the argmax path, and the beam search
-scores each frame as one (beams × vocabulary) numpy grid. No language model.
+The CTC loss is the exact forward recursion in log space, one autodiff node
+(``ad.ctc_nll``) whose backward runs the beta recursion in numpy. Decoding
+offers per-frame greedy collapse and a prefix beam search that merges
+equivalent prefixes by log-sum-exp. Both are vectorised: the greedy collapse
+is one mask over the argmax path, and the beam search scores each frame as
+one (beams × vocabulary) numpy grid. No language model.
 """
 
 from __future__ import annotations
@@ -151,21 +152,10 @@ def ctc_loss(logprobs, targets):
             f"{t_frames} frames cannot align a target needing {min_frames}")
 
     ext, allow_skip = _extended_targets(targets)
-    s_len = len(ext)
-    start_blocked = np.ones(s_len, dtype=bool)
-    start_blocked[:2] = False
-    alpha = ad.where_const(start_blocked, NEG_INF, ad.take_last_axis(lp[0], ext))
-    for t in range(1, t_frames):
-        prev1 = ad.pad1d(alpha, 1, 0, value=NEG_INF)[:s_len]
-        prev2 = ad.pad1d(alpha, 2, 0, value=NEG_INF)[:s_len]
-        prev2 = ad.where_const(~allow_skip, NEG_INF, prev2)
-        combined = ad.logaddexp(ad.logaddexp(alpha, prev1), prev2)
-        alpha = ad.add(combined, ad.take_last_axis(lp[t], ext))
-
-    total = ad.logaddexp(alpha[s_len - 1], alpha[s_len - 2])
-    if np.isneginf(total.data):
+    loss = ad.ctc_nll(lp, ext, allow_skip)
+    if np.isposinf(loss.data):
         raise InfeasibleTargetError("no feasible alignment (zero total probability)")
-    return ad.mul(total, -1.0)
+    return loss
 
 
 @dataclass(frozen=True)
@@ -382,7 +372,7 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
     loss.backward()
     grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for name, p in state.params.items()}
-    pretrain.clip_global_norm(grads, cfg.grad_clip)
+    grad_norm = pretrain.clip_global_norm(grads, cfg.grad_clip)
 
     state.step += 1
     frozen = state.step <= cfg.freeze_steps
@@ -399,7 +389,7 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
 
     return {"step": state.step, "loss": loss_val, "frozen": frozen,
             "lr_head": lr_head,
-            "lr_encoder": 0.0 if frozen else lr_enc}
+            "lr_encoder": 0.0 if frozen else lr_enc, "grad_norm": float(grad_norm)}
 
 
 def transcribe(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,

@@ -53,6 +53,20 @@ tokens_per_batch = 400
 """, encoding="utf-8")
 
 
+def truncate_after_step(monkeypatch, module, step_fn, step, wav):
+    """Patch ``module.<step_fn>`` to cut ``wav`` to 30 bytes once the run has
+    completed ``step`` steps, so a later batch finds it unreadable."""
+    real = getattr(module, step_fn)
+
+    def patched(state, *args):
+        out = real(state, *args)
+        if state.step == step:
+            wav.write_bytes(wav.read_bytes()[:30])
+        return out
+
+    monkeypatch.setattr(module, step_fn, patched)
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -136,6 +150,22 @@ class TestPretrainCommand:
                      "--init-mode", "full"]) == 0
         header2, _ = pretrain.read_checkpoint(out2 / "final.msec")
         assert header2["step"] == 4
+
+    def test_unreadable_wav_mid_run_saves_final_and_exits_1(self, tmp_path, capsys,
+                                                            monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9, 1.2])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir, total_steps=50)
+        truncate_after_step(monkeypatch, pretrain, "train_step", 2, corpus / "utt01.wav")
+        assert main(["pretrain", "--config", str(cfg_path)]) == 1
+        assert "utterance utt01 unreadable" in capsys.readouterr().err
+        rows = (out_dir / "metrics.csv").read_text().strip().splitlines()[1:]
+        cfg = cfgmod.load_config(cfg_path)
+        state = pretrain.load_checkpoint(out_dir / "final.msec", "full",
+                                         cfg.encoder_config(), cfg.pretrain_config())
+        assert 2 <= state.step == len(rows) < 50
 
     def test_corrupt_label_cache_exit_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -323,6 +353,30 @@ tokens_per_batch = 1000
 """, encoding="utf-8")
         assert main(["finetune", "--config", str(cfg)]) == 1
         assert "utt00" in capsys.readouterr().err
+
+    def test_finetune_metrics_carry_grad_norm(self, finetuned_setup):
+        _, _, _, base = finetuned_setup
+        lines = (base / "ft_out" / "finetune_metrics.csv").read_text().splitlines()
+        assert lines[0] == "step,loss,lr_encoder,lr_head,frozen,grad_norm"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            grad_norm = float(line.split(",")[-1])
+            assert np.isfinite(grad_norm) and grad_norm > 0
+
+    def test_finetune_unreadable_wav_mid_run_saves_and_exits_1(self, finetuned_setup,
+                                                               capsys, monkeypatch):
+        _, _, _, base = finetuned_setup
+        out_dir = base / "ft_broken"
+        cfg = base / "ft_broken.ini"
+        cfg.write_text((base / "ft.ini").read_text().replace(
+            str(base / "ft_out"), str(out_dir)), encoding="utf-8")
+        truncate_after_step(monkeypatch, finetune, "finetune_step", 1,
+                            base / "corpus" / "utt01.wav")
+        assert main(["finetune", "--config", str(cfg)]) == 1
+        assert "utterance utt01 unreadable" in capsys.readouterr().err
+        rows = (out_dir / "finetune_metrics.csv").read_text().strip().splitlines()[1:]
+        state = finetune.load_finetune_checkpoint(out_dir / "finetuned.msec")
+        assert state.step == len(rows) == 1
 
     def test_decode_corrupt_checkpoint_exit_1(self, finetuned_setup):
         ckpt, manifest, _, tmp = finetuned_setup

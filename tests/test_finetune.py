@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from rqspeech import autodiff as ad
 from rqspeech import encoder as enc
 from rqspeech import finetune, pretrain
 from rqspeech.quantizer import QuantizerConfig
@@ -162,6 +163,61 @@ class TestCtcLoss:
                 lo = loss_of().item()
             flat[i] = saved
             assert abs(g.reshape(-1)[i] - (hi - lo) / (2 * step)) < 1e-6
+
+    @pytest.mark.parametrize("t, v, target", [
+        (1, 2, [1]),                # one frame, the fewest a symbol needs
+        (3, 3, [1, 1]),             # a repeat at exactly its 3-frame minimum
+        (6, 4, [2, 2, 3, 3]),       # two repeats at the 6-frame minimum
+        (7, 4, [1, 2, 1]),
+        (12, 6, [5, 1, 5, 5, 2]),
+    ])
+    def test_full_gradient_matches_finite_differences(self, t, v, target):
+        rng = np.random.default_rng(10 * t + v)
+        lp = random_logprobs(rng, t, v)
+        x = Tensor(lp, requires_grad=True)
+        ctc_loss(x, target).backward()
+        want = np.zeros_like(lp)
+        step = 1e-6
+        for idx in np.ndindex(lp.shape):
+            saved = lp[idx]
+            lp[idx] = saved + step
+            hi = ctc_loss(lp, target).item()
+            lp[idx] = saved - step
+            lo = ctc_loss(lp, target).item()
+            lp[idx] = saved
+            want[idx] = (hi - lo) / (2 * step)
+        np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-8)
+
+    def test_float32_in_float32_out(self):
+        lp = random_logprobs(np.random.default_rng(3), 9, 5).astype(np.float32)
+        x = Tensor(lp, requires_grad=True)
+        loss = ctc_loss(x, [4, 1, 1])
+        loss.backward()
+        assert loss.dtype == np.float32 and x.grad.dtype == np.float32
+        x64 = Tensor(lp.astype(np.float64), requires_grad=True)
+        loss64 = ctc_loss(x64, [4, 1, 1])
+        loss64.backward()
+        np.testing.assert_allclose(loss.item(), loss64.item(), rtol=1e-5)
+        np.testing.assert_allclose(x.grad, x64.grad, atol=1e-5)
+
+    def test_neginf_entries_get_zero_gradient(self):
+        lp = random_logprobs(np.random.default_rng(4), 8, 5)
+        lp[:, 4] = -np.inf            # a symbol the target never uses
+        lp[[0, 3, 5], [2, 1, BLANK_ID]] = -np.inf
+        x = Tensor(lp, requires_grad=True)
+        loss = ctc_loss(x, [1, 2, 2])
+        assert np.isfinite(loss.item())
+        loss.backward()
+        assert np.all(np.isfinite(x.grad))
+        assert np.all(x.grad[np.isneginf(lp)] == 0.0)
+
+    def test_records_one_node(self):
+        x = Tensor(random_logprobs(np.random.default_rng(5), 10, 4), requires_grad=True)
+        loss = ctc_loss(x, [1, 2, 3])
+        assert loss._parents == (x,) and loss._backward is not None
+        with ad.no_grad():
+            loss = ctc_loss(x, [1, 2, 3])
+        assert loss._parents == () and loss._backward is None
 
     def test_blank_in_target_rejected(self):
         with pytest.raises(ValueError, match="non-blank"):
@@ -405,6 +461,20 @@ class TestFinetuneLoop:
         losses = [finetune.finetune_step(state, batch, transcripts, epoch=0)["loss"]
                   for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
+
+    def test_grad_norm_is_pre_clip_norm(self, pretrained_ckpt):
+        texts = ["ab", "ba"]
+        cfg = FinetuneConfig(grad_clip=1e-3, freeze_steps=0, seed=1,
+                             spec_augment=SpecAugmentConfig(time_apply_prob=0.0,
+                                                            max_freq_width=0))
+        state = finetune.init_finetune_state(pretrained_ckpt, cfg,
+                                             CharTokenizer.from_texts(texts))
+        batch = synth_batch(texts)
+        m = finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
+        assert m["grad_norm"] > 1e-3  # reported before clipping scales it down
+        clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
+                              for p in state.params.values()))
+        assert clipped == pytest.approx(1e-3, rel=1e-4)
 
     def test_transcribe_shapes(self, pretrained_ckpt):
         texts = ["ab", "ba"]
