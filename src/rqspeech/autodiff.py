@@ -7,9 +7,10 @@ Gradients are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: just what the encoder and the losses
-need, the CTC loss being one fused node per utterance. All ops preserve
-dtype, so the same graph runs in float32 for training and float64 for
-gradient verification.
+need, the CTC loss being one fused node per utterance. The relative-position
+shift and the convolution windows are strided read-only views rather than
+gathers or copies. All ops preserve dtype, so the same graph runs in float32
+for training and float64 for gradient verification.
 """
 
 from __future__ import annotations
@@ -255,29 +256,31 @@ def take_rows(a, idx):
     return _make(a.data[idx], (a,), backward)
 
 
-def take_last_axis(a, idx):
-    """Gather along the last axis with an integer index array (broadcastable)."""
+def rel_shift(a):
+    """Transformer-XL relative shift (Dai et al., 2019): (..., L, 2L-1) ->
+    (..., L, L) with ``out[..., i, j] = a[..., i, i - j + L - 1]``.
+
+    The selection is a strided view (start at column L-1, row stride
+    ``s_row + s_col``, column stride ``-s_col``) in which no element repeats,
+    so the backward writes ``g`` into the same view of a zero array.
+    """
     a = as_tensor(a)
-    idx = np.asarray(idx)
-    idx_full = np.broadcast_to(idx, a.data.shape[:-1] + (idx.shape[-1],))
+    l = a.data.shape[-2]
+    if a.data.shape[-1] != 2 * l - 1:
+        raise ValueError(f"rel_shift needs (..., L, 2L-1) scores, got {a.data.shape}")
+
+    def shifted(x, writeable):
+        s_row, s_col = x.strides[-2:]
+        return np.lib.stride_tricks.as_strided(
+            x[..., l - 1:], shape=x.shape[:-1] + (l,),
+            strides=x.strides[:-2] + (s_row + s_col, -s_col), writeable=writeable)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, _grid_indices(a.data.shape[:-1]) + (idx_full,), g)
+        shifted(full, True)[...] = g
         return (full,)
 
-    return _make(np.take_along_axis(a.data, idx_full, axis=-1), (a,), backward)
-
-
-def _grid_indices(shape):
-    """Open index grids for the leading axes of a gather target."""
-    n = len(shape)
-    out = []
-    for i, s in enumerate(shape):
-        dims = [1] * (n + 1)
-        dims[i] = s
-        out.append(np.arange(s).reshape(dims))
-    return tuple(out)
+    return _make(shifted(a.data, False), (a,), backward)
 
 
 # reductions ---------------------------------------------------------------
@@ -286,12 +289,9 @@ def sum_(a, axis=None, keepdims=False):
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -316,22 +316,12 @@ def matmul(a, b):
     def backward(g):
         ga = gb = None
         if na:
-            ga = _unbroadcast_matmul(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
         if nb:
-            gb = _unbroadcast_matmul(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return (ga, gb)
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def _unbroadcast_matmul(g, shape):
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(len(shape) - 2) if shape[i] == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def linear(x, w, b):
@@ -353,13 +343,15 @@ def linear(x, w, b):
 
 
 def unfold_time(a, kernel: int, stride: int):
-    """Sliding windows over axis 1: (B, T, C) -> (B, T_out, K, C)."""
+    """Sliding windows over axis 1: (B, T, C) -> (B, T_out, K, C), returned
+    as a read-only view of the input, not a K-fold copy."""
     a = as_tensor(a)
     b, t, c = a.data.shape
     t_out = (t - kernel) // stride + 1
     s0, s1, s2 = a.data.strides
     windows = np.lib.stride_tricks.as_strided(
-        a.data, shape=(b, t_out, kernel, c), strides=(s0, s1 * stride, s1, s2)).copy()
+        a.data, shape=(b, t_out, kernel, c), strides=(s0, s1 * stride, s1, s2),
+        writeable=False)
 
     def backward(g):
         full = np.zeros_like(a.data)

@@ -88,10 +88,9 @@ def cmd_pretrain(args) -> int:
                     if m.step >= total:
                         break
                 epoch += 1
-    except pretrain.NonFiniteLossError as err:
-        return _fail(1, str(err))
-    except FileNotFoundError as err:
-        # an utterance that cannot be read ends the run at its last step
+    except (pretrain.NonFiniteLossError, FileNotFoundError) as err:
+        # a batch that cannot be read or trained on raises before any update,
+        # so the state saved is the last completed step
         pretrain.save_checkpoint(state, out_dir / "final.msec")
         return _fail(1, str(err))
     pretrain.save_checkpoint(state, out_dir / "final.msec")
@@ -174,9 +173,8 @@ def cmd_finetune(args) -> int:
                     if m["step"] >= total:
                         break
                 epoch += 1
-        except (pretrain.NonFiniteLossError, finetune.InfeasibleTargetError) as err:
-            return _fail(1, str(err))
-        except FileNotFoundError as err:
+        except (pretrain.NonFiniteLossError, finetune.InfeasibleTargetError,
+                FileNotFoundError) as err:
             finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")
             return _fail(1, str(err))
     finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")

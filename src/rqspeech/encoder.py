@@ -134,9 +134,7 @@ def init_param(name: str, shape, seed: int, dtype=np.float32) -> np.ndarray:
     if name.endswith((".bias", ".beta")):
         return np.zeros(shape, dtype=dtype)
     rng = keyed_rng(seed, "param", name)
-    if name.endswith(("bias_u", "bias_v")):
-        fan_in, fan_out = shape
-    elif len(shape) == 2:
+    if len(shape) == 2:
         fan_in, fan_out = shape
     else:
         fan_in, fan_out = int(np.prod(shape[:-1])), shape[-1]
@@ -232,8 +230,8 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 
 def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
-                   key_mask: np.ndarray, pos_enc: np.ndarray, idx: np.ndarray,
-                   train: bool, rng, attn_sink) -> Tensor:
+                   key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng,
+                   attn_sink) -> Tensor:
     heads, d = cfg.heads, cfg.head_dim
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
     q = _split_heads(ad.linear(y, p[prefix + "wq.weight"], p[prefix + "wq.bias"]), heads, d)
@@ -249,7 +247,7 @@ def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     pos = ad.matmul(ad.as_tensor(pos_enc), p[prefix + "pos.weight"])
     pos = ad.transpose(ad.reshape(pos, (n_off, heads, d)), (1, 2, 0))  # (heads, d, 2L-1)
     pos_all = ad.matmul(ad.add(q, bias_v), pos)                        # (B, heads, L, 2L-1)
-    pos_scores = ad.take_last_axis(pos_all, idx)
+    pos_scores = ad.rel_shift(pos_all)
 
     scores = ad.mul(ad.add(content, pos_scores), 1.0 / np.sqrt(d))
     scores = ad.add(scores, key_mask)
@@ -320,14 +318,13 @@ def forward(params: dict, cfg: EncoderConfig, features: Tensor,
     mask = _valid_mask(lengths, l, dtype)
     inv_len = (1.0 / np.maximum(lengths, 1)).astype(dtype)[:, None, None]
     pos_enc = sinusoid_offsets(l - 1, cfg.hidden, dtype)
-    idx = np.arange(l)[:, None] - np.arange(l)[None, :] + (l - 1)
 
     states = [x]
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
         x = ad.add(x, _half_ffn(params, p + "ffn1.", cfg, x, train, rng))
         x = ad.add(x, _rel_attention(params, p + "attn.", cfg, x, key_mask,
-                                     pos_enc, idx, train, rng, attn_sink))
+                                     pos_enc, train, rng, attn_sink))
         x = ad.add(x, _conv_block(params, p + "conv.", cfg, x, mask, inv_len,
                                   train, rng))
         x = ad.add(x, _half_ffn(params, p + "ffn2.", cfg, x, train, rng))

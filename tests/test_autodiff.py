@@ -54,6 +54,7 @@ class TestPrimitives:
 
     def test_matmul_broadcast_weight(self):
         check_op(lambda a, b: ad.matmul(a, b), (2, 5, 4), (4, 3))
+        check_op(lambda a, b: ad.matmul(a, b), (2, 1, 4, 5), (3, 5, 6))
 
     def test_linear(self):
         check_op(lambda x, w, b: ad.linear(x, w, b), (2, 5, 4), (4, 3), (3,))
@@ -84,9 +85,9 @@ class TestPrimitives:
         idx = np.array([0, 2, 2, 1])
         check_op(lambda a: ad.take_rows(a, idx), (3, 4))
 
-    def test_take_last_axis(self):
-        idx = np.array([[0, 2], [1, 1], [3, 0]])  # (3, 2)
-        check_op(lambda a: ad.take_last_axis(a, idx), (2, 3, 4))
+    def test_rel_shift(self):
+        check_op(ad.rel_shift, (2, 3, 4, 7))
+        check_op(ad.rel_shift, (1, 1, 1))
 
     def test_sum_mean(self):
         check_op(lambda a: ad.sum_(a, axis=1, keepdims=True), (3, 4, 2))
@@ -116,7 +117,48 @@ class TestPrimitives:
         check_op(lambda x, g, b: ad.layer_norm(x, g, b), (2, 3, 8), (8,), (8,))
 
 
+def gather_rel_shift(a, g):
+    """The relative shift as an index gather with a scatter-add backward."""
+    l = a.shape[-2]
+    idx = np.arange(l)[:, None] - np.arange(l)[None, :] + (l - 1)
+    idx = np.broadcast_to(idx, a.shape[:-1] + (l,))
+    lead = np.indices(idx.shape, sparse=True)[:-1]
+    grad = np.zeros_like(a)
+    np.add.at(grad, lead + (idx,), g)
+    return np.take_along_axis(a, idx, axis=-1), grad
+
+
+class TestRelShift:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("l", [1, 2, 5, 60])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bitwise_equal_to_gather(self, l, dtype, transposed):
+        rng = np.random.default_rng(l)
+        if transposed:  # strides are read from the array, whatever its layout
+            a = rng.standard_normal((2 * l - 1, l, 3, 2)).astype(dtype).transpose(3, 2, 1, 0)
+        else:
+            a = rng.standard_normal((2, 3, l, 2 * l - 1)).astype(dtype)
+        g = rng.standard_normal((2, 3, l, l)).astype(dtype)
+        want_out, want_grad = gather_rel_shift(a, g)
+        t = Tensor(a, requires_grad=True)
+        out = ad.rel_shift(t)
+        out.backward(g)
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        assert t.grad.tobytes() == want_grad.tobytes()
+
+    def test_rejects_unshifted_shape(self):
+        with pytest.raises(ValueError, match="2L-1"):
+            ad.rel_shift(np.zeros((2, 3, 3)))
+
+
 class TestSemantics:
+    def test_strided_views_are_read_only(self):
+        a = np.arange(18.0).reshape(1, 3, 6)[:, :, 1:]  # (1, L=3, 2L-1)
+        assert not ad.rel_shift(a).data.flags.writeable
+        assert not ad.unfold_time(a, kernel=2, stride=1).data.flags.writeable
+        assert a.flags.writeable
+
     def test_softmax_with_neginf_keys(self):
         x = Tensor(np.array([[0.0, -np.inf, 1.0]]), requires_grad=True)
         y = ad.softmax(x)

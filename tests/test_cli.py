@@ -67,6 +67,19 @@ def truncate_after_step(monkeypatch, module, step_fn, step, wav):
     monkeypatch.setattr(module, step_fn, patched)
 
 
+def raise_after_step(monkeypatch, module, step_fn, step, error):
+    """Patch ``module.<step_fn>`` to raise ``error`` once the run has
+    completed ``step`` steps, as a step that fails before its update does."""
+    real = getattr(module, step_fn)
+
+    def patched(state, *args):
+        if state.step == step:
+            raise error
+        return real(state, *args)
+
+    monkeypatch.setattr(module, step_fn, patched)
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -166,6 +179,23 @@ class TestPretrainCommand:
         state = pretrain.load_checkpoint(out_dir / "final.msec", "full",
                                          cfg.encoder_config(), cfg.pretrain_config())
         assert 2 <= state.step == len(rows) < 50
+
+    def test_non_finite_loss_mid_run_saves_final_and_exits_1(self, tmp_path, capsys,
+                                                             monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9, 1.2])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir, total_steps=50)
+        raise_after_step(monkeypatch, pretrain, "train_step", 2,
+                         pretrain.NonFiniteLossError("non-finite loss at step 3: nan"))
+        assert main(["pretrain", "--config", str(cfg_path)]) == 1
+        assert "non-finite loss at step 3" in capsys.readouterr().err
+        rows = (out_dir / "metrics.csv").read_text().strip().splitlines()[1:]
+        cfg = cfgmod.load_config(cfg_path)
+        state = pretrain.load_checkpoint(out_dir / "final.msec", "full",
+                                         cfg.encoder_config(), cfg.pretrain_config())
+        assert state.step == len(rows) == 2
 
     def test_corrupt_label_cache_exit_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -374,6 +404,21 @@ tokens_per_batch = 1000
                             base / "corpus" / "utt01.wav")
         assert main(["finetune", "--config", str(cfg)]) == 1
         assert "utterance utt01 unreadable" in capsys.readouterr().err
+        rows = (out_dir / "finetune_metrics.csv").read_text().strip().splitlines()[1:]
+        state = finetune.load_finetune_checkpoint(out_dir / "finetuned.msec")
+        assert state.step == len(rows) == 1
+
+    def test_finetune_infeasible_target_mid_run_saves_and_exits_1(self, finetuned_setup,
+                                                                  capsys, monkeypatch):
+        _, _, _, base = finetuned_setup
+        out_dir = base / "ft_infeasible"
+        cfg = base / "ft_infeasible.ini"
+        cfg.write_text((base / "ft.ini").read_text().replace(
+            str(base / "ft_out"), str(out_dir)), encoding="utf-8")
+        raise_after_step(monkeypatch, finetune, "finetune_step", 1,
+                         finetune.InfeasibleTargetError("utterance utt01: too short"))
+        assert main(["finetune", "--config", str(cfg)]) == 1
+        assert "utterance utt01: too short" in capsys.readouterr().err
         rows = (out_dir / "finetune_metrics.csv").read_text().strip().splitlines()[1:]
         state = finetune.load_finetune_checkpoint(out_dir / "finetuned.msec")
         assert state.step == len(rows) == 1

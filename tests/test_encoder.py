@@ -184,9 +184,8 @@ class TestRelativeAttentionOracle:
         key_mask = np.where(np.arange(l)[None, :] < lengths[:, None], 0.0, -np.inf)
         key_mask = key_mask[:, None, None, :]
         pos_enc = encoder.sinusoid_offsets(l - 1, cfg.hidden, np.float64)
-        idx = np.arange(l)[:, None] - np.arange(l)[None, :] + (l - 1)
         got = encoder._rel_attention(params, "layers.0.attn.", cfg, Tensor(x),
-                                     key_mask, pos_enc, idx, False, None, None)
+                                     key_mask, pos_enc, False, None, None)
         want = self.reference(arrays, cfg, x, lengths)
         # rows for padded queries attend over valid keys in both, so compare all
         np.testing.assert_allclose(got.data, want, atol=1e-10)
