@@ -98,29 +98,6 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 

@@ -5,6 +5,10 @@ command is deterministic given its config and seed; the effective config is
 written next to the outputs so a run can be reproduced from its artifacts.
 Exit codes: 0 success, 1 runtime failure (corrupt/unreadable inputs),
 2 invalid configuration or usage.
+
+``pretrain`` and ``finetune`` share one run loop, ``_train``: it writes one
+flushed metrics row per completed step and saves the final checkpoint, also
+when a batch fails (then at the last completed step, exit code 1).
 """
 
 from __future__ import annotations
@@ -32,6 +36,36 @@ def _load_index(cfg) -> datapipe.CorpusIndex:
         return datapipe.read_manifest(manifest)
     root = cfg.require("corpus", "root")
     return datapipe.scan_corpus(root)
+
+
+def _train(cfg, index, state, total: int, step, metrics, save) -> int:
+    """Run ``step(batch, epoch)`` over epochs of ``index`` until ``state.step``
+    reaches ``total``, then ``save()``; returns the exit code.
+
+    ``step`` returns its metrics row, or None when it made no update. It
+    raises before any update, so a failed batch saves the last completed step.
+    """
+    spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
+                                  cfg["datapipe"]["tokens_per_batch"])
+    epoch = 0
+    try:
+        with metrics:
+            while state.step < total:
+                for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
+                                                 workers=cfg["datapipe"]["workers"]):
+                    m = step(batch, epoch)
+                    if m is None:
+                        continue
+                    metrics.write(m)
+                    if state.step >= total:
+                        break
+                epoch += 1
+    except (pretrain.NonFiniteLossError, finetune.InfeasibleTargetError,
+            FileNotFoundError) as err:
+        save()
+        return _fail(1, str(err))
+    save()
+    return 0
 
 
 def cmd_pretrain(args) -> int:
@@ -69,31 +103,18 @@ def cmd_pretrain(args) -> int:
         except (ValueError, OSError) as err:
             return _fail(1, str(err))
 
-    spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
-                                  cfg["datapipe"]["tokens_per_batch"])
     every = cfg["pretrain"]["checkpoint_every"]
-    total = train_cfg.total_steps
-    epoch = 0
-    try:
-        with pretrain.MetricsWriter(out_dir / "metrics.csv") as metrics:
-            while state.step < total:
-                for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
-                                                 workers=cfg["datapipe"]["workers"]):
-                    m = pretrain.train_step(state, batch, epoch)
-                    if m is None:
-                        continue
-                    metrics.write(m)
-                    if m.step % every == 0:
-                        pretrain.save_checkpoint(state, out_dir / f"ckpt_{m.step:06d}.msec")
-                    if m.step >= total:
-                        break
-                epoch += 1
-    except (pretrain.NonFiniteLossError, FileNotFoundError) as err:
-        # a batch that cannot be read or trained on raises before any update,
-        # so the state saved is the last completed step
-        pretrain.save_checkpoint(state, out_dir / "final.msec")
-        return _fail(1, str(err))
-    pretrain.save_checkpoint(state, out_dir / "final.msec")
+
+    def step(batch, epoch):
+        m = pretrain.train_step(state, batch, epoch)
+        if m is not None and m.step % every == 0:
+            pretrain.save_checkpoint(state, out_dir / f"ckpt_{m.step:06d}.msec")
+        return m
+
+    if _train(cfg, index, state, train_cfg.total_steps, step,
+              pretrain.MetricsWriter(out_dir / "metrics.csv", start_step=state.step),
+              lambda: pretrain.save_checkpoint(state, out_dir / "final.msec")):
+        return 1
     print(f"pretrain done: {state.step} steps, checkpoints in {out_dir}")
     return 0
 
@@ -118,11 +139,9 @@ def cmd_quantize(args) -> int:
     written = 0
     for utt in index.entries:
         try:
-            w = frontend.load_audio(utt.path)
+            w = frontend.load_16k(utt.path)
         except frontend.WavError as err:
             return _fail(1, f"utterance {utt.utt_id}: {err}")
-        if w.sample_rate != frontend.SAMPLE_RATE:
-            w = frontend.resample(w, frontend.SAMPLE_RATE)
         labels = quantizer.labels_for_mel(qs, frontend.log_mel(w))
         path = out_dir / (utt.utt_id + ".lab")
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -155,29 +174,11 @@ def cmd_finetune(args) -> int:
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
 
-    spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
-                                  cfg["datapipe"]["tokens_per_batch"])
-    total = cfg["finetune"]["total_steps"]
-    epoch = 0
-    with open(out_dir / "finetune_metrics.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "loss", "lr_encoder", "lr_head", "frozen", "grad_norm"])
-        try:
-            while state.step < total:
-                for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
-                                                 workers=cfg["datapipe"]["workers"]):
-                    m = finetune.finetune_step(state, batch, transcripts, epoch)
-                    writer.writerow([m["step"], f"{m['loss']:.6f}",
-                                     f"{m['lr_encoder']:.8f}", f"{m['lr_head']:.8f}",
-                                     int(m["frozen"]), f"{m['grad_norm']:.6f}"])
-                    if m["step"] >= total:
-                        break
-                epoch += 1
-        except (pretrain.NonFiniteLossError, finetune.InfeasibleTargetError,
-                FileNotFoundError) as err:
-            finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")
-            return _fail(1, str(err))
-    finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")
+    if _train(cfg, index, state, cfg["finetune"]["total_steps"],
+              lambda batch, epoch: finetune.finetune_step(state, batch, transcripts, epoch),
+              pretrain.MetricsWriter(out_dir / "finetune_metrics.csv", finetune.METRICS_FIELDS),
+              lambda: finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")):
+        return 1
     print(f"finetune done: {state.step} steps, checkpoint in {out_dir}")
     return 0
 
@@ -196,11 +197,9 @@ def cmd_decode(args) -> int:
     lines = []
     for utt in index.entries:
         try:
-            w = frontend.load_audio(utt.path)
+            w = frontend.load_16k(utt.path)
         except frontend.WavError as err:
             return _fail(1, f"utterance {utt.utt_id}: {err}")
-        if w.sample_rate != frontend.SAMPLE_RATE:
-            w = frontend.resample(w, frontend.SAMPLE_RATE)
         mel = frontend.log_mel(w)
         text = finetune.transcribe(state, mel[None], np.array([mel.shape[0]]),
                                    beam_width=beam)[0]

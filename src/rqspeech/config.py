@@ -58,10 +58,6 @@ class RunConfig:
     def seed(self) -> int:
         return self.values["run"]["seed"]
 
-    @property
-    def output_dir(self) -> Path:
-        return Path(self.values["run"]["output_dir"])
-
     def require(self, section: str, key: str) -> str:
         value = self.values[section][key]
         if value in ("", None):

@@ -230,12 +230,10 @@ def load_batch(desc: BatchDescriptor, spec: BucketSpec, seed: int) -> Batch:
     ids = []
     for i, utt in enumerate(desc.utterances):
         try:
-            w = frontend.load_audio(utt.path)
+            w = frontend.load_16k(utt.path)
         except frontend.WavError as err:
             raise FileNotFoundError(
                 f"utterance {utt.utt_id} unreadable at {utt.path}: {err}") from err
-        if w.sample_rate != frontend.SAMPLE_RATE:
-            w = frontend.resample(w, frontend.SAMPLE_RATE)
         cropped[i] = w.duration > MAX_DURATION_S
         w = crop(w, MAX_DURATION_S, seed, desc.epoch, utt.utt_id)
         mel = frontend.log_mel(w)

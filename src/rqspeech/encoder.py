@@ -233,6 +233,7 @@ def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                    key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng,
                    attn_sink) -> Tensor:
     heads, d = cfg.heads, cfg.head_dim
+    drop = cfg.dropout if train else 0.0
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
     q = _split_heads(ad.linear(y, p[prefix + "wq.weight"], p[prefix + "wq.bias"]), heads, d)
     k = _split_heads(ad.linear(y, p[prefix + "wk.weight"], p[prefix + "wk.bias"]), heads, d)
@@ -254,25 +255,20 @@ def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     attn = ad.softmax(scores, axis=-1)
     if attn_sink is not None:
         attn_sink.append(attn.data.copy())
-    if train and cfg.dropout > 0:
-        attn = ad.dropout(attn, cfg.dropout, rng)
+    attn = ad.dropout(attn, drop, rng)
     ctx = _merge_heads(ad.matmul(attn, v))
     out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
-    if train and cfg.dropout > 0:
-        out = ad.dropout(out, cfg.dropout, rng)
-    return out
+    return ad.dropout(out, drop, rng)
 
 
 def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
               train: bool, rng) -> Tensor:
+    drop = cfg.dropout if train else 0.0
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
     y = ad.swish(ad.linear(y, p[prefix + "w1.weight"], p[prefix + "w1.bias"]))
-    if train and cfg.dropout > 0:
-        y = ad.dropout(y, cfg.dropout, rng)
+    y = ad.dropout(y, drop, rng)
     y = ad.linear(y, p[prefix + "w2.weight"], p[prefix + "w2.bias"])
-    if train and cfg.dropout > 0:
-        y = ad.dropout(y, cfg.dropout, rng)
-    return ad.mul(y, 0.5)
+    return ad.mul(ad.dropout(y, drop, rng), 0.5)
 
 
 def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
@@ -299,9 +295,7 @@ def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
 
     y = ad.swish(y)
     y = ad.linear(y, p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
-    if train and cfg.dropout > 0:
-        y = ad.dropout(y, cfg.dropout, rng)
-    return y
+    return ad.dropout(y, cfg.dropout if train else 0.0, rng)
 
 
 def forward(params: dict, cfg: EncoderConfig, features: Tensor,

@@ -306,6 +306,12 @@ class FinetuneState:
         return self._group(head=True)
 
 
+# finetune_metrics.csv columns, as in pretrain.METRICS_FIELDS
+METRICS_FIELDS = (("step", "{m[step]}"), ("loss", "{m[loss]:.6f}"),
+                  ("lr_encoder", "{m[lr_encoder]:.8f}"), ("lr_head", "{m[lr_head]:.8f}"),
+                  ("frozen", "{m[frozen]:d}"), ("grad_norm", "{m[grad_norm]:.6f}"))
+
+
 def _new_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
                tokenizer: CharTokenizer) -> FinetuneState:
     """Every encoder tensor of a read checkpoint, a fresh CTC head, step 0."""
@@ -363,17 +369,8 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
     for term in per_utt[1:]:
         loss = ad.add(loss, ad.mul(term, 1.0 / len(per_utt)))
 
-    loss_val = loss.item()
-    if not np.isfinite(loss_val):
-        raise pretrain.NonFiniteLossError(f"non-finite loss at step {state.step + 1}")
-
-    for p in state.params.values():
-        p.zero_grad()
-    loss.backward()
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for name, p in state.params.items()}
-    grad_norm = pretrain.clip_global_norm(grads, cfg.grad_clip)
-
+    loss_val, grads, grad_norm = pretrain.clipped_gradients(loss, state.params, cfg.grad_clip,
+                                                            state.step + 1)
     state.step += 1
     frozen = state.step <= cfg.freeze_steps
     lr_head = pretrain.lr_schedule(state.step, cfg.decoder_lr, cfg.warmup_steps)

@@ -121,6 +121,12 @@ def load_audio(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=rate)
 
 
+def load_16k(path) -> Waveform:
+    """``load_audio``, resampled to SAMPLE_RATE when the file has another rate."""
+    w = load_audio(path)
+    return w if w.sample_rate == SAMPLE_RATE else resample(w, SAMPLE_RATE)
+
+
 def wav_info(path):
     """(sample_rate, num_frames, channels) from the header, without decoding.
 

@@ -144,6 +144,24 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     return total
 
 
+def clipped_gradients(loss: Tensor, params: dict, max_norm: float, step: int):
+    """(loss value, {name: gradient}, global norm before clipping) of ``loss``.
+
+    Every parameter gets a gradient (zeros where the loss does not reach it),
+    clipped to ``max_norm`` in global norm. A non-finite loss raises
+    NonFiniteLossError naming ``step`` before any gradient is touched.
+    """
+    loss_val = loss.item()
+    if not np.isfinite(loss_val):
+        raise NonFiniteLossError(f"non-finite loss at step {step}: {loss_val}")
+    for p in params.values():
+        p.zero_grad()
+    loss.backward()
+    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+             for name, p in params.items()}
+    return loss_val, grads, clip_global_norm(grads, max_norm)
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float, beta2: float, eps: float) -> None:
     """One Adam update (bias-corrected, no weight decay) in place."""
@@ -265,17 +283,8 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
     loss = ad.multi_softmax_nll(rows, state.params["head.weight"], state.params["head.bias"],
                                 flat_labels, qcfg.num_codebooks)
 
-    loss_val = loss.item()
-    if not np.isfinite(loss_val):
-        raise NonFiniteLossError(f"non-finite loss at step {state.step + 1}: {loss_val}")
-
-    for p in state.params.values():
-        p.zero_grad()
-    loss.backward()
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for name, p in state.params.items()}
-    grad_norm = clip_global_norm(grads, cfg.grad_clip)
-
+    loss_val, grads, grad_norm = clipped_gradients(loss, state.params, cfg.grad_clip,
+                                                   state.step + 1)
     state.step += 1
     lr = lr_schedule(state.step, cfg.peak_lr, cfg.warmup_steps)
     adam_step(state.params, grads, state.adam, lr,
@@ -437,23 +446,29 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     return state
 
 
+# (CSV header, ``str.format`` template over the step's metrics ``m``) per column
+METRICS_FIELDS = (("step", "{m.step}"), ("loss", "{m.loss:.6f}"),
+                  ("lr", "{m.learning_rate:.8f}"), ("masked_frames", "{m.masked_label_frames}"),
+                  ("utilization", "{m.codebook_utilization:.6f}"),
+                  ("grad_norm", "{m.grad_norm:.6f}"))
+
+
 class MetricsWriter:
-    """Appends one CSV row per training step."""
+    """One CSV row per training step, flushed as it is written.
 
-    FIELDS = ("step", "loss", "lr", "masked_frames", "utilization", "grad_norm")
+    A run that starts at step 0 replaces the file; a run restored at a later
+    step appends to it. A header row starts every new or empty file.
+    """
 
-    def __init__(self, path):
-        self.path = Path(path)
-        new_file = not self.path.exists()
-        self._f = open(self.path, "a", newline="")
+    def __init__(self, path, fields=METRICS_FIELDS, start_step: int = 0):
+        self._formats = [fmt for _, fmt in fields]
+        self._f = open(path, "a" if start_step > 0 else "w", newline="")
         self._w = csv.writer(self._f)
-        if new_file:
-            self._w.writerow(self.FIELDS)
+        if self._f.tell() == 0:
+            self._w.writerow(name for name, _ in fields)
 
-    def write(self, m: StepMetrics) -> None:
-        self._w.writerow([m.step, f"{m.loss:.6f}", f"{m.learning_rate:.8f}",
-                          m.masked_label_frames, f"{m.codebook_utilization:.6f}",
-                          f"{m.grad_norm:.6f}"])
+    def write(self, m) -> None:
+        self._w.writerow(fmt.format(m=m) for fmt in self._formats)
         self._f.flush()
 
     def close(self) -> None:

@@ -80,6 +80,13 @@ def raise_after_step(monkeypatch, module, step_fn, step, error):
     monkeypatch.setattr(module, step_fn, patched)
 
 
+def metric_steps(path):
+    """The step column of a metrics CSV, after checking its single header."""
+    lines = path.read_text().strip().splitlines()
+    assert lines[0].startswith("step,loss,")
+    return [int(line.split(",")[0]) for line in lines[1:]]
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -164,6 +171,35 @@ class TestPretrainCommand:
         header2, _ = pretrain.read_checkpoint(out2 / "final.msec")
         assert header2["step"] == 4
 
+    def test_fresh_rerun_replaces_metrics(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir, total_steps=3)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        first = (out_dir / "metrics.csv").read_text()
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        header, _ = pretrain.read_checkpoint(out_dir / "final.msec")
+        assert metric_steps(out_dir / "metrics.csv") == list(range(1, header["step"] + 1))
+        assert (out_dir / "metrics.csv").read_text() == first
+
+    def test_full_continuation_appends_metrics(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        out_dir = tmp_path / "out"
+        first = tmp_path / "first.ini"
+        write_pretrain_config(first, corpus, out_dir, total_steps=2)
+        assert main(["pretrain", "--config", str(first)]) == 0
+        second = tmp_path / "second.ini"
+        write_pretrain_config(second, corpus, out_dir, total_steps=5)
+        assert main(["pretrain", "--config", str(second),
+                     "--init-from", str(out_dir / "final.msec"),
+                     "--init-mode", "full"]) == 0
+        header, _ = pretrain.read_checkpoint(out_dir / "final.msec")
+        assert header["step"] == 5
+        assert metric_steps(out_dir / "metrics.csv") == [1, 2, 3, 4, 5]
+
     def test_unreadable_wav_mid_run_saves_final_and_exits_1(self, tmp_path, capsys,
                                                             monkeypatch):
         corpus = tmp_path / "corpus"
@@ -240,6 +276,32 @@ class TestQuantizeCommand:
         a = (tmp_path / "out_a" / "metrics.csv").read_text()
         b = (tmp_path / "out_b" / "metrics.csv").read_text()
         assert a == b
+
+    def test_non_16k_audio_labels_match_pretrain_frames(self, tmp_path):
+        # 8 kHz and 22.05 kHz files are resampled to 16 kHz by quantize and by
+        # the pretrain batch loader alike, so each gets one label per 4 frames
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(4)
+        for name, rate, seconds in [("narrow", 8000, 0.7), ("wide", 22050, 0.9)]:
+            frontend.write_wav(corpus / f"{name}.wav", make_speechlike(rng, seconds, rate),
+                               rate)
+        cfg_path = tmp_path / "c.ini"
+        write_pretrain_config(cfg_path, corpus, tmp_path / "out")
+        cache = tmp_path / "cache"
+        assert main(["quantize", "--config", str(cfg_path), "--out", str(cache)]) == 0
+
+        cfg = cfgmod.load_config(cfg_path)
+        index = datapipe.scan_corpus(corpus)
+        spec = datapipe.build_buckets(index, 1, 10000)
+        (batch,) = datapipe.iter_epoch(spec, index, cfg.seed, 0)
+        assert sorted(batch.utt_ids) == ["narrow", "wide"]
+        for i, utt_id in enumerate(batch.utt_ids):
+            frames = int(batch.lengths[i])
+            utt = next(u for u in index.entries if u.utt_id == utt_id)
+            assert frames == datapipe.frames_for_duration(utt.duration)
+            labels = quantizer.read_label_cache(cache / (utt_id + ".lab"))
+            assert labels.shape[0] == frames // 4
 
     def test_offline_cache_matches_online_labels(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -392,6 +454,25 @@ tokens_per_batch = 1000
         for line in lines[1:]:
             grad_norm = float(line.split(",")[-1])
             assert np.isfinite(grad_norm) and grad_norm > 0
+
+    def test_finetune_metrics_rows_reach_disk_per_step(self, finetuned_setup, monkeypatch):
+        _, _, _, base = finetuned_setup
+        out_dir = base / "ft_flush"
+        cfg = base / "ft_flush.ini"
+        cfg.write_text((base / "ft.ini").read_text().replace(
+            str(base / "ft_out"), str(out_dir)), encoding="utf-8")
+        real = finetune.finetune_step
+        on_disk = {}
+
+        def patched(state, *args):
+            on_disk[state.step] = (out_dir / "finetune_metrics.csv").read_text()
+            return real(state, *args)
+
+        monkeypatch.setattr(finetune, "finetune_step", patched)
+        assert main(["finetune", "--config", str(cfg)]) == 0
+        lines = on_disk[1].splitlines()
+        assert lines[0] == "step,loss,lr_encoder,lr_head,frozen,grad_norm"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"]
 
     def test_finetune_unreadable_wav_mid_run_saves_and_exits_1(self, finetuned_setup,
                                                                capsys, monkeypatch):

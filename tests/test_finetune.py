@@ -462,6 +462,20 @@ class TestFinetuneLoop:
                   for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
 
+    def test_non_finite_loss_aborts_without_update(self, pretrained_ckpt):
+        texts = ["ab", "ba"]
+        state = self.make_state(pretrained_ckpt, texts, freeze_steps=0)
+        state.params["ctc_head.weight"].data[:] = np.inf
+        batch = synth_batch(texts)
+        snapshot = {k: p.data.copy() for k, p in state.params.items()}
+        with pytest.raises(pretrain.NonFiniteLossError, match="at step 1"):
+            finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
+        assert state.step == 0
+        assert state.adam_encoder.count == state.adam_head.count == 0
+        for k, arr in snapshot.items():
+            assert np.array_equal(state.params[k].data, arr)
+            assert state.params[k].grad is None
+
     def test_grad_norm_is_pre_clip_norm(self, pretrained_ckpt):
         texts = ["ab", "ba"]
         cfg = FinetuneConfig(grad_clip=1e-3, freeze_steps=0, seed=1,
