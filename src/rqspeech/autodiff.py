@@ -6,11 +6,11 @@ accumulates gradients into every Tensor created with ``requires_grad=True``.
 Gradients are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
-The op set is intentionally small: just what the encoder and the losses
-need, the CTC loss being one fused node per utterance. The relative-position
-shift and the convolution windows are strided read-only views rather than
-gathers or copies. All ops preserve dtype, so the same graph runs in float32
-for training and float64 for gradient verification.
+The op set is intentionally small: what the encoder and the losses need,
+with layer norm, relative-position attention, the pretraining head and the
+CTC loss as one fused node each. Attention's relative shift and the
+convolution windows are strided read-only views, not gathers or copies. All
+ops keep dtype, so one graph runs in float32 to train and float64 to check gradients.
 """
 
 from __future__ import annotations
@@ -194,12 +194,6 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def transpose(a, axes):
-    a = as_tensor(a)
-    inverse = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
-
-
 def getitem(a, idx):
     a = as_tensor(a)
 
@@ -233,33 +227,6 @@ def take_rows(a, idx):
     return _make(a.data[idx], (a,), backward)
 
 
-def rel_shift(a):
-    """Transformer-XL relative shift (Dai et al., 2019): (..., L, 2L-1) ->
-    (..., L, L) with ``out[..., i, j] = a[..., i, i - j + L - 1]``.
-
-    The selection is a strided view (start at column L-1, row stride
-    ``s_row + s_col``, column stride ``-s_col``) in which no element repeats,
-    so the backward writes ``g`` into the same view of a zero array.
-    """
-    a = as_tensor(a)
-    l = a.data.shape[-2]
-    if a.data.shape[-1] != 2 * l - 1:
-        raise ValueError(f"rel_shift needs (..., L, 2L-1) scores, got {a.data.shape}")
-
-    def shifted(x, writeable):
-        s_row, s_col = x.strides[-2:]
-        return np.lib.stride_tricks.as_strided(
-            x[..., l - 1:], shape=x.shape[:-1] + (l,),
-            strides=x.strides[:-2] + (s_row + s_col, -s_col), writeable=writeable)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        shifted(full, True)[...] = g
-        return (full,)
-
-    return _make(shifted(a.data, False), (a,), backward)
-
-
 # reductions ---------------------------------------------------------------
 
 def sum_(a, axis=None, keepdims=False):
@@ -285,21 +252,6 @@ def mean(a, axis=None, keepdims=False):
 
 
 # linear algebra -----------------------------------------------------------
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    na, nb = _needs_grad(a), _needs_grad(b)
-
-    def backward(g):
-        ga = gb = None
-        if na:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        if nb:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return (ga, gb)
-
-    return _make(a.data @ b.data, (a, b), backward)
-
 
 def linear(x, w, b):
     """Fused x @ w + b for a 2-D weight and 1-D bias."""
@@ -514,6 +466,67 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         return (gx, ggamma, gbeta)
 
     return _make(out, (x, gamma, beta), backward)
+
+
+def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
+                  drop: float, rng):
+    """Shift-style relative-position self-attention (Dai et al., 2019) as one
+    node: head h of query i weights value j by softmax_j(((q_i + u_h) . k_j +
+    (q_i + v_h) . (r W)_{i-j}) / sqrt(d) + key_mask_j), then inverted dropout.
+    ``q``, ``k``, ``v`` are (B, L, H*d), ``offsets`` r the (2L-1, H*d) encodings
+    of offsets -(L-1)..L-1. Returns the (B, L, H*d) context and the pre-dropout
+    (B, H, L, L) probabilities, which the backward keeps with the dropout mask.
+    """
+    q, k, v, w_pos, bias_u, bias_v = map(as_tensor, (q, k, v, w_pos, bias_u, bias_v))
+    b, l, hd = q.data.shape
+    d, n_off = hd // heads, len(offsets)
+    if n_off != 2 * l - 1:
+        raise ValueError(f"rel_attention needs 2L-1 = {2 * l - 1} offset rows, got {n_off}")
+    scale = float(1.0 / np.sqrt(d))  # a numpy scalar would promote float32 to float64
+
+    def split(x):  # (B, L, H*d) -> (B, H, L, d)
+        return x.reshape(b, l, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(b, l, hd)
+
+    def shifted(x, writeable):
+        # (..., L, 2L-1) -> (..., L, L): out[..., i, j] = x[..., i, i - j + L - 1], no repeats
+        s_row, s_col = x.strides[-2:]
+        return np.lib.stride_tricks.as_strided(
+            x[..., l - 1:], shape=x.shape[:-1] + (l,),
+            strides=x.strides[:-2] + (s_row + s_col, -s_col), writeable=writeable)
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    u, vb = bias_u.data.reshape(1, heads, 1, d), bias_v.data.reshape(1, heads, 1, d)
+    r = (offsets @ w_pos.data).reshape(n_off, heads, d).transpose(1, 2, 0)  # (H, d, 2L-1)
+    s = (q4 + u) @ k4.transpose(0, 1, 3, 2)
+    s += shifted((q4 + vb) @ r, False)
+    s *= scale
+    s += key_mask
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)  # s now holds the probabilities
+    mult = (rng.random(s.shape) >= drop).astype(s.dtype) / (1.0 - drop) if drop > 0.0 else None
+
+    def backward(g):
+        g4 = split(g)
+        gs = g4 @ np.swapaxes(v4, -1, -2)
+        if mult is not None:
+            gs *= mult
+        gs = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * scale
+        gpos = np.zeros(gs.shape[:-1] + (n_off,), gs.dtype)
+        shifted(gpos, True)[...] = gs
+        gqu, gqv = gs @ k4, gpos @ np.swapaxes(r, -1, -2)
+        gk = np.swapaxes(np.swapaxes(q4 + u, -1, -2) @ gs, -1, -2)
+        gr = (np.swapaxes(q4 + vb, -1, -2) @ gpos).sum(axis=0).transpose(2, 0, 1)
+        attn = s if mult is None else s * mult
+        return (merge(gqu + gqv), merge(gk), merge(np.swapaxes(attn, -1, -2) @ g4),
+                offsets.T @ gr.reshape(n_off, hd), _unbroadcast(gqu, u.shape).reshape(heads, d),
+                _unbroadcast(gqv, vb.shape).reshape(heads, d))
+
+    attn = s if mult is None else s * mult
+    return _make(merge(attn @ v4), (q, k, v, w_pos, bias_u, bias_v), backward), s
 
 
 def dropout(x, prob: float, rng: np.random.Generator):

@@ -128,8 +128,9 @@ def scan_corpus(root) -> CorpusIndex:
 
 
 def read_manifest(path) -> CorpusIndex:
-    """Manifest alternative to scanning: one "id<TAB>path<TAB>duration_s" per line."""
-    entries = []
+    """Manifest alternative to scanning: one "id<TAB>path<TAB>duration_s" per line,
+    each id once (labels, masks and caches are keyed by id)."""
+    entries, first_line = [], {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -139,6 +140,10 @@ def read_manifest(path) -> CorpusIndex:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected id<TAB>path<TAB>duration_s")
             utt_id, wav_path, dur = parts
+            if utt_id in first_line:
+                raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
+                                 f"line {first_line[utt_id]}")
+            first_line[utt_id] = lineno
             duration = float(dur)
             if duration < MIN_DURATION_S:
                 continue

@@ -219,44 +219,18 @@ def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
     return enc.astype(dtype)
 
 
-def _split_heads(x: Tensor, heads: int, head_dim: int) -> Tensor:
-    b, l, _ = x.shape
-    return ad.transpose(ad.reshape(x, (b, l, heads, head_dim)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, heads, l, d = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, l, heads * d))
-
-
 def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                    key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng,
                    attn_sink) -> Tensor:
-    heads, d = cfg.heads, cfg.head_dim
     drop = cfg.dropout if train else 0.0
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
-    q = _split_heads(ad.linear(y, p[prefix + "wq.weight"], p[prefix + "wq.bias"]), heads, d)
-    k = _split_heads(ad.linear(y, p[prefix + "wk.weight"], p[prefix + "wk.bias"]), heads, d)
-    v = _split_heads(ad.linear(y, p[prefix + "wv.weight"], p[prefix + "wv.bias"]), heads, d)
-
-    # (q + u) . k for content, (q + v) . W_pos pe(i - j) for position
-    bias_u = ad.reshape(p[prefix + "bias_u"], (1, heads, 1, d))
-    bias_v = ad.reshape(p[prefix + "bias_v"], (1, heads, 1, d))
-    content = ad.matmul(ad.add(q, bias_u), ad.transpose(k, (0, 1, 3, 2)))
-
-    n_off = pos_enc.shape[0]
-    pos = ad.matmul(ad.as_tensor(pos_enc), p[prefix + "pos.weight"])
-    pos = ad.transpose(ad.reshape(pos, (n_off, heads, d)), (1, 2, 0))  # (heads, d, 2L-1)
-    pos_all = ad.matmul(ad.add(q, bias_v), pos)                        # (B, heads, L, 2L-1)
-    pos_scores = ad.rel_shift(pos_all)
-
-    scores = ad.mul(ad.add(content, pos_scores), 1.0 / np.sqrt(d))
-    scores = ad.add(scores, key_mask)
-    attn = ad.softmax(scores, axis=-1)
+    q, k, v = (ad.linear(y, p[prefix + f"{w}.weight"], p[prefix + f"{w}.bias"])
+               for w in ("wq", "wk", "wv"))
+    ctx, probs = ad.rel_attention(q, k, v, pos_enc, p[prefix + "pos.weight"],
+                                  p[prefix + "bias_u"], p[prefix + "bias_v"],
+                                  key_mask, cfg.heads, drop, rng)
     if attn_sink is not None:
-        attn_sink.append(attn.data.copy())
-    attn = ad.dropout(attn, drop, rng)
-    ctx = _merge_heads(ad.matmul(attn, v))
+        attn_sink.append(probs.copy())
     out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
     return ad.dropout(out, drop, rng)
 

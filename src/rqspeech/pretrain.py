@@ -456,16 +456,18 @@ METRICS_FIELDS = (("step", "{m.step}"), ("loss", "{m.loss:.6f}"),
 class MetricsWriter:
     """One CSV row per training step, flushed as it is written.
 
-    A run that starts at step 0 replaces the file; a run restored at a later
-    step appends to it. A header row starts every new or empty file.
+    A run that starts at step 0 replaces the file; a run restored at step N
+    keeps the file's rows up to step N and appends after them.
     """
 
     def __init__(self, path, fields=METRICS_FIELDS, start_step: int = 0):
         self._formats = [fmt for _, fmt in fields]
-        self._f = open(path, "a" if start_step > 0 else "w", newline="")
+        self._f = open(path, "a+", newline="")
+        self._f.seek(0)  # steps count from 1, and the header's "step" is no digit
+        kept = [r for r in csv.reader(self._f) if r and r[0].isdigit() and int(r[0]) <= start_step]
+        self._f.truncate(0)
         self._w = csv.writer(self._f)
-        if self._f.tell() == 0:
-            self._w.writerow(name for name, _ in fields)
+        self._w.writerows([[name for name, _ in fields]] + kept)
 
     def write(self, m) -> None:
         self._w.writerow(fmt.format(m=m) for fmt in self._formats)

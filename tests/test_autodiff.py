@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,16 +48,6 @@ class TestPrimitives:
     def test_mul_broadcast(self):
         check_op(lambda a, b: ad.mul(a, b), (2, 3, 4), (4,))
 
-    def test_matmul_2d(self):
-        check_op(lambda a, b: ad.matmul(a, b), (3, 4), (4, 5))
-
-    def test_matmul_batched(self):
-        check_op(lambda a, b: ad.matmul(a, b), (2, 3, 4, 5), (2, 3, 5, 6))
-
-    def test_matmul_broadcast_weight(self):
-        check_op(lambda a, b: ad.matmul(a, b), (2, 5, 4), (4, 3))
-        check_op(lambda a, b: ad.matmul(a, b), (2, 1, 4, 5), (3, 5, 6))
-
     def test_linear(self):
         check_op(lambda x, w, b: ad.linear(x, w, b), (2, 5, 4), (4, 3), (3,))
 
@@ -71,9 +63,8 @@ class TestPrimitives:
     def test_swish(self):
         check_op(ad.swish, (3, 4))
 
-    def test_reshape_transpose(self):
+    def test_reshape(self):
         check_op(lambda a: ad.reshape(a, (4, 6)), (2, 3, 4))
-        check_op(lambda a: ad.transpose(a, (2, 0, 1)), (2, 3, 4))
 
     def test_getitem_slice(self):
         check_op(lambda a: a[:, 1:3], (4, 5))
@@ -85,9 +76,18 @@ class TestPrimitives:
         idx = np.array([0, 2, 2, 1])
         check_op(lambda a: ad.take_rows(a, idx), (3, 4))
 
-    def test_rel_shift(self):
-        check_op(ad.rel_shift, (2, 3, 4, 7))
-        check_op(ad.rel_shift, (1, 1, 1))
+    def test_rel_attention(self):
+        # B=2, L=4, heads=2, d=3; the last key of utterance 1 is masked, and a
+        # fresh rng per build draws the same dropout mask every time
+        offsets = np.random.default_rng(1).standard_normal((7, 6))
+        key_mask = np.zeros((2, 1, 1, 4))
+        key_mask[1, ..., 3] = -np.inf
+
+        def build(q, k, v, w_pos, u, vb):
+            return ad.rel_attention(q, k, v, offsets, w_pos, u, vb, key_mask, 2, 0.3,
+                                    np.random.default_rng(0))[0]
+
+        check_op(build, (2, 4, 6), (2, 4, 6), (2, 4, 6), (6, 6), (2, 3), (2, 3))
 
     def test_sum_mean(self):
         check_op(lambda a: ad.sum_(a, axis=1, keepdims=True), (3, 4, 2))
@@ -117,45 +117,66 @@ class TestPrimitives:
         check_op(lambda x, g, b: ad.layer_norm(x, g, b), (2, 3, 8), (8,), (8,))
 
 
-def gather_rel_shift(a, g):
-    """The relative shift as an index gather with a scatter-add backward."""
+def gather_rel_shift(a):
+    """The relative shift (..., L, 2L-1) -> (..., L, L) as an index gather."""
     l = a.shape[-2]
     idx = np.arange(l)[:, None] - np.arange(l)[None, :] + (l - 1)
-    idx = np.broadcast_to(idx, a.shape[:-1] + (l,))
-    lead = np.indices(idx.shape, sparse=True)[:-1]
-    grad = np.zeros_like(a)
-    np.add.at(grad, lead + (idx,), g)
-    return np.take_along_axis(a, idx, axis=-1), grad
+    return np.take_along_axis(a, np.broadcast_to(idx, a.shape[:-1] + (l,)), axis=-1)
+
+
+def reference_attention(q, k, v, offsets, w_pos, u, vb, key_mask, heads):
+    """rel_attention's forward without dropout, in numpy, with the position
+    scores taken by ``gather_rel_shift``."""
+    b, l, hd = q.shape
+    d = hd // heads
+
+    def split(x):
+        return x.reshape(b, l, heads, d).transpose(0, 2, 1, 3)
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    r = (offsets @ w_pos).reshape(2 * l - 1, heads, d).transpose(1, 2, 0)
+    pos = gather_rel_shift((q4 + vb.reshape(1, heads, 1, d)) @ r)
+    content = (q4 + u.reshape(1, heads, 1, d)) @ k4.transpose(0, 1, 3, 2)
+    scores = (content + pos) * (1.0 / math.sqrt(d)) + key_mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return (probs @ v4).transpose(0, 2, 1, 3).reshape(b, l, hd), probs
 
 
 class TestRelShift:
+    """The strided relative shift inside ``rel_attention`` against the gather."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("l", [1, 2, 5, 60])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_bitwise_equal_to_gather(self, l, dtype, transposed):
         rng = np.random.default_rng(l)
-        if transposed:  # strides are read from the array, whatever its layout
-            a = rng.standard_normal((2 * l - 1, l, 3, 2)).astype(dtype).transpose(3, 2, 1, 0)
+        if transposed:  # strides are read from the arrays, whatever their layout
+            q, k, v = (rng.standard_normal((l, 2, 6)).astype(dtype).transpose(1, 0, 2)
+                       for _ in range(3))
         else:
-            a = rng.standard_normal((2, 3, l, 2 * l - 1)).astype(dtype)
-        g = rng.standard_normal((2, 3, l, l)).astype(dtype)
-        want_out, want_grad = gather_rel_shift(a, g)
-        t = Tensor(a, requires_grad=True)
-        out = ad.rel_shift(t)
-        out.backward(g)
-        assert out.data.dtype == t.grad.dtype == dtype
-        assert out.data.tobytes() == want_out.tobytes()
-        assert t.grad.tobytes() == want_grad.tobytes()
+            q, k, v = (rng.standard_normal((2, l, 6)).astype(dtype) for _ in range(3))
+        offsets, w_pos = (rng.standard_normal(s).astype(dtype) for s in ((2 * l - 1, 6), (6, 6)))
+        u, vb = (rng.standard_normal((3, 2)).astype(dtype) for _ in range(2))
+        key_mask = np.zeros((2, 1, 1, l), dtype)
+        key_mask[1, ..., l // 2 + 1:] = -np.inf
+        args = (q, k, v, offsets, w_pos, u, vb, key_mask, 3)
+        want_ctx, want_probs = reference_attention(*args)
+        ctx, probs = ad.rel_attention(*args, 0.0, None)
+        assert ctx.data.dtype == probs.dtype == dtype
+        assert ctx.data.tobytes() == want_ctx.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
 
     def test_rejects_unshifted_shape(self):
+        q = np.zeros((1, 3, 4))
         with pytest.raises(ValueError, match="2L-1"):
-            ad.rel_shift(np.zeros((2, 3, 3)))
+            ad.rel_attention(q, q, q, np.zeros((6, 4)), np.zeros((4, 4)),
+                             np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 2, 0.0, None)
 
 
 class TestSemantics:
     def test_strided_views_are_read_only(self):
-        a = np.arange(18.0).reshape(1, 3, 6)[:, :, 1:]  # (1, L=3, 2L-1)
-        assert not ad.rel_shift(a).data.flags.writeable
+        a = np.arange(18.0).reshape(1, 3, 6)[:, :, 1:]
         assert not ad.unfold_time(a, kernel=2, stride=1).data.flags.writeable
         assert a.flags.writeable
 
@@ -198,9 +219,20 @@ class TestSemantics:
 
     def test_zero_upstream_gives_zero_grads(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 3)), requires_grad=True)
-        y = ad.sum_(ad.swish(ad.matmul(x, x)))
+        y = ad.sum_(ad.swish(ad.linear(x, x, np.zeros(3))))
         y.backward(np.zeros(()))
         assert np.all(x.grad == 0.0)
+
+    def test_rel_attention_returns_pre_dropout_probabilities(self):
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((2, 5, 4))
+        args = (q, q, q, rng.standard_normal((9, 4)), np.eye(4), np.zeros((2, 2)),
+                np.zeros((2, 2)), np.zeros((2, 1, 1, 5)), 2)
+        plain, probs = ad.rel_attention(*args, 0.0, None)
+        dropped, dropped_probs = ad.rel_attention(*args, 0.5, np.random.default_rng(1))
+        assert np.array_equal(dropped_probs, probs)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
+        assert not np.array_equal(dropped.data, plain.data)
 
     def test_dropout_zero_prob_is_identity(self):
         x = Tensor(np.ones((2, 2)))

@@ -200,6 +200,20 @@ class TestPretrainCommand:
         assert header["step"] == 5
         assert metric_steps(out_dir / "metrics.csv") == [1, 2, 3, 4, 5]
 
+    def test_resume_from_earlier_checkpoint_drops_later_rows(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir, total_steps=4)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        first = (out_dir / "metrics.csv").read_text().splitlines()
+        assert main(["pretrain", "--config", str(cfg_path),
+                     "--init-from", str(out_dir / "ckpt_000002.msec"),
+                     "--init-mode", "full"]) == 0
+        assert metric_steps(out_dir / "metrics.csv") == [1, 2, 3, 4]
+        assert (out_dir / "metrics.csv").read_text().splitlines()[:3] == first[:3]
+
     def test_unreadable_wav_mid_run_saves_final_and_exits_1(self, tmp_path, capsys,
                                                             monkeypatch):
         corpus = tmp_path / "corpus"
@@ -243,6 +257,23 @@ class TestPretrainCommand:
         write_pretrain_config(cfg, corpus, tmp_path / "out", label_cache_dir=cache)
         assert main(["pretrain", "--config", str(cfg)]) == 1
         assert "utt00.lab" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("codebooks, vocab", [(8, 32), (2, 64)])
+    def test_label_cache_of_another_quantizer_exit_1(self, tmp_path, capsys,
+                                                     codebooks, vocab):
+        # the run's quantizer has 2 codebooks of 32 labels
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        labels = np.random.default_rng(0).integers(0, vocab, size=(14, codebooks))
+        labels[0, 0] = vocab - 1
+        quantizer.write_label_cache(cache / "utt01.lab", labels, vocab)
+        cfg = tmp_path / "c.ini"
+        write_pretrain_config(cfg, corpus, tmp_path / "out", label_cache_dir=cache)
+        assert main(["pretrain", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "utt01.lab" in err and "2 codebooks of 32 labels" in err
 
 
 class TestQuantizeCommand:

@@ -47,6 +47,13 @@ class TestScanCorpus:
         loaded = datapipe.read_manifest(manifest)
         assert [u.utt_id for u in loaded.entries] == [u.utt_id for u in index.entries]
 
+    def test_manifest_rejects_repeated_id(self, tmp_path):
+        index = build_corpus(tmp_path, [1.0, 1.6])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("".join(f"X\t{u.path}\t{u.duration}\n" for u in index.entries))
+        with pytest.raises(ValueError, match=r"manifest.tsv:2: utterance id 'X' repeats line 1"):
+            datapipe.read_manifest(manifest)
+
 
 class TestCrop:
     def test_short_input_identity(self):

@@ -191,6 +191,26 @@ class TestRelativeAttentionOracle:
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
 
+class TestAttentionTape:
+    def test_attention_core_is_one_node(self):
+        # layer norm, the q/k/v linears, rel_attention and the output linear;
+        # the same attention built from generic ops records 29
+        params = make_params(TINY)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
+                   requires_grad=True)
+        key_mask = np.zeros((2, 1, 1, 5), np.float32)
+        pos_enc = encoder.sinusoid_offsets(4, TINY.hidden, np.float32)
+        out = encoder._rel_attention(params, "layers.0.attn.", TINY, x, key_mask,
+                                     pos_enc, True, np.random.default_rng(0), None)
+        recorded, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in recorded:
+                recorded.add(id(node))
+                stack.extend(node._parents)
+        assert len(recorded) <= 6
+
+
 class TestConvBlockOracle:
     """Loop-based reference for the convolution block: LN, pointwise + GLU,
     zero-masked depthwise conv ('same' padding), per-(utterance, channel)
