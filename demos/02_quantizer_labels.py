@@ -26,8 +26,8 @@ normalized = quantizer.normalize(stacked)
 print(f"after normalization: channel means ~ {np.abs(normalized.mean(axis=0)).max():.2e}, "
       f"variances ~ 1 +- {np.abs(normalized.var(axis=0) - 1).max():.2e}")
 
-# small config so the demo is quick; training uses 32 codebooks of 2048
-cfg = quantizer.QuantizerConfig(num_codebooks=4, vocab_size=256, dim=16)
+# the quantizer training uses: 32 codebooks of 2048 codewords in 16 dimensions
+cfg = quantizer.QuantizerConfig()
 qs = quantizer.init_quantizer(seed=11, config=cfg)
 labels = quantizer.assign_labels(qs, normalized)
 print(f"labels: {labels.shape} (frames x codebooks), values in "

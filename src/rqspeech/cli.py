@@ -60,8 +60,8 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
                     if state.step >= total:
                         break
                 epoch += 1
-    except (pretrain.NonFiniteLossError, finetune.InfeasibleTargetError,
-            FileNotFoundError) as err:
+    except (pretrain.NonFiniteLossError, pretrain.LabelCacheError,
+            finetune.InfeasibleTargetError, FileNotFoundError) as err:
         save()
         return _fail(1, str(err))
     save()
@@ -147,7 +147,10 @@ def cmd_quantize(args) -> int:
             w = frontend.load_16k(utt.path)
         except frontend.WavError as err:
             return _fail(1, f"utterance {utt.utt_id}: {err}")
-        labels = quantizer.labels_for_mel(qs, frontend.log_mel(w))
+        try:
+            labels = quantizer.labels_for_mel(qs, frontend.log_mel(w))
+        except ValueError as err:
+            return _fail(1, f"utterance {utt.utt_id}: {err}")
         path = out_dir / (utt.utt_id + ".lab")
         path.parent.mkdir(parents=True, exist_ok=True)
         quantizer.write_label_cache(path, labels, qs.config.vocab_size)

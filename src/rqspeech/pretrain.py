@@ -40,6 +40,10 @@ class CheckpointError(ValueError):
     """Version, magic, or tensor-shape mismatch while loading a checkpoint."""
 
 
+class LabelCacheError(ValueError):
+    """A cached label array whose frame count does not fit its utterance."""
+
+
 class NonFiniteLossError(FloatingPointError):
     """Training step produced a non-finite loss; parameters were not updated."""
 
@@ -227,7 +231,12 @@ def _labels_for(state: TrainState, utt_id: str, mel: np.ndarray,
                 cropped: bool) -> np.ndarray:
     """Frozen labels for one utterance; cached when the crop cannot vary."""
     if not cropped and utt_id in state.label_cache:
-        return state.label_cache[utt_id]
+        labels = state.label_cache[utt_id]
+        frames = mel.shape[0] // quant.STACK_WINDOW
+        if labels.shape[0] != frames:
+            raise LabelCacheError(f"label cache of utterance {utt_id} has {labels.shape[0]} "
+                                  f"label frames, its audio has {frames}")
+        return labels
     labels = quant.labels_for_mel(state.quantizer_state, mel)
     if not cropped:
         state.label_cache[utt_id] = labels

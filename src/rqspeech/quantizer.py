@@ -20,6 +20,9 @@ from .seeding import keyed_rng
 
 STACK_WINDOW = 4
 NORM_EPS = 1e-8
+# label frames per nearest-codeword block: the (rows, V) float64 screen of one
+# block stays at 4 MB for V = 2048, whatever the utterance length
+LABEL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,71 @@ def init_quantizer(seed: int, config: QuantizerConfig = QuantizerConfig()) -> Qu
 def assign_labels(qs: QuantizerState, normalized: np.ndarray) -> np.ndarray:
     """Nearest-codeword labels, shape (L, N) int32.
 
-    labels[l, j] = argmin_i ||x_l @ A_j - c_ij||^2, ties broken by the smallest
-    index. Distances are evaluated in float64 so the argmin matches a
-    double-precision exhaustive scan.
+    labels[l, j] = argmin_i ||p - c_ij||^2 with p = x_l @ A_j, ties broken by
+    the smallest index, where the distance is the float64 sum of squares of the
+    difference p - c_ij: the result equals an exhaustive scan of those
+    distances label for label.
+
+    Per codebook and per block of ``LABEL_BLOCK_ROWS`` label frames, one BLAS
+    matmul screens the codewords by ||c||^2 - 2 p.c, which is ||p - c||^2 less
+    the row's ||p||^2. Every codeword within ``_screen_margin`` of the row's
+    best score stays a candidate; when a row has more than one, the candidates
+    are re-scored by the exact difference form. Memory is bounded by the block,
+    not by L x V.
+
+    Raises ValueError, naming the first such frame, when a frame is not finite.
     """
     if normalized.ndim != 2 or normalized.shape[1] != qs.config.input_dim:
         raise ValueError(
             f"feature dimension {normalized.shape} does not match "
             f"projection input dim {qs.config.input_dim}")
     x = normalized.astype(np.float64, copy=False)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"label frame {int(np.argmin(finite))} is not finite")
     n = qs.config.num_codebooks
     labels = np.empty((x.shape[0], n), dtype=np.int32)
     for j in range(n):
+        codebook = qs.codebooks[j]
+        # rows [c, ||c||^2], so that [-2p, 1] @ screen.T = ||c||^2 - 2 p.c
+        screen = np.hstack([codebook, np.einsum("vd,vd->v", codebook, codebook)[:, None]])
         projected = x @ qs.projections[j]                  # (L, dim)
-        diff = projected[:, None, :] - qs.codebooks[j][None, :, :]
-        dist = np.einsum("lvd,lvd->lv", diff, diff)
-        labels[:, j] = np.argmin(dist, axis=1)
+        for start in range(0, x.shape[0], LABEL_BLOCK_ROWS):
+            labels[start:start + LABEL_BLOCK_ROWS, j] = _nearest(
+                projected[start:start + LABEL_BLOCK_ROWS], codebook, screen)
     return labels
+
+
+def _screen_margin(proj_sq: np.ndarray, code_sq_max: float, dim: int) -> np.ndarray:
+    """Per-row score gap beyond which a codeword cannot be the nearest.
+
+    With S = ||p||^2 + max ||c||^2, each float64 screen score and each exact
+    distance is within 2 (dim + 2) eps S of its true value (a dot product of
+    dim + 1 terms bounded by 2S, and a sum of dim rounded squares). A codeword
+    whose exact distance ties or beats the screen's best is therefore within
+    four such errors of the best score; the factor 2 on top is slack.
+    """
+    return 16 * (dim + 2) * np.finfo(np.float64).eps * (proj_sq + code_sq_max)
+
+
+def _nearest(projected: np.ndarray, codebook: np.ndarray,
+             screen: np.ndarray) -> np.ndarray:
+    """Exact nearest-codeword index for each row of ``projected`` (rows, dim)."""
+    rows = projected.shape[0]
+    score = np.hstack([-2.0 * projected, np.ones((rows, 1))]) @ screen.T   # (rows, V)
+    best = score.argmin(axis=1)
+    limit = score[np.arange(rows), best] + _screen_margin(
+        np.einsum("ld,ld->l", projected, projected), screen[:, -1].max(), codebook.shape[1])
+    near = score <= limit[:, None]
+    if np.count_nonzero(near) == rows:  # one candidate per row: the screen's best
+        return best
+    r, c = np.nonzero(near)
+    diff = projected[r] - codebook[c]
+    dist = np.einsum("kd,kd->k", diff, diff)
+    # per row: smallest distance, then smallest index
+    order = np.lexsort((c, dist, r))
+    _, first = np.unique(r[order], return_index=True)
+    return c[order[first]]
 
 
 def labels_for_mel(qs: QuantizerState, mel: np.ndarray) -> np.ndarray:

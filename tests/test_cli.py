@@ -275,6 +275,29 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert "utt01.lab" in err and "2 codebooks of 32 labels" in err
 
+    @pytest.mark.parametrize("rows", [5, 60])
+    def test_label_cache_of_another_length_saves_and_exits_1(self, tmp_path, capsys, rows):
+        # utt01 (0.9 s) has 22 label frames; 5 rows ran off the end of the
+        # cache mid-run, 60 rows trained silently on the wrong targets
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        labels = np.random.default_rng(0).integers(0, 32, size=(rows, 2))
+        quantizer.write_label_cache(cache / "utt01.lab", labels, 32)
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir, total_steps=50,
+                              label_cache_dir=cache)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"utterance utt01 has {rows} label frames, its audio has 22" in err
+        rows_written = (out_dir / "metrics.csv").read_text().strip().splitlines()[1:]
+        cfg = cfgmod.load_config(cfg_path)
+        state = pretrain.load_checkpoint(out_dir / "final.msec", "full",
+                                         cfg.encoder_config(), cfg.pretrain_config())
+        assert state.step == len(rows_written) < 50
+
 
 class TestQuantizeCommand:
     def test_writes_one_file_per_utterance_deterministically(self, tmp_path):
@@ -290,6 +313,25 @@ class TestQuantizeCommand:
         assert len(files1) == 3
         for f1 in files1:
             assert f1.read_bytes() == (cache2 / f1.name).read_bytes()
+
+    def test_non_finite_features_exit_1(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.5, 0.8])
+        cfg_path = tmp_path / "c.ini"
+        write_pretrain_config(cfg_path, corpus, tmp_path / "out")
+        real = frontend.log_mel
+
+        def poisoned(w):
+            mel = real(w)
+            if w.duration > 0.6:
+                mel[9, 3] = np.nan
+            return mel
+
+        monkeypatch.setattr(frontend, "log_mel", poisoned)
+        assert main(["quantize", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "cache")]) == 1
+        # normalization spreads the NaN over its channel, so frame 0 is bad
+        assert "utterance utt01: label frame 0 is not finite" in capsys.readouterr().err
 
     def test_pretrain_with_warm_label_cache_matches_online(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rqspeech import quantizer
+from rqspeech import frontend, quantizer
 from rqspeech.quantizer import QuantizerConfig
+
+from conftest import make_speechlike
 
 
 def brute_force_labels(qs, normalized):
@@ -22,6 +26,89 @@ def brute_force_labels(qs, normalized):
                     best, best_d = c, d
             out[i, j] = best
     return out
+
+
+def reference_assign_labels(qs, normalized):
+    """The difference-tensor scan: an (L, V, dim) float64 difference per
+    codebook, its sum of squares, then the first argmin. ``assign_labels``
+    must return these labels byte for byte."""
+    x = normalized.astype(np.float64, copy=False)
+    labels = np.empty((x.shape[0], qs.config.num_codebooks), dtype=np.int32)
+    for j in range(qs.config.num_codebooks):
+        projected = x @ qs.projections[j]
+        diff = projected[:, None, :] - qs.codebooks[j][None, :, :]
+        labels[:, j] = np.argmin(np.einsum("lvd,lvd->lv", diff, diff), axis=1)
+    return labels
+
+
+def half_integer_state(rng, cfg, duplicates):
+    """Projections and codewords on the half-integer grid, with ``duplicates``
+    codewords per codebook copied from other ones, so distances tie exactly."""
+    proj = np.round(rng.uniform(-1, 1, (cfg.num_codebooks, cfg.input_dim, cfg.dim)) * 2) / 2
+    books = np.round(rng.uniform(-2, 2, (cfg.num_codebooks, cfg.vocab_size, cfg.dim)) * 2) / 2
+    for j in range(cfg.num_codebooks):
+        dst = rng.choice(cfg.vocab_size, duplicates, replace=False)
+        books[j, dst] = books[j, rng.choice(cfg.vocab_size, duplicates)]
+    return quantizer.QuantizerState(projections=proj, codebooks=books, seed=0, config=cfg)
+
+
+def near_duplicate_state(rng, cfg):
+    """Random codebooks whose odd codewords are the even ones moved by one or
+    two units in the last place: scores and distances of each pair differ
+    only by rounding."""
+    qs = quantizer.init_quantizer(int(rng.integers(1000)), cfg)
+    books = qs.codebooks.copy()
+    steps = rng.integers(-2, 3, books[:, 1::2].shape)
+    books[:, 1::2] = books[:, ::2] + steps * np.spacing(books[:, ::2])
+    return quantizer.QuantizerState(projections=qs.projections, codebooks=books,
+                                    seed=qs.seed, config=cfg)
+
+
+class TestAgainstDifferenceScan:
+    """Byte-equal labels to the difference-tensor scan, above all on ties."""
+
+    def check(self, qs, x):
+        got = quantizer.assign_labels(qs, x)
+        assert got.dtype == np.int32 and got.shape == (x.shape[0], qs.config.num_codebooks)
+        assert got.tobytes() == reference_assign_labels(qs, x).tobytes()
+
+    def test_default_config_on_log_mel(self):
+        qs = quantizer.init_quantizer(17)
+        samples = make_speechlike(np.random.default_rng(2), 2.0)
+        mel = frontend.log_mel(frontend.Waveform(samples, 16000))
+        self.check(qs, quantizer.normalize(quantizer.stack_downsample(mel)))
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_row_blocks(self, monkeypatch, block_rows):
+        monkeypatch.setattr(quantizer, "LABEL_BLOCK_ROWS", block_rows)
+        qs = quantizer.init_quantizer(3, QuantizerConfig(3, 200, 8, 24))
+        self.check(qs, np.random.default_rng(5).standard_normal((40, 24)))
+
+    def test_exact_ties_on_half_integer_grid(self):
+        rng = np.random.default_rng(7)
+        cfg = QuantizerConfig(num_codebooks=3, vocab_size=300, dim=4, input_dim=8)
+        qs = half_integer_state(rng, cfg, duplicates=100)
+        x = np.round(rng.uniform(-2, 2, (600, 8)) * 2) / 2
+        self.check(qs, x)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_near_duplicate_codewords(self, scale):
+        # at 1e6 the expanded form cancels: ||p||^2 ~ 1e13 dwarfs the gaps
+        rng = np.random.default_rng(11)
+        qs = near_duplicate_state(rng, QuantizerConfig(4, 512, 16, 32))
+        self.check(qs, scale * rng.standard_normal((300, 32)))
+
+    def test_scaled_input(self):
+        qs = quantizer.init_quantizer(23, QuantizerConfig(4, 2048, 16, 320))
+        x = quantizer.normalize(np.random.default_rng(4).standard_normal((60, 320)))
+        self.check(qs, 1e6 * x)
+
+    def test_single_codeword(self):
+        qs = quantizer.init_quantizer(0, QuantizerConfig(2, 1, 4, 8))
+        self.check(qs, np.random.default_rng(1).standard_normal((9, 8)))
+
+    def test_no_frames(self):
+        self.check(quantizer.init_quantizer(0), np.zeros((0, 320)))
 
 
 class TestStackDownsample:
@@ -125,6 +212,28 @@ class TestAssignLabels:
         got = quantizer.assign_labels(qs, quantizer.normalize(x))
         want = brute_force_labels(qs, quantizer.normalize(x))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        qs = quantizer.init_quantizer(0, QuantizerConfig(2, 8, 4, 8))
+        x = np.zeros((6, 8))
+        x[3, 5] = bad
+        x[5, 0] = bad
+        with pytest.raises(ValueError, match="label frame 3 is not finite"):
+            quantizer.assign_labels(qs, x)
+
+    def test_peak_memory_independent_of_length(self):
+        # the difference tensor of the scan above peaked at 516 MB for 1000
+        # frames; the row-blocked screen keeps one (256, 2048) block at a time
+        qs = quantizer.init_quantizer(1)
+        x = np.random.default_rng(2).standard_normal((4000, 320))
+        tracemalloc.start()
+        try:
+            quantizer.assign_labels(qs, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_dimension_mismatch(self):
         qs = quantizer.init_quantizer(0, QuantizerConfig(1, 4, 2, 8))
