@@ -7,10 +7,12 @@ Gradients are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: what the encoder and the losses need,
-with layer norm, relative-position attention, the pretraining head and the
-CTC loss as one fused node each. Attention's relative shift and the
-convolution windows are strided read-only views, not gathers or copies. All
-ops keep dtype, so one graph runs in float32 to train and float64 to check gradients.
+with normalization, relative-position attention, the pretraining head and the
+CTC loss as one fused node each. One normalization node serves the layer norm
+over channels and, given a mask, the conv block's norm over valid frames.
+Attention's relative shift and the convolution windows are strided read-only
+views, not gathers or copies. All ops keep dtype, so one graph runs in float32
+to train and float64 to check gradients.
 """
 
 from __future__ import annotations
@@ -175,12 +177,6 @@ def sigmoid(a):
     a = as_tensor(a)
     y = 1.0 / (1.0 + np.exp(-a.data))
     return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def rsqrt(a):
-    a = as_tensor(a)
-    y = 1.0 / np.sqrt(a.data)
-    return _make(y, (a,), lambda g: (g * (-0.5) * y / a.data,))
 
 
 def swish(a):
@@ -441,12 +437,31 @@ def _ctc_alphas(emit, allow_skip):
 
 # composite helpers --------------------------------------------------------
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Fused layer normalization over the last axis."""
+def layer_norm(x, gamma, beta, eps=1e-5, axis=-1, mask=None):
+    """Fused normalization over ``axis``, then ``gamma`` and ``beta`` on the
+    last axis. With a 0/1 ``mask`` (broadcastable to ``x``) the statistics
+    count only entries where it is 1, and the normalized value is 0 elsewhere.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    if mask is None:
+        def masked(a):
+            return a
+
+        def mean(a):
+            return a.mean(axis=axis, keepdims=True)
+    else:
+        count = np.maximum(np.sum(mask, axis=axis, keepdims=True, dtype=np.float64), 1)
+        inv_count = (1.0 / count).astype(x.data.dtype)
+
+        def masked(a):
+            return a * mask
+
+        def mean(a):  # of an ``a`` that is already zero where the mask is
+            return a.sum(axis=axis, keepdims=True) * inv_count
+
+    mu = mean(masked(x.data))
+    centered = masked(x.data - mu)
+    var = mean(centered * centered)
     inv = 1.0 / np.sqrt(var + eps)
     norm = centered * inv
     out = norm * gamma.data + beta.data
@@ -460,9 +475,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         if nb:
             gbeta = g.sum(axis=lead)
         if nx:
-            gy = g * gamma.data
-            gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                        - norm * (gy * norm).mean(axis=-1, keepdims=True))
+            gy = masked(g * gamma.data)
+            gx = masked(inv * (gy - mean(gy) - norm * mean(gy * norm)))
         return (gx, ggamma, gbeta)
 
     return _make(out, (x, gamma, beta), backward)

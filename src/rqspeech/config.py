@@ -42,7 +42,7 @@ SCHEMA = {
 
 
 class ConfigError(ValueError):
-    """Unknown key/section, type error, or missing required key."""
+    """Unknown key/section, type error, out-of-range value, or missing required key."""
 
 
 class RunConfig:
@@ -133,6 +133,21 @@ def load_config(path) -> RunConfig:
             cfg.values["run"]["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+
+    # the typed configs check their own ranges; building them here makes a bad
+    # value a config error before a command writes anything
+    for section, build in (("encoder", cfg.encoder_config),
+                           ("quantizer", cfg.quantizer_config),
+                           ("masking", cfg.mask_config),
+                           ("pretrain", cfg.pretrain_config),
+                           ("finetune", cfg.finetune_config)):
+        try:
+            build()
+        except ValueError as err:
+            raise ConfigError(f"[{section}] {err} in {path}") from None
+    for section, key in (("datapipe", "num_buckets"), ("pretrain", "checkpoint_every")):
+        if cfg.values[section][key] < 1:
+            raise ConfigError(f'key "{section}.{key}" must be >= 1 in {path}')
     return cfg
 
 

@@ -246,7 +246,7 @@ def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
 
 
 def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
-                mask: np.ndarray, inv_len: np.ndarray, train: bool, rng) -> Tensor:
+                mask: np.ndarray, train: bool, rng) -> Tensor:
     h = cfg.hidden
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
     y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
@@ -261,12 +261,8 @@ def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     y = ad.add(ad.sum_(ad.mul(windows, dw), axis=2), p[prefix + "dw.bias"])
 
     # per-(utterance, channel) statistics over valid frames only
-    mu = ad.mul(ad.sum_(ad.mul(y, mask), axis=1, keepdims=True), inv_len)
-    centered = ad.mul(ad.add(y, ad.mul(mu, -1.0)), mask)
-    var = ad.mul(ad.sum_(ad.mul(centered, centered), axis=1, keepdims=True), inv_len)
-    y = ad.mul(centered, ad.rsqrt(ad.add(var, CONV_NORM_EPS)))
-    y = ad.add(ad.mul(y, p[prefix + "norm.gamma"]), p[prefix + "norm.beta"])
-
+    y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
+                      CONV_NORM_EPS, axis=1, mask=mask)
     y = ad.swish(y)
     y = ad.linear(y, p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
     return ad.dropout(y, cfg.dropout if train else 0.0, rng)
@@ -284,7 +280,6 @@ def forward(params: dict, cfg: EncoderConfig, features: Tensor,
     key_mask = np.where(np.arange(l)[None, :] < lengths[:, None], 0.0, -np.inf)
     key_mask = key_mask.astype(dtype)[:, None, None, :]
     mask = _valid_mask(lengths, l, dtype)
-    inv_len = (1.0 / np.maximum(lengths, 1)).astype(dtype)[:, None, None]
     pos_enc = sinusoid_offsets(l - 1, cfg.hidden, dtype)
 
     states = [x]
@@ -293,8 +288,7 @@ def forward(params: dict, cfg: EncoderConfig, features: Tensor,
         x = ad.add(x, _half_ffn(params, p + "ffn1.", cfg, x, train, rng))
         x = ad.add(x, _rel_attention(params, p + "attn.", cfg, x, key_mask,
                                      pos_enc, train, rng, attn_sink))
-        x = ad.add(x, _conv_block(params, p + "conv.", cfg, x, mask, inv_len,
-                                  train, rng))
+        x = ad.add(x, _conv_block(params, p + "conv.", cfg, x, mask, train, rng))
         x = ad.add(x, _half_ffn(params, p + "ffn2.", cfg, x, train, rng))
         x = ad.layer_norm(x, params[p + "out_ln.gamma"], params[p + "out_ln.beta"], LN_EPS)
         states.append(x)

@@ -98,6 +98,8 @@ def _parse_wav(f):
         raise WavError(f"unsupported encoding: {bits}-bit samples (need 16)")
     if channels not in (1, 2):
         raise WavError(f"unsupported encoding: {channels} channels (need mono or stereo)")
+    if rate == 0:
+        raise WavError("malformed container: sample rate 0")
 
     frame_bytes = 2 * channels
     if len(data) % frame_bytes:

@@ -174,7 +174,14 @@ def _nearest(projected: np.ndarray, codebook: np.ndarray,
 
 
 def labels_for_mel(qs: QuantizerState, mel: np.ndarray) -> np.ndarray:
-    """Full target pipeline for one utterance: stack, normalize, assign."""
+    """Full target pipeline for one utterance: stack, normalize, assign.
+
+    Raises ValueError, naming the first such Mel frame, when a frame is not
+    finite; checked before normalization spreads it over its channels.
+    """
+    finite = np.isfinite(mel).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"Mel frame {int(np.argmin(finite))} is not finite")
     return assign_labels(qs, normalize(stack_downsample(mel)))
 
 

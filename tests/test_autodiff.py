@@ -39,6 +39,7 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
         want = numeric_grad(fn, t.data)
         assert t.grad is not None
         np.testing.assert_allclose(t.grad, want, rtol=tol, atol=tol)
+    return tensors
 
 
 class TestPrimitives:
@@ -56,9 +57,6 @@ class TestPrimitives:
 
     def test_sigmoid(self):
         check_op(ad.sigmoid, (5,))
-
-    def test_rsqrt(self):
-        check_op(lambda a: ad.rsqrt(ad.add(ad.mul(a, a), 0.5)), (6,))
 
     def test_swish(self):
         check_op(ad.swish, (3, 4))
@@ -115,6 +113,55 @@ class TestPrimitives:
 
     def test_layer_norm(self):
         check_op(lambda x, g, b: ad.layer_norm(x, g, b), (2, 3, 8), (8,), (8,))
+
+    def test_masked_layer_norm(self):
+        mask = ragged_mask([6, 2, 4], 6, np.float64)
+        x, _, _ = check_op(lambda x, g, b: ad.layer_norm(x, g, b, axis=1, mask=mask),
+                           (3, 6, 4), (4,), (4,))
+        assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
+
+
+def ragged_mask(lengths, frames, dtype):
+    """(B, frames, 1) 0/1 mask of each utterance's first ``lengths[b]`` frames."""
+    return (np.arange(frames)[None, :] < np.asarray(lengths)[:, None]).astype(dtype)[:, :, None]
+
+
+def chain_masked_norm(y, gamma, beta, mask, eps):
+    """The masked norm over axis 1 as the chain of generic ops that the
+    convolution block recorded before it became one ``layer_norm`` node."""
+    def rsqrt(a):
+        out = 1.0 / np.sqrt(a.data)
+        return ad._make(out, (a,), lambda g: (g * (-0.5) * out / a.data,))
+
+    lengths = mask.sum(axis=(1, 2)).astype(np.int64)
+    inv_len = (1.0 / np.maximum(lengths, 1)).astype(y.dtype)[:, None, None]
+    mu = ad.mul(ad.sum_(ad.mul(y, mask), axis=1, keepdims=True), inv_len)
+    centered = ad.mul(ad.add(y, ad.mul(mu, -1.0)), mask)
+    var = ad.mul(ad.sum_(ad.mul(centered, centered), axis=1, keepdims=True), inv_len)
+    y = ad.mul(centered, rsqrt(ad.add(var, eps)))
+    return ad.add(ad.mul(y, gamma), beta)
+
+
+class TestMaskedLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_generic_op_chain(self, dtype):
+        rng = np.random.default_rng(5)
+        lengths = [400, 37, 2, 255, 399, 128]
+        mask = ragged_mask(lengths, 400, dtype)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in ((6, 400, 64), (64,), (64,))]
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        chain = [Tensor(a, requires_grad=True) for a in arrays]
+        got = ad.layer_norm(*fused, 1e-5, axis=1, mask=mask)
+        want = chain_masked_norm(*chain, mask, 1e-5)
+        assert got.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        if dtype == np.float64:
+            weights = rng.standard_normal(got.shape)
+            ad.sum_(ad.mul(got, weights)).backward()
+            ad.sum_(ad.mul(want, weights)).backward()
+            scale = max(np.abs(t.grad).max() for t in chain)
+            for f, c in zip(fused, chain):
+                np.testing.assert_allclose(f.grad, c.grad, rtol=0, atol=1e-12 * scale)
 
 
 def gather_rel_shift(a):

@@ -1,3 +1,5 @@
+import configparser
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,38 @@ class TestConfig:
         path.write_text("[run]\nseed = 7\n")
         monkeypatch.setenv(cfgmod.SEED_ENV_VAR, "42")
         assert cfgmod.load_config(path).seed == 42
+
+    @pytest.mark.parametrize("command, section, key, value, message", [
+        ("pretrain", "encoder", "heads", "3", "[encoder] hidden must be divisible by heads"),
+        ("inspect", "encoder", "heads", "3", "[encoder] hidden must be divisible by heads"),
+        ("pretrain", "masking", "prob", "1.5", "[masking] prob must be in [0, 1]"),
+        ("pretrain", "pretrain", "peak_lr", "0", "[pretrain] peak_lr must be positive"),
+        ("pretrain", "quantizer", "num_codebooks", "0", "[quantizer] num_codebooks must be >= 1"),
+        ("quantize", "quantizer", "num_codebooks", "0", "[quantizer] num_codebooks must be >= 1"),
+        ("finetune", "finetune", "encoder_lr", "0", "[finetune] learning rates must be positive"),
+        ("pretrain", "datapipe", "num_buckets", "0", 'key "datapipe.num_buckets" must be >= 1'),
+        ("pretrain", "pretrain", "checkpoint_every", "0",
+         'key "pretrain.checkpoint_every" must be >= 1'),
+    ])
+    def test_invalid_value_exit_2_before_output(self, tmp_path, capsys, command, section,
+                                                key, value, message):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6])
+        path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(path, corpus, out_dir)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path, encoding="utf-8")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
+        with open(path, "w", encoding="utf-8") as f:
+            parser.write(f)
+        extra = ["--out", str(tmp_path / "cache")] if command == "quantize" else []
+        assert main([command, "--config", str(path), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "config.ini").exists()
+        assert not (tmp_path / "cache").exists()
 
 
 class TestPretrainCommand:
@@ -330,8 +364,7 @@ class TestQuantizeCommand:
         monkeypatch.setattr(frontend, "log_mel", poisoned)
         assert main(["quantize", "--config", str(cfg_path), "--out",
                      str(tmp_path / "cache")]) == 1
-        # normalization spreads the NaN over its channel, so frame 0 is bad
-        assert "utterance utt01: label frame 0 is not finite" in capsys.readouterr().err
+        assert "utterance utt01: Mel frame 9 is not finite" in capsys.readouterr().err
 
     def test_pretrain_with_warm_label_cache_matches_online(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -35,6 +35,14 @@ class TestScanCorpus:
         assert len(index) == 2
         assert index.skipped == 1
 
+    def test_zero_sample_rate_skipped_with_count(self, tmp_path):
+        build_corpus(tmp_path, [1.0])
+        frontend.write_wav(tmp_path / "zero.wav", tone(440, 0.5), 0)
+        with pytest.warns(UserWarning, match="sample rate 0"):
+            index = datapipe.scan_corpus(tmp_path)
+        assert len(index) == 1
+        assert index.skipped == 1
+
     def test_missing_root(self, tmp_path):
         with pytest.raises(NotADirectoryError):
             datapipe.scan_corpus(tmp_path / "nope")

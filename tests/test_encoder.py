@@ -191,6 +191,17 @@ class TestRelativeAttentionOracle:
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
 
+def recorded_nodes(out: Tensor) -> int:
+    """Number of tape nodes reachable from ``out``."""
+    recorded, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in recorded:
+            recorded.add(id(node))
+            stack.extend(node._parents)
+    return len(recorded)
+
+
 class TestAttentionTape:
     def test_attention_core_is_one_node(self):
         # layer norm, the q/k/v linears, rel_attention and the output linear;
@@ -202,13 +213,20 @@ class TestAttentionTape:
         pos_enc = encoder.sinusoid_offsets(4, TINY.hidden, np.float32)
         out = encoder._rel_attention(params, "layers.0.attn.", TINY, x, key_mask,
                                      pos_enc, True, np.random.default_rng(0), None)
-        recorded, stack = set(), [out]
-        while stack:
-            node = stack.pop()
-            if node._backward is not None and id(node) not in recorded:
-                recorded.add(id(node))
-                stack.extend(node._parents)
-        assert len(recorded) <= 6
+        assert recorded_nodes(out) <= 6
+
+
+class TestConvTape:
+    def test_conv_norm_is_one_node(self):
+        # the masked per-utterance norm is one layer_norm node; built from
+        # generic ops it recorded 14, and the block 30
+        params = make_params(TINY)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
+                   requires_grad=True)
+        mask = encoder._valid_mask(np.array([5, 3]), 5, np.float32)
+        out = encoder._conv_block(params, "layers.0.conv.", TINY, x, mask, True,
+                                  np.random.default_rng(0))
+        assert recorded_nodes(out) <= 17
 
 
 class TestConvBlockOracle:
@@ -262,9 +280,7 @@ class TestConvBlockOracle:
         lengths = np.array([4, 6])
 
         mask = (np.arange(6)[None, :] < lengths[:, None]).astype(np.float64)[:, :, None]
-        inv_len = (1.0 / lengths).astype(np.float64)[:, None, None]
-        got = encoder._conv_block(params, "layers.0.conv.", cfg, Tensor(x),
-                                  mask, inv_len, False, None)
+        got = encoder._conv_block(params, "layers.0.conv.", cfg, Tensor(x), mask, False, None)
         want = self.reference(arrays, cfg, x.copy(), lengths)
         valid0 = lengths[0]
         np.testing.assert_allclose(got.data[0, :valid0], want[0, :valid0], atol=1e-10)

@@ -71,6 +71,14 @@ class TestLoadAudio:
         with pytest.raises(WavError, match="unsupported encoding"):
             frontend.load_audio(path)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        frontend.write_wav(path, tone(440, 0.5), 0)
+        with pytest.raises(WavError, match="sample rate 0"):
+            frontend.wav_info(path)
+        with pytest.raises(WavError, match="sample rate 0"):
+            frontend.load_audio(path)
+
     def test_wav_info_matches_load(self, tmp_path):
         path = tmp_path / "b.wav"
         frontend.write_wav(path, tone(200, 0.73), 16000)
