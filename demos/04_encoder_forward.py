@@ -1,7 +1,7 @@
 """Inside the encoder: stride-4 extractor, Conformer states, layer mixing.
 
-Runs a small batch through the network and inspects lengths, attention
-normalization, the retained per-layer states, and the softmax-weighted layer
+Runs a small batch through the network and inspects lengths, the retained
+per-layer states, padding invariance, and the softmax-weighted layer
 aggregation used for probing.
 """
 
@@ -20,22 +20,22 @@ rng = np.random.default_rng(0)
 mel = rng.standard_normal((2, 120, 80)).astype(np.float32)
 lengths = np.array([90, 120])
 
-sink = []
-out = encoder.encode(params, cfg, mel, lengths, attn_sink=sink)
+out = encoder.encode(params, cfg, mel, lengths)
 print(f"\ninput frames {mel.shape[1]}, output label frames {out.final.shape[1]} "
       f"(stride 4), valid lengths {out.lengths}")
 print(f"retained states: {len(out.layer_states)} = extractor + {cfg.num_layers} layers")
 
-attn = sink[0]
-print(f"attention rows sum to 1 over valid keys: "
-      f"{np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6)}")
-print(f"padded keys get zero attention: {np.all(attn[0, :, :, out.lengths[0]:] == 0)}")
-
-# padded vs solo forward agree on the valid region
+# padded vs solo forward agree on the valid region, whatever fills the padding:
+# attention masks the padded keys, and the convolutions see zeros there
 solo = encoder.encode(params, cfg, mel[:1, :90], np.array([90]))
+noisy = mel.copy()
+noisy[0, 90:] = 1e3
+refill = encoder.encode(params, cfg, noisy, lengths)
 l = 90 // 4
 gap = np.abs(solo.final.data[0, :l] - out.final.data[0, :l]).max()
 print(f"padding changes valid outputs by at most {gap:.2e}")
+print(f"refilled padding leaves every state unchanged: "
+      f"{all(np.array_equal(a.data, b.data) for a, b in zip(out.layer_states, refill.layer_states))}")
 
 # layer-weighted aggregation: saturated logits select a single layer
 logits = np.zeros(cfg.num_layers + 1)

@@ -11,8 +11,9 @@ with normalization, relative-position attention, the pretraining head and the
 CTC loss as one fused node each. One normalization node serves the layer norm
 over channels and, given a mask, the conv block's norm over valid frames.
 Attention's relative shift and the convolution windows are strided read-only
-views, not gathers or copies. All ops keep dtype, so one graph runs in float32
-to train and float64 to check gradients.
+views, not gathers or K-fold copies; the windows op zero-pads its input
+itself. All ops keep dtype, so one graph runs in float32 to train and float64
+to check gradients.
 """
 
 from __future__ import annotations
@@ -201,15 +202,6 @@ def getitem(a, idx):
     return _make(a.data[idx], (a,), backward)
 
 
-def pad_time(a, before, after, value=0.0):
-    """Pad axis 1 of a (B, T, C) tensor with a constant."""
-    a = as_tensor(a)
-    widths = ((0, 0), (before, after), (0, 0))
-    data = np.pad(a.data, widths, constant_values=value)
-    t = a.data.shape[1]
-    return _make(data, (a,), lambda g: (g[:, before: before + t],))
-
-
 def take_rows(a, idx):
     """Select rows of a 2-D tensor by integer index; backward scatter-adds."""
     a = as_tensor(a)
@@ -267,22 +259,25 @@ def linear(x, w, b):
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
 
 
-def unfold_time(a, kernel: int, stride: int):
-    """Sliding windows over axis 1: (B, T, C) -> (B, T_out, K, C), returned
-    as a read-only view of the input, not a K-fold copy."""
+def unfold_time(a, kernel: int, stride: int, pad=(0, 0)):
+    """Sliding windows over axis 1 of a (B, T, C) input zero-padded by ``pad``
+    = (before, after) frames: (B, T_out, K, C), a read-only view of the padded
+    copy, not a K-fold copy."""
     a = as_tensor(a)
-    b, t, c = a.data.shape
+    before, after = pad
+    padded = np.pad(a.data, ((0, 0), (before, after), (0, 0)))
+    b, t, c = padded.shape
     t_out = (t - kernel) // stride + 1
-    s0, s1, s2 = a.data.strides
+    s0, s1, s2 = padded.strides
     windows = np.lib.stride_tricks.as_strided(
-        a.data, shape=(b, t_out, kernel, c), strides=(s0, s1 * stride, s1, s2),
+        padded, shape=(b, t_out, kernel, c), strides=(s0, s1 * stride, s1, s2),
         writeable=False)
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(padded)
         for k in range(kernel):
             full[:, k: k + stride * t_out: stride] += g[:, :, k]
-        return (full,)
+        return (full[:, before: before + a.data.shape[1]],)
 
     return _make(windows, (a,), backward)
 
@@ -488,8 +483,8 @@ def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
     node: head h of query i weights value j by softmax_j(((q_i + u_h) . k_j +
     (q_i + v_h) . (r W)_{i-j}) / sqrt(d) + key_mask_j), then inverted dropout.
     ``q``, ``k``, ``v`` are (B, L, H*d), ``offsets`` r the (2L-1, H*d) encodings
-    of offsets -(L-1)..L-1. Returns the (B, L, H*d) context and the pre-dropout
-    (B, H, L, L) probabilities, which the backward keeps with the dropout mask.
+    of offsets -(L-1)..L-1. Returns the (B, L, H*d) context; the backward keeps
+    the (B, H, L, L) probabilities and the dropout mask.
     """
     q, k, v, w_pos, bias_u, bias_v = map(as_tensor, (q, k, v, w_pos, bias_u, bias_v))
     b, l, hd = q.data.shape
@@ -540,7 +535,7 @@ def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
                 _unbroadcast(gqv, vb.shape).reshape(heads, d))
 
     attn = s if mult is None else s * mult
-    return _make(merge(attn @ v4), (q, k, v, w_pos, bias_u, bias_v), backward), s
+    return _make(merge(attn @ v4), (q, k, v, w_pos, bias_u, bias_v), backward)
 
 
 def dropout(x, prob: float, rng: np.random.Generator):

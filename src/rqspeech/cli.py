@@ -73,6 +73,9 @@ def cmd_pretrain(args) -> int:
         cfg = load_config(args.config)
         if args.init_mode != "none" and not args.init_from:
             raise ConfigError(f"--init-mode {args.init_mode} requires --init-from")
+        if args.init_from and args.init_mode == "none":
+            raise ConfigError("--init-from requires --init-mode "
+                              + " or ".join(pretrain.LOAD_MODES))
         out_dir = Path(cfg.require("run", "output_dir"))
         index = _load_index(cfg)
     except (ValueError, OSError) as err:
@@ -135,6 +138,10 @@ def _warm_label_cache(state: pretrain.TrainState, index, cache_dir: Path) -> Non
 def cmd_quantize(args) -> int:
     try:
         cfg = load_config(args.config)
+        vocab = cfg["quantizer"]["vocab_size"]
+        if vocab > quantizer.LABEL_CACHE_MAX_VOCAB:
+            raise ConfigError(f"[quantizer] vocab_size {vocab} exceeds the label cache "
+                              f"format's {quantizer.LABEL_CACHE_MAX_VOCAB} in {args.config}")
         index = _load_index(cfg)
     except (ValueError, OSError) as err:
         return _fail(2, str(err))
@@ -300,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="run masked-prediction pretraining")
     p.add_argument("--config", required=True)
     p.add_argument("--init-from", default=None, metavar="CKPT")
-    p.add_argument("--init-mode", default="none",
-                   choices=["full", "feature_extractor_only", "none"])
+    p.add_argument("--init-mode", default="none", choices=[*pretrain.LOAD_MODES, "none"])
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("quantize", help="write per-utterance label cache files")

@@ -145,6 +145,8 @@ def read_manifest(path) -> CorpusIndex:
                                  f"line {first_line[utt_id]}")
             first_line[utt_id] = lineno
             duration = float(dur)
+            if not np.isfinite(duration):
+                raise ValueError(f"{path}:{lineno}: duration {dur!r} is not finite")
             if duration < MIN_DURATION_S:
                 continue
             entries.append(Utterance(utt_id=utt_id, path=wav_path, duration=duration))

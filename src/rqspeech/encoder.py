@@ -1,5 +1,8 @@
 """Trainable network: CNN feature extractor, Conformer stack, layer aggregation.
 
+``encode`` is the one forward pass: it takes a padded (B, T, 80) log-Mel batch
+and its valid lengths, and returns every layer state for ``weighted_sum``.
+
 Layout conventions:
   * activations are time-major (batch, frames, channels)
   * the feature extractor applies two kernel-3 stride-2 convolutions (each
@@ -165,46 +168,26 @@ def _valid_mask(lengths: np.ndarray, padded_len: int, dtype) -> np.ndarray:
 
 def _conv_stride2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Kernel-3 stride-2 convolution over time, right-padded by one zero frame."""
-    padded = ad.pad_time(x, 0, 1)
-    windows = ad.unfold_time(padded, kernel=3, stride=2)
+    windows = ad.unfold_time(x, kernel=3, stride=2, pad=(0, 1))
     b, t_out, k, c = windows.shape
-    flat = ad.reshape(windows, (b, t_out, k * c))
-    return ad.linear(flat, weight, bias)
+    return ad.linear(ad.reshape(windows, (b, t_out, k * c)), weight, bias)
 
 
-def extract(params: dict, cfg: EncoderConfig, mel: np.ndarray,
-            lengths: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Feature extractor: (B, T, 80) log-Mel -> (B, floor(T/4), hidden).
-
-    Returns the features and the per-utterance valid output lengths
-    (floor(length / 4), matching the quantizer's label count).
-    """
-    mel = np.asarray(mel)
-    if mel.ndim == 2:
-        mel = mel[None]
-    b, t, _ = mel.shape
-    if lengths is None:
-        lengths = np.full(b, t, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if int(lengths.min()) < MIN_INPUT_FRAMES:
-        raise ValueError(f"utterance too short: need >= {MIN_INPUT_FRAMES} input frames")
-
+def _extract(params: dict, mel: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Feature extractor: (B, T, 80) log-Mel -> (B, floor(T/4), hidden), and
+    each utterance's valid output length floor(length / 4), its label count."""
+    t = mel.shape[1]
     # frames past each valid length must never reach the convolutions, whatever
     # the caller padded with
     if int(lengths.min()) < t:
         mel = mel * _valid_mask(lengths, t, mel.dtype)
-    x = ad.as_tensor(mel)
-    h = ad.relu(_conv_stride2(x, params["extractor.conv1.weight"],
-                              params["extractor.conv1.bias"]))
-    len1 = lengths // 2
-    h = ad.mul(h, _valid_mask(len1, h.shape[1], mel.dtype))
-    h = ad.relu(_conv_stride2(h, params["extractor.conv2.weight"],
-                              params["extractor.conv2.bias"]))
-    len2 = len1 // 2
-    h = ad.mul(h, _valid_mask(len2, h.shape[1], mel.dtype))
+    h = ad.as_tensor(mel)
+    for conv in ("extractor.conv1.", "extractor.conv2."):
+        h = ad.relu(_conv_stride2(h, params[conv + "weight"], params[conv + "bias"]))
+        lengths = lengths // 2
+        h = ad.mul(h, _valid_mask(lengths, h.shape[1], mel.dtype))
     h = ad.linear(h, params["extractor.proj.weight"], params["extractor.proj.bias"])
-    h = ad.mul(h, _valid_mask(len2, h.shape[1], mel.dtype))
-    return h, len2
+    return ad.mul(h, _valid_mask(lengths, h.shape[1], mel.dtype)), lengths
 
 
 def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
@@ -220,17 +203,14 @@ def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
 
 
 def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
-                   key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng,
-                   attn_sink) -> Tensor:
+                   key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng) -> Tensor:
     drop = cfg.dropout if train else 0.0
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
     q, k, v = (ad.linear(y, p[prefix + f"{w}.weight"], p[prefix + f"{w}.bias"])
                for w in ("wq", "wk", "wv"))
-    ctx, probs = ad.rel_attention(q, k, v, pos_enc, p[prefix + "pos.weight"],
-                                  p[prefix + "bias_u"], p[prefix + "bias_v"],
-                                  key_mask, cfg.heads, drop, rng)
-    if attn_sink is not None:
-        attn_sink.append(probs.copy())
+    ctx = ad.rel_attention(q, k, v, pos_enc, p[prefix + "pos.weight"],
+                           p[prefix + "bias_u"], p[prefix + "bias_v"],
+                           key_mask, cfg.heads, drop, rng)
     out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
     return ad.dropout(out, drop, rng)
 
@@ -256,9 +236,9 @@ def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     # zero padded frames so the depthwise kernel never reads stale values
     y = ad.mul(y, mask)
     half = (cfg.conv_kernel - 1) // 2
-    windows = ad.unfold_time(ad.pad_time(y, half, half), cfg.conv_kernel, 1)
-    dw = ad.reshape(p[prefix + "dw.weight"], (1, 1, cfg.conv_kernel, h))
-    y = ad.add(ad.sum_(ad.mul(windows, dw), axis=2), p[prefix + "dw.bias"])
+    windows = ad.unfold_time(y, cfg.conv_kernel, 1, pad=(half, half))
+    y = ad.add(ad.sum_(ad.mul(windows, p[prefix + "dw.weight"]), axis=2),
+               p[prefix + "dw.bias"])
 
     # per-(utterance, channel) statistics over valid frames only
     y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
@@ -268,14 +248,23 @@ def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     return ad.dropout(y, cfg.dropout if train else 0.0, rng)
 
 
-def forward(params: dict, cfg: EncoderConfig, features: Tensor,
-            lengths: np.ndarray, *, train: bool = False, rng=None,
-            attn_sink: list | None = None) -> EncoderOutput:
-    """Run the Conformer stack over extractor features; retain every state."""
-    x = ad.as_tensor(features)
-    b, l, _ = x.shape
+def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,
+           *, train: bool = False, rng=None) -> EncoderOutput:
+    """The network's one forward pass: feature extractor, then Conformer stack.
+
+    ``mel`` is a (B, T, 80) log-Mel batch and ``lengths`` its B valid frame
+    counts; frames past a valid length do not change the output. Every layer
+    state is retained for ``weighted_sum``.
+    """
+    mel = np.asarray(mel)
     lengths = np.asarray(lengths, dtype=np.int64)
-    dtype = x.data.dtype
+    if mel.ndim != 3 or lengths.shape != mel.shape[:1] or int(lengths.max()) > mel.shape[1]:
+        raise ValueError(f"need a (B, T, 80) log-Mel batch and B lengths <= T, "
+                         f"got shapes {mel.shape} and {lengths.shape}")
+    if int(lengths.min()) < MIN_INPUT_FRAMES:
+        raise ValueError(f"utterance too short: need >= {MIN_INPUT_FRAMES} input frames")
+    x, lengths = _extract(params, mel, lengths)
+    l, dtype = x.shape[1], x.dtype
 
     key_mask = np.where(np.arange(l)[None, :] < lengths[:, None], 0.0, -np.inf)
     key_mask = key_mask.astype(dtype)[:, None, None, :]
@@ -287,7 +276,7 @@ def forward(params: dict, cfg: EncoderConfig, features: Tensor,
         p = f"layers.{i}."
         x = ad.add(x, _half_ffn(params, p + "ffn1.", cfg, x, train, rng))
         x = ad.add(x, _rel_attention(params, p + "attn.", cfg, x, key_mask,
-                                     pos_enc, train, rng, attn_sink))
+                                     pos_enc, train, rng))
         x = ad.add(x, _conv_block(params, p + "conv.", cfg, x, mask, train, rng))
         x = ad.add(x, _half_ffn(params, p + "ffn2.", cfg, x, train, rng))
         x = ad.layer_norm(x, params[p + "out_ln.gamma"], params[p + "out_ln.beta"], LN_EPS)
@@ -299,22 +288,8 @@ def forward(params: dict, cfg: EncoderConfig, features: Tensor,
     return EncoderOutput(layer_states=states, final=final, lengths=lengths)
 
 
-def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray,
-           lengths: np.ndarray | None = None, *, train: bool = False,
-           rng=None, attn_sink: list | None = None) -> EncoderOutput:
-    """Feature extractor plus Conformer stack in one call."""
-    features, out_lengths = extract(params, cfg, mel, lengths)
-    return forward(params, cfg, features, out_lengths, train=train, rng=rng,
-                   attn_sink=attn_sink)
-
-
-def weighted_sum(layer_states, logits) -> Tensor:
-    """Softmax-weighted convex combination of retained layer states.
-
-    Accepts an EncoderOutput or its list of per-layer states.
-    """
-    if isinstance(layer_states, EncoderOutput):
-        layer_states = layer_states.layer_states
+def weighted_sum(layer_states: list, logits) -> Tensor:
+    """Softmax-weighted convex combination of retained layer states."""
     logits = ad.as_tensor(logits)
     if logits.shape != (len(layer_states),):
         raise ValueError(f"need {len(layer_states)} layer weights, got {logits.shape}")

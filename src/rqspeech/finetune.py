@@ -76,6 +76,13 @@ class SpecAugmentConfig:
     num_freq_masks: int = 2
     max_freq_width: int = 27
 
+    def __post_init__(self):
+        if min(self.num_time_masks, self.max_time_width,
+               self.num_freq_masks, self.max_freq_width) < 0:
+            raise ValueError("mask counts and widths must be >= 0")
+        if not 0.0 <= self.time_apply_prob <= 1.0:
+            raise ValueError("time_apply_prob must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class FinetuneConfig:

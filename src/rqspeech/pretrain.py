@@ -33,7 +33,7 @@ from .seeding import keyed_rng
 
 CHECKPOINT_MAGIC = b"MSEC"
 CHECKPOINT_VERSION = 1
-LOAD_MODES = ("full", "feature_extractor_only", "none")
+LOAD_MODES = ("full", "feature_extractor_only")
 
 
 class CheckpointError(ValueError):
@@ -426,13 +426,13 @@ def restore_training_tensors(tensors: dict, params: dict, adams) -> None:
 
 def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
                     cfg: PretrainConfig, run_config: dict | None = None) -> TrainState:
-    """Build a TrainState from a checkpoint under one of the three init modes.
+    """Build a TrainState from a checkpoint under one of the ``LOAD_MODES``.
 
     A ``full`` load takes every parameter and moment from the file and draws
-    no random initialisation; the other two modes start from
-    ``init_train_state``. The quantizer always comes from ``cfg`` (seed and
-    config of the current run); a continued run may deliberately pick a new
-    quantizer seed.
+    no random initialisation; ``feature_extractor_only`` starts from
+    ``init_train_state`` and takes the extractor's parameters. The quantizer
+    always comes from ``cfg`` (seed and config of the current run); a
+    continued run may deliberately pick a new quantizer seed.
     """
     if mode not in LOAD_MODES:
         raise ValueError(f"unknown load mode: {mode!r} (expected one of {LOAD_MODES})")
@@ -448,10 +448,9 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
         return state
 
     state = init_train_state(encoder_cfg, cfg, run_config)
-    if mode == "feature_extractor_only":
-        _, tensors = read_checkpoint(path)
-        restore_training_tensors(tensors, {name: p for name, p in state.params.items()
-                                           if name.startswith("extractor.")}, [])
+    _, tensors = read_checkpoint(path)
+    restore_training_tensors(tensors, {name: p for name, p in state.params.items()
+                                       if name.startswith("extractor.")}, [])
     return state
 
 

@@ -23,6 +23,8 @@ NORM_EPS = 1e-8
 # label frames per nearest-codeword block: the (rows, V) float64 screen of one
 # block stays at 4 MB for V = 2048, whatever the utterance length
 LABEL_BLOCK_ROWS = 256
+# the label cache stores each label as a little-endian u16
+LABEL_CACHE_MAX_VOCAB = 65536
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,8 @@ def labels_for_mel(qs: QuantizerState, mel: np.ndarray) -> np.ndarray:
 
 def write_label_cache(path, labels: np.ndarray, vocab_size: int) -> None:
     """Cache file: ASCII header "MSEQ1 L N V", then L*N little-endian u16."""
-    if vocab_size > 65536:
-        raise ValueError("label cache format requires vocab_size <= 65536")
+    if vocab_size > LABEL_CACHE_MAX_VOCAB:
+        raise ValueError(f"label cache format requires vocab_size <= {LABEL_CACHE_MAX_VOCAB}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= vocab_size:
         raise ValueError("labels out of range for vocab_size")
     l, n = labels.shape

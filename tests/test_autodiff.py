@@ -67,8 +67,8 @@ class TestPrimitives:
     def test_getitem_slice(self):
         check_op(lambda a: a[:, 1:3], (4, 5))
 
-    def test_pad_time(self):
-        check_op(lambda a: ad.pad_time(a, 2, 1), (2, 3, 4))
+    def test_unfold_time_padded(self):
+        check_op(lambda a: ad.unfold_time(a, kernel=3, stride=2, pad=(2, 1)), (2, 6, 4))
 
     def test_take_rows(self):
         idx = np.array([0, 2, 2, 1])
@@ -83,7 +83,7 @@ class TestPrimitives:
 
         def build(q, k, v, w_pos, u, vb):
             return ad.rel_attention(q, k, v, offsets, w_pos, u, vb, key_mask, 2, 0.3,
-                                    np.random.default_rng(0))[0]
+                                    np.random.default_rng(0))
 
         check_op(build, (2, 4, 6), (2, 4, 6), (2, 4, 6), (6, 6), (2, 3), (2, 3))
 
@@ -187,7 +187,7 @@ def reference_attention(q, k, v, offsets, w_pos, u, vb, key_mask, heads):
     scores = (content + pos) * (1.0 / math.sqrt(d)) + key_mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    return (probs @ v4).transpose(0, 2, 1, 3).reshape(b, l, hd), probs
+    return (probs @ v4).transpose(0, 2, 1, 3).reshape(b, l, hd)
 
 
 class TestRelShift:
@@ -208,11 +208,9 @@ class TestRelShift:
         key_mask = np.zeros((2, 1, 1, l), dtype)
         key_mask[1, ..., l // 2 + 1:] = -np.inf
         args = (q, k, v, offsets, w_pos, u, vb, key_mask, 3)
-        want_ctx, want_probs = reference_attention(*args)
-        ctx, probs = ad.rel_attention(*args, 0.0, None)
-        assert ctx.data.dtype == probs.dtype == dtype
-        assert ctx.data.tobytes() == want_ctx.tobytes()
-        assert probs.tobytes() == want_probs.tobytes()
+        ctx = ad.rel_attention(*args, 0.0, None)
+        assert ctx.data.dtype == dtype
+        assert ctx.data.tobytes() == reference_attention(*args).tobytes()
 
     def test_rejects_unshifted_shape(self):
         q = np.zeros((1, 3, 4))
@@ -270,16 +268,19 @@ class TestSemantics:
         y.backward(np.zeros(()))
         assert np.all(x.grad == 0.0)
 
-    def test_rel_attention_returns_pre_dropout_probabilities(self):
+    def test_rel_attention_drops_probabilities_after_softmax(self):
+        # with head dim = L and one-hot values, head h's context entry j is the
+        # weight of key j: the softmax row, then 0 or 1/(1 - p) times it
         rng = np.random.default_rng(0)
-        q = rng.standard_normal((2, 5, 4))
-        args = (q, q, q, rng.standard_normal((9, 4)), np.eye(4), np.zeros((2, 2)),
-                np.zeros((2, 2)), np.zeros((2, 1, 1, 5)), 2)
-        plain, probs = ad.rel_attention(*args, 0.0, None)
-        dropped, dropped_probs = ad.rel_attention(*args, 0.5, np.random.default_rng(1))
-        assert np.array_equal(dropped_probs, probs)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
-        assert not np.array_equal(dropped.data, plain.data)
+        q = rng.standard_normal((2, 4, 8))
+        onehot = np.tile(np.eye(4), (2, 1, 2))
+        args = (q, q, onehot, rng.standard_normal((7, 8)), np.eye(8), np.zeros((2, 4)),
+                np.zeros((2, 4)), np.zeros((2, 1, 1, 4)), 2)
+        plain = ad.rel_attention(*args, 0.0, None).data
+        dropped = ad.rel_attention(*args, 0.5, np.random.default_rng(1)).data
+        np.testing.assert_allclose(plain.reshape(2, 4, 2, 4).sum(axis=-1), 1.0)
+        assert np.all((dropped == 0.0) | (dropped == 2.0 * plain))
+        assert 0 < np.count_nonzero(dropped) < dropped.size
 
     def test_dropout_zero_prob_is_identity(self):
         x = Tensor(np.ones((2, 2)))

@@ -131,6 +131,14 @@ class TestConfig:
         ("pretrain", "quantizer", "num_codebooks", "0", "[quantizer] num_codebooks must be >= 1"),
         ("quantize", "quantizer", "num_codebooks", "0", "[quantizer] num_codebooks must be >= 1"),
         ("finetune", "finetune", "encoder_lr", "0", "[finetune] learning rates must be positive"),
+        ("finetune", "finetune", "max_freq_width", "-2",
+         "[finetune] mask counts and widths must be >= 0"),
+        ("finetune", "finetune", "time_masks", "-1",
+         "[finetune] mask counts and widths must be >= 0"),
+        ("finetune", "finetune", "time_apply_prob", "1.5",
+         "[finetune] time_apply_prob must be in [0, 1]"),
+        ("quantize", "quantizer", "vocab_size", "70000",
+         "[quantizer] vocab_size 70000 exceeds the label cache format's 65536"),
         ("pretrain", "datapipe", "num_buckets", "0", 'key "datapipe.num_buckets" must be >= 1'),
         ("pretrain", "pretrain", "checkpoint_every", "0",
          'key "pretrain.checkpoint_every" must be >= 1'),
@@ -172,6 +180,36 @@ class TestPretrainCommand:
                      "--init-mode", "feature_extractor_only"])
         assert code == 2
         assert "--init-from" in capsys.readouterr().err
+
+    def test_init_from_requires_init_mode(self, tmp_path, capsys):
+        # under the default --init-mode none the checkpoint would be ignored
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6])
+        path = tmp_path / "c.ini"
+        write_pretrain_config(path, corpus, tmp_path / "out")
+        code = main(["pretrain", "--config", str(path),
+                     "--init-from", str(tmp_path / "missing.msec")])
+        assert code == 2
+        assert "--init-mode full or feature_extractor_only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_manifest_duration_exit_2_before_output(self, tmp_path, capsys,
+                                                               command, duration):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"utt00\t{corpus / 'utt00.wav'}\t{duration}\n")
+        path = tmp_path / "c.ini"
+        write_pretrain_config(path, corpus, tmp_path / "out")
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(f"\n[finetune]\ncheckpoint = {tmp_path / 'p.msec'}\n")
+        path.write_text(path.read_text().replace(
+            f"root = {corpus}", f"manifest = {manifest}\ntranscripts = {tmp_path / 't.tsv'}"))
+        assert main([command, "--config", str(path)]) == 2
+        assert "manifest.tsv:1: duration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_smoke_produces_artifacts(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -609,6 +647,15 @@ tokens_per_batch = 1000
         rows = (out_dir / "finetune_metrics.csv").read_text().strip().splitlines()[1:]
         state = finetune.load_finetune_checkpoint(out_dir / "finetuned.msec")
         assert state.step == len(rows) == 1
+
+    def test_decode_non_finite_manifest_duration_exit_2(self, finetuned_setup, capsys):
+        ckpt, manifest, _, tmp = finetuned_setup
+        utt_id, wav, _ = manifest.read_text().splitlines()[0].split("\t")
+        for duration in ("nan", "inf"):
+            bad = tmp / f"{duration}.tsv"
+            bad.write_text(f"{utt_id}\t{wav}\t{duration}\n")
+            assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(bad)]) == 2
+            assert "cannot read manifest" in capsys.readouterr().err
 
     def test_decode_corrupt_checkpoint_exit_1(self, finetuned_setup):
         ckpt, manifest, _, tmp = finetuned_setup

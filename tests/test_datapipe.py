@@ -62,6 +62,16 @@ class TestScanCorpus:
         with pytest.raises(ValueError, match=r"manifest.tsv:2: utterance id 'X' repeats line 1"):
             datapipe.read_manifest(manifest)
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "NaN"])
+    def test_manifest_rejects_non_finite_duration(self, tmp_path, duration):
+        # a NaN would reach the bucket arithmetic, an inf would bucket as 40 s
+        index = build_corpus(tmp_path, [1.0])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"a\t{index.entries[0].path}\t1.0\n"
+                            f"b\t{index.entries[0].path}\t{duration}\n")
+        with pytest.raises(ValueError, match=rf"manifest.tsv:2: duration '{duration}' is not finite"):
+            datapipe.read_manifest(manifest)
+
 
 class TestCrop:
     def test_short_input_identity(self):

@@ -31,27 +31,39 @@ class TestExtract:
     def test_stride_arithmetic(self):
         params = make_params(TINY)
         mel = np.zeros((1, 100, 80), dtype=np.float32)
-        feats, lens = encoder.extract(params, TINY, mel)
-        assert feats.shape == (1, 25, 8)
-        assert lens[0] == 25
+        out = encoder.encode(params, TINY, mel, np.array([100]))
+        assert out.layer_states[0].shape == out.final.shape == (1, 25, 8)
+        assert out.lengths[0] == 25
 
     def test_length_formula_matches_quantizer_exhaustively(self):
         params = make_params(TINY)
         for t in range(8, 201, 3):
             mel = np.zeros((1, t, 80), dtype=np.float32)
-            _, lens = encoder.extract(params, TINY, mel)
-            assert lens[0] == t // 4, t
+            out = encoder.encode(params, TINY, mel, np.array([t]))
+            assert out.final.shape[1] == out.lengths[0] == t // 4, t
 
     def test_zero_input_finite(self):
         params = make_params(TINY)
-        out = encoder.encode(params, TINY, np.zeros((2, 40, 80), dtype=np.float32))
+        out = encoder.encode(params, TINY, np.zeros((2, 40, 80), dtype=np.float32),
+                             np.array([40, 40]))
         for state in out.layer_states:
             assert np.all(np.isfinite(state.data))
 
     def test_too_short_raises(self):
         params = make_params(TINY)
         with pytest.raises(ValueError, match="too short"):
-            encoder.extract(params, TINY, np.zeros((1, 7, 80), dtype=np.float32))
+            encoder.encode(params, TINY, np.zeros((1, 7, 80), dtype=np.float32),
+                           np.array([7]))
+
+    @pytest.mark.parametrize("mel_shape, lengths", [
+        ((40, 80), [40]),        # one utterance without its batch axis
+        ((2, 40, 80), [40]),     # a length short
+        ((2, 40, 80), [40, 41]),  # a length past the padded frames
+    ])
+    def test_rejects_malformed_batch(self, mel_shape, lengths):
+        params = make_params(TINY)
+        with pytest.raises(ValueError, match="log-Mel batch"):
+            encoder.encode(params, TINY, np.zeros(mel_shape, np.float32), np.array(lengths))
 
 
 class TestForward:
@@ -78,52 +90,60 @@ class TestForward:
                                    rtol=1e-5, atol=1e-6)
 
     def test_singleton_attention_weight_is_one(self):
-        cfg = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=1, dropout=0.0)
-        params = make_params(cfg)
-        feats = Tensor(np.random.default_rng(0).standard_normal((1, 1, 8)).astype(np.float32))
-        sink = []
-        encoder.forward(params, cfg, feats, np.array([1]), attn_sink=sink)
-        assert sink[0].shape == (1, 1, 1, 1)
-        assert sink[0][0, 0, 0, 0] == 1.0
+        # a lone frame attends to itself with weight exactly 1: its context is its value
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((1, 1, 8)).astype(np.float32) for _ in range(3))
+        pos_enc = encoder.sinusoid_offsets(0, 8, np.float32)
+        bias = rng.standard_normal((1, 8)).astype(np.float32)
+        ctx = ad.rel_attention(q, k, v, pos_enc, np.eye(8, dtype=np.float32), bias, bias,
+                               np.zeros((1, 1, 1, 1), np.float32), 1, 0.0, None)
+        assert np.array_equal(ctx.data, v)
 
     def test_deterministic_without_dropout(self):
         params = make_params(TINY, seed=3)
         mel = np.random.default_rng(1).standard_normal((2, 48, 80)).astype(np.float32)
-        a = encoder.encode(params, TINY, mel)
-        b = encoder.encode(params, TINY, mel)
+        lengths = np.array([48, 30])
+        a = encoder.encode(params, TINY, mel, lengths)
+        b = encoder.encode(params, TINY, mel, lengths)
         assert np.array_equal(a.final.data, b.final.data)
         # raw arrays work as params too: every op wraps its inputs
-        raw = encoder.encode(encoder.init_encoder_params(TINY, 3), TINY, mel)
+        raw = encoder.encode(encoder.init_encoder_params(TINY, 3), TINY, mel, lengths)
         assert np.array_equal(a.final.data, raw.final.data)
 
     def test_attention_rows_sum_to_one_over_valid_keys(self):
-        cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=4, dropout=0.0)
-        params = make_params(cfg, seed=7)
-        mel = np.random.default_rng(2).standard_normal((2, 60, 80)).astype(np.float32)
-        sink = []
-        out = encoder.encode(params, cfg, mel, np.array([33, 60]), attn_sink=sink)
-        for attn in sink:
-            sums = attn.sum(axis=-1)
-            assert np.all(np.abs(sums - 1.0) < 1e-6)
-            # masked keys beyond each utterance's length carry no probability
-            l0 = out.lengths[0]
-            assert np.all(attn[0, :, :, l0:] == 0.0)
+        # the context of all-one values is each row's total weight; values that
+        # are one only on utterance 0's padded keys show the weight on them
+        rng = np.random.default_rng(2)
+        b, l, heads, lengths = 2, 15, 4, np.array([8, 15])
+        q, k = (rng.standard_normal((b, l, 16)).astype(np.float32) for _ in range(2))
+        key_mask = np.where(np.arange(l)[None, :] < lengths[:, None], 0.0, -np.inf)
+        key_mask = key_mask.astype(np.float32)[:, None, None, :]
+        rest = (encoder.sinusoid_offsets(l - 1, 16, np.float32),
+                rng.standard_normal((16, 16)).astype(np.float32),
+                rng.standard_normal((heads, 4)).astype(np.float32),
+                rng.standard_normal((heads, 4)).astype(np.float32), key_mask, heads, 0.0, None)
+        ones = ad.rel_attention(q, k, np.ones((b, l, 16), np.float32), *rest)
+        assert np.all(np.abs(ones.data - 1.0) < 1e-6)
+        padded = np.zeros((b, l, 16), np.float32)
+        padded[0, lengths[0]:] = 1.0
+        assert np.all(ad.rel_attention(q, k, padded, *rest).data[0] == 0.0)
 
     def test_layer_state_count(self):
         params = make_params(TINY)
-        out = encoder.encode(params, TINY, np.zeros((1, 16, 80), np.float32))
+        out = encoder.encode(params, TINY, np.zeros((1, 16, 80), np.float32), np.array([16]))
         assert len(out.layer_states) == TINY.num_layers + 1
 
     def test_dropout_changes_training_forward(self):
         cfg = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, dropout=0.5)
         params = make_params(cfg)
         mel = np.random.default_rng(3).standard_normal((1, 24, 80)).astype(np.float32)
-        a = encoder.encode(params, cfg, mel, train=True, rng=np.random.default_rng(1))
-        b = encoder.encode(params, cfg, mel, train=True, rng=np.random.default_rng(2))
-        c = encoder.encode(params, cfg, mel, train=False)
+        lengths = np.array([24])
+        a = encoder.encode(params, cfg, mel, lengths, train=True, rng=np.random.default_rng(1))
+        b = encoder.encode(params, cfg, mel, lengths, train=True, rng=np.random.default_rng(2))
+        c = encoder.encode(params, cfg, mel, lengths, train=False)
         assert not np.array_equal(a.final.data, b.final.data)
         assert np.array_equal(c.final.data,
-                              encoder.encode(params, cfg, mel, train=False).final.data)
+                              encoder.encode(params, cfg, mel, lengths, train=False).final.data)
 
 
 class TestRelativeAttentionOracle:
@@ -185,7 +205,7 @@ class TestRelativeAttentionOracle:
         key_mask = key_mask[:, None, None, :]
         pos_enc = encoder.sinusoid_offsets(l - 1, cfg.hidden, np.float64)
         got = encoder._rel_attention(params, "layers.0.attn.", cfg, Tensor(x),
-                                     key_mask, pos_enc, False, None, None)
+                                     key_mask, pos_enc, False, None)
         want = self.reference(arrays, cfg, x, lengths)
         # rows for padded queries attend over valid keys in both, so compare all
         np.testing.assert_allclose(got.data, want, atol=1e-10)
@@ -212,21 +232,90 @@ class TestAttentionTape:
         key_mask = np.zeros((2, 1, 1, 5), np.float32)
         pos_enc = encoder.sinusoid_offsets(4, TINY.hidden, np.float32)
         out = encoder._rel_attention(params, "layers.0.attn.", TINY, x, key_mask,
-                                     pos_enc, True, np.random.default_rng(0), None)
+                                     pos_enc, True, np.random.default_rng(0))
         assert recorded_nodes(out) <= 6
 
 
 class TestConvTape:
     def test_conv_norm_is_one_node(self):
-        # the masked per-utterance norm is one layer_norm node; built from
-        # generic ops it recorded 14, and the block 30
+        # the masked per-utterance norm is one layer_norm node (built from
+        # generic ops it recorded 14, and the block 30), and the depthwise
+        # windows pad their input and broadcast the weight without extra nodes
         params = make_params(TINY)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
                    requires_grad=True)
         mask = encoder._valid_mask(np.array([5, 3]), 5, np.float32)
         out = encoder._conv_block(params, "layers.0.conv.", TINY, x, mask, True,
                                   np.random.default_rng(0))
-        assert recorded_nodes(out) <= 17
+        assert recorded_nodes(out) <= 15
+
+
+class TestEncoderTape:
+    def test_default_encoder_node_count(self):
+        # 172 nodes while the convolutions recorded separate padding and
+        # weight-reshape nodes
+        cfg = EncoderConfig()
+        params = make_params(cfg)
+        mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
+        out = encoder.encode(params, cfg, mel, np.array([40, 23]))
+        assert recorded_nodes(out.final) <= 163
+
+
+def chain_pad_time(a, before, after):
+    """The zero-padding node the convolutions recorded before ``unfold_time``
+    took ``pad``."""
+    t = a.shape[1]
+    return ad._make(np.pad(a.data, ((0, 0), (before, after), (0, 0))), (a,),
+                    lambda g: (g[:, before: before + t],))
+
+
+def chain_conv_stride2(x, weight, bias):
+    windows = ad.unfold_time(chain_pad_time(ad.as_tensor(x), 0, 1), kernel=3, stride=2)
+    b, t_out, k, c = windows.shape
+    return ad.linear(ad.reshape(windows, (b, t_out, k * c)), weight, bias)
+
+
+def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
+    """``_conv_block`` with its depthwise convolution as pad, unfold and a
+    reshaped weight."""
+    h, k = cfg.hidden, cfg.conv_kernel
+    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
+    y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
+    y = ad.mul(ad.mul(y[:, :, :h], ad.sigmoid(y[:, :, h:])), mask)
+    windows = ad.unfold_time(chain_pad_time(y, (k - 1) // 2, (k - 1) // 2), k, 1)
+    dw = ad.reshape(p[prefix + "dw.weight"], (1, 1, k, h))
+    y = ad.add(ad.sum_(ad.mul(windows, dw), axis=2), p[prefix + "dw.bias"])
+    y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
+                      encoder.CONV_NORM_EPS, axis=1, mask=mask)
+    y = ad.linear(ad.swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
+    return ad.dropout(y, cfg.dropout if train else 0.0, rng)
+
+
+class TestPaddedWindowsOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encoder_bitwise_equal_to_pad_chain(self, dtype, monkeypatch):
+        cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2)
+        arrays = encoder.init_encoder_params(cfg, 4, dtype)
+        rng = np.random.default_rng(6)
+        mel = rng.standard_normal((3, 90, 80)).astype(dtype)
+        lengths = np.array([9, 90, 41])
+        probe = rng.standard_normal((3, 22, 16)).astype(dtype)
+
+        def run():
+            params = encoder.params_to_tensors(arrays)
+            out = encoder.encode(params, cfg, mel, lengths)
+            ad.sum_(ad.mul(out.final, probe)).backward()
+            return out.layer_states + [out.final], params
+
+        got, got_params = run()
+        monkeypatch.setattr(encoder, "_conv_stride2", chain_conv_stride2)
+        monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
+        want, want_params = run()
+        for g, w in zip(got, want):
+            assert g.data.dtype == dtype
+            assert g.data.tobytes() == w.data.tobytes()
+        for name in arrays:
+            assert got_params[name].grad.tobytes() == want_params[name].grad.tobytes(), name
 
 
 class TestConvBlockOracle:

@@ -462,6 +462,7 @@ class TestFinetuneLoop:
                   for _ in range(50)]
         assert np.mean(losses[-5:]) < losses[0]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN is on purpose
     def test_non_finite_loss_aborts_without_update(self, pretrained_ckpt):
         texts = ["ab", "ba"]
         state = self.make_state(pretrained_ckpt, texts, freeze_steps=0)

@@ -326,16 +326,6 @@ class TestCheckpoint:
         assert loaded.adam.count == 0
         assert np.all(loaded.adam.m["head.weight"] == 0)
 
-    def test_mode_none_is_fresh(self, tmp_path):
-        cfg = tiny_config(seed=10)
-        state = pretrain.init_train_state(TINY_ENC, cfg)
-        path = tmp_path / "n.msec"
-        pretrain.save_checkpoint(state, path)
-        loaded = pretrain.load_checkpoint(path, "none", TINY_ENC, tiny_config(seed=11))
-        fresh = pretrain.init_train_state(TINY_ENC, tiny_config(seed=11))
-        for name, p in loaded.params.items():
-            assert np.array_equal(p.data, fresh.params[name].data)
-
     def test_shape_mismatch_names_tensor(self, tmp_path):
         state = pretrain.init_train_state(TINY_ENC, tiny_config())
         path = tmp_path / "s.msec"
