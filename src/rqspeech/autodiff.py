@@ -19,10 +19,18 @@ to check gradients.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import glob
+import os
+import queue
+import threading
 
 import numpy as np
 
 _grad_enabled = True
+_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
+_OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
 
 
 @contextlib.contextmanager
@@ -339,6 +347,8 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     reused (rows, V) buffer, so the (rows, N*V) logits are never held (the
     blockwise loss of Wijmans et al., 2024). When the tape records, the
     gradients are computed in the same pass and the backward only scales them.
+    On two cores the codebooks run on two threads (``_codebooks_in_order``);
+    parts are added in codebook order, so the bits do not depend on the split.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels)
@@ -358,20 +368,107 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     x1 = np.concatenate([x.data, np.ones((rows, 1), dtype)], axis=1, dtype=dtype)
     wb = np.concatenate([w.data, b.data[None]], axis=0, dtype=dtype)
     buf = np.empty((rows, vocab), dtype)
+    scale = 1.0 / count if recording else None
     if recording:
         gx = np.zeros(x.data.shape, dtype)
         gwb = np.empty(wb.shape, dtype)
-    nll = 0.0
-    for j in range(num_codebooks):
+
+    def codebook(j, z):
+        # codebook j's summed NLL through the (rows, V) buffer z; when the tape
+        # records, its gwb columns are written and its gx part is returned
         cols = slice(j * vocab, (j + 1) * vocab)
-        np.matmul(x1, wb[:, cols], out=buf)
-        nll += _softmax_xent(buf, labels[:, j], 1.0 / count if recording else None)
-        if recording:
-            gx += buf @ w.data[:, cols].T
-            gwb[:, cols] = x1.T @ buf
+        np.matmul(x1, wb[:, cols], out=z)
+        nll = _softmax_xent(z, labels[:, j], scale)
+        if not recording:
+            return nll, None
+        gwb[:, cols] = x1.T @ z
+        return nll, z @ w.data[:, cols].T
+
+    nll = 0.0
+    with contextlib.closing(_codebooks_in_order(codebook, num_codebooks, buf)) as parts:
+        for part_nll, part_gx in parts:
+            nll += part_nll
+            if recording:
+                gx += part_gx
     out = np.asarray(nll / count, dtype=dtype)
     return _make(out, (x, w, b), lambda g: (gx * float(g), gwb[:-1] * float(g),
                                             gwb[-1] * float(g)))
+
+
+def _codebooks_in_order(run, n, buf):
+    """Yield ``run(j, z)`` for j = 0 .. n-1, in that order.
+
+    With two usable cores and numpy's OpenBLAS at hand, the calling thread
+    runs the even j in ``buf`` while one worker thread runs the odd j in a
+    buffer of its own, and OpenBLAS is held at one thread meanwhile. Each
+    result is bit-identical to a serial run at one BLAS thread. The worker
+    calls only ``run``; its exceptions are re-raised here.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas = _openblas_threads() if n > 1 and (cores or 1) > 1 else None
+    if blas is None:
+        for j in range(n):
+            yield run(j, buf)
+        return
+    handoff = queue.Queue(maxsize=1)  # bounds how far the worker runs ahead
+    stop = threading.Event()
+
+    def worker():
+        try:
+            z = np.empty_like(buf)
+            for j in range(1, n, 2):
+                if stop.is_set():
+                    return
+                handoff.put(run(j, z))
+        except BaseException as exc:  # re-raised by the caller
+            handoff.put(exc)
+
+    def odd():
+        item = handoff.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(1)
+    thread = threading.Thread(target=worker, name="multi_softmax_nll", daemon=True)
+    try:
+        thread.start()
+        for j in range(0, n, 2):
+            mine = run(j, buf)
+            if j:
+                yield odd()
+            yield mine
+        if n % 2 == 0:
+            yield odd()
+    finally:
+        stop.set()
+        with contextlib.suppress(queue.Empty):
+            while True:  # frees a worker blocked on a full handoff
+                handoff.get_nowait()
+        thread.join()
+        set_threads(saved)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+            get_threads = getattr(dll, _OPENBLAS_GET)
+            set_threads = getattr(dll, _OPENBLAS_SET)
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        return get_threads, set_threads
+    return None
 
 
 def _softmax_xent(z, labels, scale=None) -> float:

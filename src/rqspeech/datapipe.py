@@ -144,7 +144,10 @@ def read_manifest(path) -> CorpusIndex:
                 raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
                                  f"line {first_line[utt_id]}")
             first_line[utt_id] = lineno
-            duration = float(dur)
+            try:
+                duration = float(dur)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: duration {dur!r} is not a number") from None
             if not np.isfinite(duration):
                 raise ValueError(f"{path}:{lineno}: duration {dur!r} is not finite")
             if duration < MIN_DURATION_S:

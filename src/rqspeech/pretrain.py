@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -321,7 +322,11 @@ def checkpoint_tensors(params: dict, adams) -> dict:
 def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: dict,
                      fields: dict) -> None:
     """Write magic, version, length-prefixed JSON header, then f32 tensor data;
-    ``fields`` are the header entries that depend on the kind of run."""
+    ``fields`` are the header entries that depend on the kind of run.
+
+    The file is written beside ``path`` and renamed onto it when complete, so
+    a write that fails midway leaves any previous checkpoint at ``path`` whole.
+    """
     entries = []
     offset = 0
     for name in sorted(tensors):
@@ -334,13 +339,20 @@ def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: d
               "encoder_config": encoder_cfg.to_dict(),
               "tensors": entries}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for entry in entries:
-            f.write(tensors[entry["name"]].astype("<f4").tobytes())
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for entry in entries:
+                f.write(tensors[entry["name"]].astype("<f4").tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(state: TrainState, path) -> None:

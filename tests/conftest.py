@@ -1,10 +1,28 @@
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from rqspeech import frontend
+from rqspeech import autodiff, frontend
+
+
+def blas_thread_count():
+    """numpy's OpenBLAS thread count, or None when it cannot be read."""
+    blas = autodiff._openblas_threads()
+    return blas and blas[0]()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads_or_blas_count():
+    """Fail a test that leaves a thread running or OpenBLAS at another thread count."""
+    count = blas_thread_count()
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not leaked, f"threads left running: {leaked}"
+    assert blas_thread_count() == count, "OpenBLAS thread count changed"
 
 
 def tone(freq_hz, seconds, rate=16000, amp=0.5, phase=0.0):

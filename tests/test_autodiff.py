@@ -1,10 +1,16 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from rqspeech import autodiff as ad
 from rqspeech.autodiff import Tensor
+
+from conftest import blas_thread_count
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -247,12 +253,12 @@ class TestSemantics:
         assert y._backward is None and y._parents == ()
 
     def test_multi_softmax_nll_no_grad_records_nothing(self):
-        rng = np.random.default_rng(0)
-        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
-                   for s in ((3, 4), (4, 6), (6,)))
+        x, w, b, labels = head_problem(np.random.default_rng(0), 40, 5, 16, 8, np.float64)
         with ad.no_grad():
-            y = ad.multi_softmax_nll(x, w, b, np.zeros((3, 2), np.int64), 2)
+            y = ad.multi_softmax_nll(*(Tensor(a, requires_grad=True) for a in (x, w, b)),
+                                     labels, 5)
         assert y._backward is None and y._parents == ()
+        assert y.data == serial_multi_softmax_nll(x, w, b, labels, 5)[0]
 
     def test_multi_softmax_nll_labels_shape_rejected(self):
         rng = np.random.default_rng(0)
@@ -294,3 +300,157 @@ class TestSemantics:
         vals = np.unique(y.data)
         assert set(np.round(vals, 6)) <= {0.0, np.round(1 / 0.75, 6)}
         assert abs(y.data.mean() - 1.0) < 0.05
+
+
+def serial_multi_softmax_nll(x, w, b, labels, n):
+    """The head's one-buffer serial loop, as the oracle: (loss, gx, gw, gb)."""
+    rows, vocab = x.shape[0], w.shape[1] // n
+    x1 = np.concatenate([x, np.ones((rows, 1), x.dtype)], axis=1)
+    wb = np.concatenate([w, b[None]], axis=0)
+    gx, gwb = np.zeros(x.shape, x.dtype), np.empty(wb.shape, x.dtype)
+    nll = 0.0
+    for j in range(n):
+        cols = slice(j * vocab, (j + 1) * vocab)
+        z = x1 @ wb[:, cols]
+        nll += ad._softmax_xent(z, labels[:, j], 1.0 / labels.size)
+        gx += z @ w[:, cols].T
+        gwb[:, cols] = x1.T @ z
+    return np.asarray(nll / labels.size, x.dtype), gx, gwb[:-1], gwb[-1]
+
+
+def head_problem(rng, rows, n, vocab, hidden, dtype):
+    x = rng.standard_normal((rows, hidden)).astype(dtype)
+    w = (0.5 * rng.standard_normal((hidden, n * vocab))).astype(dtype)
+    b = (0.5 * rng.standard_normal(n * vocab)).astype(dtype)
+    return x, w, b, rng.integers(0, vocab, (rows, n))
+
+
+def fused_head(x, w, b, labels, n):
+    tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    y = ad.multi_softmax_nll(*tensors, labels, n)
+    y.backward()
+    return (y.data, *(t.grad for t in tensors))
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread, the count the split runs the head at."""
+    blas = ad._openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
+class TestCodebookSplit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_bitwise_equal_to_serial_loop(self, one_blas_thread, n, dtype):
+        rng = np.random.default_rng(n)
+        for rows in (1, int(rng.integers(2, 300))):
+            vocab, hidden = (int(v) for v in rng.integers(2, 200, 2))
+            problem = head_problem(rng, rows, n, vocab, hidden, dtype)
+            got = fused_head(*problem, n)
+            for a, want in zip(got, serial_multi_softmax_nll(*problem, n)):
+                assert a.dtype == want.dtype
+                np.testing.assert_array_equal(a, want)
+
+    def test_bitwise_equal_under_frequent_thread_switches(self, one_blas_thread):
+        problem = head_problem(np.random.default_rng(4), 64, 9, 32, 8, np.float32)
+        want = serial_multi_softmax_nll(*problem, 9)
+        got = []
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                runner = threading.Thread(target=lambda: got.append(fused_head(*problem, 9)),
+                                          daemon=True)
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        assert len(got) == 5
+        for result in got:
+            for a, b in zip(result, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_odd_codebooks_run_on_worker_at_one_blas_thread(self, monkeypatch):
+        blas = ad._openblas_threads()
+        if blas is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the head runs serially here")
+        seen = {}
+        xent = ad._softmax_xent
+
+        def spy(z, labels, scale=None):
+            seen[int(labels[0])] = (threading.current_thread().name, blas[0]())
+            return xent(z, labels, scale)
+        monkeypatch.setattr(ad, "_softmax_xent", spy)
+        # labels[0, j] = j identifies the codebook
+        x, w, b, _ = head_problem(np.random.default_rng(1), 3, 4, 8, 5, np.float32)
+        fused_head(x, w, b, np.tile(np.arange(4), (3, 1)), 4)
+        caller = threading.current_thread().name
+        assert seen == {0: (caller, 1), 1: ("multi_softmax_nll", 1),
+                        2: (caller, 1), 3: ("multi_softmax_nll", 1)}
+
+    @pytest.mark.parametrize("bad", [1, 2, 3])
+    def test_codebook_error_reraised_and_worker_joined(self, bad):
+        # an out-of-range label in an odd (worker) or even (caller) codebook
+        x, w, b, labels = head_problem(np.random.default_rng(2), 50, 5, 16, 8, np.float32)
+        labels[7, bad] = 16
+        before = blas_thread_count()
+        with pytest.raises(IndexError):
+            fused_head(x, w, b, labels, 5)
+        assert not any(t.name == "multi_softmax_nll" for t in threading.enumerate())
+        assert blas_thread_count() == before
+
+    def test_caller_error_frees_worker_blocked_on_handoff(self, monkeypatch):
+        # codebook 2 fails on the caller only after the worker has finished
+        # codebook 3 and waits to hand it over behind codebook 1
+        xent = ad._softmax_xent
+
+        def spy(z, labels, scale=None):
+            if labels[0] == 2:
+                time.sleep(0.3)
+                raise RuntimeError("codebook 2")
+            return xent(z, labels, scale)
+        monkeypatch.setattr(ad, "_softmax_xent", spy)
+        x, w, b, _ = head_problem(np.random.default_rng(5), 3, 6, 8, 5, np.float32)
+        errors = []
+
+        def call():
+            try:
+                fused_head(x, w, b, np.tile(np.arange(6), (3, 1)), 6)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+        runner = threading.Thread(target=call, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert errors == ["codebook 2"]
+
+    def test_missing_blas_symbol_runs_serially(self, monkeypatch):
+        threads = set()
+        xent = ad._softmax_xent
+
+        def spy(z, labels, scale=None):
+            threads.add(threading.current_thread().name)
+            return xent(z, labels, scale)
+        monkeypatch.setattr(ad, "_softmax_xent", spy)
+        monkeypatch.setattr(ad, "_OPENBLAS_SET", "no_such_symbol")
+        ad._openblas_threads.cache_clear()
+        try:
+            assert ad._openblas_threads() is None
+            problem = head_problem(np.random.default_rng(3), 30, 3, 16, 8, np.float64)
+            got = fused_head(*problem, 3)
+        finally:
+            ad._openblas_threads.cache_clear()
+        assert threads == {threading.current_thread().name}
+        for a, want in zip(got, serial_multi_softmax_nll(*problem, 3)):
+            np.testing.assert_array_equal(a, want)

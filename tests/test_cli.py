@@ -1,4 +1,5 @@
 import configparser
+import struct
 
 import numpy as np
 import pytest
@@ -193,10 +194,9 @@ class TestPretrainCommand:
         assert "--init-mode full or feature_extractor_only" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
-    @pytest.mark.parametrize("duration", ["nan", "inf"])
-    def test_non_finite_manifest_duration_exit_2_before_output(self, tmp_path, capsys,
-                                                               command, duration):
+    @staticmethod
+    def manifest_config(tmp_path, duration):
+        """Config whose one-line manifest gives ``duration``; pretrain and finetune read it."""
         corpus = tmp_path / "corpus"
         write_corpus(corpus, [0.6])
         manifest = tmp_path / "manifest.tsv"
@@ -207,8 +207,23 @@ class TestPretrainCommand:
             f.write(f"\n[finetune]\ncheckpoint = {tmp_path / 'p.msec'}\n")
         path.write_text(path.read_text().replace(
             f"root = {corpus}", f"manifest = {manifest}\ntranscripts = {tmp_path / 't.tsv'}"))
+        return path
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_manifest_duration_exit_2_before_output(self, tmp_path, capsys,
+                                                               command, duration):
+        path = self.manifest_config(tmp_path, duration)
         assert main([command, "--config", str(path)]) == 2
         assert "manifest.tsv:1: duration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_non_numeric_manifest_duration_exit_2_before_output(self, tmp_path, capsys,
+                                                                command):
+        path = self.manifest_config(tmp_path, "abc")
+        assert main([command, "--config", str(path)]) == 2
+        assert "manifest.tsv:1: duration 'abc' is not a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_smoke_produces_artifacts(self, tmp_path):
@@ -255,6 +270,25 @@ class TestPretrainCommand:
         header, _ = pretrain.read_checkpoint(out_dir / "final.msec")
         assert metric_steps(out_dir / "metrics.csv") == list(range(1, header["step"] + 1))
         assert (out_dir / "metrics.csv").read_text() == first
+
+    def test_prefetch_workers_do_not_change_outputs(self, tmp_path):
+        # prefetch threads call BLAS in log_mel while the head holds OpenBLAS
+        # at one thread; features, metrics and checkpoints must not notice
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9, 1.2, 0.8])
+        outputs = []
+        for workers in (1, 2):
+            cfg_path = tmp_path / f"w{workers}.ini"
+            out_dir = tmp_path / f"out{workers}"
+            write_pretrain_config(cfg_path, corpus, out_dir)
+            with open(cfg_path, "a", encoding="utf-8") as f:
+                f.write(f"workers = {workers}\n")
+            assert main(["pretrain", "--config", str(cfg_path)]) == 0
+            # the header differs only in run_config (workers, output_dir)
+            raw = (out_dir / "final.msec").read_bytes()
+            (header_len,) = struct.unpack("<I", raw[8:12])
+            outputs.append(((out_dir / "metrics.csv").read_bytes(), raw[12 + header_len:]))
+        assert outputs[0] == outputs[1]
 
     def test_full_continuation_appends_metrics(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -651,7 +685,7 @@ tokens_per_batch = 1000
     def test_decode_non_finite_manifest_duration_exit_2(self, finetuned_setup, capsys):
         ckpt, manifest, _, tmp = finetuned_setup
         utt_id, wav, _ = manifest.read_text().splitlines()[0].split("\t")
-        for duration in ("nan", "inf"):
+        for duration in ("nan", "inf", "abc"):
             bad = tmp / f"{duration}.tsv"
             bad.write_text(f"{utt_id}\t{wav}\t{duration}\n")
             assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(bad)]) == 2

@@ -72,6 +72,15 @@ class TestScanCorpus:
         with pytest.raises(ValueError, match=rf"manifest.tsv:2: duration '{duration}' is not finite"):
             datapipe.read_manifest(manifest)
 
+    @pytest.mark.parametrize("duration", ["abc", "", "1.5s"])
+    def test_manifest_rejects_non_numeric_duration(self, tmp_path, duration):
+        index = build_corpus(tmp_path, [1.0])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"a\t{index.entries[0].path}\t1.0\n"
+                            f"b\t{index.entries[0].path}\t{duration}\n")
+        with pytest.raises(ValueError, match=rf"manifest.tsv:2: duration '{duration}' is not a number"):
+            datapipe.read_manifest(manifest)
+
 
 class TestCrop:
     def test_short_input_identity(self):

@@ -285,6 +285,25 @@ class TestCheckpoint:
         pretrain.save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=7))
+        path = tmp_path / "a.msec"
+        pretrain.save_checkpoint(state, path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            shape = (2,)
+
+            def astype(self, dtype):
+                raise OSError("disk full")
+        with pytest.raises(OSError, match="disk full"):
+            pretrain.write_checkpoint(path, 5, TINY_ENC, {"a": np.zeros(3), "b": Unwritable()},
+                                      {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.msec"]
+        loaded = pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config(seed=7))
+        assert loaded.step == state.step
+
     def test_full_load_draws_no_random_init(self, tmp_path, monkeypatch):
         state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=7))
         pretrain.train_step(state, random_batch(np.random.default_rng(6)), epoch=0)
