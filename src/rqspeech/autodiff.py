@@ -18,13 +18,13 @@ to check gradients.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import functools
 import glob
 import os
 import queue
-import threading
 
 import numpy as np
 
@@ -343,12 +343,12 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
 
     ``x`` is (rows, H), ``w`` (H, N*V), ``b`` (N*V,) and ``labels`` (rows, N)
     integers. The value is ``cross_entropy_mean`` of ``linear(x, w, b)``
-    reshaped to (rows, N, V), but the op runs one codebook at a time in one
-    reused (rows, V) buffer, so the (rows, N*V) logits are never held (the
-    blockwise loss of Wijmans et al., 2024). When the tape records, the
-    gradients are computed in the same pass and the backward only scales them.
-    On two cores the codebooks run on two threads (``_codebooks_in_order``);
-    parts are added in codebook order, so the bits do not depend on the split.
+    reshaped to (rows, N, V), but the op runs one codebook at a time in a
+    (rows, V) block, so the (rows, N*V) logits are never held (the blockwise
+    loss of Wijmans et al., 2024). When the tape records, the gradients are
+    computed in the same pass and the backward only scales them. On two cores
+    the codebooks run on two threads (``_codebook_map``); parts are added in
+    codebook order, so the bits do not depend on the split.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels)
@@ -367,26 +367,32 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     dtype = np.result_type(x.data, w.data, b.data)
     x1 = np.concatenate([x.data, np.ones((rows, 1), dtype)], axis=1, dtype=dtype)
     wb = np.concatenate([w.data, b.data[None]], axis=0, dtype=dtype)
-    buf = np.empty((rows, vocab), dtype)
     scale = 1.0 / count if recording else None
     if recording:
         gx = np.zeros(x.data.shape, dtype)
         gwb = np.empty(wb.shape, dtype)
+    blocks = queue.SimpleQueue()  # free (rows, V) blocks, one per thread
 
-    def codebook(j, z):
-        # codebook j's summed NLL through the (rows, V) buffer z; when the tape
-        # records, its gwb columns are written and its gx part is returned
-        cols = slice(j * vocab, (j + 1) * vocab)
-        np.matmul(x1, wb[:, cols], out=z)
-        nll = _softmax_xent(z, labels[:, j], scale)
-        if not recording:
-            return nll, None
-        gwb[:, cols] = x1.T @ z
-        return nll, z @ w.data[:, cols].T
+    def codebook(j):
+        # codebook j's summed NLL in a free block; when the tape records, its
+        # gwb columns are written and its gx part is returned
+        z = blocks.get()
+        try:
+            cols = slice(j * vocab, (j + 1) * vocab)
+            np.matmul(x1, wb[:, cols], out=z)
+            nll = _softmax_xent(z, labels[:, j], scale)
+            if not recording:
+                return nll, None
+            gwb[:, cols] = x1.T @ z
+            return nll, z @ w.data[:, cols].T
+        finally:
+            blocks.put(z)
 
     nll = 0.0
-    with contextlib.closing(_codebooks_in_order(codebook, num_codebooks, buf)) as parts:
-        for part_nll, part_gx in parts:
+    with _codebook_map(num_codebooks) as (mapped, threads):
+        for _ in range(threads):  # here, not in the pool: see _codebook_map
+            blocks.put(np.empty((rows, vocab), dtype))
+        for part_nll, part_gx in mapped(codebook, range(num_codebooks)):
             nll += part_nll
             if recording:
                 gx += part_gx
@@ -395,59 +401,30 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
                                             gwb[-1] * float(g)))
 
 
-def _codebooks_in_order(run, n, buf):
-    """Yield ``run(j, z)`` for j = 0 .. n-1, in that order.
+@contextlib.contextmanager
+def _codebook_map(n):
+    """``(map, threads)`` for the head's ``n`` codebooks.
 
-    With two usable cores and numpy's OpenBLAS at hand, the calling thread
-    runs the even j in ``buf`` while one worker thread runs the odd j in a
-    buffer of its own, and OpenBLAS is held at one thread meanwhile. Each
-    result is bit-identical to a serial run at one BLAS thread. The worker
-    calls only ``run``; its exceptions are re-raised here.
+    With two usable cores and numpy's OpenBLAS at hand, ``map`` is the
+    ordered map of a two-thread pool, and OpenBLAS is held at one thread
+    meanwhile; otherwise it is the builtin ``map`` on one thread. Each result
+    is bit-identical to a serial run at one BLAS thread. The caller allocates
+    the blocks the tasks share: blocks allocated on pool threads cost
+    measurably more peak memory.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     blas = _openblas_threads() if n > 1 and (cores or 1) > 1 else None
     if blas is None:
-        for j in range(n):
-            yield run(j, buf)
+        yield map, 1
         return
-    handoff = queue.Queue(maxsize=1)  # bounds how far the worker runs ahead
-    stop = threading.Event()
-
-    def worker():
-        try:
-            z = np.empty_like(buf)
-            for j in range(1, n, 2):
-                if stop.is_set():
-                    return
-                handoff.put(run(j, z))
-        except BaseException as exc:  # re-raised by the caller
-            handoff.put(exc)
-
-    def odd():
-        item = handoff.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
     get_threads, set_threads = blas
     saved = get_threads()
     set_threads(1)
-    thread = threading.Thread(target=worker, name="multi_softmax_nll", daemon=True)
+    pool = concurrent.futures.ThreadPoolExecutor(2, "multi_softmax_nll")
     try:
-        thread.start()
-        for j in range(0, n, 2):
-            mine = run(j, buf)
-            if j:
-                yield odd()
-            yield mine
-        if n % 2 == 0:
-            yield odd()
+        yield pool.map, 2
     finally:
-        stop.set()
-        with contextlib.suppress(queue.Empty):
-            while True:  # frees a worker blocked on a full handoff
-                handoff.get_nowait()
-        thread.join()
+        pool.shutdown(cancel_futures=True)  # joins the threads
         set_threads(saved)
 
 

@@ -61,7 +61,7 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
                         break
                 epoch += 1
     except (pretrain.NonFiniteLossError, pretrain.LabelCacheError,
-            finetune.InfeasibleTargetError, FileNotFoundError) as err:
+            finetune.InfeasibleTargetError, datapipe.UtteranceError) as err:
         save()
         return _fail(1, str(err))
     save()
@@ -212,9 +212,9 @@ def cmd_decode(args) -> int:
     lines = []
     for utt in index.entries:
         try:
-            w = frontend.load_16k(utt.path)
-        except frontend.WavError as err:
-            return _fail(1, f"utterance {utt.utt_id}: {err}")
+            w = datapipe.load_utterance(utt)
+        except datapipe.UtteranceError as err:
+            return _fail(1, str(err))
         mel = frontend.log_mel(w)
         text = finetune.transcribe(state, mel[None], np.array([mel.shape[0]]),
                                    beam_width=beam)[0]

@@ -33,6 +33,10 @@ DEFAULT_NUM_BUCKETS = 6
 DEFAULT_TOKENS_PER_BATCH = 16000  # Mel frames per batch (~160 s of audio)
 
 
+class UtteranceError(ValueError):
+    """An utterance whose audio is unreadable or too short, found on loading."""
+
+
 @dataclass(frozen=True)
 class Utterance:
     utt_id: str
@@ -230,6 +234,20 @@ def schedule_epoch(spec: BucketSpec, index: CorpusIndex, seed: int,
     return out
 
 
+def load_utterance(utt: Utterance) -> frontend.Waveform:
+    """The utterance's audio at 16 kHz; an UtteranceError naming it when the
+    file is unreadable or holds less than MIN_DURATION_S of audio, which its
+    declared duration may hide."""
+    try:
+        w = frontend.load_16k(utt.path)
+    except frontend.WavError as err:
+        raise UtteranceError(f"utterance {utt.utt_id} unreadable at {utt.path}: {err}") from err
+    if w.duration < MIN_DURATION_S:
+        raise UtteranceError(f"utterance {utt.utt_id} at {utt.path} holds {w.duration:.4f} s "
+                             f"of audio, less than the {MIN_DURATION_S} s minimum")
+    return w
+
+
 def load_batch(desc: BatchDescriptor, spec: BucketSpec, seed: int) -> Batch:
     """Decode, resample, crop, and featurize one batch; pad to the bucket max."""
     bucket = spec.buckets[desc.bucket_id]
@@ -239,11 +257,7 @@ def load_batch(desc: BatchDescriptor, spec: BucketSpec, seed: int) -> Batch:
     cropped = np.zeros(len(desc.utterances), dtype=bool)
     ids = []
     for i, utt in enumerate(desc.utterances):
-        try:
-            w = frontend.load_16k(utt.path)
-        except frontend.WavError as err:
-            raise FileNotFoundError(
-                f"utterance {utt.utt_id} unreadable at {utt.path}: {err}") from err
+        w = load_utterance(utt)
         cropped[i] = w.duration > MAX_DURATION_S
         w = crop(w, MAX_DURATION_S, seed, desc.epoch, utt.utt_id)
         mel = frontend.log_mel(w)

@@ -443,8 +443,8 @@ def load_finetune_checkpoint(path) -> FinetuneState:
 
 
 def read_transcripts(path) -> dict:
-    """Transcript manifest: one "id<TAB>text" per line, UTF-8."""
-    out = {}
+    """Transcript manifest: one "id<TAB>text" per line, UTF-8, each id once."""
+    out, first_line = {}, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -453,5 +453,9 @@ def read_transcripts(path) -> dict:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected id<TAB>text")
             utt_id, text = line.split("\t", 1)
+            if utt_id in first_line:
+                raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
+                                 f"line {first_line[utt_id]}")
+            first_line[utt_id] = lineno
             out[utt_id] = text
     return out

@@ -8,9 +8,9 @@ gradient-norm clipping at 1.0, and no weight decay.
 
 Checkpoints (format "MSEC") carry every named tensor (encoder + head + Adam
 moments), the step counter, and the run configuration; finetune checkpoints
-go through the same writer and restore helpers. Three load modes:
-``full`` restores everything, ``feature_extractor_only`` restores just the
-``extractor.*`` tensors, ``none`` restores nothing. The quantizer is always
+go through the same writer and restore helpers. Two load modes: ``full``
+restores everything, ``feature_extractor_only`` restores just the
+``extractor.*`` tensors; a fresh run loads nothing. The quantizer is always
 rebuilt from the seed and config of the *current* run.
 """
 

@@ -204,7 +204,8 @@ def read_label_cache(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", errors="replace").split()
-        if len(header) != 4 or header[0] != "MSEQ1":
+        if (len(header) != 4 or header[0] != "MSEQ1"
+                or not all(tok.isdigit() for tok in header[1:])):
             raise ValueError(f"not a label cache file: {path}")
         l, n, v = (int(tok) for tok in header[1:])
         payload = f.read()

@@ -56,15 +56,18 @@ tokens_per_batch = 400
 """, encoding="utf-8")
 
 
-def truncate_after_step(monkeypatch, module, step_fn, step, wav):
-    """Patch ``module.<step_fn>`` to cut ``wav`` to 30 bytes once the run has
-    completed ``step`` steps, so a later batch finds it unreadable."""
+def truncate_after_step(monkeypatch, module, step_fn, step, wav, samples=None):
+    """Patch ``module.<step_fn>`` to cut ``wav`` to 30 bytes, or with
+    ``samples`` to a WAV of that many samples, once the run has completed
+    ``step`` steps, so a later batch finds it unreadable or too short."""
     real = getattr(module, step_fn)
 
     def patched(state, *args):
         out = real(state, *args)
-        if state.step == step:
+        if state.step == step and samples is None:
             wav.write_bytes(wav.read_bytes()[:30])
+        elif state.step == step:
+            frontend.write_wav(wav, np.zeros(samples), 16000)
         return out
 
     monkeypatch.setattr(module, step_fn, patched)
@@ -336,6 +339,31 @@ class TestPretrainCommand:
                                          cfg.encoder_config(), cfg.pretrain_config())
         assert 2 <= state.step == len(rows) < 50
 
+    @pytest.mark.parametrize("samples", [300, 1000])
+    def test_short_wav_mid_run_saves_final_and_exits_1(self, tmp_path, capsys,
+                                                       monkeypatch, samples):
+        # the manifest declares 0.9 s, the file later holds too few samples
+        # for one Mel frame (300) or for the encoder's 8 input frames (1000)
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9, 1.2])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("".join(f"utt{i:02d}\t{corpus / f'utt{i:02d}.wav'}\t{d}\n"
+                                    for i, d in enumerate([0.6, 0.9, 1.2])))
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir, total_steps=50)
+        cfg_path.write_text(cfg_path.read_text().replace(f"root = {corpus}",
+                                                         f"manifest = {manifest}"))
+        truncate_after_step(monkeypatch, pretrain, "train_step", 2, corpus / "utt01.wav",
+                            samples)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 1
+        assert "utterance utt01 at " in capsys.readouterr().err
+        rows = (out_dir / "metrics.csv").read_text().strip().splitlines()[1:]
+        cfg = cfgmod.load_config(cfg_path)
+        state = pretrain.load_checkpoint(out_dir / "final.msec", "full",
+                                         cfg.encoder_config(), cfg.pretrain_config())
+        assert 2 <= state.step == len(rows) < 50
+
     def test_non_finite_loss_mid_run_saves_final_and_exits_1(self, tmp_path, capsys,
                                                              monkeypatch):
         corpus = tmp_path / "corpus"
@@ -591,6 +619,19 @@ class TestDecodeAndScore:
         assert main(["score", "--refs", str(trans), "--hyps", str(partial)]) == 2
         assert "utt02" in capsys.readouterr().err
 
+    def test_repeated_transcript_id_exit_2(self, finetuned_setup, capsys):
+        _, _, trans, base = finetuned_setup
+        dup = base / "dup.tsv"
+        dup.write_text(trans.read_text() + "utt00\tb\n", encoding="utf-8")
+        assert main(["score", "--refs", str(trans), "--hyps", str(dup)]) == 2
+        assert "dup.tsv:4: utterance id 'utt00' repeats line 1" in capsys.readouterr().err
+        cfg = base / "ft_dup.ini"
+        cfg.write_text((base / "ft.ini").read_text().replace(str(trans), str(dup)).replace(
+            str(base / "ft_out"), str(base / "ft_dup")), encoding="utf-8")
+        assert main(["finetune", "--config", str(cfg)]) == 2
+        assert "dup.tsv:4: utterance id 'utt00' repeats line 1" in capsys.readouterr().err
+        assert not (base / "ft_dup").exists()
+
     def test_finetune_infeasible_transcript_exit_1(self, finetuned_setup, tmp_path, capsys):
         # a transcript far longer than the utterance's label frames cannot align
         _, _, _, base = finetuned_setup
@@ -690,6 +731,17 @@ tokens_per_batch = 1000
             bad.write_text(f"{utt_id}\t{wav}\t{duration}\n")
             assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(bad)]) == 2
             assert "cannot read manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [300, 1000])
+    def test_decode_short_wav_exit_1_naming_it(self, finetuned_setup, capsys, samples):
+        ckpt, manifest, _, tmp = finetuned_setup
+        short = tmp / "short.wav"
+        frontend.write_wav(short, np.zeros(samples), 16000)
+        bad = tmp / "short.tsv"
+        bad.write_text(manifest.read_text() + f"short\t{short}\t1.0\n")
+        assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(bad)]) == 1
+        assert (f"utterance short at {short} holds {samples / 16000:.4f} s of audio, "
+                "less than the 0.3 s minimum") in capsys.readouterr().err
 
     def test_decode_corrupt_checkpoint_exit_1(self, finetuned_setup):
         ckpt, manifest, _, tmp = finetuned_setup

@@ -233,7 +233,7 @@ class TestLoadBatch:
         spec = datapipe.build_buckets(index, num_buckets=1, tokens_per_batch=1000)
         desc = datapipe.schedule_epoch(spec, index, seed=0, epoch=0)[0]
         (tmp_path / "u000.wav").unlink()
-        with pytest.raises(FileNotFoundError, match="u000"):
+        with pytest.raises(datapipe.UtteranceError, match="u000"):
             datapipe.load_batch(desc, spec, seed=0)
 
     def test_worker_count_does_not_change_output(self, tmp_path):

@@ -645,3 +645,9 @@ class TestTranscriptManifest:
         path.write_text("no-tab-here\n")
         with pytest.raises(ValueError, match="id<TAB>text"):
             finetune.read_transcripts(path)
+
+    def test_repeated_id_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("a\thello\nb\tok\na\tworld\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="dup.tsv:3: utterance id 'a' repeats line 1"):
+            finetune.read_transcripts(path)

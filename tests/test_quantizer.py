@@ -304,6 +304,13 @@ class TestLabelCache:
         with pytest.raises(ValueError, match="truncated"):
             quantizer.read_label_cache(path)
 
+    @pytest.mark.parametrize("header", [b"MSEQ1 2 x 16", b"MSEQ1 2 2 1.5", b"MSEQ1 -1 2 16"])
+    def test_non_integer_header_field_names_path(self, tmp_path, header):
+        path = tmp_path / "h.lab"
+        path.write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(ValueError, match=f"not a label cache file: {path}"):
+            quantizer.read_label_cache(path)
+
     def test_oversized_vocab_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="65536"):
             quantizer.write_label_cache(tmp_path / "v.lab", np.zeros((1, 1), np.int32), 70000)
