@@ -199,6 +199,9 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if not args.greedy and args.beam < 1:
+        return _fail(2, f"--beam must be >= 1, got {args.beam}; use --greedy "
+                        "for greedy decoding")
     try:
         state = finetune.load_finetune_checkpoint(args.ckpt)
     except pretrain.CheckpointError as err:
@@ -216,8 +219,11 @@ def cmd_decode(args) -> int:
         except datapipe.UtteranceError as err:
             return _fail(1, str(err))
         mel = frontend.log_mel(w)
-        text = finetune.transcribe(state, mel[None], np.array([mel.shape[0]]),
-                                   beam_width=beam)[0]
+        try:
+            text = finetune.transcribe(state, mel[None], np.array([mel.shape[0]]),
+                                       beam_width=beam)[0]
+        except FloatingPointError as err:
+            return _fail(1, f"utterance {utt.utt_id}: {err}")
         lines.append(f"{utt.utt_id}\t{text}")
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.out:

@@ -11,7 +11,11 @@ The CTC loss is the exact forward recursion in log space, one autodiff node
 offers per-frame greedy collapse and a prefix beam search that merges
 equivalent prefixes by log-sum-exp. Both are vectorised: the greedy collapse
 is one mask over the argmax path, and the beam search scores each frame as
-one (beams × vocabulary) numpy grid. No language model.
+one (beams × vocabulary) numpy grid. Its prefixes are integer nodes of a
+trie, so a frame costs the same however long the prefixes are: one integer
+lookup per beam finds the extensions that equal a kept prefix, one
+vectorised log-sum-exp folds them in, and one stable argsort picks the
+survivors. No language model.
 """
 
 from __future__ import annotations
@@ -172,9 +176,13 @@ class Hypothesis:
 
 
 def _decoder_input(logprobs) -> np.ndarray:
+    """The (frames, vocab) array; NaN or +inf, which no log-probability can
+    be, raises FloatingPointError."""
     lp = logprobs.data if isinstance(logprobs, Tensor) else np.asarray(logprobs)
     if lp.ndim != 2:
         raise ValueError(f"logprobs must be 2-D (frames, vocab), got shape {lp.shape}")
+    if not np.all(lp < np.inf):
+        raise FloatingPointError("log-probs hold NaN or +inf")
     return lp
 
 
@@ -195,55 +203,98 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
     itself, column c >= 1 is the prefix extended by symbol c. An extension
     that equals another kept prefix is folded into that prefix's column 0.
     The ``beam_width`` best candidates survive, ties going to the earlier
-    candidate in prefix-then-symbol order.
+    candidate in prefix-then-symbol order; a folded prefix counts as found
+    at the earlier of its own slot and its extension's.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     lp = np.asarray(_decoder_input(logprobs), dtype=np.float64)
     vocab = lp.shape[1]
-    prefixes = [()]
-    last = np.array([-1])          # last symbol of each prefix; -1 when empty
+    # each prefix is one node of a trie: node 0 is the empty prefix, node n
+    # extends node parent[n] by symbol[n], and child[(n, c)] finds it again
+    parent, symbol, child = [-1], [BLANK_ID], {}
+    nodes = [0]                    # the prefix node of each beam
+    # last symbol of each prefix; blank for the empty one, whose pnb stays
+    # -inf and whose column 0 is overwritten
+    last = np.array([BLANK_ID])
     pb = np.array([0.0])           # log P(prefix, path ends in blank)
     pnb = np.array([NEG_INF])      # log P(prefix, path ends in its last symbol)
     total = np.logaddexp(pb, pnb)
+    kth = vocab - beam_width       # where row 0's beam_width-th largest partitions
     for frame in lp:
-        ended = np.flatnonzero(last >= 0)
         # column c >= 1 appends c; repeating the last symbol needs a blank in
         # between, so only the paths that end in blank extend by it
         grid = total[:, None] + frame
-        grid[ended, last[ended]] = pb[ended] + frame[last[ended]]
+        repeat = frame[last]
+        grid[np.arange(len(nodes)), last] = pb + repeat
         blank = total + frame[BLANK_ID]
-        stay = np.where(last >= 0, pnb + frame[last], NEG_INF)  # repeat collapses
+        stay = pnb + repeat        # the repeat collapses
 
-        # an extension of beam i that equals beam j merges into (j, 0) and
-        # sorts where the first of the two was found
-        position = np.arange(grid.size).reshape(grid.shape)
-        keep = np.ones(grid.shape, dtype=bool)
-        index = {prefix: i for i, prefix in enumerate(prefixes)}
-        for j, prefix in enumerate(prefixes):
-            i = index.get(prefix[:-1]) if prefix else None
+        # beam j merges with the extension of its parent's beam i by its last
+        # symbol: one lookup per beam finds i
+        beam_of = {n: i for i, n in enumerate(nodes)}
+        js, ext = [], []
+        for j, n in enumerate(nodes):
+            i = beam_of.get(parent[n])
             if i is not None:
-                c = prefix[-1]
-                if grid[i, c] != NEG_INF:
-                    stay[j] = np.logaddexp(stay[j], grid[i, c])
-                keep[i, c] = False
-                position[j, 0] = min(position[j, 0], position[i, c])
+                js.append(j)
+                ext.append(i * vocab + symbol[n])
+        flat = grid.ravel()
+        if js:
+            merged = flat[ext]
+            into = stay[js]
+            np.logaddexp(into, merged, out=into, where=merged != NEG_INF)
+            stay[js] = into
         grid[:, 0] = np.logaddexp(blank, stay)
+        # the sum takes the earlier of its two slots, the other gets NaN
+        moved = {}                 # extension slot -> beam whose sum sorts there
+        for j, e in zip(js, ext):
+            own = j * vocab
+            if e < own:
+                moved[e] = j
+                flat[e], flat[own] = flat[own], np.nan
+            else:
+                flat[e] = np.nan
 
-        candidates = np.flatnonzero(keep)
-        scores = grid.ravel()[candidates]
-        order = np.lexsort((position.ravel()[candidates], -scores))[:beam_width]
-        src, sym = np.divmod(candidates[order], vocab)
-        extended = sym > 0
-        prefixes = [prefixes[i] + (c,) if c else prefixes[i]
-                    for i, c in zip(src.tolist(), sym.tolist())]
-        total = scores[order]
-        pb = np.where(extended, NEG_INF, blank[src])
-        pnb = np.where(extended, total, stay[src])
-        last = np.where(extended, sym, last[src])
+        # row 0 has no NaN slot, so at least beam_width candidates reach its
+        # beam_width-th largest value and only those can survive; NaN never
+        # does, and the stable sort keeps ties in slot order
+        floor = np.partition(flat[:vocab], kth)[kth] if kth >= 0 else NEG_INF
+        reach = (flat >= floor).nonzero()[0]
+        order = reach[(-flat[reach]).argsort(kind="stable")[:beam_width]]
+        total = flat[order]
+
+        blank_l, stay_l, last_l = blank.tolist(), stay.tolist(), last.tolist()
+        next_nodes, pb_l, pnb_l, next_last = [], [], [], []
+        for slot, score in zip(order.tolist(), total.tolist()):
+            i = moved.get(slot)
+            i, c = divmod(slot, vocab) if i is None else (i, BLANK_ID)
+            n = nodes[i]
+            if c:
+                key = (n, c)
+                n = child.get(key)
+                if n is None:
+                    n = child[key] = len(parent)
+                    parent.append(key[0])
+                    symbol.append(c)
+                pb_l.append(NEG_INF)
+                pnb_l.append(score)
+                next_last.append(c)
+            else:
+                pb_l.append(blank_l[i])
+                pnb_l.append(stay_l[i])
+                next_last.append(last_l[i])
+            next_nodes.append(n)
+        nodes = next_nodes
+        pb, pnb, last = np.array(pb_l), np.array(pnb_l), np.array(next_last)
 
     # survivors are sorted best first
-    return Hypothesis(tokens=prefixes[0], log_prob=float(total[0]))
+    tokens = []
+    n = nodes[0]
+    while n:
+        tokens.append(symbol[n])
+        n = parent[n]
+    return Hypothesis(tokens=tuple(reversed(tokens)), log_prob=float(total[0]))
 
 
 # scoring -----------------------------------------------------------------------

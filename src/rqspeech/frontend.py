@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400
@@ -251,9 +252,12 @@ def log_mel(w: Waveform) -> np.ndarray:
     x = np.asarray(w.samples, dtype=np.float64)
     t = num_frames(len(x))
 
-    starts = np.arange(t) * HOP_SAMPLES
-    frames = x[starts[:, None] + np.arange(WINDOW_SAMPLES)[None, :]] * _HANN
+    # windowing a strided view copies each frame once, with no gather index
+    frames = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES][:t] * _HANN
     spec = np.fft.rfft(frames, n=FFT_SIZE, axis=1)
-    power = spec.real**2 + spec.imag**2
-    mel_power = power @ _FILTERBANK.T
-    return np.log(np.maximum(mel_power, LOG_FLOOR)).astype(np.float32)
+    # square the real and imaginary parts in the spectrum's own memory
+    parts = spec.view(np.float64).reshape(*spec.shape, 2)
+    np.square(parts, out=parts)
+    mel_power = (parts[..., 0] + parts[..., 1]) @ _FILTERBANK.T
+    np.maximum(mel_power, LOG_FLOOR, out=mel_power)
+    return np.log(mel_power, out=mel_power).astype(np.float32)

@@ -749,6 +749,32 @@ tokens_per_batch = 1000
         bad.write_bytes(ckpt.read_bytes()[:50])
         assert main(["decode", "--ckpt", str(bad), "--manifest", str(manifest)]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN is on purpose
+    @pytest.mark.parametrize("weight, message", [
+        ("layers.0.ffn1.w1.weight", "encoder produced non-finite values"),
+        ("ctc_head.weight", "log-probs hold NaN or +inf")])
+    def test_decode_non_finite_checkpoint_exit_1_naming_utterance(
+            self, finetuned_setup, capsys, weight, message):
+        ckpt, manifest, _, tmp = finetuned_setup
+        state = finetune.load_finetune_checkpoint(ckpt)
+        state.params[weight].data[0, 0] = np.nan
+        bad = tmp / "nan.msec"
+        finetune.save_finetune_checkpoint(state, bad)
+        out = tmp / "hyp.tsv"
+        assert main(["decode", "--ckpt", str(bad), "--manifest", str(manifest),
+                     "--out", str(out)]) == 1
+        assert f"error: utterance utt00: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beam", ["0", "-3"])
+    def test_decode_beam_below_one_exit_2_before_reading(self, tmp_path, capsys, beam):
+        out = tmp_path / "hyp.tsv"
+        assert main(["decode", "--ckpt", str(tmp_path / "absent.msec"),
+                     "--manifest", str(tmp_path / "absent.tsv"), "--out", str(out),
+                     "--beam", beam]) == 2
+        assert f"--beam must be >= 1, got {beam}; use --greedy" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decode_header_without_encoder_config_exit_1(self, finetuned_setup, capsys):
         ckpt, manifest, _, _ = finetuned_setup
         rewrite_checkpoint_header(ckpt, lambda h: h.pop("encoder_config"))

@@ -319,6 +319,25 @@ class TestBeamDecode:
         assert beam_decode(blank_only, 3).tokens == ()
         self.assert_matches_reference(random_logprobs(rng, 2, 3), 100)  # 7 candidates
 
+    def test_long_utterance_matches_reference(self):
+        self.assert_matches_reference(random_logprobs(np.random.default_rng(13), 2000, 6), 8)
+
+    def test_near_uniform_matches_reference(self):
+        # an untrained model: every prefix's extensions score alike, so beams
+        # that are one symbol apart both survive and merge on most frames
+        rng = np.random.default_rng(14)
+        lp = np.log(np.full((300, 30), 1 / 30)) + 1e-3 * rng.standard_normal((300, 30))
+        lp = lp - np.log(np.exp(lp).sum(axis=1, keepdims=True))
+        self.assert_matches_reference(lp, 8)
+        self.assert_matches_reference(lp.astype(np.float32), 8)
+
+    def test_width_above_candidate_count_matches_reference(self):
+        # every prefix survives, so from frame 2 on the empty prefix's
+        # extension by c merges with the prefix (c,)
+        rng = np.random.default_rng(15)
+        for t, v in [(2, 2), (3, 3), (4, 3), (5, 2), (3, 4)]:
+            self.assert_matches_reference(random_logprobs(rng, t, v), v ** t + 1)
+
     def test_tensor_input(self):
         lp = random_logprobs(np.random.default_rng(10), 5, 4)
         assert beam_decode(Tensor(lp), 4) == beam_decode(lp, 4)
@@ -330,6 +349,16 @@ class TestBeamDecode:
 def test_decoder_rejects_non_matrix(decode, shape):
     with pytest.raises(ValueError, match=f"2-D.*{re.escape(str(shape))}"):
         decode(np.zeros(shape))
+
+
+@pytest.mark.parametrize("decode", [greedy_decode, lambda lp: beam_decode(lp, 4)],
+                         ids=["greedy", "beam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decoder_rejects_nan_and_posinf(decode, bad):
+    lp = random_logprobs(np.random.default_rng(12), 5, 4)
+    lp[2, 1] = bad
+    with pytest.raises(FloatingPointError, match="NaN or \\+inf"):
+        decode(lp)
 
 
 class TestScore:

@@ -28,6 +28,20 @@ def naive_log_mel(samples):
     return out
 
 
+def gather_log_mel(samples):
+    """``log_mel`` as computed with one gather index per frame sample, kept as
+    the reference that the strided-view framing must equal bit for bit."""
+    x = np.asarray(samples, dtype=np.float64)
+    t = frontend.num_frames(len(x))
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(400) / 400)
+    starts = np.arange(t) * 160
+    frames = x[starts[:, None] + np.arange(400)[None, :]] * win
+    spec = np.fft.rfft(frames, n=512, axis=1)
+    power = spec.real**2 + spec.imag**2
+    mel_power = power @ frontend.mel_filterbank().T
+    return np.log(np.maximum(mel_power, 1e-10)).astype(np.float32)
+
+
 class TestLoadAudio:
     def test_mono_one_second(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -168,6 +182,13 @@ class TestLogMel:
         got = frontend.log_mel(Waveform(x, 16000)).astype(np.float64)
         want = naive_log_mel(x)
         assert np.allclose(got, want, atol=1e-4)
+
+    @pytest.mark.parametrize("n", [400, 401, 559, 560, 16000, 240000])
+    def test_bitwise_equal_to_gather_framing(self, n):
+        x = 0.3 * np.random.default_rng(n).standard_normal(n)
+        x[: n // 4] = 0.0  # floored frames as well
+        got = frontend.log_mel(Waveform(x, 16000))
+        assert got.tobytes() == gather_log_mel(x).tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
