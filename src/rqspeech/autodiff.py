@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps an ndarray and records the operation that produced it; calling
-``backward`` on a scalar result walks the tape in reverse topological order and
-accumulates gradients into every Tensor created with ``requires_grad=True``.
-Gradients are exact for the recorded computation graph, which is what the
+``backward`` on a scalar result walks the tape in reverse topological order
+(``_backprop``) and accumulates gradients into every Tensor created with
+``requires_grad=True``. The walk releases each node's closure once it has run,
+so a tape is walked once and its arrays are freed as the walk goes. Gradients
+are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: what the encoder and the losses need,
@@ -13,7 +15,8 @@ over channels and, given a mask, the conv block's norm over valid frames.
 Attention's relative shift and the convolution windows are strided read-only
 views, not gathers or K-fold copies; the windows op zero-pads its input
 itself. All ops keep dtype, so one graph runs in float32 to train and float64
-to check gradients.
+to check gradients. ``_pool_map`` is the one thread pool: the head maps its
+codebooks over it, and the encoder its two batch halves, forward and backward.
 """
 
 from __future__ import annotations
@@ -73,44 +76,55 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        if grad is None:
-            grad = np.ones_like(self.data)
-        # iterative DFS: a deep encoder stack records chains of nodes long
-        # enough to overflow the recursion limit
-        topo, seen = [], set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        grads = {id(self): np.asarray(grad, dtype=self.data.dtype)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not _needs_grad(parent):
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+        _backprop(self, np.ones_like(self.data) if grad is None else grad)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+def _backprop(root: Tensor, grad) -> None:
+    """Walk the tape from ``root`` in reverse topological order, seeded with
+    ``grad`` (cast to ``root``'s dtype), and accumulate into every Tensor with
+    ``requires_grad``. A node's closure and parents are released once it has
+    run, so each array the tape holds is freed as soon as the walk is past it;
+    a tape is walked once."""
+    # iterative DFS: a deep encoder stack records chains of nodes long
+    # enough to overflow the recursion limit
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(root): np.asarray(grad, dtype=root.data.dtype)}
+    while topo:
+        node = topo.pop()
+        parents, backward = node._parents, node._backward
+        if backward is not None:
+            node._parents, node._backward = (), None
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        if backward is None:
+            continue
+        for parent, pg in zip(parents, backward(g)):
+            if pg is None or not _needs_grad(parent):
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -347,7 +361,7 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     (rows, V) block, so the (rows, N*V) logits are never held (the blockwise
     loss of Wijmans et al., 2024). When the tape records, the gradients are
     computed in the same pass and the backward only scales them. On two cores
-    the codebooks run on two threads (``_codebook_map``); parts are added in
+    the codebooks run on two threads (``_pool_map``); parts are added in
     codebook order, so the bits do not depend on the split.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -389,8 +403,8 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
             blocks.put(z)
 
     nll = 0.0
-    with _codebook_map(num_codebooks) as (mapped, threads):
-        for _ in range(threads):  # here, not in the pool: see _codebook_map
+    with _pool_map(num_codebooks, "multi_softmax_nll") as (mapped, threads):
+        for _ in range(threads):  # here, not in the pool: see _pool_map
             blocks.put(np.empty((rows, vocab), dtype))
         for part_nll, part_gx in mapped(codebook, range(num_codebooks)):
             nll += part_nll
@@ -402,15 +416,19 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
 
 
 @contextlib.contextmanager
-def _codebook_map(n):
-    """``(map, threads)`` for the head's ``n`` codebooks.
+def _pool_map(n, name):
+    """``(map, threads)`` for ``n`` independent tasks: the head's codebooks
+    or the encoder's two batch halves.
 
     With two usable cores and numpy's OpenBLAS at hand, ``map`` is the
-    ordered map of a two-thread pool, and OpenBLAS is held at one thread
-    meanwhile; otherwise it is the builtin ``map`` on one thread. Each result
-    is bit-identical to a serial run at one BLAS thread. The caller allocates
-    the blocks the tasks share: blocks allocated on pool threads cost
-    measurably more peak memory.
+    ordered map of a two-thread pool whose threads are named after ``name``,
+    and OpenBLAS is held at one thread meanwhile; otherwise it is the builtin
+    ``map`` on one thread. Each result is bit-identical to a serial run at one
+    BLAS thread. A task enters through a private function, never through
+    ``encoder.encode`` or ``Tensor.backward``, so a tracer that keeps one
+    stack of open spans around those sees them on the calling thread only.
+    The caller allocates the buffers the tasks share: buffers allocated on
+    pool threads cost measurably more peak memory.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     blas = _openblas_threads() if n > 1 and (cores or 1) > 1 else None
@@ -420,7 +438,7 @@ def _codebook_map(n):
     get_threads, set_threads = blas
     saved = get_threads()
     set_threads(1)
-    pool = concurrent.futures.ThreadPoolExecutor(2, "multi_softmax_nll")
+    pool = concurrent.futures.ThreadPoolExecutor(2, name)
     try:
         yield pool.map, 2
     finally:

@@ -44,18 +44,21 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
 
     ``step`` returns its metrics row, or None when it made no update. It
     raises before any update, so a failed batch saves the last completed step.
+    An epoch without any update would repeat forever, so it saves and fails.
     """
     spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
                                   cfg["datapipe"]["tokens_per_batch"])
-    epoch = 0
+    epoch, stalled = 0, False
     try:
         with metrics:
-            while state.step < total:
+            while state.step < total and not stalled:
+                stalled = True
                 for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
                                                  workers=cfg["datapipe"]["workers"]):
                     m = step(batch, epoch)
                     if m is None:
                         continue
+                    stalled = False
                     metrics.write(m)
                     if state.step >= total:
                         break
@@ -65,6 +68,9 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
         save()
         return _fail(1, str(err))
     save()
+    if stalled:
+        return _fail(1, f"epoch {epoch - 1} made no update: no batch had a training "
+                        f"target; stopped at step {state.step}")
     return 0
 
 
@@ -173,7 +179,8 @@ def cmd_finetune(args) -> int:
         ckpt = cfg.require("finetune", "checkpoint")
         transcripts_path = cfg.require("corpus", "transcripts")
         index = _load_index(cfg)
-        transcripts = finetune.read_transcripts(transcripts_path)
+        transcripts = finetune.read_transcripts(
+            transcripts_path, need_text={u.utt_id for u in index.entries})
     except (ValueError, OSError) as err:
         return _fail(2, str(err))
     missing = [u.utt_id for u in index.entries if u.utt_id not in transcripts]

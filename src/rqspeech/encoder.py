@@ -19,6 +19,10 @@ Layout conventions:
 
 Frames past each utterance's valid length are zeroed before any op that mixes
 across time, which makes batched and solo forwards agree on the valid region.
+
+Because nothing mixes utterances, a large batch runs as two fixed halves on
+two cores (``_encode_halves``) with the whole batch's output bits; the halves
+are one tape node, and the gradient bits depend on the fixed partition only.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from .seeding import keyed_rng
 LN_EPS = 1e-5
 CONV_NORM_EPS = 1e-5
 MIN_INPUT_FRAMES = 8  # two stride-2 convolutions need at least one output frame
+# a batch with at least this many padded label frames (B * T // 4) runs as two
+# halves on two cores; below it, thread start-up and the halves' second tape
+# walk cost more than the second core gains
+_SPLIT_MIN_FRAMES = 1024
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,9 @@ def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarra
 
     ``mel`` is a (B, T, 80) log-Mel batch and ``lengths`` its B valid frame
     counts; frames past a valid length do not change the output. Every layer
-    state is retained for ``weighted_sum``.
+    state is retained for ``weighted_sum``. A batch of two or more utterances
+    with at least ``_SPLIT_MIN_FRAMES`` padded label frames runs as two halves
+    on two cores (``_encode_halves``), with the same output bits.
     """
     mel = np.asarray(mel)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -263,6 +273,14 @@ def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarra
                          f"got shapes {mel.shape} and {lengths.shape}")
     if int(lengths.min()) < MIN_INPUT_FRAMES:
         raise ValueError(f"utterance too short: need >= {MIN_INPUT_FRAMES} input frames")
+    if len(lengths) < 2 or len(lengths) * (mel.shape[1] // 4) < _SPLIT_MIN_FRAMES:
+        return _encode(params, cfg, mel, lengths, train, rng)
+    return _encode_halves(params, cfg, mel, lengths, train, rng)
+
+
+def _encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,
+            train: bool, rng) -> EncoderOutput:
+    """``encode``'s body on an already checked batch."""
     x, lengths = _extract(params, mel, lengths)
     l, dtype = x.shape[1], x.dtype
 
@@ -286,6 +304,60 @@ def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarra
     if not np.all(np.isfinite(final.data)):
         raise FloatingPointError("encoder produced non-finite values")
     return EncoderOutput(layer_states=states, final=final, lengths=lengths)
+
+
+def _encode_halves(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,
+                   train: bool, rng) -> EncoderOutput:
+    """``_encode`` of the utterances [0:ceil(B/2)] and the rest, one half per
+    pool thread (``ad._pool_map``), recorded as one node.
+
+    Each half runs on leaf Tensors of its own over the same parameter arrays,
+    so no two threads write one ``.grad``, and keeps the padded width. The
+    encoder is per utterance, so the node's data, every half's states and
+    final norm stacked and joined on the batch axis, holds the bits of the
+    whole batch's forward. The backward walks each half on the pool
+    (``ad._backprop``) and adds the halves' parameter gradients in half order,
+    so the gradient bits depend on this fixed partition, never on the core
+    count. With dropout, each half draws from its own ``rng.spawn(2)`` stream.
+    """
+    b = len(lengths)
+    halves = (slice(0, (b + 1) // 2), slice((b + 1) // 2, b))
+    names = list(param_shapes(cfg))
+    parents = [ad.as_tensor(params[name]) for name in names]
+    leaves = [[Tensor(p.data, requires_grad=ad._needs_grad(p)) for p in parents]
+              for _ in halves]
+    rngs = rng.spawn(2) if rng is not None else (None, None)
+
+    def forward(k):
+        out = _encode(dict(zip(names, leaves[k])), cfg, mel[halves[k]], lengths[halves[k]],
+                      train, rngs[k])
+        return out.layer_states + [out.final], out.lengths
+
+    with ad._pool_map(2, "encode") as (mapped, _):
+        outs = list(mapped(forward, (0, 1)))
+    final = outs[0][0][-1]
+    data = np.empty((len(outs[0][0]), b) + final.shape[1:], final.dtype)
+    roots = []
+    for sl, (states, _) in zip(halves, outs):
+        for i, state in enumerate(states):
+            data[i, sl] = state.data
+        # the half's walk starts here: row i of its gradient is state i's
+        roots.append(ad._make(data[:, sl], states, tuple))
+
+    def backward(g):
+        def walk(k):
+            ad._backprop(roots[k], g[:, halves[k]])
+            return [leaf.grad for leaf in leaves[k]]
+
+        with ad._pool_map(2, "encode") as (mapped, _):
+            grads = list(mapped(walk, (0, 1)))
+        return tuple(g0 if g1 is None else g1 if g0 is None else g0 + g1
+                     for g0, g1 in zip(*grads))
+
+    node = ad._make(data, parents, backward)
+    states = [ad.getitem(node, i) for i in range(len(data))]
+    return EncoderOutput(layer_states=states[:-1], final=states[-1],
+                         lengths=np.concatenate([half_lengths for _, half_lengths in outs]))
 
 
 def weighted_sum(layer_states: list, logits) -> Tensor:

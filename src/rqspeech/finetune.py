@@ -493,8 +493,12 @@ def load_finetune_checkpoint(path) -> FinetuneState:
     return state
 
 
-def read_transcripts(path) -> dict:
-    """Transcript manifest: one "id<TAB>text" per line, UTF-8, each id once."""
+def read_transcripts(path, need_text=()) -> dict:
+    """Transcript manifest: one "id<TAB>text" per line, UTF-8, each id once.
+
+    An id in ``need_text`` (a training utterance) must have a nonempty text;
+    any other text may be empty, as a hypothesis with no symbol is.
+    """
     out, first_line = {}, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -507,6 +511,9 @@ def read_transcripts(path) -> dict:
             if utt_id in first_line:
                 raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
                                  f"line {first_line[utt_id]}")
+            if not text and utt_id in need_text:
+                raise ValueError(f"{path}:{lineno}: utterance {utt_id!r} has an empty "
+                                 f"transcript")
             first_line[utt_id] = lineno
             out[utt_id] = text
     return out

@@ -26,6 +26,8 @@ class MaskConfig:
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("prob must be in [0, 1]")
+        if self.prob == 0.0:
+            raise ValueError("prob must be > 0: with no masked frame there is nothing to learn")
         if self.span_frames < 1:
             raise ValueError("span_frames must be >= 1")
         if self.noise_std <= 0:

@@ -248,6 +248,18 @@ class TestSemantics:
         y.backward(np.array([1.0]))
         assert np.isclose(x.grad[0], 5.0)
 
+    def test_backward_releases_the_walked_tape(self):
+        # each node drops its closure and parents once it has run, so the
+        # arrays the closures hold are freed during the walk
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        y = ad.sigmoid(ad.mul(x, x))
+        loss = ad.sum_(y)
+        loss.backward()
+        np.testing.assert_allclose(x.grad, 2 * x.data * y.data * (1 - y.data))
+        for node in (loss, y):
+            assert node._backward is None and node._parents == ()
+        assert x.requires_grad and x.grad is not None
+
     def test_no_grad_suppresses_tape(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         with ad.no_grad():

@@ -229,6 +229,47 @@ class TestPretrainCommand:
         assert "manifest.tsv:1: duration 'abc' is not a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def guard_steps(monkeypatch, limit):
+        """Make ``pretrain.train_step`` raise after ``limit`` calls, so a run
+        that loops without end fails instead of hanging."""
+        real, calls = pretrain.train_step, []
+
+        def guarded(state, *args):
+            calls.append(state.step)
+            if len(calls) > limit:
+                raise AssertionError(f"train_step called {len(calls)} times")
+            return real(state, *args)
+        monkeypatch.setattr(pretrain, "train_step", guarded)
+        return calls
+
+    def write_mask_prob_config(self, tmp_path, prob):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        path = tmp_path / "c.ini"
+        write_pretrain_config(path, corpus, tmp_path / "out")
+        path.write_text(path.read_text().replace("prob = 0.4", f"prob = {prob}"))
+        return path
+
+    def test_zero_mask_prob_exit_2_before_output(self, tmp_path, capsys, monkeypatch):
+        calls = self.guard_steps(monkeypatch, 0)
+        path = self.write_mask_prob_config(tmp_path, "0")
+        assert main(["pretrain", "--config", str(path)]) == 2
+        assert "[masking] prob must be > 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_epoch_without_update_saves_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        # at this prob no utterance draws a mask start, so no batch has a target
+        calls = self.guard_steps(monkeypatch, 50)
+        path = self.write_mask_prob_config(tmp_path, "1e-300")
+        assert main(["pretrain", "--config", str(path)]) == 1
+        assert "epoch 0 made no update" in capsys.readouterr().err
+        assert 0 < len(calls) <= 2 and set(calls) == {0}
+        assert metric_steps(tmp_path / "out" / "metrics.csv") == []
+        header, _ = pretrain.read_checkpoint(tmp_path / "out" / "final.msec")
+        assert header["step"] == 0
+
     def test_smoke_produces_artifacts(self, tmp_path):
         corpus = tmp_path / "corpus"
         write_corpus(corpus, [0.6, 0.9, 1.2])
@@ -631,6 +672,21 @@ class TestDecodeAndScore:
         assert main(["finetune", "--config", str(cfg)]) == 2
         assert "dup.tsv:4: utterance id 'utt00' repeats line 1" in capsys.readouterr().err
         assert not (base / "ft_dup").exists()
+
+    def test_finetune_empty_transcript_exit_2_before_output(self, finetuned_setup, capsys):
+        _, _, trans, base = finetuned_setup
+        empty = base / "empty.tsv"
+        empty.write_text(trans.read_text().replace("utt01\tba", "utt01\t"), encoding="utf-8")
+        cfg = base / "ft_empty.ini"
+        cfg.write_text((base / "ft.ini").read_text().replace(str(trans), str(empty)).replace(
+            str(base / "ft_out"), str(base / "ft_empty")), encoding="utf-8")
+        assert main(["finetune", "--config", str(cfg)]) == 2
+        assert "empty.tsv:2: utterance 'utt01' has an empty transcript" in \
+            capsys.readouterr().err
+        assert not (base / "ft_empty").exists()
+        # an empty hypothesis is a decoding result, and scores as all deletions
+        assert main(["score", "--refs", str(trans), "--hyps", str(empty)]) == 0
+        assert "CER 25.00" in capsys.readouterr().out
 
     def test_finetune_infeasible_transcript_exit_1(self, finetuned_setup, tmp_path, capsys):
         # a transcript far longer than the utterance's label frames cannot align

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from rqspeech import autodiff as ad
 from rqspeech import encoder
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
+
+from conftest import blas_thread_count
 
 TINY = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, conv_kernel=5, dropout=0.0)
 
@@ -474,3 +480,191 @@ class TestParamCount:
         assert set(breakdown) == set(params)
         for name, n in breakdown.items():
             assert params[name].size == n
+
+
+SPLIT_CFG = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2)
+
+
+def split_problem(dtype=np.float32, b=5):
+    rng = np.random.default_rng(11)
+    mel = rng.standard_normal((b, 60, 80)).astype(dtype)
+    lengths = np.array([60, 13, 41, 60, 8, 27, 33][:b])
+    probe = rng.standard_normal((b, 15, SPLIT_CFG.hidden)).astype(dtype)
+    return encoder.init_encoder_params(SPLIT_CFG, 7, dtype), mel, lengths, probe
+
+
+def run_encoder(monkeypatch, split, arrays, mel, lengths, probe, cfg=SPLIT_CFG, **kw):
+    """Outputs and parameter gradients of one forward and backward, with the
+    batch split into halves or not."""
+    monkeypatch.setattr(encoder, "_SPLIT_MIN_FRAMES", 0 if split else 1 << 62)
+    params = encoder.params_to_tensors(arrays)
+    out = encoder.encode(params, cfg, mel, lengths, **kw)
+    ad.sum_(ad.mul(out.final, probe)).backward()
+    return out, {name: t.grad for name, t in params.items()}
+
+
+class TestBatchSplit:
+    """A batch at or above the gate runs as two halves on the pool."""
+
+    @pytest.mark.parametrize("b", [2, 5])
+    def test_outputs_bitwise_equal_and_gradients_close(self, monkeypatch, b):
+        problem = split_problem(b=b)
+        whole, whole_grads = run_encoder(monkeypatch, False, *problem)
+        halves, split_grads = run_encoder(monkeypatch, True, *problem)
+        for w, s in zip(whole.layer_states + [whole.final], halves.layer_states + [halves.final]):
+            assert s.data.dtype == np.float32
+            assert s.data.tobytes() == w.data.tobytes()
+        assert np.array_equal(halves.lengths, whole.lengths)
+        # the structurally zero gradients (conv.dw.bias, attn.wk.bias) are
+        # rounding noise, so every tensor is compared at the global scale
+        scale = max(np.abs(g).max() for g in whole_grads.values())
+        for name, want in whole_grads.items():
+            got = split_grads[name]
+            assert got.dtype == want.dtype == np.float32, name
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6 * scale, err_msg=name)
+
+    def test_finite_differences_through_halves(self, monkeypatch):
+        monkeypatch.setattr(encoder, "_SPLIT_MIN_FRAMES", 0)
+        arrays, mel, lengths, probe = split_problem(np.float64, b=3)
+        cfg = SPLIT_CFG
+        params = encoder.params_to_tensors(arrays)
+        wlogits = Tensor(np.random.default_rng(2).standard_normal(cfg.num_layers + 1),
+                         requires_grad=True)
+
+        def loss_of():  # every state reaches the loss, through weighted_sum
+            out = encoder.encode(params, cfg, mel, lengths)
+            mixed = encoder.weighted_sum(out.layer_states, wlogits)
+            return ad.add(ad.sum_(ad.mul(out.final, probe)), ad.sum_(ad.mul(mixed, probe)))
+        loss_of().backward()
+        rng = np.random.default_rng(3)
+        step = 1e-5
+        for name, t in params.items():
+            assert t.grad.dtype == np.float64, name
+            flat, gflat = t.data.reshape(-1), t.grad.reshape(-1)
+            for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
+                saved = flat[i]
+                flat[i] = saved + step
+                with ad.no_grad():
+                    hi = loss_of().item()
+                flat[i] = saved - step
+                with ad.no_grad():
+                    lo = loss_of().item()
+                flat[i] = saved
+                fd = (hi - lo) / (2 * step)
+                assert abs(gflat[i] - fd) <= 1e-6 * max(1.0, abs(fd)), (name, i)
+
+    def test_pool_and_one_core_paths_give_the_same_bits(self, monkeypatch):
+        problem = split_problem()
+        pooled, pooled_grads = run_encoder(monkeypatch, True, *problem)
+        monkeypatch.setattr(ad, "_openblas_threads", lambda: None)
+        serial, serial_grads = run_encoder(monkeypatch, True, *problem)
+        assert pooled.final.data.tobytes() == serial.final.data.tobytes()
+        for name, grad in pooled_grads.items():
+            assert grad.tobytes() == serial_grads[name].tobytes(), name
+
+    def test_bits_hold_under_frequent_thread_switches(self, monkeypatch):
+        problem = split_problem()
+        want, want_grads = run_encoder(monkeypatch, True, *problem)
+        got = []
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                runner = threading.Thread(
+                    target=lambda: got.append(run_encoder(monkeypatch, True, *problem)),
+                    daemon=True)
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        assert len(got) == 3
+        for out, grads in got:
+            assert out.final.data.tobytes() == want.final.data.tobytes()
+            for name, grad in want_grads.items():
+                assert grads[name].tobytes() == grad.tobytes(), name
+
+    def test_halves_run_on_pool_threads_at_one_blas_thread(self, monkeypatch):
+        blas = ad._openblas_threads()
+        if blas is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the halves run serially here")
+        seen = []
+        real = encoder._encode
+
+        def spy(params, cfg, mel, lengths, train, rng):
+            seen.append((len(lengths), threading.current_thread().name, blas[0]()))
+            return real(params, cfg, mel, lengths, train, rng)
+        monkeypatch.setattr(encoder, "_encode", spy)
+        run_encoder(monkeypatch, True, *split_problem())
+        assert sorted(n for n, _, _ in seen) == [2, 3]
+        for _, name, threads in seen:
+            assert name.startswith("encode_") and threads == 1
+
+    def test_dropout_draws_one_spawned_stream_per_half(self, monkeypatch):
+        cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2, dropout=0.3)
+        arrays, mel, lengths, probe = split_problem()
+
+        def train(split):
+            return run_encoder(monkeypatch, split, arrays, mel, lengths, probe, cfg,
+                               train=True, rng=np.random.default_rng(4))
+
+        first, first_grads = train(True)
+        again, again_grads = train(True)
+        assert first.final.data.tobytes() == again.final.data.tobytes()
+        for name, grad in first_grads.items():
+            assert grad.tobytes() == again_grads[name].tobytes(), name
+        streams = np.random.default_rng(4).spawn(2)
+        params = encoder.params_to_tensors(arrays)
+        for k, rows in enumerate((slice(0, 3), slice(3, 5))):
+            half = encoder._encode(params, cfg, mel[rows], lengths[rows], True, streams[k])
+            assert half.final.data.tobytes() == first.final.data[rows].tobytes()
+        assert not np.array_equal(first.final.data, train(False)[0].final.data)
+
+    def test_forward_error_in_one_half_reraised(self, monkeypatch):
+        real = encoder._encode
+
+        def failing(params, cfg, mel, lengths, train, rng):
+            if len(lengths) == 2:
+                raise FloatingPointError("encoder produced non-finite values")
+            return real(params, cfg, mel, lengths, train, rng)
+        monkeypatch.setattr(encoder, "_encode", failing)
+        before = blas_thread_count()
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            run_encoder(monkeypatch, True, *split_problem())
+        assert not any(t.name.startswith("encode") for t in threading.enumerate())
+        assert blas_thread_count() == before
+
+    def test_backward_error_in_one_half_reraised(self, monkeypatch):
+        # the loss's walk is call 1 and the halves' walks are calls 2 and 3
+        calls, lock = [], threading.Lock()
+        real = ad._backprop
+
+        def failing(root, grad):
+            with lock:
+                calls.append(root)
+                n = len(calls)
+            if n == 3:
+                raise MemoryError("half walk")
+            return real(root, grad)
+        monkeypatch.setattr(ad, "_backprop", failing)
+        before = blas_thread_count()
+        with pytest.raises(MemoryError, match="half walk"):
+            run_encoder(monkeypatch, True, *split_problem())
+        assert len(calls) == 3
+        assert not any(t.name.startswith("encode") for t in threading.enumerate())
+        assert blas_thread_count() == before
+
+    @pytest.mark.parametrize("shape, splits", [
+        ((40, 400), True),    # the pretrain benchmark's batch: 40 x 100 label frames
+        ((2, 20), False),     # acceptance criterion 03's batch
+        ((1, 8000), False),   # one utterance, as decode runs it
+        ((10, 408), False),   # 10 x 102 = 1020 label frames, just below the gate
+        ((8, 512), True),     # 8 x 128 = 1024
+    ])
+    def test_gate(self, monkeypatch, shape, splits):
+        ran = []
+        monkeypatch.setattr(encoder, "_encode", lambda *a: ran.append("whole"))
+        monkeypatch.setattr(encoder, "_encode_halves", lambda *a: ran.append("halves"))
+        b, t = shape
+        encoder.encode({}, EncoderConfig(), np.zeros((b, t, 80), np.float32), np.full(b, t))
+        assert ran == ["halves" if splits else "whole"]

@@ -13,11 +13,20 @@ def analytic_coverage(prob, span, num_frames):
     return per_frame.mean()
 
 
+# prob must be > 0; at this prob no frame of these streams starts a mask
+NO_STARTS = MaskConfig(prob=1e-300)
+
+
 class TestSampleMask:
     def test_prob_zero(self):
-        plan = sample_mask(100, MaskConfig(prob=0.0), keyed_rng(0, "m"))
+        plan = sample_mask(100, NO_STARTS, keyed_rng(0, "m"))
         assert not plan.input_mask.any()
         assert not plan.target_mask.any()
+
+    @pytest.mark.parametrize("prob", [0.0, -0.0])
+    def test_zero_prob_rejected(self, prob):
+        with pytest.raises(ValueError, match="prob must be > 0"):
+            MaskConfig(prob=prob)
 
     def test_prob_one(self):
         plan = sample_mask(100, MaskConfig(prob=1.0), keyed_rng(0, "m"))
@@ -85,8 +94,8 @@ class TestApplyMask:
     def test_identity_when_unmasked(self):
         rng = np.random.default_rng(0)
         mel = rng.standard_normal((50, 80)).astype(np.float32)
-        plan = sample_mask(50, MaskConfig(prob=0.0), keyed_rng(0, "a"))
-        out = apply_mask(mel, plan, MaskConfig(prob=0.0), keyed_rng(0, "n"))
+        plan = sample_mask(50, NO_STARTS, keyed_rng(0, "a"))
+        out = apply_mask(mel, plan, NO_STARTS, keyed_rng(0, "n"))
         assert np.array_equal(out, mel)
 
     def test_noise_moments(self):
@@ -117,7 +126,7 @@ class TestApplyMask:
 
 class TestCoverage:
     def test_degenerate_probs(self):
-        assert coverage_estimate(MaskConfig(prob=0.0), 100, 5, keyed_rng(0, "c")) == 0.0
+        assert coverage_estimate(NO_STARTS, 100, 5, keyed_rng(0, "c")) == 0.0
         assert coverage_estimate(MaskConfig(prob=1.0), 100, 5, keyed_rng(0, "c")) == 1.0
 
     def test_matches_analytic_expectation(self):

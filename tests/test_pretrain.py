@@ -189,7 +189,7 @@ class TestTrainStep:
 
     def test_zero_target_batch_skipped(self):
         state = pretrain.init_train_state(
-            TINY_ENC, tiny_config(mask=masking.MaskConfig(prob=0.0)))
+            TINY_ENC, tiny_config(mask=masking.MaskConfig(prob=1e-300)))  # no mask start
         batch = random_batch(np.random.default_rng(1))
         before = state.step
         assert pretrain.train_step(state, batch, epoch=0) is None
