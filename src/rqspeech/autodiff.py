@@ -9,14 +9,14 @@ are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: what the encoder and the losses need,
-with normalization, relative-position attention, the pretraining head and the
+with normalization, relative-position attention, swish, the GLU, the masked
+depthwise convolution (K shifted multiply-adds), the pretraining head and the
 CTC loss as one fused node each. One normalization node serves the layer norm
 over channels and, given a mask, the conv block's norm over valid frames.
-Attention's relative shift and the convolution windows are strided read-only
-views, not gathers or K-fold copies; the windows op zero-pads its input
-itself. All ops keep dtype, so one graph runs in float32 to train and float64
-to check gradients. ``_pool_map`` is the one thread pool: the head maps its
-codebooks over it, and the encoder its two batch halves, forward and backward.
+Attention's relative shift and the extractor's windows are strided read-only
+views, not gathers or K-fold copies. All ops keep dtype, so one graph runs in
+float32 to train and float64 to check gradients. ``_pool_map`` is the one
+pool: the head maps its codebooks over it, and the encoder its two halves.
 """
 
 from __future__ import annotations
@@ -196,14 +196,19 @@ def relu(a):
                  lambda g: (g * mask,))
 
 
-def sigmoid(a):
+def swish(a):
+    """``a * sigmoid(a)``; its backward adds mul's part, then sigmoid's, as ``mul`` did."""
     a = as_tensor(a)
     y = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
+    return _make(a.data * y, (a,), lambda g: (g * y + g * a.data * y * (1.0 - y),))
 
 
-def swish(a):
-    return mul(a, sigmoid(a))
+def glu(a):
+    """The first half of the last axis times the sigmoid of the second half."""
+    a = as_tensor(a)
+    h = a.data.shape[-1] // 2
+    x, y = a.data[..., :h], 1.0 / (1.0 + np.exp(-a.data[..., h:]))
+    return _make(x * y, (a,), lambda g: (np.concatenate([g * y, g * x * y * (1.0 - y)], -1),))
 
 
 # shape and indexing ------------------------------------------------------
@@ -302,6 +307,28 @@ def unfold_time(a, kernel: int, stride: int, pad=(0, 0)):
         return (full[:, before: before + a.data.shape[1]],)
 
     return _make(windows, (a,), backward)
+
+
+def depthwise_conv(x, mask, w, b):
+    """Same-padded depthwise convolution over axis 1 of a (B, T, C) ``x`` whose
+    frames are zeroed where the (B, T, 1) ``mask`` is 0, then the bias ``b``:
+    K shifted multiply-adds in tap order, never a (B, T, K, C) product."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    kernel, t = w.data.shape[0], x.data.shape[1]
+    half = (kernel - 1) // 2
+    padded = np.pad(x.data * mask, ((0, 0), (half, kernel - 1 - half), (0, 0)))
+    out = padded[:, :t] * w.data[0]
+    for j in range(1, kernel):
+        out += padded[:, j: j + t] * w.data[j]
+
+    def backward(g):
+        gpad = np.zeros_like(padded)
+        for j in range(kernel):
+            gpad[:, j: j + t] += g * w.data[j]
+        gw = [(g * padded[:, j: j + t]).sum(axis=(0, 1)) for j in range(kernel)]
+        return (gpad[:, half: half + t] * mask, np.stack(gw), g.sum(axis=(0, 1)))
+
+    return _make(out + b.data, (x, w, b), backward)
 
 
 # softmax family -----------------------------------------------------------

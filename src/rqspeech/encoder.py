@@ -54,6 +54,11 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name in ("num_layers", "hidden", "ffn", "heads", "conv_kernel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
         if self.hidden % self.heads != 0:
             raise ValueError("hidden must be divisible by heads")
         if self.hidden % 2 != 0:
@@ -235,18 +240,10 @@ def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
 
 def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                 mask: np.ndarray, train: bool, rng) -> Tensor:
-    h = cfg.hidden
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
-    y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
-    gate = ad.sigmoid(y[:, :, h:])
-    y = ad.mul(y[:, :, :h], gate)
-
-    # zero padded frames so the depthwise kernel never reads stale values
-    y = ad.mul(y, mask)
-    half = (cfg.conv_kernel - 1) // 2
-    windows = ad.unfold_time(y, cfg.conv_kernel, 1, pad=(half, half))
-    y = ad.add(ad.sum_(ad.mul(windows, p[prefix + "dw.weight"]), axis=2),
-               p[prefix + "dw.bias"])
+    y = ad.glu(ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"]))
+    # the mask zeroes padded frames so the depthwise kernel never reads stale values
+    y = ad.depthwise_conv(y, mask, p[prefix + "dw.weight"], p[prefix + "dw.bias"])
 
     # per-(utterance, channel) statistics over valid frames only
     y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],

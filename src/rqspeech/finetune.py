@@ -104,6 +104,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.encoder_lr <= 0 or self.decoder_lr <= 0:
             raise ValueError("learning rates must be positive")
+        if self.warmup_steps < 1:
+            raise ValueError("warmup_steps must be >= 1")
         if self.freeze_steps < 0:
             raise ValueError("freeze_steps must be >= 0")
 

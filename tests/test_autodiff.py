@@ -63,8 +63,8 @@ class TestPrimitives:
     def test_relu(self):
         check_op(ad.relu, (4, 7), seed=3)
 
-    def test_sigmoid(self):
-        check_op(ad.sigmoid, (5,))
+    def test_glu(self):
+        check_op(ad.glu, (2, 3, 6))
 
     def test_swish(self):
         check_op(ad.swish, (3, 4))
@@ -77,6 +77,15 @@ class TestPrimitives:
 
     def test_unfold_time_padded(self):
         check_op(lambda a: ad.unfold_time(a, kernel=3, stride=2, pad=(2, 1)), (2, 6, 4))
+
+    @pytest.mark.parametrize("kernel", [1, 5])
+    def test_depthwise_conv(self, kernel):
+        # utterance 1's last two frames are padding: the output never reads
+        # them, so their input gradient is exactly zero
+        mask = ragged_mask([6, 4], 6, np.float64)
+        x, _, _ = check_op(lambda x, w, b: ad.depthwise_conv(x, mask, w, b),
+                           (2, 6, 3), (kernel, 3), (3,))
+        assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
 
     def test_take_rows(self):
         idx = np.array([0, 2, 2, 1])
@@ -252,10 +261,12 @@ class TestSemantics:
         # each node drops its closure and parents once it has run, so the
         # arrays the closures hold are freed during the walk
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        y = ad.sigmoid(ad.mul(x, x))
+        y = ad.swish(ad.mul(x, x))
         loss = ad.sum_(y)
         loss.backward()
-        np.testing.assert_allclose(x.grad, 2 * x.data * y.data * (1 - y.data))
+        u = x.data * x.data
+        s = 1 / (1 + np.exp(-u))
+        np.testing.assert_allclose(x.grad, 2 * x.data * (s + u * s * (1 - s)))
         for node in (loss, y):
             assert node._backward is None and node._parents == ()
         assert x.requires_grad and x.grad is not None

@@ -130,11 +130,19 @@ class TestConfig:
     @pytest.mark.parametrize("command, section, key, value, message", [
         ("pretrain", "encoder", "heads", "3", "[encoder] hidden must be divisible by heads"),
         ("inspect", "encoder", "heads", "3", "[encoder] hidden must be divisible by heads"),
+        ("inspect", "encoder", "heads", "0", "[encoder] heads must be >= 1"),
+        ("pretrain", "encoder", "hidden", "0", "[encoder] hidden must be >= 1"),
+        ("pretrain", "encoder", "num_layers", "0", "[encoder] num_layers must be >= 1"),
+        ("pretrain", "encoder", "ffn", "0", "[encoder] ffn must be >= 1"),
+        ("pretrain", "encoder", "conv_kernel", "-1", "[encoder] conv_kernel must be >= 1"),
+        ("pretrain", "encoder", "dropout", "1.0", "[encoder] dropout must be in [0, 1)"),
+        ("pretrain", "encoder", "dropout", "-0.1", "[encoder] dropout must be in [0, 1)"),
         ("pretrain", "masking", "prob", "1.5", "[masking] prob must be in [0, 1]"),
         ("pretrain", "pretrain", "peak_lr", "0", "[pretrain] peak_lr must be positive"),
         ("pretrain", "quantizer", "num_codebooks", "0", "[quantizer] num_codebooks must be >= 1"),
         ("quantize", "quantizer", "num_codebooks", "0", "[quantizer] num_codebooks must be >= 1"),
         ("finetune", "finetune", "encoder_lr", "0", "[finetune] learning rates must be positive"),
+        ("finetune", "finetune", "warmup_steps", "0", "[finetune] warmup_steps must be >= 1"),
         ("finetune", "finetune", "max_freq_width", "-2",
          "[finetune] mask counts and widths must be >= 0"),
         ("finetune", "finetune", "time_masks", "-1",

@@ -244,27 +244,29 @@ class TestAttentionTape:
 
 class TestConvTape:
     def test_conv_norm_is_one_node(self):
-        # the masked per-utterance norm is one layer_norm node (built from
-        # generic ops it recorded 14, and the block 30), and the depthwise
-        # windows pad their input and broadcast the weight without extra nodes
+        # layer norm, pointwise, GLU, depthwise convolution, the masked
+        # per-utterance norm, swish and pointwise, one node each; built from
+        # generic ops the norm recorded 14 nodes and the block 30, and with
+        # the GLU, depthwise convolution and swish as chains the block was 15
         params = make_params(TINY)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
                    requires_grad=True)
         mask = encoder._valid_mask(np.array([5, 3]), 5, np.float32)
         out = encoder._conv_block(params, "layers.0.conv.", TINY, x, mask, True,
                                   np.random.default_rng(0))
-        assert recorded_nodes(out) <= 15
+        assert recorded_nodes(out) <= 7
 
 
 class TestEncoderTape:
     def test_default_encoder_node_count(self):
         # 172 nodes while the convolutions recorded separate padding and
-        # weight-reshape nodes
+        # weight-reshape nodes, 163 while swish, the GLU and the depthwise
+        # convolution were chains of generic ops
         cfg = EncoderConfig()
         params = make_params(cfg)
         mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
         out = encoder.encode(params, cfg, mel, np.array([40, 23]))
-        assert recorded_nodes(out.final) <= 163
+        assert recorded_nodes(out.final) <= 123
 
 
 def chain_pad_time(a, before, after):
@@ -281,20 +283,61 @@ def chain_conv_stride2(x, weight, bias):
     return ad.linear(ad.reshape(windows, (b, t_out, k * c)), weight, bias)
 
 
+def chain_sigmoid(a):
+    """The sigmoid node that swish and the GLU recorded before each became one
+    node."""
+    y = 1.0 / (1.0 + np.exp(-a.data))
+    return ad._make(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def chain_swish(a):
+    return ad.mul(a, chain_sigmoid(a))
+
+
 def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
-    """``_conv_block`` with its depthwise convolution as pad, unfold and a
-    reshaped weight."""
+    """``_conv_block`` with its GLU as slices, sigmoid and product, its
+    depthwise convolution as mask, pad, unfold, a reshaped weight, product,
+    sum and bias, and its swish as sigmoid and product."""
     h, k = cfg.hidden, cfg.conv_kernel
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
-    y = ad.mul(ad.mul(y[:, :, :h], ad.sigmoid(y[:, :, h:])), mask)
+    y = ad.mul(ad.mul(y[:, :, :h], chain_sigmoid(y[:, :, h:])), mask)
     windows = ad.unfold_time(chain_pad_time(y, (k - 1) // 2, (k - 1) // 2), k, 1)
     dw = ad.reshape(p[prefix + "dw.weight"], (1, 1, k, h))
     y = ad.add(ad.sum_(ad.mul(windows, dw), axis=2), p[prefix + "dw.bias"])
     y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
                       encoder.CONV_NORM_EPS, axis=1, mask=mask)
-    y = ad.linear(ad.swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
+    y = ad.linear(chain_swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
     return ad.dropout(y, cfg.dropout if train else 0.0, rng)
+
+
+def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_seed=None):
+    """States and parameter gradients of the encoder, then of the encoder with
+    every fused node the chains replaced swapped back in: the GLU, depthwise
+    convolution and swish of the conv block, each FFN's swish and the padding
+    of the extractor's windows. A ``dropout_seed`` runs both in training mode
+    from the same generator seed."""
+    def run():
+        params = encoder.params_to_tensors(arrays)
+        rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+        out = encoder.encode(params, cfg, mel, lengths, train=rng is not None, rng=rng)
+        ad.sum_(ad.mul(out.final, probe)).backward()
+        return out.layer_states + [out.final], params
+
+    got = run()
+    monkeypatch.setattr(encoder, "_conv_stride2", chain_conv_stride2)
+    monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
+    monkeypatch.setattr(ad, "swish", chain_swish)
+    return got, run()
+
+
+def assert_same_bits(got, want, dtype):
+    (got_states, got_params), (want_states, want_params) = got, want
+    for g, w in zip(got_states, want_states):
+        assert g.data.dtype == dtype
+        assert g.data.tobytes() == w.data.tobytes()
+    for name in got_params:
+        assert got_params[name].grad.tobytes() == want_params[name].grad.tobytes(), name
 
 
 class TestPaddedWindowsOracle:
@@ -306,22 +349,21 @@ class TestPaddedWindowsOracle:
         mel = rng.standard_normal((3, 90, 80)).astype(dtype)
         lengths = np.array([9, 90, 41])
         probe = rng.standard_normal((3, 22, 16)).astype(dtype)
+        assert_same_bits(*chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe),
+                         dtype)
 
-        def run():
-            params = encoder.params_to_tensors(arrays)
-            out = encoder.encode(params, cfg, mel, lengths)
-            ad.sum_(ad.mul(out.final, probe)).backward()
-            return out.layer_states + [out.final], params
-
-        got, got_params = run()
-        monkeypatch.setattr(encoder, "_conv_stride2", chain_conv_stride2)
-        monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
-        want, want_params = run()
-        for g, w in zip(got, want):
-            assert g.data.dtype == dtype
-            assert g.data.tobytes() == w.data.tobytes()
-        for name in arrays:
-            assert got_params[name].grad.tobytes() == want_params[name].grad.tobytes(), name
+    def test_split_batch_with_dropout_bitwise_equal_to_pad_chain(self, monkeypatch):
+        # 8 x 130 label frames is above the gate, so the batch runs as two
+        # halves, and each dropout mask is drawn by the same calls in both
+        cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2, dropout=0.1)
+        arrays = encoder.init_encoder_params(cfg, 5, np.float32)
+        rng = np.random.default_rng(7)
+        mel = rng.standard_normal((8, 520, 80)).astype(np.float32)
+        lengths = np.array([520, 17, 300, 520, 64, 411, 9, 250])
+        assert len(lengths) * (mel.shape[1] // 4) >= encoder._SPLIT_MIN_FRAMES
+        probe = rng.standard_normal((8, 130, 16)).astype(np.float32)
+        assert_same_bits(*chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe,
+                                            dropout_seed=8), np.float32)
 
 
 class TestConvBlockOracle:
