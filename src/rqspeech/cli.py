@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,8 +90,6 @@ def cmd_pretrain(args) -> int:
     if not index.entries:
         return _fail(2, "corpus contains no usable utterances")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, out_dir / "config.ini")
     encoder_cfg = cfg.encoder_config()
     train_cfg = cfg.pretrain_config()
 
@@ -104,6 +103,8 @@ def cmd_pretrain(args) -> int:
                                               run_config=cfg.flat_dict())
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_config(cfg, out_dir / "config.ini")
 
     cache_dir = cfg["pretrain"]["label_cache_dir"]
     if cache_dir:
@@ -187,14 +188,14 @@ def cmd_finetune(args) -> int:
     if missing:
         return _fail(2, f"transcripts missing for: {', '.join(sorted(missing)[:5])}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, out_dir / "config.ini")
     tokenizer = finetune.CharTokenizer.from_texts(
         transcripts[u.utt_id] for u in index.entries)
     try:
         state = finetune.init_finetune_state(ckpt, cfg.finetune_config(), tokenizer)
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_config(cfg, out_dir / "config.ini")
 
     if _train(cfg, index, state, cfg["finetune"]["total_steps"],
               lambda batch, epoch: finetune.finetune_step(state, batch, transcripts, epoch),
@@ -294,15 +295,15 @@ def cmd_inspect(args) -> int:
         return 0
 
     try:
-        header, tensors = pretrain.read_checkpoint(args.ckpt)
+        header, _ = pretrain.read_checkpoint(args.ckpt, keep=lambda name: False)
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
+    shapes = {entry["name"]: entry["shape"] for entry in header["tensors"]}
     param_total = 0
-    for name in sorted(tensors):
-        shape = "x".join(str(s) for s in tensors[name].shape) or "scalar"
-        print(f"{name}\t{shape}")
+    for name in sorted(shapes):
+        print(f"{name}\t" + ("x".join(str(s) for s in shapes[name]) or "scalar"))
         if not name.startswith("opt."):
-            param_total += tensors[name].size
+            param_total += math.prod(shapes[name])
     print(f"parameters: {param_total}")
     print(f"step: {header['step']}")
     print("config: " + json.dumps(header.get("encoder_config", {}), sort_keys=True))

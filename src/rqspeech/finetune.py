@@ -389,8 +389,10 @@ def _new_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
 def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
                         tokenizer: CharTokenizer) -> FinetuneState:
     """Load every encoder tensor from a pretraining checkpoint (full restore);
-    the CTC head and both optimizers start fresh."""
-    header, tensors = pretrain.read_checkpoint(checkpoint_path)
+    the CTC head and both optimizers start fresh, so the file's ``head.*``
+    and ``opt.*`` tensors are not read."""
+    header, tensors = pretrain.read_checkpoint(
+        checkpoint_path, keep=lambda name: not name.startswith(("head.", "opt.")))
     return _new_state(header, tensors, checkpoint_path, cfg, tokenizer)
 
 

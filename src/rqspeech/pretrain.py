@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -332,7 +333,7 @@ def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: d
     for name in sorted(tensors):
         shape = list(tensors[name].shape)
         entries.append({"name": name, "shape": shape, "offset": offset})
-        offset += int(np.prod(shape)) * 4
+        offset += math.prod(shape) * 4
     header = {**fields,
               "format_version": CHECKPOINT_VERSION,
               "step": step,
@@ -348,7 +349,7 @@ def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: d
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
             for entry in entries:
-                f.write(tensors[entry["name"]].astype("<f4").tobytes())
+                f.write(np.ascontiguousarray(tensors[entry["name"]], dtype="<f4"))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -382,36 +383,63 @@ def header_value(record, key: str, parse, path):
         raise CheckpointError(f"corrupt checkpoint: {path} (bad {key}: {err})") from None
 
 
-def read_checkpoint(path):
-    """(header dict, {name: float32 array}) from an MSEC file."""
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def read_checkpoint(path, keep=None):
+    """(header dict, {name: float32 array}) from an MSEC file.
+
+    Every tensor the header lists must end inside the file; of those, only
+    the ones whose name ``keep`` accepts (all when ``keep`` is None) are read,
+    each straight into an array of its own.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            return _read_records(f, path, keep)
     except FileNotFoundError:
         raise CheckpointError(f"no such checkpoint: {path}") from None
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
+    except OSError as err:
+        raise CheckpointError(f"cannot read checkpoint: {path} "
+                              f"({err.strerror or err})") from None
+
+
+def _read_records(f, path: Path, keep):
+    size = os.fstat(f.fileno()).st_size
+    prefix = f.read(12)
+    if len(prefix) < 12 or prefix[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"corrupt checkpoint: {path} (bad magic)")
-    version, header_len = struct.unpack("<II", raw[4:12])
+    version, header_len = struct.unpack("<II", prefix[4:])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint version {version} unsupported "
                               f"(expected {CHECKPOINT_VERSION})")
-    if len(raw) < 12 + header_len:
+    if size < 12 + header_len:
         raise CheckpointError(f"corrupt checkpoint: {path} (truncated header)")
     try:
-        header = json.loads(raw[12: 12 + header_len].decode("utf-8"))
+        header = json.loads(f.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"corrupt checkpoint: {path} (bad header)") from None
 
     header_key(header, "step", path)
-    data = raw[12 + header_len:]
-    tensors = {}
-    for entry in header_key(header, "tensors", path):
+    base = 12 + header_len
+    wanted = []
+    for entry in header_value(header, "tensors", list, path):
         name, shape, start = (header_key(entry, key, path) for key in ("name", "shape", "offset"))
-        count = int(np.prod(shape)) if shape else 1
-        end = start + count * 4
-        if end > len(data):
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(start)):
+            raise CheckpointError(f"corrupt checkpoint: {path} (bad tensor entry {name!r})")
+        if base + start + 4 * math.prod(shape) > size:
             raise CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
-        tensors[name] = np.frombuffer(data[start:end], dtype="<f4").reshape(shape).copy()
+        if keep is None or keep(name):
+            wanted.append((name, shape, base + start))
+    tensors = {}
+    for name, shape, at in wanted:
+        arr = np.empty(shape, dtype="<f4")
+        f.seek(at)
+        if f.readinto(arr) != arr.nbytes:
+            raise CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
+        tensors[name] = arr
     return header, tensors
 
 
@@ -459,8 +487,8 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
         state.adam.count = header_value(header, "adam_count", int, path)
         return state
 
+    _, tensors = read_checkpoint(path, keep=lambda name: name.startswith("extractor."))
     state = init_train_state(encoder_cfg, cfg, run_config)
-    _, tensors = read_checkpoint(path)
     restore_training_tensors(tensors, {name: p for name, p in state.params.items()
                                        if name.startswith("extractor.")}, [])
     return state

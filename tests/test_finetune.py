@@ -587,6 +587,26 @@ def reshape_entry(name, shape):
     return edit
 
 
+def test_init_reads_encoder_tensors_only(pretrained_ckpt, monkeypatch):
+    texts = ["ab", "ba"]
+    read = []
+    real = pretrain.read_checkpoint
+
+    def spy(*args, **kwargs):
+        header, tensors = real(*args, **kwargs)
+        read.extend(tensors)
+        return header, tensors
+    monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+    state = TestFinetuneLoop().make_state(pretrained_ckpt, texts)
+    assert sorted(read) == sorted(enc.param_shapes(TINY_ENC))
+    # the same state as one built from every tensor of the file
+    header, tensors = real(pretrained_ckpt)
+    assert any(name.startswith(("head.", "opt.")) for name in tensors)
+    full = finetune._new_state(header, tensors, pretrained_ckpt, state.cfg,
+                               CharTokenizer.from_texts(texts))
+    assert_same_state(state, full)
+
+
 class TestFinetuneCheckpoint:
     @pytest.fixture
     def saved(self, pretrained_ckpt, tmp_path):

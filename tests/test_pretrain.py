@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -294,7 +296,7 @@ class TestCheckpoint:
         class Unwritable:
             shape = (2,)
 
-            def astype(self, dtype):
+            def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
         with pytest.raises(OSError, match="disk full"):
             pretrain.write_checkpoint(path, 5, TINY_ENC, {"a": np.zeros(3), "b": Unwritable()},
@@ -404,6 +406,135 @@ class TestCheckpoint:
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="load mode"):
             pretrain.load_checkpoint(tmp_path / "x", "partial", TINY_ENC, tiny_config())
+
+
+def old_write_checkpoint(path, step, encoder_cfg, tensors, fields):
+    """Reference MSEC writer that copies each tensor through
+    ``astype("<f4").tobytes()``; ``write_checkpoint`` must match it byte for byte."""
+    entries = []
+    offset = 0
+    for name in sorted(tensors):
+        shape = list(tensors[name].shape)
+        entries.append({"name": name, "shape": shape, "offset": offset})
+        offset += int(np.prod(shape)) * 4
+    header = {**fields, "format_version": 1, "step": step,
+              "encoder_config": encoder_cfg.to_dict(), "tensors": entries}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"MSEC" + struct.pack("<II", 1, len(blob)) + blob)
+        for entry in entries:
+            f.write(tensors[entry["name"]].astype("<f4").tobytes())
+
+
+def record_input(kind):
+    rng = np.random.default_rng(31)
+    return {
+        "float32": lambda: rng.standard_normal((3, 5)).astype(np.float32),
+        "float64": lambda: rng.standard_normal((4, 2)),
+        "big_endian": lambda: rng.standard_normal((2, 3)).astype(">f4"),
+        "transposed_view": lambda: rng.standard_normal((3, 5)).astype(np.float32).T,
+        "scalar": lambda: np.array(2.5, dtype=np.float32),
+        "zero_size": lambda: np.zeros((0, 3), dtype=np.float32),
+    }[kind]()
+
+
+RECORD_KINDS = ["float32", "float64", "big_endian", "transposed_view", "scalar", "zero_size"]
+
+
+class TestCheckpointRecord:
+    @pytest.mark.parametrize("kind", RECORD_KINDS)
+    def test_file_matches_copying_writer(self, tmp_path, kind):
+        tensors = {"a": record_input(kind), "b": np.arange(3, dtype=np.float32)}
+        pretrain.write_checkpoint(tmp_path / "new.msec", 4, TINY_ENC, tensors, {"note": kind})
+        old_write_checkpoint(tmp_path / "old.msec", 4, TINY_ENC, tensors, {"note": kind})
+        assert (tmp_path / "new.msec").read_bytes() == (tmp_path / "old.msec").read_bytes()
+
+    @pytest.mark.parametrize("kind", RECORD_KINDS)
+    def test_loaded_arrays_own_writeable_float32(self, tmp_path, kind):
+        tensors = {"a": record_input(kind), "b": np.arange(3, dtype=np.float32)}
+        path = tmp_path / "r.msec"
+        pretrain.write_checkpoint(path, 4, TINY_ENC, tensors, {})
+        header, loaded = pretrain.read_checkpoint(path)
+        assert header["step"] == 4 and list(loaded) == ["a", "b"]
+        for name, arr in loaded.items():
+            assert arr.dtype == np.float32 and arr.shape == tensors[name].shape
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+            assert arr.tobytes() == tensors[name].astype("<f4").tobytes()
+
+    def test_keep_reads_only_accepted_names(self, tmp_path):
+        path = tmp_path / "k.msec"
+        tensors = {name: np.full(2, i, dtype=np.float32)
+                   for i, name in enumerate(["extractor.x", "head.w", "opt.m.head.w"])}
+        pretrain.write_checkpoint(path, 1, TINY_ENC, tensors, {})
+        header, loaded = pretrain.read_checkpoint(path, keep=lambda n: n.startswith("head."))
+        assert list(loaded) == ["head.w"] and loaded["head.w"].tolist() == [1.0, 1.0]
+        assert len(header["tensors"]) == 3
+
+    def test_skipped_tensor_cut_is_truncated_data(self, tmp_path):
+        path = tmp_path / "t.msec"
+        pretrain.write_checkpoint(path, 1, TINY_ENC, {"a": np.ones(4, np.float32),
+                                                      "z": np.ones(4, np.float32)}, {})
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(CheckpointError, match=r"\(truncated data\)"):
+            pretrain.read_checkpoint(path, keep=lambda name: name == "a")
+        with pytest.raises(CheckpointError, match=r"\(truncated data\)"):
+            pretrain.read_checkpoint(path, keep=lambda name: False)
+
+    @staticmethod
+    def corrupt(raw, how):
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        return {
+            "bad magic": lambda: b"MSEX" + raw[4:],
+            "version": lambda: raw[:4] + struct.pack("<I", 9) + raw[8:],
+            "truncated header": lambda: raw[: 12 + header_len - 1],
+            "bad header": lambda: raw[:12] + b"\xff" * header_len + raw[12 + header_len:],
+            "truncated data": lambda: raw[:-1],
+        }[how]()
+
+    @pytest.mark.parametrize("how, message", [
+        ("bad magic", "corrupt checkpoint: {path} (bad magic)"),
+        ("version", "checkpoint version 9 unsupported (expected 1)"),
+        ("truncated header", "corrupt checkpoint: {path} (truncated header)"),
+        ("bad header", "corrupt checkpoint: {path} (bad header)"),
+        ("truncated data", "corrupt checkpoint: {path} (truncated data)"),
+    ])
+    def test_corruption_messages(self, tmp_path, how, message):
+        path = tmp_path / "c.msec"
+        pretrain.write_checkpoint(path, 1, TINY_ENC, {"a": np.ones(4, np.float32)}, {})
+        path.write_bytes(self.corrupt(path.read_bytes(), how))
+        with pytest.raises(CheckpointError) as err:
+            pretrain.read_checkpoint(path)
+        assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("shape, offset", [([-4], 0), ([4.0], 0), ("4", 0), ([4], -4)])
+    def test_bad_tensor_entry_rejected(self, tmp_path, shape, offset):
+        path = tmp_path / "e.msec"
+        pretrain.write_checkpoint(path, 1, TINY_ENC, {"a": np.ones(4, np.float32)}, {})
+        rewrite_checkpoint_header(path, lambda h: h["tensors"][0].update(shape=shape,
+                                                                         offset=offset))
+        with pytest.raises(CheckpointError, match=r"\(bad tensor entry 'a'\)"):
+            pretrain.read_checkpoint(path, keep=lambda name: False)
+
+    def test_unreadable_path_is_a_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError) as err:
+            pretrain.read_checkpoint(tmp_path)
+        assert str(err.value).startswith(f"cannot read checkpoint: {tmp_path} (")
+        with pytest.raises(CheckpointError, match="no such checkpoint"):
+            pretrain.read_checkpoint(tmp_path / "absent.msec")
+
+    def test_feature_extractor_only_reads_extractor_tensors(self, tmp_path, monkeypatch):
+        path = tmp_path / "fe.msec"
+        pretrain.save_checkpoint(pretrain.init_train_state(TINY_ENC, tiny_config()), path)
+        read = []
+        real = pretrain.read_checkpoint
+
+        def spy(*args, **kwargs):
+            header, tensors = real(*args, **kwargs)
+            read.extend(tensors)
+            return header, tensors
+        monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+        pretrain.load_checkpoint(path, "feature_extractor_only", TINY_ENC, tiny_config())
+        assert read and all(name.startswith("extractor.") for name in read)
 
 
 class TestMetricsWriter:
