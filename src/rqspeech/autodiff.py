@@ -9,14 +9,17 @@ are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: what the encoder and the losses need,
-with normalization, relative-position attention, swish, the GLU, the masked
-depthwise convolution (K shifted multiply-adds), the pretraining head and the
-CTC loss as one fused node each. One normalization node serves the layer norm
-over channels and, given a mask, the conv block's norm over valid frames.
-Attention's relative shift and the extractor's windows are strided read-only
-views, not gathers or K-fold copies. All ops keep dtype, so one graph runs in
-float32 to train and float64 to check gradients. ``_pool_map`` is the one
-pool: the head maps its codebooks over it, and the encoder its two halves.
+with these as one fused node each: the layer norm, relative-position
+attention, the Conformer's macaron half feed-forward (``half_ffn``) and
+convolution module (``conv_module``), the pretraining head and the CTC loss.
+The norm and the two Conformer nodes keep statistics and pre-activations,
+not their elementwise results, and recompute those in the backward from the
+numpy pieces at the bottom of this module, which ``linear`` and ``dropout``
+share, so each formula exists once. Attention's relative shift and the extractor's windows
+are strided read-only views, not gathers or K-fold copies. All ops keep
+dtype, so one graph runs in float32 to train and float64 to check gradients.
+``_pool_map`` is the one pool: the head maps its codebooks over it, and the
+encoder its two halves.
 """
 
 from __future__ import annotations
@@ -196,21 +199,6 @@ def relu(a):
                  lambda g: (g * mask,))
 
 
-def swish(a):
-    """``a * sigmoid(a)``; its backward adds mul's part, then sigmoid's, as ``mul`` did."""
-    a = as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(a.data * y, (a,), lambda g: (g * y + g * a.data * y * (1.0 - y),))
-
-
-def glu(a):
-    """The first half of the last axis times the sigmoid of the second half."""
-    a = as_tensor(a)
-    h = a.data.shape[-1] // 2
-    x, y = a.data[..., :h], 1.0 / (1.0 + np.exp(-a.data[..., h:]))
-    return _make(x * y, (a,), lambda g: (np.concatenate([g * y, g * x * y * (1.0 - y)], -1),))
-
-
 # shape and indexing ------------------------------------------------------
 
 def reshape(a, shape):
@@ -271,19 +259,9 @@ def mean(a, axis=None, keepdims=False):
 def linear(x, w, b):
     """Fused x @ w + b for a 2-D weight and 1-D bias."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    nx, nw, nb = _needs_grad(x), _needs_grad(w), _needs_grad(b)
-
-    def backward(g):
-        gx = g @ w.data.T if nx else None
-        gw = None
-        if nw:
-            g2 = g.reshape(-1, g.shape[-1])
-            x2 = x.data.reshape(-1, x.data.shape[-1])
-            gw = x2.T @ g2
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if nb else None
-        return (gx, gw, gb)
-
-    return _make(x.data @ w.data + b.data, (x, w, b), backward)
+    needs = [_needs_grad(t) for t in (x, w, b)]
+    return _make(x.data @ w.data + b.data, (x, w, b),
+                 lambda g: _linear_grad(g, x.data, w.data, *needs))
 
 
 def unfold_time(a, kernel: int, stride: int, pad=(0, 0)):
@@ -307,28 +285,6 @@ def unfold_time(a, kernel: int, stride: int, pad=(0, 0)):
         return (full[:, before: before + a.data.shape[1]],)
 
     return _make(windows, (a,), backward)
-
-
-def depthwise_conv(x, mask, w, b):
-    """Same-padded depthwise convolution over axis 1 of a (B, T, C) ``x`` whose
-    frames are zeroed where the (B, T, 1) ``mask`` is 0, then the bias ``b``:
-    K shifted multiply-adds in tap order, never a (B, T, K, C) product."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    kernel, t = w.data.shape[0], x.data.shape[1]
-    half = (kernel - 1) // 2
-    padded = np.pad(x.data * mask, ((0, 0), (half, kernel - 1 - half), (0, 0)))
-    out = padded[:, :t] * w.data[0]
-    for j in range(1, kernel):
-        out += padded[:, j: j + t] * w.data[j]
-
-    def backward(g):
-        gpad = np.zeros_like(padded)
-        for j in range(kernel):
-            gpad[:, j: j + t] += g * w.data[j]
-        gw = [(g * padded[:, j: j + t]).sum(axis=(0, 1)) for j in range(kernel)]
-        return (gpad[:, half: half + t] * mask, np.stack(gw), g.sum(axis=(0, 1)))
-
-    return _make(out + b.data, (x, w, b), backward)
 
 
 # softmax family -----------------------------------------------------------
@@ -551,49 +507,17 @@ def _ctc_alphas(emit, allow_skip):
 
 # composite helpers --------------------------------------------------------
 
-def layer_norm(x, gamma, beta, eps=1e-5, axis=-1, mask=None):
-    """Fused normalization over ``axis``, then ``gamma`` and ``beta`` on the
-    last axis. With a 0/1 ``mask`` (broadcastable to ``x``) the statistics
-    count only entries where it is 1, and the normalized value is 0 elsewhere.
-    """
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Fused normalization over the last axis, then ``gamma`` and ``beta``.
+    The backward keeps the statistics and recomputes the normalized ``x``."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if mask is None:
-        def masked(a):
-            return a
-
-        def mean(a):
-            return a.mean(axis=axis, keepdims=True)
-    else:
-        count = np.maximum(np.sum(mask, axis=axis, keepdims=True, dtype=np.float64), 1)
-        inv_count = (1.0 / count).astype(x.data.dtype)
-
-        def masked(a):
-            return a * mask
-
-        def mean(a):  # of an ``a`` that is already zero where the mask is
-            return a.sum(axis=axis, keepdims=True) * inv_count
-
-    mu = mean(masked(x.data))
-    centered = masked(x.data - mu)
-    var = mean(centered * centered)
-    inv = 1.0 / np.sqrt(var + eps)
-    norm = centered * inv
-    out = norm * gamma.data + beta.data
-    nx, ng, nb = _needs_grad(x), _needs_grad(gamma), _needs_grad(beta)
+    norm, mu, inv, _ = _norm_forward(x.data, eps)
+    needs = [_needs_grad(t) for t in (x, gamma, beta)]
 
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        gx = ggamma = gbeta = None
-        if ng:
-            ggamma = (g * norm).sum(axis=lead)
-        if nb:
-            gbeta = g.sum(axis=lead)
-        if nx:
-            gy = masked(g * gamma.data)
-            gx = masked(inv * (gy - mean(gy) - norm * mean(gy * norm)))
-        return (gx, ggamma, gbeta)
+        return _norm_grad(g, _normalized(x.data, mu, inv), inv, gamma.data, *needs)
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(norm * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
@@ -635,7 +559,7 @@ def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)  # s now holds the probabilities
-    mult = (rng.random(s.shape) >= drop).astype(s.dtype) / (1.0 - drop) if drop > 0.0 else None
+    mult = _dropout_mult(s.shape, s.dtype, drop, rng)
 
     def backward(g):
         g4 = split(g)
@@ -657,9 +581,214 @@ def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
     return _make(merge(attn @ v4), (q, k, v, w_pos, bias_u, bias_v), backward)
 
 
+def half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop: float, rng):
+    """The Conformer's macaron half feed-forward (Gulati et al., 2020) as one
+    node: ``0.5 * dropout(dropout(swish(layer_norm(x) @ w1 + b1)) @ w2 + b2)``,
+    the two inverted-dropout masks drawn from ``rng`` in that order. The
+    backward keeps the norm's statistics, the pre-activation ``a`` and the
+    dropout multipliers, and recomputes the norm, the sigmoid and the swish
+    from them (Chen et al., 2016), never a matmul.
+    """
+    parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, w2, b2)))
+    x, gamma, beta, w1, b1, w2, b2 = parents
+    a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
+    h = a * _sigmoid(a)
+    mult1 = _dropout_mult(h.shape, h.dtype, drop, rng)
+    if mult1 is not None:
+        h = h * mult1
+    z = h @ w2.data + b2.data
+    mult2 = _dropout_mult(z.shape, z.dtype, drop, rng)
+    if mult2 is not None:
+        z = z * mult2
+    needs = [_needs_grad(t) for t in parents]
+
+    def backward(g):
+        g = g * 0.5
+        if mult2 is not None:
+            g = g * mult2
+        y = _sigmoid(a)
+        h = a * y
+        if mult1 is not None:
+            h = h * mult1
+        gh, gw2, gb2 = _linear_grad(g, h, w2.data, True, *needs[5:])
+        if mult1 is not None:
+            gh = gh * mult1
+        return (*_norm_linear_grad(_swish_grad(gh, a, y), x.data, mu, inv, gamma.data,
+                                   beta.data, w1.data, needs[:5]), gw2, gb2)
+
+    return _make(z * 0.5, parents, backward)
+
+
+def conv_module(x, mask, gamma, beta, w1, b1, dw, dw_bias, norm_gamma, norm_beta, w2, b2,
+                eps, norm_eps):
+    """The Conformer convolution module (Gulati et al., 2020) as one node:
+    layer norm, pointwise ``w1`` to 2C channels, GLU, the same-padded
+    depthwise convolution ``dw`` over frames zeroed where the (B, T, 1)
+    ``mask`` is 0, the norm over each utterance's valid frames, swish and
+    pointwise ``w2``. The backward keeps both norms' statistics, the
+    (B, T, 2C) pre-GLU activation ``a`` and the depthwise output ``c``, and
+    recomputes the norms, the sigmoids, the GLU, the swish and the padded
+    depthwise input from them, never a matmul.
+    """
+    parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, dw, dw_bias, norm_gamma,
+                                    norm_beta, w2, b2)))
+    x, gamma, beta, w1, b1, dw, dw_bias, norm_gamma, norm_beta, w2, b2 = parents
+    a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
+    u, y = _glu_halves(a)
+    c = _depthwise(_depthwise_pad(u * y, mask, len(dw.data)), dw.data, dw_bias.data)
+    c_norm, c_mu, c_inv, inv_count = _norm_forward(c, norm_eps, mask)
+    n = c_norm * norm_gamma.data + norm_beta.data
+    needs = [_needs_grad(t) for t in parents]
+
+    def backward(g):
+        c_norm = _normalized(c, c_mu, c_inv, mask)
+        n = c_norm * norm_gamma.data + norm_beta.data
+        s = _sigmoid(n)
+        gs, gw2, gb2 = _linear_grad(g, n * s, w2.data, True, *needs[9:])
+        gc, gng, gnb = _norm_grad(_swish_grad(gs, n, s), c_norm, c_inv, norm_gamma.data,
+                                  True, *needs[7:9], mask=mask, inv_count=inv_count)
+        u, y = _glu_halves(a)
+        gu, gdw, gdb = _depthwise_grad(gc, _depthwise_pad(u * y, mask, len(dw.data)), mask,
+                                       dw.data)
+        return (*_norm_linear_grad(_glu_grad(gu, u, y), x.data, mu, inv, gamma.data,
+                                   beta.data, w1.data, needs[:5]), gdw, gdb, gng, gnb, gw2, gb2)
+
+    return _make((n * _sigmoid(n)) @ w2.data + b2.data, parents, backward)
+
+
 def dropout(x, prob: float, rng: np.random.Generator):
     """Inverted dropout; identity when prob == 0."""
     if prob <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= prob).astype(x.data.dtype)
-    return mul(x, keep / (1.0 - prob))
+    x = as_tensor(x)
+    return mul(x, _dropout_mult(x.data.shape, x.data.dtype, prob, rng))
+
+
+# numpy forward and backward pieces ----------------------------------------
+# One formula each, shared by the nodes above; a fused node's backward calls
+# the same pieces on the same arrays as its forward, so a recomputed value
+# holds the forward's bits.
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _swish_grad(g, a, y):
+    """Gradient of the swish ``a * y``, ``y = _sigmoid(a)``: the product's
+    part, then the sigmoid's, as the chain of the two added them."""
+    return g * y + g * a * y * (1.0 - y)
+
+
+def _glu_halves(a):
+    """(first half of the last axis, sigmoid of the second half): the GLU is
+    their product."""
+    h = a.shape[-1] // 2
+    return a[..., :h], _sigmoid(a[..., h:])
+
+
+def _glu_grad(g, x, y):
+    """Gradient of the GLU at ``_glu_halves`` (x, y)."""
+    return np.concatenate([g * y, g * x * y * (1.0 - y)], -1)
+
+
+def _dropout_mult(shape, dtype, drop, rng):
+    """Inverted-dropout multipliers, 0 or 1 / (1 - drop); None when drop <= 0."""
+    if drop <= 0.0:
+        return None
+    return (rng.random(shape) >= drop).astype(dtype) / (1.0 - drop)
+
+
+def _linear_grad(g, x, w, nx=True, nw=True, nb=True):
+    """(gx, gw, gb) of ``x @ w + b`` for a 2-D ``w``; None where not needed."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g @ w.T if nx else None,
+            x.reshape(-1, x.shape[-1]).T @ g2 if nw else None,
+            g2.sum(axis=0) if nb else None)
+
+
+def _depthwise_pad(x, mask, kernel: int):
+    """A (B, T, C) ``x`` zeroed where the (B, T, 1) ``mask`` is 0 and
+    same-padded over frames for ``kernel`` taps."""
+    half = (kernel - 1) // 2
+    return np.pad(x * mask, ((0, 0), (half, kernel - 1 - half), (0, 0)))
+
+
+def _depthwise(padded, w, b):
+    """Depthwise convolution of a ``_depthwise_pad`` output with the (K, C)
+    ``w``, then ``b``: K shifted multiply-adds in tap order, never a
+    (B, T, K, C) product."""
+    t = padded.shape[1] - len(w) + 1
+    out = padded[:, :t] * w[0]
+    for j in range(1, len(w)):
+        out += padded[:, j: j + t] * w[j]
+    return out + b
+
+
+def _depthwise_grad(g, padded, mask, w):
+    """(gx, gw, gb) of ``_depthwise(_depthwise_pad(x, mask, K), w, b)``."""
+    kernel, t = len(w), g.shape[1]
+    half = (kernel - 1) // 2
+    gpad = np.zeros_like(padded)
+    for j in range(kernel):
+        gpad[:, j: j + t] += g * w[j]
+    gw = [(g * padded[:, j: j + t]).sum(axis=(0, 1)) for j in range(kernel)]
+    return gpad[:, half: half + t] * mask, np.stack(gw), g.sum(axis=(0, 1))
+
+
+def _norm_forward(x, eps, mask=None):
+    """``x`` normalized, with the statistics that give it back
+    (``_normalized``) and its gradient (``_norm_grad``): (norm, mu, inv,
+    inv_count). Without a mask the norm runs over the last axis (channels)
+    and inv_count is None. With a (B, T, 1) 0/1 ``mask`` it runs over axis 1
+    (each utterance's frames), its statistics count only frames where the
+    mask is 1, and the normalized value is 0 elsewhere."""
+    inv_count = None
+    if mask is not None:
+        count = np.maximum(np.sum(mask, axis=1, keepdims=True, dtype=np.float64), 1)
+        inv_count = (1.0 / count).astype(x.dtype)
+    mu = _norm_mean(_masked(x, mask), inv_count)
+    centered = _masked(x - mu, mask)
+    inv = 1.0 / np.sqrt(_norm_mean(centered * centered, inv_count) + eps)
+    return centered * inv, mu, inv, inv_count
+
+
+def _normalized(x, mu, inv, mask=None):
+    """``_norm_forward``'s normalized ``x`` again, from its statistics."""
+    return _masked(x - mu, mask) * inv
+
+
+def _norm_grad(g, norm, inv, gamma, nx=True, ng=True, nb=True, mask=None, inv_count=None):
+    """(gx, ggamma, gbeta) of ``norm * gamma + beta``; None where not needed."""
+    lead = tuple(range(g.ndim - 1))
+    gx = None
+    if nx:
+        gy = _masked(g * gamma, mask)
+        gx = _masked(inv * (gy - _norm_mean(gy, inv_count)
+                            - norm * _norm_mean(gy * norm, inv_count)), mask)
+    return (gx, (g * norm).sum(axis=lead) if ng else None, g.sum(axis=lead) if nb else None)
+
+
+def _masked(a, mask):
+    return a if mask is None else a * mask
+
+
+def _norm_mean(a, inv_count):
+    """Mean over the last axis; with ``inv_count``, over axis 1 of an ``a``
+    that is already zero where the mask is."""
+    if inv_count is None:
+        return a.mean(axis=-1, keepdims=True)
+    return a.sum(axis=1, keepdims=True) * inv_count
+
+
+def _norm_linear(x, gamma, beta, w, b, eps):
+    """``layer_norm(x) @ w + b``, and the norm's (mu, inv)."""
+    norm, mu, inv, _ = _norm_forward(x, eps)
+    return (norm * gamma + beta) @ w + b, mu, inv
+
+
+def _norm_linear_grad(g, x, mu, inv, gamma, beta, w, needs):
+    """(gx, ggamma, gbeta, gw, gb) of ``_norm_linear``, the norm recomputed
+    from (mu, inv); ``needs`` flags the five in that order."""
+    norm = _normalized(x, mu, inv)
+    gy, gw, gb = _linear_grad(g, norm * gamma + beta, w, True, *needs[3:])
+    return (*_norm_grad(gy, norm, inv, gamma, *needs[:3]), gw, gb)

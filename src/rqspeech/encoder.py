@@ -230,26 +230,19 @@ def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
 
 def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
               train: bool, rng) -> Tensor:
-    drop = cfg.dropout if train else 0.0
-    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
-    y = ad.swish(ad.linear(y, p[prefix + "w1.weight"], p[prefix + "w1.bias"]))
-    y = ad.dropout(y, drop, rng)
-    y = ad.linear(y, p[prefix + "w2.weight"], p[prefix + "w2.bias"])
-    return ad.mul(ad.dropout(y, drop, rng), 0.5)
+    names = ("ln.gamma", "ln.beta", "w1.weight", "w1.bias", "w2.weight", "w2.bias")
+    return ad.half_ffn(x, *(p[prefix + name] for name in names), LN_EPS,
+                       cfg.dropout if train else 0.0, rng)
 
 
 def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                 mask: np.ndarray, train: bool, rng) -> Tensor:
-    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
-    y = ad.glu(ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"]))
-    # the mask zeroes padded frames so the depthwise kernel never reads stale values
-    y = ad.depthwise_conv(y, mask, p[prefix + "dw.weight"], p[prefix + "dw.bias"])
-
-    # per-(utterance, channel) statistics over valid frames only
-    y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
-                      CONV_NORM_EPS, axis=1, mask=mask)
-    y = ad.swish(y)
-    y = ad.linear(y, p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
+    # the mask zeroes padded frames before the depthwise kernel reads them,
+    # and the module's second norm takes per-(utterance, channel) statistics
+    # over valid frames only
+    names = ("ln.gamma", "ln.beta", "pw1.weight", "pw1.bias", "dw.weight", "dw.bias",
+             "norm.gamma", "norm.beta", "pw2.weight", "pw2.bias")
+    y = ad.conv_module(x, mask, *(p[prefix + name] for name in names), LN_EPS, CONV_NORM_EPS)
     return ad.dropout(y, cfg.dropout if train else 0.0, rng)
 
 

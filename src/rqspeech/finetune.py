@@ -377,7 +377,7 @@ def _new_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
     """Every encoder tensor of a read checkpoint, a fresh CTC head, step 0."""
     encoder_cfg = pretrain.header_value(header, "encoder_config",
                                         lambda raw: enc.EncoderConfig(**raw), path)
-    arrays = {name: pretrain.restore_tensor(tensors, name, shape)
+    arrays = {name: pretrain.restore_tensor(tensors, name, shape, path)
               for name, shape in enc.param_shapes(encoder_cfg).items()}
     arrays["ctc_head.weight"] = enc.init_param(
         "ctc_head.weight", (encoder_cfg.hidden, tokenizer.vocab_size), cfg.seed)
@@ -490,7 +490,7 @@ def load_finetune_checkpoint(path) -> FinetuneState:
     cfg = pretrain.header_value(run, "finetune_config", _finetune_config, path)
     state = _new_state(header, tensors, path, cfg, tokenizer)
     pretrain.restore_training_tensors(tensors, state.params,
-                                      [state.adam_encoder, state.adam_head])
+                                      [state.adam_encoder, state.adam_head], path)
     state.adam_encoder.count = pretrain.header_value(run, "adam_count_encoder", int, path)
     state.adam_head.count = pretrain.header_value(run, "adam_count_head", int, path)
     state.step = pretrain.header_value(header, "step", int, path)

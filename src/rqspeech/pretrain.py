@@ -413,7 +413,7 @@ def _read_records(f, path: Path, keep):
     version, header_len = struct.unpack("<II", prefix[4:])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint version {version} unsupported "
-                              f"(expected {CHECKPOINT_VERSION})")
+                              f"(expected {CHECKPOINT_VERSION}): {path}")
     if size < 12 + header_len:
         raise CheckpointError(f"corrupt checkpoint: {path} (truncated header)")
     try:
@@ -443,25 +443,27 @@ def _read_records(f, path: Path, keep):
     return header, tensors
 
 
-def restore_tensor(tensors: dict, name: str, shape) -> np.ndarray:
-    """Checkpoint tensor ``name``, which must have ``shape``."""
+def restore_tensor(tensors: dict, name: str, shape, path) -> np.ndarray:
+    """Tensor ``name`` of the checkpoint read from ``path``, which must have
+    ``shape``."""
     if name not in tensors:
-        raise CheckpointError(f"checkpoint missing tensor {name}")
+        raise CheckpointError(f"checkpoint missing tensor {name}: {path}")
     arr = tensors[name]
     if arr.shape != shape:
-        raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint "
-                              f"{arr.shape}, config {shape}")
+        raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint {path} "
+                              f"has {arr.shape}, config {shape}")
     return arr
 
 
-def restore_training_tensors(tensors: dict, params: dict, adams) -> None:
-    """Replace every parameter and the moments of every Adam group in place."""
+def restore_training_tensors(tensors: dict, params: dict, adams, path) -> None:
+    """Replace every parameter and the moments of every Adam group in place
+    from the checkpoint read from ``path``."""
     for name, p in params.items():
-        p.data = restore_tensor(tensors, name, p.data.shape)
+        p.data = restore_tensor(tensors, name, p.data.shape, path)
     for adam in adams:
         for name in adam.m:
-            adam.m[name] = restore_tensor(tensors, f"opt.m.{name}", adam.m[name].shape)
-            adam.v[name] = restore_tensor(tensors, f"opt.v.{name}", adam.v[name].shape)
+            adam.m[name] = restore_tensor(tensors, f"opt.m.{name}", adam.m[name].shape, path)
+            adam.v[name] = restore_tensor(tensors, f"opt.v.{name}", adam.v[name].shape, path)
 
 
 def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
@@ -480,9 +482,9 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
         header, tensors = read_checkpoint(path)
         shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
         state = _train_state(encoder_cfg, cfg,
-                             {name: restore_tensor(tensors, name, shape)
+                             {name: restore_tensor(tensors, name, shape, path)
                               for name, shape in shapes.items()}, run_config)
-        restore_training_tensors(tensors, {}, [state.adam])  # the Adam moments
+        restore_training_tensors(tensors, {}, [state.adam], path)  # the Adam moments
         state.step = header_value(header, "step", int, path)
         state.adam.count = header_value(header, "adam_count", int, path)
         return state
@@ -490,7 +492,7 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     _, tensors = read_checkpoint(path, keep=lambda name: name.startswith("extractor."))
     state = init_train_state(encoder_cfg, cfg, run_config)
     restore_training_tensors(tensors, {name: p for name, p in state.params.items()
-                                       if name.startswith("extractor.")}, [])
+                                       if name.startswith("extractor.")}, [], path)
     return state
 
 

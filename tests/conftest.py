@@ -14,6 +14,15 @@ def blas_thread_count():
     return blas and blas[0]()
 
 
+def masked_norm_node(x, gamma, beta, eps, mask):
+    """The conv module's norm over each utterance's frames where the (B, T, 1)
+    ``mask`` is 1, as one node over the numpy pieces ``conv_module`` uses."""
+    norm, _, inv, inv_count = autodiff._norm_forward(x.data, eps, mask)
+    return autodiff._make(norm * gamma.data + beta.data, (x, gamma, beta),
+                          lambda g: autodiff._norm_grad(g, norm, inv, gamma.data, mask=mask,
+                                                        inv_count=inv_count))
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_threads_or_blas_count():
     """Fail a test that leaves a thread running or OpenBLAS at another thread count."""

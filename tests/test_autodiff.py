@@ -12,7 +12,7 @@ from rqspeech import autodiff as ad
 from rqspeech import pretrain
 from rqspeech.autodiff import Tensor
 
-from conftest import blas_thread_count
+from conftest import blas_thread_count, masked_norm_node
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -64,10 +64,10 @@ class TestPrimitives:
         check_op(ad.relu, (4, 7), seed=3)
 
     def test_glu(self):
-        check_op(ad.glu, (2, 3, 6))
+        check_op(glu_node, (2, 3, 6))
 
     def test_swish(self):
-        check_op(ad.swish, (3, 4))
+        check_op(swish_node, (3, 4))
 
     def test_reshape(self):
         check_op(lambda a: ad.reshape(a, (4, 6)), (2, 3, 4))
@@ -83,8 +83,27 @@ class TestPrimitives:
         # utterance 1's last two frames are padding: the output never reads
         # them, so their input gradient is exactly zero
         mask = ragged_mask([6, 4], 6, np.float64)
-        x, _, _ = check_op(lambda x, w, b: ad.depthwise_conv(x, mask, w, b),
+        x, _, _ = check_op(lambda x, w, b: depthwise_node(x, mask, w, b),
                            (2, 6, 3), (kernel, 3), (3,))
+        assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
+
+    @pytest.mark.parametrize("drop", [0.0, 0.3])
+    def test_half_ffn(self, drop):
+        # a fresh rng per build draws the same two dropout masks every time
+        def build(*tensors):
+            return ad.half_ffn(*tensors, 1e-5, drop, np.random.default_rng(0))
+
+        check_op(build, (2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,))
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv_module(self, kernel):
+        # utterances of 5, 3 and 1 valid frames; padded frames reach neither
+        # the depthwise convolution nor the norm's statistics, so their input
+        # gradient is exactly zero
+        mask = ragged_mask([5, 3, 1], 5, np.float64)
+        x, *_ = check_op(lambda x, *p: ad.conv_module(x, mask, *p, 1e-5, 1e-5),
+                         (3, 5, 4), (4,), (4,), (4, 8), (8,), (kernel, 4), (4,), (4,), (4,),
+                         (4, 4), (4,))
         assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
 
     def test_take_rows(self):
@@ -133,9 +152,29 @@ class TestPrimitives:
 
     def test_masked_layer_norm(self):
         mask = ragged_mask([6, 2, 4], 6, np.float64)
-        x, _, _ = check_op(lambda x, g, b: ad.layer_norm(x, g, b, axis=1, mask=mask),
+        x, _, _ = check_op(lambda x, g, b: masked_norm_node(x, g, b, 1e-5, mask),
                            (3, 6, 4), (4,), (4,))
         assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
+
+
+def swish_node(a):
+    """Swish as one node over the numpy pieces the fused nodes share."""
+    y = ad._sigmoid(a.data)
+    return ad._make(a.data * y, (a,), lambda g: (ad._swish_grad(g, a.data, y),))
+
+
+def glu_node(a):
+    """The GLU as one node over the numpy pieces the conv module shares."""
+    x, y = ad._glu_halves(a.data)
+    return ad._make(x * y, (a,), lambda g: (ad._glu_grad(g, x, y),))
+
+
+def depthwise_node(x, mask, w, b):
+    """The masked depthwise convolution as one node over the numpy pieces the
+    conv module shares."""
+    padded = ad._depthwise_pad(x.data, mask, len(w.data))
+    return ad._make(ad._depthwise(padded, w.data, b.data), (x, w, b),
+                    lambda g: ad._depthwise_grad(g, padded, mask, w.data))
 
 
 def ragged_mask(lengths, frames, dtype):
@@ -145,7 +184,7 @@ def ragged_mask(lengths, frames, dtype):
 
 def chain_masked_norm(y, gamma, beta, mask, eps):
     """The masked norm over axis 1 as the chain of generic ops that the
-    convolution block recorded before it became one ``layer_norm`` node."""
+    convolution block recorded before its norm became one node."""
     def rsqrt(a):
         out = 1.0 / np.sqrt(a.data)
         return ad._make(out, (a,), lambda g: (g * (-0.5) * out / a.data,))
@@ -168,7 +207,7 @@ class TestMaskedLayerNorm:
         arrays = [rng.standard_normal(s).astype(dtype) for s in ((6, 400, 64), (64,), (64,))]
         fused = [Tensor(a, requires_grad=True) for a in arrays]
         chain = [Tensor(a, requires_grad=True) for a in arrays]
-        got = ad.layer_norm(*fused, 1e-5, axis=1, mask=mask)
+        got = masked_norm_node(*fused, 1e-5, mask)
         want = chain_masked_norm(*chain, mask, 1e-5)
         assert got.data.dtype == dtype
         assert got.data.tobytes() == want.data.tobytes()
@@ -261,7 +300,7 @@ class TestSemantics:
         # each node drops its closure and parents once it has run, so the
         # arrays the closures hold are freed during the walk
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        y = ad.swish(ad.mul(x, x))
+        y = swish_node(ad.mul(x, x))
         loss = ad.sum_(y)
         loss.backward()
         u = x.data * x.data
@@ -295,7 +334,7 @@ class TestSemantics:
 
     def test_zero_upstream_gives_zero_grads(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 3)), requires_grad=True)
-        y = ad.sum_(ad.swish(ad.linear(x, x, np.zeros(3))))
+        y = ad.sum_(swish_node(ad.linear(x, x, np.zeros(3))))
         y.backward(np.zeros(()))
         assert np.all(x.grad == 0.0)
 

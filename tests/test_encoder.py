@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rqspeech import encoder
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
 
-from conftest import blas_thread_count
+from conftest import blas_thread_count, masked_norm_node
 
 TINY = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, conv_kernel=5, dropout=0.0)
 
@@ -244,29 +245,65 @@ class TestAttentionTape:
 
 class TestConvTape:
     def test_conv_norm_is_one_node(self):
-        # layer norm, pointwise, GLU, depthwise convolution, the masked
-        # per-utterance norm, swish and pointwise, one node each; built from
-        # generic ops the norm recorded 14 nodes and the block 30, and with
-        # the GLU, depthwise convolution and swish as chains the block was 15
+        # built from generic ops the norm recorded 14 nodes and the block 30;
+        # with the GLU, depthwise convolution and swish as chains the block
+        # was 15, and with each of its seven steps one node, 7
         params = make_params(TINY)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
                    requires_grad=True)
         mask = encoder._valid_mask(np.array([5, 3]), 5, np.float32)
         out = encoder._conv_block(params, "layers.0.conv.", TINY, x, mask, True,
                                   np.random.default_rng(0))
-        assert recorded_nodes(out) <= 7
+        assert recorded_nodes(out) == 1
+
+
+class TestFfnTape:
+    def test_half_ffn_is_one_node_with_dropout(self):
+        # layer norm, w1, swish, dropout, w2, dropout and the halving were
+        # seven nodes
+        cfg = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, dropout=0.1)
+        params = make_params(cfg)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
+                   requires_grad=True)
+        out = encoder._half_ffn(params, "layers.0.ffn1.", cfg, x, True,
+                                np.random.default_rng(0))
+        assert recorded_nodes(out) == 1
 
 
 class TestEncoderTape:
     def test_default_encoder_node_count(self):
         # 172 nodes while the convolutions recorded separate padding and
         # weight-reshape nodes, 163 while swish, the GLU and the depthwise
-        # convolution were chains of generic ops
+        # convolution were chains of generic ops, 123 while each step of the
+        # FFNs and the conv modules was a node of its own
         cfg = EncoderConfig()
         params = make_params(cfg)
         mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
         out = encoder.encode(params, cfg, mel, np.array([40, 23]))
-        assert recorded_nodes(out.final) <= 123
+        assert recorded_nodes(out.final) <= 67
+
+
+class TestRetainedMemory:
+    def test_training_tape_bytes_per_label_frame(self):
+        # what a training forward leaves alive for the backward, on a default
+        # pretraining batch (two halves): ~73 KB per label frame while each
+        # step of the FFNs and the conv modules was a node that kept its
+        # output, ~38 KB with each of them one node that recomputes its
+        # elementwise activations and each layer norm keeping statistics
+        cfg = EncoderConfig()
+        params = make_params(cfg)
+        mel = np.random.default_rng(0).standard_normal((16, 400, 80)).astype(np.float32)
+        lengths = np.full(16, 400)
+        assert 16 * 100 >= encoder._SPLIT_MIN_FRAMES
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = encoder.encode(params, cfg, mel, lengths, train=True,
+                                 rng=np.random.default_rng(1))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / int(out.lengths.sum()) <= 48 * 1024
 
 
 def chain_pad_time(a, before, after):
@@ -294,29 +331,50 @@ def chain_swish(a):
     return ad.mul(a, chain_sigmoid(a))
 
 
+def chain_layer_norm(x, gamma, beta, eps):
+    """The layer norm as a node that keeps its normalized input, as it did
+    before its backward recomputed it from the statistics."""
+    norm, _, inv, _ = ad._norm_forward(x.data, eps)
+    return ad._make(norm * gamma.data + beta.data, (x, gamma, beta),
+                    lambda g: ad._norm_grad(g, norm, inv, gamma.data))
+
+
+def chain_half_ffn(p, prefix, cfg, x, train, rng):
+    """``_half_ffn`` as a chain of nodes: layer norm, linear, swish as
+    sigmoid and product, dropout, linear, dropout and the halving."""
+    drop = cfg.dropout if train else 0.0
+    y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
+    y = chain_swish(ad.linear(y, p[prefix + "w1.weight"], p[prefix + "w1.bias"]))
+    y = ad.dropout(y, drop, rng)
+    y = ad.linear(y, p[prefix + "w2.weight"], p[prefix + "w2.bias"])
+    return ad.mul(ad.dropout(y, drop, rng), 0.5)
+
+
 def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
-    """``_conv_block`` with its GLU as slices, sigmoid and product, its
-    depthwise convolution as mask, pad, unfold, a reshaped weight, product,
-    sum and bias, and its swish as sigmoid and product."""
+    """``_conv_block`` as a chain of nodes: layer norm, linear, the GLU as
+    slices, sigmoid and product, the depthwise convolution as mask, pad,
+    unfold, a reshaped weight, product, sum and bias, the masked norm, swish
+    as sigmoid and product, linear and dropout."""
     h, k = cfg.hidden, cfg.conv_kernel
-    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
+    y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
     y = ad.mul(ad.mul(y[:, :, :h], chain_sigmoid(y[:, :, h:])), mask)
     windows = ad.unfold_time(chain_pad_time(y, (k - 1) // 2, (k - 1) // 2), k, 1)
     dw = ad.reshape(p[prefix + "dw.weight"], (1, 1, k, h))
     y = ad.add(ad.sum_(ad.mul(windows, dw), axis=2), p[prefix + "dw.bias"])
-    y = ad.layer_norm(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
-                      encoder.CONV_NORM_EPS, axis=1, mask=mask)
+    y = masked_norm_node(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
+                         encoder.CONV_NORM_EPS, mask)
     y = ad.linear(chain_swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
     return ad.dropout(y, cfg.dropout if train else 0.0, rng)
 
 
 def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_seed=None):
     """States and parameter gradients of the encoder, then of the encoder with
-    every fused node the chains replaced swapped back in: the GLU, depthwise
-    convolution and swish of the conv block, each FFN's swish and the padding
-    of the extractor's windows. A ``dropout_seed`` runs both in training mode
-    from the same generator seed."""
+    the chains that its fused nodes replaced swapped back in: the FFNs, the
+    conv modules, layer norms that keep their normalized input and the
+    padding of the extractor's windows. A
+    ``dropout_seed`` runs both in training mode from the same generator
+    seed."""
     def run():
         params = encoder.params_to_tensors(arrays)
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
@@ -327,7 +385,8 @@ def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_see
     got = run()
     monkeypatch.setattr(encoder, "_conv_stride2", chain_conv_stride2)
     monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
-    monkeypatch.setattr(ad, "swish", chain_swish)
+    monkeypatch.setattr(encoder, "_half_ffn", chain_half_ffn)
+    monkeypatch.setattr(ad, "layer_norm", chain_layer_norm)
     return got, run()
 
 

@@ -674,8 +674,9 @@ class TestFinetuneCheckpoint:
     def test_missing_tensor_rejected(self, saved, name):
         _, path = saved
         rewrite_checkpoint_header(path, drop_entry(name))
-        with pytest.raises(pretrain.CheckpointError, match=f"missing tensor {name}"):
+        with pytest.raises(pretrain.CheckpointError, match=f"missing tensor {name}") as err:
             finetune.load_finetune_checkpoint(path)
+        assert str(err.value).endswith(f": {path}")
 
     def test_pretrain_checkpoint_is_not_a_finetune_checkpoint(self, pretrained_ckpt):
         with pytest.raises(pretrain.CheckpointError, match="not a finetune checkpoint"):

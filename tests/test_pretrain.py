@@ -493,7 +493,7 @@ class TestCheckpointRecord:
 
     @pytest.mark.parametrize("how, message", [
         ("bad magic", "corrupt checkpoint: {path} (bad magic)"),
-        ("version", "checkpoint version 9 unsupported (expected 1)"),
+        ("version", "checkpoint version 9 unsupported (expected 1): {path}"),
         ("truncated header", "corrupt checkpoint: {path} (truncated header)"),
         ("bad header", "corrupt checkpoint: {path} (bad header)"),
         ("truncated data", "corrupt checkpoint: {path} (truncated data)"),
@@ -504,6 +504,25 @@ class TestCheckpointRecord:
         path.write_bytes(self.corrupt(path.read_bytes(), how))
         with pytest.raises(CheckpointError) as err:
             pretrain.read_checkpoint(path)
+        assert str(err.value) == message.format(path=path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("mode", pretrain.LOAD_MODES)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(tensors=[e for e in h["tensors"]
+                                     if e["name"] != "extractor.proj.bias"]),
+         "checkpoint missing tensor extractor.proj.bias: {path}"),
+        (lambda h: [e.update(shape=[2, e["shape"][0] // 2]) for e in h["tensors"]
+                    if e["name"] == "extractor.proj.bias"],
+         "shape mismatch for tensor extractor.proj.bias: checkpoint {path} has (2, 16), "
+         "config (32,)"),
+    ])
+    def test_restore_messages_name_the_file(self, tmp_path, mode, edit, message):
+        path = tmp_path / "r.msec"
+        pretrain.save_checkpoint(pretrain.init_train_state(TINY_ENC, tiny_config()), path)
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(CheckpointError) as err:
+            pretrain.load_checkpoint(path, mode, TINY_ENC, tiny_config())
         assert str(err.value) == message.format(path=path)
 
     @pytest.mark.parametrize("shape, offset", [([-4], 0), ([4.0], 0), ("4", 0), ([4], -4)])
