@@ -11,7 +11,8 @@ finite-difference test suite checks.
 The op set is intentionally small: what the encoder and the losses need,
 with these as one fused node each: the layer norm, relative-position
 attention, the Conformer's macaron half feed-forward (``half_ffn``) and
-convolution module (``conv_module``), the pretraining head and the CTC loss.
+convolution module (``conv_module``), the pretraining head, and the CTC loss
+of a whole padded batch (``ctc_nll``).
 The norm and the two Conformer nodes keep statistics and pre-activations,
 not their elementwise results, and recompute those in the backward from the
 numpy pieces at the bottom of this module, which ``linear`` and ``dropout``
@@ -469,39 +470,63 @@ def _softmax_xent(z, labels, scale=None) -> float:
     return nll
 
 
-def ctc_nll(logprobs, ext, allow_skip):
-    """CTC negative log-likelihood (Graves et al., 2006) of (T, V) log-probs
-    over the extended target ``ext``, where ``allow_skip[s]`` lets state s be
-    entered from s - 2; +inf when no alignment fits. The backward gets the
-    betas from the same recursion over the reversed lattice."""
+def ctc_nll(logprobs, frames, ext, allow_skip):
+    """Mean CTC negative log-likelihood (Graves et al., 2006) of a padded batch
+    as one node, batched as in Deep Speech 2 (Amodei et al., 2016). ``logprobs``
+    is (B, T, V), or (T, V) for a batch of one; utterance b has ``frames[b]``
+    frames and the extended target ``ext[b]``, padded with -1, whose state s
+    may be entered from s - 2 where ``allow_skip[b, s]``. Returns the mean,
+    added in batch order, and each -log p (+inf where no alignment fits). The
+    backward runs the same recursion over each reversed lattice for the betas."""
     lp = as_tensor(logprobs)
-    emit = lp.data[:, ext]
+    data = lp.data if lp.data.ndim == 3 else lp.data[None]
+    b, t_max, _ = data.shape
+    frames = np.asarray(frames, dtype=np.int64)
+    states = np.count_nonzero(ext >= 0, axis=1)
+    utt, steps = np.arange(b), np.arange(t_max)[None, :, None]
+    symbols = np.maximum(ext, 0)[:, None, :]
+    emit = np.take_along_axis(data, symbols, axis=2)
+    # padded frames and states emit nothing, so no path enters them
+    np.copyto(emit, -np.inf, where=(steps >= frames[:, None, None]) | (ext < 0)[:, None, :])
     alphas = _ctc_alphas(emit, allow_skip)
-    log_p = np.logaddexp(alphas[-1, -1], alphas[-1, -2])
+    last = alphas[utt, frames - 1]
+    log_p = np.logaddexp(last[utt, states - 1], last[utt, states - 2])
+    mean = np.add.accumulate(-log_p * (1.0 / b))[-1]
 
     def backward(g):
-        # reversed state s' may be entered from s' - 2 iff original S+1-s' may
-        skip_back = np.concatenate([[False, False], allow_skip[:1:-1]])
-        betas = _ctc_alphas(emit[::-1, ::-1], skip_back)[::-1, ::-1]
+        # reversed frame t is frame frames[b]-1-t and reversed state s is state
+        # states[b]-1-s; padding maps to itself, so each map is its own inverse
+        t_rev = np.arange(t_max)
+        t_rev = np.where(t_rev < frames[:, None], frames[:, None] - 1 - t_rev, t_rev)
+        s_rev = np.arange(ext.shape[1])
+        s_rev = np.where(s_rev < states[:, None], states[:, None] - 1 - s_rev, s_rev)
+        flip = (utt[:, None, None], t_rev[:, :, None], s_rev[:, None, :])
+        # reversed state s may be entered from s - 2 iff original state
+        # s_rev[s - 2] may; padded states have -inf emissions either way
+        skip_back = np.zeros_like(allow_skip)
+        skip_back[:, 2:] = np.take_along_axis(allow_skip, s_rev[:, :-2], axis=1)
+        betas = _ctc_alphas(emit[flip], skip_back)[flip]
         # alpha and beta both hold the emission, and are -inf where it is
-        post = np.exp(alphas + betas - np.where(np.isneginf(emit), 0.0, emit) - log_p)
-        grad = np.zeros_like(lp.data)
-        np.add.at(grad, (np.arange(len(emit))[:, None], ext), post * -float(g))
-        return (grad,)
+        post = np.exp(alphas + betas - np.where(np.isneginf(emit), 0.0, emit)
+                      - log_p[:, None, None])
+        grad = np.zeros_like(data)
+        np.add.at(grad, (utt[:, None, None], steps, symbols), post * -float(g * (1.0 / b)))
+        return (grad.reshape(lp.data.shape),)
 
-    return _make(np.asarray(-log_p), (lp,), backward)
+    return _make(np.asarray(mean), (lp,), backward), -log_p
 
 
 def _ctc_alphas(emit, allow_skip):
-    """(T, S) log-space CTC forward variables: paths start in state 0 or 1 and
-    move 0, 1 or, where ``allow_skip``, 2 states per frame."""
+    """(B, T, S) log-space CTC forward variables: paths start in state 0 or 1
+    and move 0, 1 or, where ``allow_skip``, 2 states per frame."""
     alphas = np.full_like(emit, -np.inf)
-    alphas[0, :2] = emit[0, :2]
-    shifted = np.full(emit.shape[1] + 2, -np.inf, emit.dtype)
-    for t in range(1, len(emit)):
-        shifted[2:] = alphas[t - 1]
-        prev2 = np.where(allow_skip, shifted[:-2], -np.inf)
-        alphas[t] = np.logaddexp(np.logaddexp(alphas[t - 1], shifted[1:-1]), prev2) + emit[t]
+    alphas[:, 0, :2] = emit[:, 0, :2]
+    shifted = np.full((len(emit), emit.shape[2] + 2), -np.inf, emit.dtype)
+    for t in range(1, emit.shape[1]):
+        shifted[:, 2:] = alphas[:, t - 1]
+        prev2 = np.where(allow_skip, shifted[:, :-2], -np.inf)
+        alphas[:, t] = (np.logaddexp(np.logaddexp(alphas[:, t - 1], shifted[:, 1:-1]), prev2)
+                        + emit[:, t])
     return alphas
 
 

@@ -186,7 +186,8 @@ def cmd_finetune(args) -> int:
         return _fail(2, str(err))
     missing = [u.utt_id for u in index.entries if u.utt_id not in transcripts]
     if missing:
-        return _fail(2, f"transcripts missing for: {', '.join(sorted(missing)[:5])}")
+        return _fail(2, f"{transcripts_path}: transcripts missing for: "
+                        f"{', '.join(sorted(missing)[:5])}")
 
     tokenizer = finetune.CharTokenizer.from_texts(
         transcripts[u.utt_id] for u in index.entries)

@@ -131,32 +131,44 @@ def scan_corpus(root) -> CorpusIndex:
     return CorpusIndex(entries=entries, skipped=skipped)
 
 
+def text_lines(path):
+    """Yield (line number, line without its newline) of a UTF-8 text file.
+    Bytes that are not UTF-8, or a NUL, raise ValueError naming path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")   # an undecodable byte became a lone surrogate
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+            if "\0" in line:
+                raise ValueError(f"{path}:{lineno}: holds a NUL byte")
+            yield lineno, line.rstrip("\n")
+
+
 def read_manifest(path) -> CorpusIndex:
     """Manifest alternative to scanning: one "id<TAB>path<TAB>duration_s" per line,
     each id once (labels, masks and caches are keyed by id)."""
     entries, first_line = [], {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>path<TAB>duration_s")
-            utt_id, wav_path, dur = parts
-            if utt_id in first_line:
-                raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
-                                 f"line {first_line[utt_id]}")
-            first_line[utt_id] = lineno
-            try:
-                duration = float(dur)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: duration {dur!r} is not a number") from None
-            if not np.isfinite(duration):
-                raise ValueError(f"{path}:{lineno}: duration {dur!r} is not finite")
-            if duration < MIN_DURATION_S:
-                continue
-            entries.append(Utterance(utt_id=utt_id, path=wav_path, duration=duration))
+    for lineno, line in text_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected id<TAB>path<TAB>duration_s")
+        utt_id, wav_path, dur = parts
+        if utt_id in first_line:
+            raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
+                             f"line {first_line[utt_id]}")
+        first_line[utt_id] = lineno
+        try:
+            duration = float(dur)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: duration {dur!r} is not a number") from None
+        if not np.isfinite(duration):
+            raise ValueError(f"{path}:{lineno}: duration {dur!r} is not finite")
+        if duration < MIN_DURATION_S:
+            continue
+        entries.append(Utterance(utt_id=utt_id, path=wav_path, duration=duration))
     return CorpusIndex(entries=entries)
 
 

@@ -7,7 +7,9 @@ trains jointly with distinct encoder/decoder learning-rate schedules.
 SpecAugment runs on the input features during training only.
 
 The CTC loss is the exact forward recursion in log space, one autodiff node
-(``ad.ctc_nll``) whose backward runs the beta recursion in numpy. Decoding
+(``ad.ctc_nll``) for a whole padded batch, whose backward runs the beta
+recursion in numpy; ``batch_ctc_loss`` checks every target and builds the
+padded lattice for it, and ``ctc_loss`` is its batch of one. Decoding
 offers per-frame greedy collapse and a prefix beam search that merges
 equivalent prefixes by log-sum-exp. Both are vectorised: the greedy collapse
 is one mask over the argmax path, and the beam search scores each frame as
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import datapipe
 from . import encoder as enc
 from . import pretrain
 from .autodiff import Tensor
@@ -133,14 +136,6 @@ def spec_augment(mel: np.ndarray, cfg: SpecAugmentConfig,
 
 # CTC --------------------------------------------------------------------------
 
-def _extended_targets(targets: np.ndarray):
-    ext = np.full(2 * len(targets) + 1, BLANK_ID, dtype=np.int64)
-    ext[1::2] = targets
-    allow_skip = np.zeros(len(ext), dtype=bool)
-    allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
-    return ext, allow_skip
-
-
 def ctc_loss(logprobs, targets):
     """Negative log-probability of all alignments of ``targets`` in ``logprobs``.
 
@@ -148,26 +143,44 @@ def ctc_loss(logprobs, targets):
     probability space); returns a Tensor in nats. Raises
     InfeasibleTargetError when T cannot fit the collapsed target.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size == 0:
-        raise ValueError("target must be nonempty")
-    if np.any(targets == BLANK_ID) or np.any(targets < 0):
-        raise ValueError("targets must be positive non-blank token ids")
     lp = ad.as_tensor(logprobs)
-    t_frames, vocab = lp.shape
-    if np.any(targets >= vocab):
-        raise ValueError("target id outside vocabulary")
+    t_frames, _ = lp.shape
+    return batch_ctc_loss(lp, [t_frames], [targets])
 
-    repeats = int(np.sum(targets[1:] == targets[:-1]))
-    min_frames = len(targets) + repeats
-    if t_frames < min_frames:
+
+def batch_ctc_loss(logprobs, frames, targets, names=None):
+    """Mean CTC loss of a padded (B, T, V) batch as one ``ad.ctc_nll`` node;
+    utterance i has ``frames[i]`` frames and ``targets[i]``. Every error
+    about utterance i starts ``utterance <names[i]>: `` when ``names`` is
+    given; an infeasible target raises InfeasibleTargetError."""
+    lp = ad.as_tensor(logprobs)
+
+    def where(i):
+        return "" if names is None else f"utterance {names[i]}: "
+
+    targets = [np.asarray(t, dtype=np.int64) for t in targets]
+    ext = np.full((len(targets), 2 * max(map(len, targets)) + 1), -1, dtype=np.int64)
+    for i, (target, t_frames) in enumerate(zip(targets, frames)):
+        if target.size == 0:
+            raise ValueError(where(i) + "target must be nonempty")
+        if np.any(target == BLANK_ID) or np.any(target < 0):
+            raise ValueError(where(i) + "targets must be positive non-blank token ids")
+        if np.any(target >= lp.shape[-1]):
+            raise ValueError(where(i) + "target id outside vocabulary")
+        min_frames = len(target) + int(np.sum(target[1:] == target[:-1]))
+        if t_frames < min_frames:
+            raise InfeasibleTargetError(
+                where(i) + f"{int(t_frames)} frames cannot align a target needing {min_frames}")
+        ext[i, : 2 * len(target) + 1] = BLANK_ID
+        ext[i, 1: 2 * len(target): 2] = target
+    allow_skip = np.zeros(ext.shape, dtype=bool)
+    allow_skip[:, 2:] = (ext[:, 2:] > BLANK_ID) & (ext[:, 2:] != ext[:, :-2])
+
+    loss, nll = ad.ctc_nll(lp, frames, ext, allow_skip)
+    infeasible = np.flatnonzero(np.isposinf(nll))
+    if infeasible.size:
         raise InfeasibleTargetError(
-            f"{t_frames} frames cannot align a target needing {min_frames}")
-
-    ext, allow_skip = _extended_targets(targets)
-    loss = ad.ctc_nll(lp, ext, allow_skip)
-    if np.isposinf(loss.data):
-        raise InfeasibleTargetError("no feasible alignment (zero total probability)")
+            where(infeasible[0]) + "no feasible alignment (zero total probability)")
     return loss
 
 
@@ -420,16 +433,7 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
     logprobs, out_lengths = _ctc_logprobs(
         state, feats, batch.lengths, train=True,
         rng=keyed_rng(cfg.seed, "dropout", epoch, state.step))
-    per_utt = []
-    for i in range(len(targets)):
-        try:
-            per_utt.append(ctc_loss(logprobs[i, : int(out_lengths[i])], targets[i]))
-        except InfeasibleTargetError as err:
-            raise InfeasibleTargetError(
-                f"utterance {batch.utt_ids[i]}: {err}") from None
-    loss = ad.mul(per_utt[0], 1.0 / len(per_utt))
-    for term in per_utt[1:]:
-        loss = ad.add(loss, ad.mul(term, 1.0 / len(per_utt)))
+    loss = batch_ctc_loss(logprobs, out_lengths, targets, batch.utt_ids)
 
     loss_val, grads, grad_norm = pretrain.clipped_gradients(loss, state.params, cfg.grad_clip,
                                                             state.step + 1)
@@ -504,20 +508,18 @@ def read_transcripts(path, need_text=()) -> dict:
     any other text may be empty, as a hypothesis with no symbol is.
     """
     out, first_line = {}, {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>text")
-            utt_id, text = line.split("\t", 1)
-            if utt_id in first_line:
-                raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
-                                 f"line {first_line[utt_id]}")
-            if not text and utt_id in need_text:
-                raise ValueError(f"{path}:{lineno}: utterance {utt_id!r} has an empty "
-                                 f"transcript")
-            first_line[utt_id] = lineno
-            out[utt_id] = text
+    for lineno, line in datapipe.text_lines(path):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{lineno}: expected id<TAB>text")
+        utt_id, text = line.split("\t", 1)
+        if utt_id in first_line:
+            raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
+                             f"line {first_line[utt_id]}")
+        if not text and utt_id in need_text:
+            raise ValueError(f"{path}:{lineno}: utterance {utt_id!r} has an empty "
+                             f"transcript")
+        first_line[utt_id] = lineno
+        out[utt_id] = text
     return out

@@ -1,18 +1,20 @@
 """Malformed inputs through the in-process CLI: each ends in an exit code.
 
-One table per artefact. A case corrupts one input, runs one command on it
-and checks that ``main`` returns 1 or 2 without raising, prints
-``error: ...`` naming the file, and writes no output. Only the checkpoint
-table exists so far.
+One table per artefact: checkpoints, transcripts and corpus manifests. A
+case corrupts one input, runs one command on it and checks that ``main``
+returns 1 or 2 without raising, prints ``error: ...`` naming the file, and
+writes no output. A last table sets each numeric config key to 0 and -1 and
+checks that ``main`` exits 0 or 2, naming the section and the config file.
 """
 
+import configparser
 import struct
 
 import pytest
 
 from rqspeech import cli, datapipe, finetune, pretrain
 from rqspeech.cli import main
-from rqspeech.config import load_config
+from rqspeech.config import SCHEMA, load_config
 
 from conftest import rewrite_checkpoint_header
 from test_cli import write_corpus, write_pretrain_config
@@ -91,6 +93,9 @@ heads = 2
 [finetune]
 checkpoint = {ckpt}
 total_steps = 1
+
+[datapipe]
+num_buckets = 1
 """, encoding="utf-8")
 
 
@@ -165,3 +170,168 @@ def test_intact_checkpoint_gets_past_loading(inputs, tmp_path, capsys, monkeypat
     else:
         with pytest.raises(Loaded):
             main(argv)
+
+
+def _assert_refused(argv, bad, outputs, capsys):
+    assert main(argv) in (1, 2)
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(bad) in err
+    assert out == ""
+    assert [p for p in outputs if p.exists()] == []
+
+
+# transcripts ------------------------------------------------------------------
+
+GOOD_TRANSCRIPTS = b"utt00\tab\nutt01\tba\nutt02\tabba\n"
+
+# name -> make(path): leave a corrupt transcripts file at ``path``, or nothing
+TRANSCRIPT_CORRUPTIONS = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "no_tab": lambda path: path.write_bytes(GOOD_TRANSCRIPTS.replace(b"utt01\t", b"utt01 ")),
+    "repeated_id": lambda path: path.write_bytes(GOOD_TRANSCRIPTS.replace(b"utt01", b"utt00")),
+    "not_utf8": lambda path: path.write_bytes(b"utt00\t\xff\xfe\n"),
+    "nul_bytes": lambda path: path.write_bytes(GOOD_TRANSCRIPTS.replace(b"ba", b"b\0a")),
+}
+
+# corruptions that only training refuses: ``score`` reads an empty file as no
+# utterances and an empty text as a hypothesis with no symbol
+TRAINING_TRANSCRIPT_CORRUPTIONS = {
+    "empty": lambda path: path.write_bytes(b""),
+    "empty_text": lambda path: path.write_bytes(GOOD_TRANSCRIPTS.replace(b"\tba", b"\t")),
+}
+
+
+def _finetune_on(transcripts):
+    def command(inputs, tmp):
+        ckpt = tmp / "pre.msec"
+        ckpt.write_bytes(inputs["pretrain"])
+        ini = tmp / "ft.ini"
+        _finetune_config(ini, {**inputs, "transcripts": transcripts}, ckpt, tmp / "out")
+        return ["finetune", "--config", str(ini)], [tmp / "out"]
+    return command
+
+
+def _score_with(refs, hyps):
+    def command(inputs, tmp):
+        return ["score", "--refs", str(refs or inputs["transcripts"]),
+                "--hyps", str(hyps or inputs["transcripts"]),
+                "--report", str(tmp / "report.csv")], [tmp / "report.csv"]
+    return command
+
+
+# name -> command(bad transcripts path) -> command(inputs, scratch dir)
+TRANSCRIPT_COMMANDS = {
+    "finetune": _finetune_on,
+    "score_refs": lambda bad: _score_with(bad, None),
+    "score_hyps": lambda bad: _score_with(None, bad),
+}
+
+
+@pytest.mark.parametrize("command, corruption", [
+    *((c, k) for c in TRANSCRIPT_COMMANDS for k in TRANSCRIPT_CORRUPTIONS),
+    *(("finetune", k) for k in TRAINING_TRANSCRIPT_CORRUPTIONS)])
+def test_bad_transcripts_exit_with_message(inputs, tmp_path, capsys, command, corruption):
+    bad = tmp_path / "transcripts.tsv"
+    {**TRANSCRIPT_CORRUPTIONS, **TRAINING_TRANSCRIPT_CORRUPTIONS}[corruption](bad)
+    argv, outputs = TRANSCRIPT_COMMANDS[command](bad)(inputs, tmp_path)
+    _assert_refused(argv, bad, outputs, capsys)
+
+
+@pytest.mark.parametrize("read", [finetune.read_transcripts, datapipe.read_manifest])
+def test_non_utf8_line_is_named(tmp_path, read):
+    bad = tmp_path / "list.tsv"
+    bad.write_bytes(b"utt00\ta.wav\t1.0\n\nutt03\t\xff\xfe\t1.0\n")
+    with pytest.raises(ValueError, match=f"^{bad}:3: not valid UTF-8$"):
+        read(bad)
+
+
+# corpus manifests ---------------------------------------------------------------
+
+def _manifest_corruption(edit):
+    def make(path, good):
+        path.write_text(edit(good.splitlines(keepends=True)), encoding="utf-8")
+    return make
+
+
+def _set_duration(value):
+    return _manifest_corruption(
+        lambda lines: "".join(line.rsplit("\t", 1)[0] + f"\t{value}\n" for line in lines))
+
+
+# name -> make(path, good manifest text): leave a corrupt manifest at ``path``
+MANIFEST_CORRUPTIONS = {
+    "missing": lambda path, good: None,
+    "directory": lambda path, good: path.mkdir(),
+    "no_tab": _manifest_corruption(lambda lines: "".join(
+        [lines[0].replace("\t", " ", 1), *lines[1:]])),
+    "duration_not_a_number": _set_duration("abc"),
+    "duration_nan": _set_duration("nan"),
+    "duration_inf": _set_duration("inf"),
+    "repeated_id": _manifest_corruption(lambda lines: "".join([*lines, lines[0]])),
+    "not_utf8": lambda path, good: path.write_bytes(
+        good.encode("utf-8") + b"\xff\xfe\tx.wav\t1.0\n"),
+}
+
+
+def _pretrain_on(manifest, inputs, tmp):
+    ini = tmp / "pre.ini"
+    write_pretrain_config(ini, inputs["corpus"], tmp / "out")
+    ini.write_text(ini.read_text(encoding="utf-8").replace(
+        f"root = {inputs['corpus']}", f"manifest = {manifest}"), encoding="utf-8")
+    return ["pretrain", "--config", str(ini)], [tmp / "out"]
+
+
+def _decode_on(manifest, inputs, tmp):
+    ckpt = tmp / "ft.msec"
+    ckpt.write_bytes(inputs["finetune"])
+    return ["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
+            "--out", str(tmp / "hyp.tsv")], [tmp / "hyp.tsv"]
+
+
+# name -> command(bad manifest path, inputs, scratch dir) -> (argv, output paths)
+MANIFEST_COMMANDS = {"pretrain": _pretrain_on, "decode": _decode_on}
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+@pytest.mark.parametrize("corruption", MANIFEST_CORRUPTIONS)
+def test_bad_manifest_exits_with_message(inputs, tmp_path, capsys, command, corruption):
+    bad = tmp_path / "manifest.tsv"
+    MANIFEST_CORRUPTIONS[corruption](bad, inputs["manifest"].read_text(encoding="utf-8"))
+    argv, outputs = MANIFEST_COMMANDS[command](bad, inputs, tmp_path)
+    _assert_refused(argv, bad, outputs, capsys)
+
+
+# numeric config keys at 0 and -1 --------------------------------------------------
+
+NUMERIC_KEYS = [(section, key) for section, body in SCHEMA.items()
+                for key, (kind, _) in body.items() if kind in (int, float)]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
+                                                     section, key, value):
+    """Pins what each key does at 0 and -1: it runs (exit 0) or is refused
+    before any output (exit 2), naming its section and the config file."""
+    ini = tmp_path / "c.ini"
+    if section == "finetune":
+        ckpt = tmp_path / "pre.msec"
+        ckpt.write_bytes(inputs["pretrain"])
+        _finetune_config(ini, inputs, ckpt, tmp_path / "out")
+    else:
+        write_pretrain_config(ini, inputs["corpus"], tmp_path / "out", total_steps=2)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(ini, encoding="utf-8")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    with open(ini, "w", encoding="utf-8") as f:
+        parser.write(f)
+    code = main(["finetune" if section == "finetune" else "pretrain", "--config", str(ini)])
+    assert code in (0, 2)
+    if code == 2:
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err or f'"{section}.{key}"' in err
+        assert str(ini) in err
+        assert not (tmp_path / "out").exists()

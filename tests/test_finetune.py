@@ -228,6 +228,111 @@ class TestCtcLoss:
             ctc_loss(np.zeros((3, 3)), [])
 
 
+def reference_ctc_nll(lp, target):
+    """The per-utterance CTC node that the batched ``ad.ctc_nll`` replaced,
+    kept as the oracle its loss and gradient must equal bit for bit."""
+    ext = np.full(2 * len(target) + 1, BLANK_ID, dtype=np.int64)
+    ext[1::2] = target
+    allow_skip = np.zeros(len(ext), dtype=bool)
+    allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+
+    def alphas_of(emit, allow_skip):
+        alphas = np.full_like(emit, -np.inf)
+        alphas[0, :2] = emit[0, :2]
+        shifted = np.full(emit.shape[1] + 2, -np.inf, emit.dtype)
+        for t in range(1, len(emit)):
+            shifted[2:] = alphas[t - 1]
+            prev2 = np.where(allow_skip, shifted[:-2], -np.inf)
+            alphas[t] = np.logaddexp(np.logaddexp(alphas[t - 1], shifted[1:-1]), prev2) + emit[t]
+        return alphas
+
+    emit = lp.data[:, ext]
+    alphas = alphas_of(emit, allow_skip)
+    log_p = np.logaddexp(alphas[-1, -1], alphas[-1, -2])
+
+    def backward(g):
+        skip_back = np.concatenate([[False, False], allow_skip[:1:-1]])
+        betas = alphas_of(emit[::-1, ::-1], skip_back)[::-1, ::-1]
+        post = np.exp(alphas + betas - np.where(np.isneginf(emit), 0.0, emit) - log_p)
+        grad = np.zeros_like(lp.data)
+        np.add.at(grad, (np.arange(len(emit))[:, None], ext), post * -float(g))
+        return (grad,)
+
+    return ad._make(np.asarray(-log_p), (lp,), backward)
+
+
+def reference_batch_loss(lp, frames, targets):
+    """The chain the batched node replaced: one slice and one CTC node per
+    utterance, and the mean as a mul/add chain in batch order."""
+    per_utt = [reference_ctc_nll(lp[i, : int(frames[i])], targets[i])
+               for i in range(len(targets))]
+    loss = ad.mul(per_utt[0], 1.0 / len(per_utt))
+    for term in per_utt[1:]:
+        loss = ad.add(loss, ad.mul(term, 1.0 / len(per_utt)))
+    return loss
+
+
+def random_ctc_batch(rng, b, dtype):
+    """Padded (B, T, V) logits with unequal frame counts and target lengths;
+    utterance 0 has the most frames, and the last utterance's target needs
+    exactly its frame count."""
+    vocab = int(rng.integers(3, 12))
+    t_max = int(rng.integers(4, 30))
+    frames = rng.integers(1, t_max + 1, b)
+    frames[0] = t_max
+    targets = []
+    for t_frames in frames:
+        target = rng.integers(1, vocab, int(rng.integers(1, t_frames + 1)))
+        while len(target) + int(np.sum(target[1:] == target[:-1])) > t_frames:
+            target = target[:-1]
+        targets.append(target)
+    # n ones need 2n - 1 frames; a final 2 adds one more
+    n, odd = divmod(int(frames[-1]) + 1, 2)
+    targets[-1] = np.array([1] * n if not odd else [1] * n + [2])
+    logits = rng.standard_normal((b, t_max, vocab)).astype(dtype) * 3
+    logits[0, 0, BLANK_ID] = -np.inf   # a -inf log-prob entry
+    return logits, frames, targets
+
+
+class TestBatchCtcLoss:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradient_bits_match_per_utterance_chain(self, dtype):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            logits, frames, targets = random_ctc_batch(rng, trial % 8 + 1, dtype)
+            results = []
+            for loss_of in (reference_batch_loss, finetune.batch_ctc_loss):
+                x = Tensor(logits, requires_grad=True)
+                loss = loss_of(ad.log_softmax(x, axis=-1), frames, targets)
+                loss.backward()
+                results.append((loss.data, x.grad))
+            (want, want_grad), (got, got_grad) = results
+            assert got.dtype == got_grad.dtype == dtype
+            assert got.tobytes() == want.tobytes(), trial
+            assert got_grad.tobytes() == want_grad.tobytes(), trial
+
+    def test_zero_gradient_past_each_length(self):
+        logits, frames, targets = random_ctc_batch(np.random.default_rng(12), 5, np.float64)
+        with ad.no_grad():
+            x = Tensor(ad.log_softmax(logits, axis=-1).data, requires_grad=True)
+        finetune.batch_ctc_loss(x, frames, targets).backward()
+        for i, (t_frames, target) in enumerate(zip(frames, targets)):
+            assert np.all(x.grad[i, t_frames:] == 0.0)
+            unused = np.setdiff1d(np.arange(1, logits.shape[2]), target)
+            assert np.all(x.grad[i][:, unused] == 0.0)
+
+    def test_errors_name_the_utterance(self):
+        lp = random_logprobs(np.random.default_rng(13), 4, 3)[None].repeat(3, axis=0)
+        names = ["u0", "u1", "u2"]
+        with pytest.raises(InfeasibleTargetError, match="^utterance u1: 2 frames cannot"):
+            finetune.batch_ctc_loss(lp, [4, 2, 4], [[1], [1, 1], [2]], names)
+        with pytest.raises(ValueError, match="^utterance u2: target id outside"):
+            finetune.batch_ctc_loss(lp, [4, 4, 4], [[1], [2], [3]], names)
+        lp[2, :, 2] = -np.inf
+        with pytest.raises(InfeasibleTargetError, match="^utterance u2: no feasible"):
+            finetune.batch_ctc_loss(lp, [4, 4, 4], [[1], [2], [2]], names)
+
+
 class TestGreedyDecode:
     def test_collapse_rule(self):
         # frames argmax: blank, a, a, blank, b  (a=1, b=2)
@@ -519,6 +624,41 @@ class TestFinetuneLoop:
         clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
                               for p in state.params.values()))
         assert clipped == pytest.approx(1e-3, rel=1e-4)
+
+    def test_loss_is_one_ctc_node_over_the_log_softmax(self, pretrained_ckpt, monkeypatch):
+        texts = ["ab", "ba", "aab"]
+        state = self.make_state(pretrained_ckpt, texts)
+        batch = synth_batch(texts)
+        seen = {}
+        log_softmax, clipped = ad.log_softmax, pretrain.clipped_gradients
+
+        def keep_output(*args, **kwargs):
+            seen["logprobs"] = log_softmax(*args, **kwargs)
+            return seen["logprobs"]
+
+        def keep_loss(loss, *args):
+            seen["parents"] = loss._parents  # the backward walk releases them
+            return clipped(loss, *args)
+
+        monkeypatch.setattr(ad, "log_softmax", keep_output)
+        monkeypatch.setattr(pretrain, "clipped_gradients", keep_loss)
+        finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
+        assert seen["logprobs"].shape[0] == 3
+        assert seen["parents"] == (seen["logprobs"],)
+
+    def test_infeasible_utterance_raises_without_update(self, pretrained_ckpt):
+        texts = ["ab", "ba", "aab"]
+        state = self.make_state(pretrained_ckpt, texts + ["abababab"], freeze_steps=0)
+        batch = synth_batch(texts)
+        transcripts = dict(zip(batch.utt_ids, texts))
+        transcripts["toy1"] = "abababab"   # 8 symbols in 24 input frames
+        snapshot = {k: p.data.copy() for k, p in state.params.items()}
+        with pytest.raises(InfeasibleTargetError, match="^utterance toy1: "):
+            finetune.finetune_step(state, batch, transcripts, epoch=0)
+        assert state.step == 0
+        assert state.adam_encoder.count == state.adam_head.count == 0
+        for k, arr in snapshot.items():
+            assert np.array_equal(state.params[k].data, arr)
 
     def test_transcribe_shapes(self, pretrained_ckpt):
         texts = ["ab", "ba"]
