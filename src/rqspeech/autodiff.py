@@ -9,18 +9,22 @@ are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: what the encoder and the losses need,
-with these as one fused node each: the layer norm, relative-position
-attention, the Conformer's macaron half feed-forward (``half_ffn``) and
-convolution module (``conv_module``), the pretraining head, and the CTC loss
-of a whole padded batch (``ctc_nll``).
-The norm and the two Conformer nodes keep statistics and pre-activations,
-not their elementwise results, and recompute those in the backward from the
-numpy pieces at the bottom of this module, which ``linear`` and ``dropout``
-share, so each formula exists once. Attention's relative shift and the extractor's windows
-are strided read-only views, not gathers or K-fold copies. All ops keep
-dtype, so one graph runs in float32 to train and float64 to check gradients.
-``_pool_map`` is the one pool: the head maps its codebooks over it, and the
-encoder its two halves.
+with these as one fused node each: the layer norm, the Conformer's
+self-attention block (``attention_block``), macaron half feed-forward
+(``half_ffn``) and convolution module (``conv_module``), the pretraining
+head, and the CTC loss of a whole padded batch (``ctc_nll``).
+The norm and the three Conformer nodes keep statistics, pre-activations and
+boolean dropout masks, not their elementwise results, and recompute those in
+the backward from the numpy pieces at the bottom of this module, which
+``linear`` and ``dropout`` share, so each formula exists once. The attention
+block keeps q, k, v, its context and each score row's max and exponential
+sum, never the (B, H, L, L) probabilities: its forward and backward run over
+groups of whole (utterance, head) score matrices, and the backward
+recomputes a group's probabilities from those statistics. Attention's
+relative shift and the extractor's windows are strided views, not gathers
+or K-fold copies. All ops keep dtype, so one graph runs in float32 to train
+and float64 to check gradients. ``_pool_map`` is the one pool: the head maps
+its codebooks over it, and the encoder its two halves.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ import queue
 import numpy as np
 
 _grad_enabled = True
+# bytes of (L, L) attention scores in one group of ``_rel_attention``; a group
+# keeps at most three times this alive. Groups this small stay in the cache
+# and run as fast as whole batches, where the backward's recomputation would
+# otherwise cost more than it saves
+_ATTENTION_GROUP_BYTES = 1 << 20
 _OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
 _OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
 
@@ -545,65 +554,51 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _make(norm * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
-def rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
-                  drop: float, rng):
-    """Shift-style relative-position self-attention (Dai et al., 2019) as one
-    node: head h of query i weights value j by softmax_j(((q_i + u_h) . k_j +
-    (q_i + v_h) . (r W)_{i-j}) / sqrt(d) + key_mask_j), then inverted dropout.
-    ``q``, ``k``, ``v`` are (B, L, H*d), ``offsets`` r the (2L-1, H*d) encodings
-    of offsets -(L-1)..L-1. Returns the (B, L, H*d) context; the backward keeps
-    the (B, H, L, L) probabilities and the dropout mask.
+def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, bk, wv, bv, w_pos,
+                    bias_u, bias_v, wo, bo, heads: int, eps, drop: float, rng):
+    """The Conformer's self-attention block (Gulati et al., 2020) as one node:
+    layer norm, the ``wq``, ``wk`` and ``wv`` projections, relative-position
+    attention (``_rel_attention``) over the (B, 1, 1, L) ``key_mask`` and the
+    (2L-1, H*d) ``offsets`` encodings, the ``wo`` projection and inverted
+    dropout, the dropout masks drawn from ``rng`` in that order.
+
+    The backward keeps the norm's statistics, q, k, v, the context, each
+    (b, h, i) score row's max and exponential sum and boolean dropout masks,
+    never the (B, H, L, L) probabilities: it recomputes them group by group
+    with the forward's expressions, so only one group's scores are alive at a
+    time (Chen et al., 2016), and recomputes the norm, never a projection.
     """
-    q, k, v, w_pos, bias_u, bias_v = map(as_tensor, (q, k, v, w_pos, bias_u, bias_v))
-    b, l, hd = q.data.shape
-    d, n_off = hd // heads, len(offsets)
-    if n_off != 2 * l - 1:
-        raise ValueError(f"rel_attention needs 2L-1 = {2 * l - 1} offset rows, got {n_off}")
-    scale = float(1.0 / np.sqrt(d))  # a numpy scalar would promote float32 to float64
-
-    def split(x):  # (B, L, H*d) -> (B, H, L, d)
-        return x.reshape(b, l, heads, d).transpose(0, 2, 1, 3)
-
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(b, l, hd)
-
-    def shifted(x, writeable):
-        # (..., L, 2L-1) -> (..., L, L): out[..., i, j] = x[..., i, i - j + L - 1], no repeats
-        s_row, s_col = x.strides[-2:]
-        return np.lib.stride_tricks.as_strided(
-            x[..., l - 1:], shape=x.shape[:-1] + (l,),
-            strides=x.strides[:-2] + (s_row + s_col, -s_col), writeable=writeable)
-
-    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
-    u, vb = bias_u.data.reshape(1, heads, 1, d), bias_v.data.reshape(1, heads, 1, d)
-    r = (offsets @ w_pos.data).reshape(n_off, heads, d).transpose(1, 2, 0)  # (H, d, 2L-1)
-    s = (q4 + u) @ k4.transpose(0, 1, 3, 2)
-    s += shifted((q4 + vb) @ r, False)
-    s *= scale
-    s += key_mask
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)  # s now holds the probabilities
-    mult = _dropout_mult(s.shape, s.dtype, drop, rng)
+    parents = tuple(map(as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, w_pos, bias_u,
+                                    bias_v, wo, bo)))
+    x, gamma, beta, wq, bq, wk, bk, wv, bv, w_pos, bias_u, bias_v, wo, bo = parents
+    norm, mu, inv, _ = _norm_forward(x.data, eps)
+    y = norm * gamma.data + beta.data
+    projections = (wq, bq), (wk, bk), (wv, bv)
+    q, k, v = (y @ w.data + b.data for w, b in projections)
+    ctx, attention_grad = _rel_attention(q, k, v, offsets, w_pos.data, bias_u.data,
+                                         bias_v.data, key_mask, heads, drop, rng)
+    out = ctx @ wo.data + bo.data
+    dtype, keep = out.dtype, _dropout_keep(out.shape, drop, rng)
+    if keep is not None:
+        out = out * _dropout_mult(keep, dtype, drop)
+    needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
-        g4 = split(g)
-        gs = g4 @ np.swapaxes(v4, -1, -2)
-        if mult is not None:
-            gs *= mult
-        gs = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * scale
-        gpos = np.zeros(gs.shape[:-1] + (n_off,), gs.dtype)
-        shifted(gpos, True)[...] = gs
-        gqu, gqv = gs @ k4, gpos @ np.swapaxes(r, -1, -2)
-        gk = np.swapaxes(np.swapaxes(q4 + u, -1, -2) @ gs, -1, -2)
-        gr = (np.swapaxes(q4 + vb, -1, -2) @ gpos).sum(axis=0).transpose(2, 0, 1)
-        attn = s if mult is None else s * mult
-        return (merge(gqu + gqv), merge(gk), merge(np.swapaxes(attn, -1, -2) @ g4),
-                offsets.T @ gr.reshape(n_off, hd), _unbroadcast(gqu, u.shape).reshape(heads, d),
-                _unbroadcast(gqv, vb.shape).reshape(heads, d))
+        if keep is not None:
+            g = g * _dropout_mult(keep, dtype, drop)
+        gctx, gwo, gbo = _linear_grad(g, ctx, wo.data, True, *needs[12:])
+        gq, gk, gv, gw_pos, gu, gvb = attention_grad(gctx)
+        norm = _normalized(x.data, mu, inv)
+        y = norm * gamma.data + beta.data
+        gy, gwb = None, []
+        for (w, _), gp, nw, nb in zip(projections, (gq, gk, gv), needs[3:9:2], needs[4:9:2]):
+            gyp, gw, gb = _linear_grad(gp, y, w.data, True, nw, nb)
+            gy = gyp if gy is None else gy + gyp
+            gwb += gw, gb
+        return (*_norm_grad(gy, norm, inv, gamma.data, *needs[:3]), *gwb, gw_pos, gu, gvb,
+                gwo, gbo)
 
-    attn = s if mult is None else s * mult
-    return _make(merge(attn @ v4), (q, k, v, w_pos, bias_u, bias_v), backward)
+    return _make(out, parents, backward)
 
 
 def half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop: float, rng):
@@ -611,28 +606,29 @@ def half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop: float, rng):
     node: ``0.5 * dropout(dropout(swish(layer_norm(x) @ w1 + b1)) @ w2 + b2)``,
     the two inverted-dropout masks drawn from ``rng`` in that order. The
     backward keeps the norm's statistics, the pre-activation ``a`` and the
-    dropout multipliers, and recomputes the norm, the sigmoid and the swish
-    from them (Chen et al., 2016), never a matmul.
+    boolean dropout masks, and recomputes the norm, the sigmoid, the swish and
+    the dropout multipliers from them (Chen et al., 2016), never a matmul.
     """
     parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, w2, b2)))
     x, gamma, beta, w1, b1, w2, b2 = parents
     a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
     h = a * _sigmoid(a)
-    mult1 = _dropout_mult(h.shape, h.dtype, drop, rng)
-    if mult1 is not None:
-        h = h * mult1
+    keep1 = _dropout_keep(h.shape, drop, rng)
+    if keep1 is not None:
+        h = h * _dropout_mult(keep1, a.dtype, drop)
     z = h @ w2.data + b2.data
-    mult2 = _dropout_mult(z.shape, z.dtype, drop, rng)
-    if mult2 is not None:
-        z = z * mult2
+    dtype2, keep2 = z.dtype, _dropout_keep(z.shape, drop, rng)
+    if keep2 is not None:
+        z = z * _dropout_mult(keep2, dtype2, drop)
     needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
         g = g * 0.5
-        if mult2 is not None:
-            g = g * mult2
+        if keep2 is not None:
+            g = g * _dropout_mult(keep2, dtype2, drop)
         y = _sigmoid(a)
         h = a * y
+        mult1 = None if keep1 is None else _dropout_mult(keep1, a.dtype, drop)
         if mult1 is not None:
             h = h * mult1
         gh, gw2, gb2 = _linear_grad(g, h, w2.data, True, *needs[5:])
@@ -682,11 +678,14 @@ def conv_module(x, mask, gamma, beta, w1, b1, dw, dw_bias, norm_gamma, norm_beta
 
 
 def dropout(x, prob: float, rng: np.random.Generator):
-    """Inverted dropout; identity when prob == 0."""
+    """Inverted dropout; identity when prob == 0. The node keeps the boolean
+    mask and scales the gradient by the multipliers made from it again."""
     if prob <= 0.0:
         return x
     x = as_tensor(x)
-    return mul(x, _dropout_mult(x.data.shape, x.data.dtype, prob, rng))
+    dtype, keep = x.data.dtype, _dropout_keep(x.data.shape, prob, rng)
+    return _make(x.data * _dropout_mult(keep, dtype, prob), (x,),
+                 lambda g: (g * _dropout_mult(keep, dtype, prob),))
 
 
 # numpy forward and backward pieces ----------------------------------------
@@ -716,11 +715,142 @@ def _glu_grad(g, x, y):
     return np.concatenate([g * y, g * x * y * (1.0 - y)], -1)
 
 
-def _dropout_mult(shape, dtype, drop, rng):
-    """Inverted-dropout multipliers, 0 or 1 / (1 - drop); None when drop <= 0."""
+def _dropout_keep(shape, drop, rng):
+    """Boolean inverted-dropout mask, True where a unit is kept; None when
+    drop <= 0. A node keeps the mask, a quarter of float32 multipliers."""
     if drop <= 0.0:
         return None
-    return (rng.random(shape) >= drop).astype(dtype) / (1.0 - drop)
+    return rng.random(shape) >= drop
+
+
+def _dropout_mult(keep, dtype, drop):
+    """The multipliers of a ``_dropout_keep`` mask: 0 or 1 / (1 - drop)."""
+    return keep.astype(dtype) / (1.0 - drop)
+
+
+def _rel_shift(x, writeable=False):
+    """The relative shift (..., L, 2L-1) -> (..., L, L), out[..., i, j] =
+    x[..., i, i - j + L - 1], as a strided view of ``x`` with no repeats."""
+    l = x.shape[-2]
+    s_row, s_col = x.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        x[..., l - 1:], shape=x.shape[:-1] + (l,),
+        strides=x.strides[:-2] + (s_row + s_col, -s_col), writeable=writeable)
+
+
+def _attention_groups(b, heads, l, itemsize):
+    """(utterance slice, head slice) pairs that cover a (B, H, L, L) score
+    array in C order, each of whole (L, L) matrices within
+    ``_ATTENTION_GROUP_BYTES``: several utterances with all their heads, or
+    some heads of one utterance, and at least one matrix."""
+    per_group = max(1, _ATTENTION_GROUP_BYTES // (l * l * itemsize))
+    if per_group >= heads:
+        step = per_group // heads
+        return [(slice(i, i + step), slice(0, heads)) for i in range(0, b, step)]
+    return [(slice(i, i + 1), slice(h, h + per_group))
+            for i in range(b) for h in range(0, heads, per_group)]
+
+
+def _rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int,
+                   drop: float, rng):
+    """Shift-style relative-position self-attention (Dai et al., 2019) in
+    numpy: head h of query i weights value j by softmax_j(((q_i + u_h) . k_j +
+    (q_i + v_h) . (r W)_{i-j}) / sqrt(d) + key_mask_j), then inverted dropout.
+    ``q``, ``k``, ``v`` are (B, L, H*d) and ``offsets`` r the (2L-1, H*d)
+    encodings of offsets -(L-1)..L-1.
+
+    Returns the (B, L, H*d) context and its gradient function, which maps
+    the context's gradient to those of (q, k, v, w_pos, bias_u, bias_v). Both
+    run over ``_attention_groups``; the forward keeps each score row's max and
+    exponential sum, and the gradient recomputes a group's probabilities from
+    them, as FlashAttention's backward does (Dao et al., 2022) without its
+    online softmax, which would change the forward's bits. numpy's stacked
+    matmul runs one product per (L, L) matrix, and every reduction over
+    utterances or heads is taken on arrays assembled in full, so the bits do
+    not depend on the groups.
+    """
+    b, l, hd = q.shape
+    d, n_off = hd // heads, len(offsets)
+    if n_off != 2 * l - 1:
+        raise ValueError(f"relative attention needs 2L-1 = {2 * l - 1} offset rows, "
+                         f"got {n_off}")
+    scale = float(1.0 / np.sqrt(d))  # a numpy scalar would promote float32 to float64
+
+    def split(x):  # (B, L, H*d) -> (B, H, L, d)
+        return x.reshape(b, l, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(x):  # the inverse, a view where the layout allows
+        return x.transpose(0, 2, 1, 3).reshape(b, l, hd)
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    u, vb = bias_u.reshape(1, heads, 1, d), bias_v.reshape(1, heads, 1, d)
+    r = (offsets @ w_pos).reshape(n_off, heads, d).transpose(1, 2, 0)  # (H, d, 2L-1)
+    key_mask = np.broadcast_to(key_mask, (b, 1, 1, l))
+    score_dtype = np.result_type(q, k, bias_u)
+    groups = _attention_groups(b, heads, l, score_dtype.itemsize)
+    # each score row's max and exponential sum
+    m, den = np.empty((b, heads, l, 1), score_dtype), np.empty((b, heads, l, 1), score_dtype)
+
+    def probs(bs, hs, forward=False):
+        # the group's probabilities; the forward stores (m, den), the
+        # gradient divides by the stored values again
+        s = (q4[bs, hs] + u[:, hs]) @ np.swapaxes(k4[bs, hs], -1, -2)
+        s += _rel_shift((q4[bs, hs] + vb[:, hs]) @ r[hs])
+        s *= scale
+        s += key_mask[bs]
+        if forward:
+            m[bs, hs] = s.max(axis=-1, keepdims=True)
+        s -= m[bs, hs]
+        np.exp(s, out=s)
+        if forward:
+            den[bs, hs] = s.sum(axis=-1, keepdims=True)
+        s /= den[bs, hs]
+        return s
+
+    ctx = np.empty((b, heads, l, d), np.result_type(score_dtype, v))
+    keep = None if drop <= 0.0 else np.empty((b, heads, l, l), bool)
+    for bs, hs in groups:
+        p = probs(bs, hs, forward=True)
+        if keep is not None:
+            keep[bs, hs] = _dropout_keep(p.shape, drop, rng)
+            p *= _dropout_mult(keep[bs, hs], p.dtype, drop)
+        ctx[bs, hs] = p @ v4[bs, hs]
+
+    def grad(g):
+        g4 = split(g)
+        # every part is assembled in the layout of a whole-batch matmul's
+        # output, so the merges and reductions below see the same arrays
+        gqu, gqv, gv = (np.empty((b, heads, l, d), g.dtype) for _ in range(3))
+        gk = np.empty((b, heads, d, l), g.dtype)
+        gr = np.empty((b, heads, d, n_off), g.dtype)
+        for bs, hs in groups:
+            # ordered so that at most three (L, L) arrays of the group are alive
+            p = probs(bs, hs)
+            mult = None if keep is None else _dropout_mult(keep[bs, hs], p.dtype, drop)
+            gv[bs, hs] = np.swapaxes(p if mult is None else p * mult, -1, -2) @ g4[bs, hs]
+            gs = g4[bs, hs] @ np.swapaxes(v4[bs, hs], -1, -2)
+            if mult is not None:
+                gs *= mult
+                del mult
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            del p
+            gs *= scale
+            gpos = np.zeros(gs.shape[:-1] + (n_off,), gs.dtype)
+            _rel_shift(gpos, True)[...] = gs
+            gqu[bs, hs] = gs @ k4[bs, hs]
+            gk[bs, hs] = np.swapaxes(q4[bs, hs] + u[:, hs], -1, -2) @ gs
+            del gs
+            gqv[bs, hs] = gpos @ np.swapaxes(r[hs], -1, -2)
+            gr[bs, hs] = np.swapaxes(q4[bs, hs] + vb[:, hs], -1, -2) @ gpos
+            del gpos
+        gr = gr.sum(axis=0).transpose(2, 0, 1)
+        return (merge(gqu + gqv), merge(np.swapaxes(gk, -1, -2)), merge(gv),
+                offsets.T @ gr.reshape(n_off, hd),
+                _unbroadcast(gqu, u.shape).reshape(heads, d),
+                _unbroadcast(gqv, vb.shape).reshape(heads, d))
+
+    return merge(ctx), grad
 
 
 def _linear_grad(g, x, w, nx=True, nw=True, nb=True):

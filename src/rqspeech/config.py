@@ -145,9 +145,12 @@ def load_config(path) -> RunConfig:
             build()
         except ValueError as err:
             raise ConfigError(f"[{section}] {err} in {path}") from None
-    for section, key in (("datapipe", "num_buckets"), ("pretrain", "checkpoint_every")):
-        if cfg.values[section][key] < 1:
-            raise ConfigError(f'key "{section}.{key}" must be >= 1 in {path}')
+    # a sign typo in these must not run a job that trains nothing and exits 0
+    for section, key, low in (("datapipe", "num_buckets", 1), ("datapipe", "tokens_per_batch", 1),
+                              ("datapipe", "workers", 0), ("pretrain", "checkpoint_every", 1),
+                              ("pretrain", "total_steps", 1), ("finetune", "total_steps", 1)):
+        if cfg.values[section][key] < low:
+            raise ConfigError(f'key "{section}.{key}" must be >= {low} in {path}')
     return cfg
 
 

@@ -14,6 +14,13 @@ Layout conventions:
   * attention scoring is the shift-style relative scheme: per-head content and
     position bias vectors plus a learned projection of sinusoidal offset
     encodings
+  * each sub-block is one autodiff node (``ad.half_ffn``,
+    ``ad.attention_block``, ``ad.conv_module``) that keeps statistics,
+    pre-activations and boolean dropout masks and recomputes the rest in its
+    backward; the attention node keeps q, k, v, its context and each score
+    row's max and exponential sum, never the (B, H, L, L) probabilities, so
+    a training tape grows with a batch's frames, not with the square of its
+    length
   * the convolution block normalizes per utterance and channel over valid
     frames only, so outputs never depend on batch composition
 
@@ -217,15 +224,10 @@ def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
 
 def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                    key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng) -> Tensor:
-    drop = cfg.dropout if train else 0.0
-    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], LN_EPS)
-    q, k, v = (ad.linear(y, p[prefix + f"{w}.weight"], p[prefix + f"{w}.bias"])
-               for w in ("wq", "wk", "wv"))
-    ctx = ad.rel_attention(q, k, v, pos_enc, p[prefix + "pos.weight"],
-                           p[prefix + "bias_u"], p[prefix + "bias_v"],
-                           key_mask, cfg.heads, drop, rng)
-    out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
-    return ad.dropout(out, drop, rng)
+    names = ("ln.gamma", "ln.beta", "wq.weight", "wq.bias", "wk.weight", "wk.bias",
+             "wv.weight", "wv.bias", "pos.weight", "bias_u", "bias_v", "wo.weight", "wo.bias")
+    return ad.attention_block(x, key_mask, pos_enc, *(p[prefix + name] for name in names),
+                              cfg.heads, LN_EPS, cfg.dropout if train else 0.0, rng)
 
 
 def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,

@@ -1,6 +1,7 @@
 import json
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,36 @@ def masked_norm_node(x, gamma, beta, eps, mask):
     return autodiff._make(norm * gamma.data + beta.data, (x, gamma, beta),
                           lambda g: autodiff._norm_grad(g, norm, inv, gamma.data, mask=mask,
                                                         inv_count=inv_count))
+
+
+def float_dropout(x, prob, rng):
+    """Inverted dropout as a product with float multipliers, the node that
+    ``autodiff.dropout`` was before it kept a boolean mask."""
+    if prob <= 0.0:
+        return x
+    x = autodiff.as_tensor(x)
+    return autodiff.mul(x, (rng.random(x.data.shape) >= prob).astype(x.data.dtype)
+                        / (1.0 - prob))
+
+
+def traced_bytes(call):
+    """``(call(), retained, peak)``: the bytes ``call`` leaves allocated and
+    the most it held at once, both above what tracemalloc counted when it
+    started. Traces only the call, unless tracing is already on: then bytes
+    allocated before the call and freed during it count against it, so a
+    caller that traces a whole run can measure one step of it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, current - start, peak - start
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ from rqspeech import autodiff as ad
 from rqspeech import pretrain
 from rqspeech.autodiff import Tensor
 
-from conftest import blas_thread_count, masked_norm_node
+from conftest import blas_thread_count, float_dropout, masked_norm_node
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -118,10 +118,27 @@ class TestPrimitives:
         key_mask[1, ..., 3] = -np.inf
 
         def build(q, k, v, w_pos, u, vb):
-            return ad.rel_attention(q, k, v, offsets, w_pos, u, vb, key_mask, 2, 0.3,
-                                    np.random.default_rng(0))
+            return rel_attention_node(q, k, v, offsets, w_pos, u, vb, key_mask, 2, 0.3,
+                                      np.random.default_rng(0))
 
         check_op(build, (2, 4, 6), (2, 4, 6), (2, 4, 6), (6, 6), (2, 3), (2, 3))
+
+    @pytest.mark.parametrize("group_bytes", [1, 2 * 4 * 4 * 8, 1 << 20])
+    def test_attention_block(self, group_bytes, monkeypatch):
+        # three utterances of 4 frames, 2 heads: groups of one (L, L) score
+        # matrix, of one utterance's two heads, and the whole batch; the last
+        # key of utterance 1 is masked
+        monkeypatch.setattr(ad, "_ATTENTION_GROUP_BYTES", group_bytes)
+        offsets = np.random.default_rng(1).standard_normal((7, 6))
+        key_mask = np.zeros((3, 1, 1, 4))
+        key_mask[1, ..., 3] = -np.inf
+
+        def build(x, *p):
+            return ad.attention_block(x, key_mask, offsets, *p, 2, 1e-5, 0.3,
+                                      np.random.default_rng(0))
+
+        check_op(build, (3, 4, 6), (6,), (6,), *[(6, 6), (6,)] * 3, (6, 6), (2, 3), (2, 3),
+                 (6, 6), (6,))
 
     def test_sum_mean(self):
         check_op(lambda a: ad.sum_(a, axis=1, keepdims=True), (3, 4, 2))
@@ -155,6 +172,13 @@ class TestPrimitives:
         x, _, _ = check_op(lambda x, g, b: masked_norm_node(x, g, b, 1e-5, mask),
                            (3, 6, 4), (4,), (4,))
         assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
+
+
+def rel_attention_node(q, k, v, offsets, w_pos, u, vb, key_mask, heads, drop, rng):
+    """``_rel_attention`` as one node over (q, k, v, w_pos, u, vb)."""
+    ctx, grad = ad._rel_attention(q.data, k.data, v.data, offsets, w_pos.data, u.data, vb.data,
+                                  key_mask, heads, drop, rng)
+    return ad._make(ctx, (q, k, v, w_pos, u, vb), grad)
 
 
 def swish_node(a):
@@ -228,7 +252,7 @@ def gather_rel_shift(a):
 
 
 def reference_attention(q, k, v, offsets, w_pos, u, vb, key_mask, heads):
-    """rel_attention's forward without dropout, in numpy, with the position
+    """``_rel_attention``'s forward without dropout, in numpy, with the position
     scores taken by ``gather_rel_shift``."""
     b, l, hd = q.shape
     d = hd // heads
@@ -247,7 +271,7 @@ def reference_attention(q, k, v, offsets, w_pos, u, vb, key_mask, heads):
 
 
 class TestRelShift:
-    """The strided relative shift inside ``rel_attention`` against the gather."""
+    """The strided relative shift inside ``_rel_attention`` against the gather."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("l", [1, 2, 5, 60])
@@ -264,15 +288,126 @@ class TestRelShift:
         key_mask = np.zeros((2, 1, 1, l), dtype)
         key_mask[1, ..., l // 2 + 1:] = -np.inf
         args = (q, k, v, offsets, w_pos, u, vb, key_mask, 3)
-        ctx = ad.rel_attention(*args, 0.0, None)
-        assert ctx.data.dtype == dtype
-        assert ctx.data.tobytes() == reference_attention(*args).tobytes()
+        ctx, _ = ad._rel_attention(*args, 0.0, None)
+        assert ctx.dtype == dtype
+        assert ctx.tobytes() == reference_attention(*args).tobytes()
 
     def test_rejects_unshifted_shape(self):
         q = np.zeros((1, 3, 4))
         with pytest.raises(ValueError, match="2L-1"):
-            ad.rel_attention(q, q, q, np.zeros((6, 4)), np.zeros((4, 4)),
-                             np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 2, 0.0, None)
+            ad._rel_attention(q, q, q, np.zeros((6, 4)), np.zeros((4, 4)),
+                              np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 2, 0.0, None)
+
+
+def float_half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop, rng):
+    """``half_ffn`` as it was while it kept float dropout multipliers."""
+    def mult_of(shape, dtype):
+        return (rng.random(shape) >= drop).astype(dtype) / (1.0 - drop) if drop > 0 else None
+
+    parents = (x, gamma, beta, w1, b1, w2, b2)
+    a, mu, inv = ad._norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
+    h = a * ad._sigmoid(a)
+    mult1 = mult_of(h.shape, h.dtype)
+    if mult1 is not None:
+        h = h * mult1
+    z = h @ w2.data + b2.data
+    mult2 = mult_of(z.shape, z.dtype)
+    if mult2 is not None:
+        z = z * mult2
+
+    def backward(g):
+        g = g * 0.5
+        if mult2 is not None:
+            g = g * mult2
+        y = ad._sigmoid(a)
+        h = a * y
+        if mult1 is not None:
+            h = h * mult1
+        gh, gw2, gb2 = ad._linear_grad(g, h, w2.data)
+        if mult1 is not None:
+            gh = gh * mult1
+        return (*ad._norm_linear_grad(ad._swish_grad(gh, a, y), x.data, mu, inv, gamma.data,
+                                      beta.data, w1.data, [True] * 5), gw2, gb2)
+
+    return ad._make(z * 0.5, parents, backward)
+
+
+class TestBooleanDropoutMasks:
+    """The nodes keep boolean keep masks and rebuild the multipliers in the
+    backward; the bits are those of the float-multiplier nodes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_bitwise_equal_to_float_multiplier(self, dtype):
+        rng = np.random.default_rng(0)
+        x, w = rng.standard_normal((3, 50, 8)).astype(dtype), rng.standard_normal((3, 50, 8))
+        results = []
+        for drop_node in (ad.dropout, float_dropout):
+            t = Tensor(x, requires_grad=True)
+            y = drop_node(t, 0.1, np.random.default_rng(1))
+            ad.sum_(ad.mul(y, w.astype(dtype))).backward()
+            results.append((y.data, t.grad))
+        (y, g), (want_y, want_g) = results
+        assert y.dtype == g.dtype == dtype
+        assert y.tobytes() == want_y.tobytes() and g.tobytes() == want_g.tobytes()
+        assert 0 < np.count_nonzero(y == 0) < y.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_half_ffn_bitwise_equal_to_float_multipliers(self, dtype):
+        rng = np.random.default_rng(2)
+        shapes = ((4, 30, 8), (8,), (8,), (8, 32), (32,), (32, 8), (8,))
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        probe = rng.standard_normal((4, 30, 8)).astype(dtype)
+        results = []
+        for node in (ad.half_ffn, float_half_ffn):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            y = node(*tensors, 1e-5, 0.1, np.random.default_rng(3))
+            ad.sum_(ad.mul(y, probe)).backward()
+            results.append([y.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
+class TestAttentionGroups:
+    @pytest.mark.parametrize("b, heads, l, group_bytes", [
+        (5, 4, 10, 1), (5, 4, 10, 3 * 400), (5, 4, 10, 4 * 400), (5, 4, 10, 9 * 400),
+        (5, 4, 10, 1 << 30), (1, 3, 7, 2 * 196)])
+    def test_groups_cover_the_scores_in_c_order(self, monkeypatch, b, heads, l, group_bytes):
+        # the dropout masks are drawn group by group, so the groups must walk
+        # the (B, H) matrices in the order of one whole-batch draw
+        monkeypatch.setattr(ad, "_ATTENTION_GROUP_BYTES", group_bytes)
+        walked = []
+        for bs, hs in ad._attention_groups(b, heads, l, 4):
+            cells = [(i, h) for i in range(b)[bs] for h in range(heads)[hs]]
+            assert len(cells) == 1 or len(cells) * l * l * 4 <= group_bytes
+            walked += cells
+        assert walked == [(i, h) for i in range(b) for h in range(heads)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("drop", [0.0, 0.1])
+    def test_bitwise_equal_across_group_sizes(self, monkeypatch, dtype, drop):
+        # 5 utterances of 40 frames, 4 heads: one score matrix per group, three
+        # heads (groups that split an utterance), two utterances, and all
+        rng = np.random.default_rng(4)
+        b, l, heads, hd = 5, 40, 4, 32
+        q, k, v = (rng.standard_normal((b, l, hd)).astype(dtype) for _ in range(3))
+        offsets, w_pos = (rng.standard_normal(s).astype(dtype) for s in ((2 * l - 1, hd), (hd, hd)))
+        u, vb = (rng.standard_normal((heads, hd // heads)).astype(dtype) for _ in range(2))
+        lengths = np.array([40, 3, 17, 40, 29])
+        key_mask = np.where(np.arange(l) < lengths[:, None], 0.0, -np.inf).astype(dtype)
+        g = rng.standard_normal((b, l, hd)).astype(dtype)
+        per_matrix = l * l * np.dtype(dtype).itemsize
+        results = []
+        for group_bytes in (1, 3 * per_matrix, 8 * per_matrix, 1 << 30):
+            monkeypatch.setattr(ad, "_ATTENTION_GROUP_BYTES", group_bytes)
+            ctx, grad = ad._rel_attention(q, k, v, offsets, w_pos, u, vb,
+                                          key_mask[:, None, None, :], heads, drop,
+                                          np.random.default_rng(5))
+            results.append([ctx, *grad(g)])
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSemantics:
@@ -346,8 +481,8 @@ class TestSemantics:
         onehot = np.tile(np.eye(4), (2, 1, 2))
         args = (q, q, onehot, rng.standard_normal((7, 8)), np.eye(8), np.zeros((2, 4)),
                 np.zeros((2, 4)), np.zeros((2, 1, 1, 4)), 2)
-        plain = ad.rel_attention(*args, 0.0, None).data
-        dropped = ad.rel_attention(*args, 0.5, np.random.default_rng(1)).data
+        plain = ad._rel_attention(*args, 0.0, None)[0]
+        dropped = ad._rel_attention(*args, 0.5, np.random.default_rng(1))[0]
         np.testing.assert_allclose(plain.reshape(2, 4, 2, 4).sum(axis=-1), 1.0)
         assert np.all((dropped == 0.0) | (dropped == 2.0 * plain))
         assert 0 < np.count_nonzero(dropped) < dropped.size

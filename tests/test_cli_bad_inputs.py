@@ -306,6 +306,11 @@ def test_bad_manifest_exits_with_message(inputs, tmp_path, capsys, command, corr
 
 NUMERIC_KEYS = [(section, key) for section, body in SCHEMA.items()
                 for key, (kind, _) in body.items() if kind in (int, float)]
+# values a sign typo gives that would run a job that trains nothing: refused
+REFUSED_VALUES = {("pretrain", "total_steps"): ("0", "-1"),
+                  ("finetune", "total_steps"): ("0", "-1"),
+                  ("datapipe", "tokens_per_batch"): ("0", "-1"),
+                  ("datapipe", "workers"): ("-1",)}
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -313,7 +318,8 @@ NUMERIC_KEYS = [(section, key) for section, body in SCHEMA.items()
 def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
                                                      section, key, value):
     """Pins what each key does at 0 and -1: it runs (exit 0) or is refused
-    before any output (exit 2), naming its section and the config file."""
+    before any output (exit 2), naming its section and the config file; the
+    values in ``REFUSED_VALUES`` are refused."""
     ini = tmp_path / "c.ini"
     if section == "finetune":
         ckpt = tmp_path / "pre.msec"
@@ -329,6 +335,8 @@ def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
     with open(ini, "w", encoding="utf-8") as f:
         parser.write(f)
     code = main(["finetune" if section == "finetune" else "pretrain", "--config", str(ini)])
+    if value in REFUSED_VALUES.get((section, key), ()):
+        assert code == 2
     assert code in (0, 2)
     if code == 2:
         err = capsys.readouterr().err

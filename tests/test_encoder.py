@@ -1,7 +1,7 @@
+import math
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from rqspeech import encoder
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
 
-from conftest import blas_thread_count, masked_norm_node
+from conftest import blas_thread_count, float_dropout, masked_norm_node, traced_bytes
 
 TINY = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, conv_kernel=5, dropout=0.0)
 
@@ -102,9 +102,9 @@ class TestForward:
         q, k, v = (rng.standard_normal((1, 1, 8)).astype(np.float32) for _ in range(3))
         pos_enc = encoder.sinusoid_offsets(0, 8, np.float32)
         bias = rng.standard_normal((1, 8)).astype(np.float32)
-        ctx = ad.rel_attention(q, k, v, pos_enc, np.eye(8, dtype=np.float32), bias, bias,
-                               np.zeros((1, 1, 1, 1), np.float32), 1, 0.0, None)
-        assert np.array_equal(ctx.data, v)
+        ctx, _ = ad._rel_attention(q, k, v, pos_enc, np.eye(8, dtype=np.float32), bias, bias,
+                                   np.zeros((1, 1, 1, 1), np.float32), 1, 0.0, None)
+        assert np.array_equal(ctx, v)
 
     def test_deterministic_without_dropout(self):
         params = make_params(TINY, seed=3)
@@ -129,11 +129,11 @@ class TestForward:
                 rng.standard_normal((16, 16)).astype(np.float32),
                 rng.standard_normal((heads, 4)).astype(np.float32),
                 rng.standard_normal((heads, 4)).astype(np.float32), key_mask, heads, 0.0, None)
-        ones = ad.rel_attention(q, k, np.ones((b, l, 16), np.float32), *rest)
-        assert np.all(np.abs(ones.data - 1.0) < 1e-6)
+        ones, _ = ad._rel_attention(q, k, np.ones((b, l, 16), np.float32), *rest)
+        assert np.all(np.abs(ones - 1.0) < 1e-6)
         padded = np.zeros((b, l, 16), np.float32)
         padded[0, lengths[0]:] = 1.0
-        assert np.all(ad.rel_attention(q, k, padded, *rest).data[0] == 0.0)
+        assert np.all(ad._rel_attention(q, k, padded, *rest)[0][0] == 0.0)
 
     def test_layer_state_count(self):
         params = make_params(TINY)
@@ -231,16 +231,18 @@ def recorded_nodes(out: Tensor) -> int:
 
 class TestAttentionTape:
     def test_attention_core_is_one_node(self):
-        # layer norm, the q/k/v linears, rel_attention and the output linear;
-        # the same attention built from generic ops records 29
-        params = make_params(TINY)
+        # built from generic ops the block recorded 29 nodes; with the
+        # relative attention one node, 7: layer norm, the q/k/v linears, the
+        # attention, the output linear and the output dropout
+        cfg = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, dropout=0.1)
+        params = make_params(cfg)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
                    requires_grad=True)
         key_mask = np.zeros((2, 1, 1, 5), np.float32)
-        pos_enc = encoder.sinusoid_offsets(4, TINY.hidden, np.float32)
-        out = encoder._rel_attention(params, "layers.0.attn.", TINY, x, key_mask,
+        pos_enc = encoder.sinusoid_offsets(4, cfg.hidden, np.float32)
+        out = encoder._rel_attention(params, "layers.0.attn.", cfg, x, key_mask,
                                      pos_enc, True, np.random.default_rng(0))
-        assert recorded_nodes(out) <= 6
+        assert recorded_nodes(out) == 1
 
 
 class TestConvTape:
@@ -275,35 +277,65 @@ class TestEncoderTape:
         # 172 nodes while the convolutions recorded separate padding and
         # weight-reshape nodes, 163 while swish, the GLU and the depthwise
         # convolution were chains of generic ops, 123 while each step of the
-        # FFNs and the conv modules was a node of its own
+        # FFNs and the conv modules was a node of its own, 67 while each
+        # attention block was six
         cfg = EncoderConfig()
         params = make_params(cfg)
         mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
         out = encoder.encode(params, cfg, mel, np.array([40, 23]))
-        assert recorded_nodes(out.final) <= 67
+        assert recorded_nodes(out.final) <= 47
 
 
 class TestRetainedMemory:
+    """What a training forward leaves alive for the backward, and the most
+    the backward holds on top of it."""
+
+    def tape_bytes_per_label_frame(self, b, t, dropout=0.0):
+        cfg = EncoderConfig(dropout=dropout)
+        params = make_params(cfg)
+        mel = np.random.default_rng(0).standard_normal((b, t, 80)).astype(np.float32)
+        out, retained, _ = traced_bytes(lambda: encoder.encode(
+            params, cfg, mel, np.full(b, t), train=True, rng=np.random.default_rng(1)))
+        return retained / int(out.lengths.sum())
+
     def test_training_tape_bytes_per_label_frame(self):
-        # what a training forward leaves alive for the backward, on a default
-        # pretraining batch (two halves): ~73 KB per label frame while each
-        # step of the FFNs and the conv modules was a node that kept its
-        # output, ~38 KB with each of them one node that recomputes its
-        # elementwise activations and each layer norm keeping statistics
+        # a default pretraining batch (two halves): ~73 KB per label frame
+        # while each step of the FFNs and the conv modules was a node that
+        # kept its output, ~38 KB with each of them one node that recomputes
+        # its elementwise activations and each layer norm keeping statistics,
+        # ~31 KB with attention keeping row statistics, not probabilities
+        assert 16 * 100 >= encoder._SPLIT_MIN_FRAMES
+        assert self.tape_bytes_per_label_frame(16, 400) <= 36 * 1024
+
+    def test_training_tape_with_dropout_bytes_per_label_frame(self):
+        # ~59 KB per label frame while attention kept its probabilities and
+        # every dropout mask was float multipliers, ~37 KB with boolean masks
+        assert self.tape_bytes_per_label_frame(16, 400, dropout=0.1) <= 46 * 1024
+
+    def test_long_bucket_tape_bytes_near_short_bucket(self):
+        # 2 x 3000 frames (30 s) kept 81 KB per label frame against 38 KB at
+        # 16 x 400 while attention kept its (B, H, L, L) probabilities
+        long = self.tape_bytes_per_label_frame(2, 3000)
+        assert long <= 1.25 * self.tape_bytes_per_label_frame(16, 400)
+
+    def test_long_bucket_backward_peak_below_one_layer_of_probabilities(self):
+        # the backward recomputes the probabilities one (L, L) score matrix
+        # at a time on each half's thread, and frees the tape as it walks it;
+        # it went ~51 MB above its start while every layer's whole-batch
+        # probabilities and their gradients were alive
         cfg = EncoderConfig()
         params = make_params(cfg)
-        mel = np.random.default_rng(0).standard_normal((16, 400, 80)).astype(np.float32)
-        lengths = np.full(16, 400)
-        assert 16 * 100 >= encoder._SPLIT_MIN_FRAMES
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = encoder.encode(params, cfg, mel, lengths, train=True,
+        mel = np.random.default_rng(0).standard_normal((2, 3000, 80)).astype(np.float32)
+        assert 2 * 3000 // 4 >= encoder._SPLIT_MIN_FRAMES
+
+        def train():
+            out = encoder.encode(params, cfg, mel, np.full(2, 3000), train=True,
                                  rng=np.random.default_rng(1))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained / int(out.lengths.sum()) <= 48 * 1024
+            return traced_bytes(lambda: ad.sum_(out.final).backward())[2]
+
+        peak, _, _ = traced_bytes(train)
+        l = 3000 // 4
+        assert 0 < peak < 2 * cfg.heads * l * l * 4
 
 
 def chain_pad_time(a, before, after):
@@ -345,9 +377,9 @@ def chain_half_ffn(p, prefix, cfg, x, train, rng):
     drop = cfg.dropout if train else 0.0
     y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     y = chain_swish(ad.linear(y, p[prefix + "w1.weight"], p[prefix + "w1.bias"]))
-    y = ad.dropout(y, drop, rng)
+    y = float_dropout(y, drop, rng)
     y = ad.linear(y, p[prefix + "w2.weight"], p[prefix + "w2.bias"])
-    return ad.mul(ad.dropout(y, drop, rng), 0.5)
+    return ad.mul(float_dropout(y, drop, rng), 0.5)
 
 
 def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
@@ -365,16 +397,78 @@ def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
     y = masked_norm_node(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
                          encoder.CONV_NORM_EPS, mask)
     y = ad.linear(chain_swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
-    return ad.dropout(y, cfg.dropout if train else 0.0, rng)
+    return float_dropout(y, cfg.dropout if train else 0.0, rng)
+
+
+def chain_rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads, drop, rng):
+    """The relative attention node that the attention block recorded before
+    it became one node: it kept the (B, H, L, L) probabilities and a float
+    dropout multiplier as large as them."""
+    b, l, hd = q.shape
+    d, n_off = hd // heads, len(offsets)
+    scale = float(1.0 / math.sqrt(d))
+
+    def split(x):
+        return x.reshape(b, l, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(b, l, hd)
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    u, vb = bias_u.data.reshape(1, heads, 1, d), bias_v.data.reshape(1, heads, 1, d)
+    r = (offsets @ w_pos.data).reshape(n_off, heads, d).transpose(1, 2, 0)
+    s = (q4 + u) @ k4.transpose(0, 1, 3, 2)
+    s += ad._rel_shift((q4 + vb) @ r)
+    s *= scale
+    s += key_mask
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    mult = None
+    if drop > 0.0:
+        mult = (rng.random(s.shape) >= drop).astype(s.dtype) / (1.0 - drop)
+
+    def backward(g):
+        g4 = split(g)
+        gs = g4 @ np.swapaxes(v4, -1, -2)
+        if mult is not None:
+            gs *= mult
+        gs = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * scale
+        gpos = np.zeros(gs.shape[:-1] + (n_off,), gs.dtype)
+        ad._rel_shift(gpos, True)[...] = gs
+        gqu, gqv = gs @ k4, gpos @ np.swapaxes(r, -1, -2)
+        gk = np.swapaxes(np.swapaxes(q4 + u, -1, -2) @ gs, -1, -2)
+        gr = (np.swapaxes(q4 + vb, -1, -2) @ gpos).sum(axis=0).transpose(2, 0, 1)
+        attn = s if mult is None else s * mult
+        return (merge(gqu + gqv), merge(gk), merge(np.swapaxes(attn, -1, -2) @ g4),
+                offsets.T @ gr.reshape(n_off, hd), ad._unbroadcast(gqu, u.shape).reshape(heads, d),
+                ad._unbroadcast(gqv, vb.shape).reshape(heads, d))
+
+    attn = s if mult is None else s * mult
+    return ad._make(merge(attn @ v4), (q, k, v, w_pos, bias_u, bias_v), backward)
+
+
+def chain_attention(p, prefix, cfg, x, key_mask, pos_enc, train, rng):
+    """``_rel_attention`` as six nodes and a dropout: layer norm, the q, k
+    and v linears, ``chain_rel_attention``, the output linear and dropout."""
+    drop = cfg.dropout if train else 0.0
+    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
+    q, k, v = (ad.linear(y, p[prefix + f"{w}.weight"], p[prefix + f"{w}.bias"])
+               for w in ("wq", "wk", "wv"))
+    ctx = chain_rel_attention(q, k, v, pos_enc, p[prefix + "pos.weight"],
+                              p[prefix + "bias_u"], p[prefix + "bias_v"], key_mask, cfg.heads,
+                              drop, rng)
+    out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
+    return float_dropout(out, drop, rng)
 
 
 def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_seed=None):
     """States and parameter gradients of the encoder, then of the encoder with
     the chains that its fused nodes replaced swapped back in: the FFNs, the
-    conv modules, layer norms that keep their normalized input and the
-    padding of the extractor's windows. A
-    ``dropout_seed`` runs both in training mode from the same generator
-    seed."""
+    attention blocks, the conv modules, float dropout multipliers, layer
+    norms that keep their normalized input and the padding of the
+    extractor's windows. A ``dropout_seed`` runs both in training mode from
+    the same generator seed."""
     def run():
         params = encoder.params_to_tensors(arrays)
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
@@ -386,6 +480,7 @@ def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_see
     monkeypatch.setattr(encoder, "_conv_stride2", chain_conv_stride2)
     monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
     monkeypatch.setattr(encoder, "_half_ffn", chain_half_ffn)
+    monkeypatch.setattr(encoder, "_rel_attention", chain_attention)
     monkeypatch.setattr(ad, "layer_norm", chain_layer_norm)
     return got, run()
 
@@ -423,6 +518,31 @@ class TestPaddedWindowsOracle:
         probe = rng.standard_normal((8, 130, 16)).astype(np.float32)
         assert_same_bits(*chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe,
                                             dropout_seed=8), np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("drop", [0.0, 0.1])
+    @pytest.mark.parametrize("lengths", [[90], [9, 90, 41], [520, 17, 300, 9, 520, 64, 411, 250]],
+                             ids=["one", "whole", "split"])
+    @pytest.mark.parametrize("matrices", [1, 3, 8, None])
+    def test_attention_groups_bitwise_equal_to_six_node_chain(self, monkeypatch, dtype, drop,
+                                                              lengths, matrices):
+        # groups of one (L, L) score matrix, of three of an utterance's four
+        # heads, of two utterances, and the default; 8 x 520 frames run as
+        # two halves, the others whole, and a batch of one lets numpy take
+        # some gradient reshapes as views
+        cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=4, dropout=drop)
+        arrays = encoder.init_encoder_params(cfg, 11, dtype)
+        rng = np.random.default_rng(12)
+        lengths = np.array(lengths)
+        mel = rng.standard_normal((len(lengths), lengths.max(), 80)).astype(dtype)
+        l = mel.shape[1] // 4
+        assert (len(lengths) * l >= encoder._SPLIT_MIN_FRAMES) == (len(lengths) == 8)
+        if matrices is not None:
+            monkeypatch.setattr(ad, "_ATTENTION_GROUP_BYTES",
+                                matrices * l * l * np.dtype(dtype).itemsize)
+        probe = rng.standard_normal((len(lengths), l, 16)).astype(dtype)
+        assert_same_bits(*chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe,
+                                            dropout_seed=13 if drop else None), dtype)
 
 
 class TestConvBlockOracle:
