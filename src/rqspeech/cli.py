@@ -103,15 +103,14 @@ def cmd_pretrain(args) -> int:
                                               run_config=cfg.flat_dict())
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, out_dir / "config.ini")
-
     cache_dir = cfg["pretrain"]["label_cache_dir"]
     if cache_dir:
         try:
             _warm_label_cache(state, index, Path(cache_dir))
         except (ValueError, OSError) as err:
             return _fail(1, str(err))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_config(cfg, out_dir / "config.ini")
 
     every = cfg["pretrain"]["checkpoint_every"]
 

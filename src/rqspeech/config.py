@@ -12,7 +12,7 @@ import configparser
 import os
 from pathlib import Path
 
-from . import encoder, masking, quantizer
+from . import datapipe, encoder, masking, quantizer
 from .finetune import FinetuneConfig, SpecAugmentConfig
 from .pretrain import PretrainConfig
 
@@ -105,12 +105,15 @@ def load_config(path) -> RunConfig:
     """Parse and validate a config file; the seed env var wins if set."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        problem = "is not a file" if path.exists() else "not found"
+        raise ConfigError(f"config file {problem}: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_file((line for _, line in datapipe.text_lines(path)), source=str(path))
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
+    except ValueError as err:  # not UTF-8, or a NUL byte, at path:line
+        raise ConfigError(f"cannot parse {err}") from None
 
     cfg = default_config()
     for section in parser.sections():

@@ -45,6 +45,7 @@ from .seeding import keyed_rng
 LN_EPS = 1e-5
 CONV_NORM_EPS = 1e-5
 MIN_INPUT_FRAMES = 8  # two stride-2 convolutions need at least one output frame
+INIT_BLOCK_VALUES = 1 << 17  # values per init draw: 1 MB of float64
 # a batch with at least this many padded label frames (B * T // 4) runs as two
 # halves on two cores; below it, thread start-up and the halves' second tape
 # walk cost more than the second core gains
@@ -162,7 +163,14 @@ def init_param(name: str, shape, seed: int, dtype=np.float32) -> np.ndarray:
     else:
         fan_in, fan_out = int(np.prod(shape[:-1])), shape[-1]
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    # one stream drawn in blocks gives the one-shot draw's values without its
+    # full-size float64 temporary
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, INIT_BLOCK_VALUES):
+        block = flat[start:start + INIT_BLOCK_VALUES]
+        block[...] = rng.uniform(-bound, bound, size=block.size)
+    return out
 
 
 def init_encoder_params(cfg: EncoderConfig, seed: int, dtype=np.float32) -> dict:

@@ -137,8 +137,11 @@ class AdamState:
 
     @staticmethod
     def init(params: dict) -> "AdamState":
-        return AdamState(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                         v={k: np.zeros_like(p.data) for k, p in params.items()})
+        """Zero moments; ``np.zeros`` maps large ones lazily, so their pages
+        are first touched by the first ``adam_step`` (a restore replaces
+        them untouched)."""
+        return AdamState(m={k: np.zeros(p.data.shape, p.data.dtype) for k, p in params.items()},
+                         v={k: np.zeros(p.data.shape, p.data.dtype) for k, p in params.items()})
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:

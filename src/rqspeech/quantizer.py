@@ -11,6 +11,7 @@ may be computed once per utterance and cached.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,15 +189,26 @@ def labels_for_mel(qs: QuantizerState, mel: np.ndarray) -> np.ndarray:
 
 
 def write_label_cache(path, labels: np.ndarray, vocab_size: int) -> None:
-    """Cache file: ASCII header "MSEQ1 L N V", then L*N little-endian u16."""
+    """Cache file: ASCII header "MSEQ1 L N V", then L*N little-endian u16.
+
+    The file is written beside ``path`` and renamed onto it when complete, so
+    a write that fails midway leaves any previous cache at ``path`` whole.
+    """
     if vocab_size > LABEL_CACHE_MAX_VOCAB:
         raise ValueError(f"label cache format requires vocab_size <= {LABEL_CACHE_MAX_VOCAB}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= vocab_size:
         raise ValueError("labels out of range for vocab_size")
     l, n = labels.shape
-    with open(path, "wb") as f:
-        f.write(f"MSEQ1 {l} {n} {vocab_size}\n".encode("ascii"))
-        f.write(labels.astype("<u2").tobytes())
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as f:
+            f.write(f"MSEQ1 {l} {n} {vocab_size}\n".encode("ascii"))
+            f.write(labels.astype("<u2").tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def read_label_cache(path) -> np.ndarray:

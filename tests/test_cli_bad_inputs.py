@@ -1,20 +1,22 @@
 """Malformed inputs through the in-process CLI: each ends in an exit code.
 
-One table per artefact: checkpoints, transcripts and corpus manifests. A
-case corrupts one input, runs one command on it and checks that ``main``
-returns 1 or 2 without raising, prints ``error: ...`` naming the file, and
-writes no output. A last table sets each numeric config key to 0 and -1 and
-checks that ``main`` exits 0 or 2, naming the section and the config file.
+One table per artefact: checkpoints, transcripts, corpus manifests, config
+files and label caches. A case corrupts one input, runs one command on it
+and checks that ``main`` returns 1 or 2 without raising, prints ``error:
+...`` naming the file, and writes no output. A last table sets each numeric
+config key to 0 and -1 and checks that ``main`` exits 0 or 2, naming the
+section and the config file.
 """
 
 import configparser
 import struct
 
+import numpy as np
 import pytest
 
-from rqspeech import cli, datapipe, finetune, pretrain
+from rqspeech import cli, datapipe, finetune, pretrain, quantizer
 from rqspeech.cli import main
-from rqspeech.config import SCHEMA, load_config
+from rqspeech.config import SCHEMA, ConfigError, load_config
 
 from conftest import rewrite_checkpoint_header
 from test_cli import write_corpus, write_pretrain_config
@@ -300,6 +302,155 @@ def test_bad_manifest_exits_with_message(inputs, tmp_path, capsys, command, corr
     MANIFEST_CORRUPTIONS[corruption](bad, inputs["manifest"].read_text(encoding="utf-8"))
     argv, outputs = MANIFEST_COMMANDS[command](bad, inputs, tmp_path)
     _assert_refused(argv, bad, outputs, capsys)
+
+
+# config files -------------------------------------------------------------------
+
+# name -> make(path, good config text): leave a corrupt config at ``path``
+CONFIG_CORRUPTIONS = {
+    "missing": lambda path, good: None,
+    "directory": lambda path, good: path.mkdir(),
+    "not_utf8": lambda path, good: path.write_bytes(
+        good.encode("utf-8") + b"# caf\xe9\n"),
+    "no_section_header": lambda path, good: path.write_text(
+        "seed = 3\n" + good, encoding="utf-8"),
+    "unknown_section": lambda path, good: path.write_text(
+        good + "[nosuch]\nkey = 1\n", encoding="utf-8"),
+    "duplicate_section": lambda path, good: path.write_text(
+        good + "[encoder]\nheads = 2\n", encoding="utf-8"),
+    "duplicate_key": lambda path, good: path.write_text(
+        good.replace("[encoder]\n", "[encoder]\nheads = 2\n"), encoding="utf-8"),
+}
+
+
+def _pretrain_config_text(inputs, tmp):
+    good = tmp / "good.ini"
+    write_pretrain_config(good, inputs["corpus"], tmp / "out")
+    return good.read_text(encoding="utf-8")
+
+
+def _finetune_config_text(inputs, tmp):
+    ckpt = tmp / "pre.msec"
+    ckpt.write_bytes(inputs["pretrain"])
+    good = tmp / "good.ini"
+    _finetune_config(good, inputs, ckpt, tmp / "out")
+    return good.read_text(encoding="utf-8")
+
+
+# name -> (good config text(inputs, scratch dir), argv(bad config path, output path));
+# each good config writes to <scratch dir>/out
+CONFIG_COMMANDS = {
+    "pretrain": (_pretrain_config_text, lambda ini, out: ["pretrain", "--config", str(ini)]),
+    "quantize": (_pretrain_config_text,
+                 lambda ini, out: ["quantize", "--config", str(ini), "--out", str(out)]),
+    "finetune": (_finetune_config_text, lambda ini, out: ["finetune", "--config", str(ini)]),
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("corruption", CONFIG_CORRUPTIONS)
+def test_bad_config_exits_2_with_message(inputs, tmp_path, capsys, command, corruption):
+    good_text, make_argv = CONFIG_COMMANDS[command]
+    bad = tmp_path / "bad.ini"
+    CONFIG_CORRUPTIONS[corruption](bad, good_text(inputs, tmp_path))
+    out = tmp_path / "out"
+    assert main(make_argv(bad, out)) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_names_its_line(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[run]\nseed = 3\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=f"^cannot parse {bad}:3: not valid UTF-8$"):
+        load_config(bad)
+
+
+# label caches -------------------------------------------------------------------
+
+def _lab_header_field(index, edit):
+    """corrupt(raw) that replaces header field ``index`` by ``edit(field)``."""
+    def corrupt(raw):
+        header, payload = raw.split(b"\n", 1)
+        fields = header.split()
+        fields[index] = edit(fields[index])
+        return b" ".join(fields) + b"\n" + payload
+    return corrupt
+
+
+def _plus_one(field):
+    return str(int(field) + 1).encode()
+
+
+def _first_label_at_vocab_size(raw):
+    start = raw.index(b"\n") + 1
+    return raw[:start] + struct.pack("<H", 32) + raw[start + 2:]
+
+
+# name -> corrupt(raw .lab bytes) -> bytes; the run's quantizer has 32 labels
+LABEL_CACHE_CORRUPTIONS = {
+    "header_only": lambda raw: raw[:raw.index(b"\n") + 1],
+    "cut_at_half": lambda raw: raw[:len(raw) // 2],
+    "magic_changed": _lab_header_field(0, lambda field: b"MSEQ2"),
+    "frames_changed": _lab_header_field(1, _plus_one),
+    "codebooks_changed": _lab_header_field(2, _plus_one),
+    "vocab_changed": _lab_header_field(3, lambda field: b"1"),
+    "label_at_vocab_size": _first_label_at_vocab_size,
+}
+
+
+@pytest.fixture(scope="module")
+def label_caches(inputs, tmp_path_factory):
+    """``{file name: bytes}`` of the .lab files ``quantize`` writes for the
+    table's corpus under the pretrain config."""
+    root = tmp_path_factory.mktemp("label_caches")
+    ini = root / "pre.ini"
+    write_pretrain_config(ini, inputs["corpus"], root / "out")
+    assert main(["quantize", "--config", str(ini), "--out", str(root / "cache")]) == 0
+    return {p.name: p.read_bytes() for p in (root / "cache").iterdir()}
+
+
+def _pretrain_on_cache(inputs, label_caches, tmp, corrupt):
+    """argv of a pretrain run into <tmp>/out warmed from a copy of
+    ``label_caches`` whose utt01.lab is ``corrupt(its bytes)``, and that
+    file's path."""
+    cache = tmp / "cache"
+    cache.mkdir()
+    for name, raw in label_caches.items():
+        (cache / name).write_bytes(corrupt(raw) if name == "utt01.lab" else raw)
+    ini = tmp / "pre.ini"
+    write_pretrain_config(ini, inputs["corpus"], tmp / "out", label_cache_dir=cache)
+    return ["pretrain", "--config", str(ini)], cache / "utt01.lab"
+
+
+@pytest.mark.parametrize("corruption", LABEL_CACHE_CORRUPTIONS)
+def test_bad_label_cache_exits_1_with_message(inputs, label_caches, tmp_path, capsys,
+                                              corruption):
+    argv, bad = _pretrain_on_cache(inputs, label_caches, tmp_path,
+                                   LABEL_CACHE_CORRUPTIONS[corruption])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(bad) in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_intact_label_cache_gets_past_loading(inputs, label_caches, tmp_path, monkeypatch):
+    """Uncorrupted, the table's caches fit the run: all three warm its label
+    cache and it goes on to train."""
+    argv, _ = _pretrain_on_cache(inputs, label_caches, tmp_path, lambda raw: raw)
+    warmed = {}
+
+    def stop(cfg, index, state, *args):
+        warmed.update(state.label_cache)
+        return 0
+    monkeypatch.setattr(cli, "_train", stop)
+    assert main(argv) == 0
+    assert sorted(warmed) == ["utt00", "utt01", "utt02"]
+    for utt_id, labels in warmed.items():
+        assert np.array_equal(labels, quantizer.read_label_cache(
+            tmp_path / "cache" / f"{utt_id}.lab"))
 
 
 # numeric config keys at 0 and -1 --------------------------------------------------

@@ -10,6 +10,7 @@ from rqspeech import autodiff as ad
 from rqspeech import encoder
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
+from rqspeech.seeding import keyed_rng
 
 from conftest import blas_thread_count, float_dropout, masked_norm_node, traced_bytes
 
@@ -701,6 +702,35 @@ class TestParamCount:
         assert set(breakdown) == set(params)
         for name, n in breakdown.items():
             assert params[name].size == n
+
+
+class TestInitParam:
+    """``init_param`` draws in blocks; its bits are those of one full draw."""
+
+    @staticmethod
+    def one_draw(name, shape, seed, dtype):
+        if name.endswith(".gamma"):
+            return np.ones(shape, dtype=dtype)
+        if name.endswith((".bias", ".beta")):
+            return np.zeros(shape, dtype=dtype)
+        fan_in, fan_out = shape if len(shape) == 2 else (math.prod(shape[:-1]), shape[-1])
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        rng = keyed_rng(seed, "param", name)
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+    # the encoder's tensors, the default pretrain head (64 x 32 * 2048, 32
+    # draw blocks) and a CTC head
+    SHAPES = {**encoder.param_shapes(encoder.DESK_SCALE),
+              "head.weight": (64, 32 * 2048), "head.bias": (32 * 2048,),
+              "ctc_head.weight": (64, 30)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_one_full_draw(self, dtype):
+        for name, shape in self.SHAPES.items():
+            got = encoder.init_param(name, shape, 5, dtype)
+            want = self.one_draw(name, shape, 5, dtype)
+            assert got.dtype == dtype and got.shape == shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 SPLIT_CFG = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2)

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import struct
 import tracemalloc
 
@@ -164,6 +166,18 @@ class TestAdam:
                            lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-8)
         assert np.array_equal(params["w"].data, before)
 
+    def test_init_moments_are_zero_and_unshared(self):
+        params = {"w": Tensor(np.ones((3, 4), np.float32)),
+                  "b": Tensor(np.ones(5, np.float64))}
+        state = pretrain.AdamState.init(params)
+        moments = [*state.m.values(), *state.v.values()]
+        for name, p in params.items():
+            for moment in (state.m[name], state.v[name]):
+                assert moment.shape == p.data.shape and moment.dtype == p.data.dtype
+                assert moment.flags.writeable and not moment.any()
+        for i, a in enumerate(moments):
+            assert not any(np.shares_memory(a, b) for b in moments[i + 1:])
+
     def test_clip_rescales_to_max_norm(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
         norm = pretrain.clip_global_norm(grads, 1.0)
@@ -175,6 +189,27 @@ class TestAdam:
         grads = {"a": np.array([0.1, 0.2])}
         pretrain.clip_global_norm(grads, 1.0)
         assert np.allclose(grads["a"], [0.1, 0.2])
+
+
+def resident_bytes():
+    """This process's resident set size from /proc/self/statm."""
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_init_train_state_touches_only_parameters_and_quantizer():
+    """A default-config start-up makes resident its parameters and quantizer,
+    not its Adam moments (touched at the first step) or full-size float64
+    init draws."""
+    gc.collect()
+    before = resident_bytes()
+    state = pretrain.init_train_state(enc.DESK_SCALE, PretrainConfig())
+    grown = resident_bytes() - before
+    qs = state.quantizer_state
+    used = (sum(p.data.nbytes for p in state.params.values())
+            + qs.projections.nbytes + qs.codebooks.nbytes)
+    assert grown <= used + 8 * 2**20, (grown, used)
 
 
 class TestTrainStep:

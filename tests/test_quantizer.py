@@ -1,3 +1,4 @@
+import errno
 import tracemalloc
 
 import numpy as np
@@ -310,6 +311,35 @@ class TestLabelCache:
         path.write_bytes(header + b"\n" + bytes(8))
         with pytest.raises(ValueError, match=f"not a label cache file: {path}"):
             quantizer.read_label_cache(path)
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "u.lab"
+        quantizer.write_label_cache(path, np.ones((6, 2), np.int32), 8)
+        before = path.read_bytes()
+
+        class HalfWritten:
+            """A file whose every write stores half its bytes and fails."""
+
+            def __init__(self, f):
+                self._f = f
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self._f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+        monkeypatch.setattr(quantizer, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            quantizer.write_label_cache(path, np.zeros((9, 2), np.int32), 8)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["u.lab"]
 
     def test_oversized_vocab_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="65536"):
