@@ -16,7 +16,8 @@ head, and the CTC loss of a whole padded batch (``ctc_nll``).
 The norm and the three Conformer nodes keep statistics, pre-activations and
 boolean dropout masks, not their elementwise results, and recompute those in
 the backward from the numpy pieces at the bottom of this module, which
-``linear`` and ``dropout`` share, so each formula exists once. The attention
+``linear`` shares, so each formula exists once. Each Conformer node draws
+and keeps its own dropout masks; there is no dropout node. The attention
 block keeps q, k, v, its context and each score row's max and exponential
 sum, never the (B, H, L, L) probabilities: its forward and backward run over
 groups of whole (utterance, head) score matrices, and the backward
@@ -554,13 +555,14 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _make(norm * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
-def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, bk, wv, bv, w_pos,
+def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, w_pos,
                     bias_u, bias_v, wo, bo, heads: int, eps, drop: float, rng):
     """The Conformer's self-attention block (Gulati et al., 2020) as one node:
     layer norm, the ``wq``, ``wk`` and ``wv`` projections, relative-position
     attention (``_rel_attention``) over the (B, 1, 1, L) ``key_mask`` and the
     (2L-1, H*d) ``offsets`` encodings, the ``wo`` projection and inverted
-    dropout, the dropout masks drawn from ``rng`` in that order.
+    dropout, the dropout masks drawn from ``rng`` in that order. ``wk`` has no
+    bias: the softmax cancels the (q_i + u) . b it adds to query i's row.
 
     The backward keeps the norm's statistics, q, k, v, the context, each
     (b, h, i) score row's max and exponential sum and boolean dropout masks,
@@ -568,35 +570,27 @@ def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, bk, wv, bv, w
     with the forward's expressions, so only one group's scores are alive at a
     time (Chen et al., 2016), and recomputes the norm, never a projection.
     """
-    parents = tuple(map(as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, w_pos, bias_u,
+    parents = tuple(map(as_tensor, (x, gamma, beta, wq, bq, wk, wv, bv, w_pos, bias_u,
                                     bias_v, wo, bo)))
-    x, gamma, beta, wq, bq, wk, bk, wv, bv, w_pos, bias_u, bias_v, wo, bo = parents
+    x, gamma, beta, wq, bq, wk, wv, bv, w_pos, bias_u, bias_v, wo, bo = parents
     norm, mu, inv, _ = _norm_forward(x.data, eps)
     y = norm * gamma.data + beta.data
-    projections = (wq, bq), (wk, bk), (wv, bv)
-    q, k, v = (y @ w.data + b.data for w, b in projections)
+    q, k, v = y @ wq.data + bq.data, y @ wk.data, y @ wv.data + bv.data
     ctx, attention_grad = _rel_attention(q, k, v, offsets, w_pos.data, bias_u.data,
                                          bias_v.data, key_mask, heads, drop, rng)
-    out = ctx @ wo.data + bo.data
-    dtype, keep = out.dtype, _dropout_keep(out.shape, drop, rng)
-    if keep is not None:
-        out = out * _dropout_mult(keep, dtype, drop)
+    out, dropped = _dropout(ctx @ wo.data + bo.data, drop, rng)
     needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
-        if keep is not None:
-            g = g * _dropout_mult(keep, dtype, drop)
-        gctx, gwo, gbo = _linear_grad(g, ctx, wo.data, True, *needs[12:])
+        gctx, gwo, gbo = _linear_grad(dropped(g), ctx, wo.data, True, *needs[11:])
         gq, gk, gv, gw_pos, gu, gvb = attention_grad(gctx)
         norm = _normalized(x.data, mu, inv)
         y = norm * gamma.data + beta.data
-        gy, gwb = None, []
-        for (w, _), gp, nw, nb in zip(projections, (gq, gk, gv), needs[3:9:2], needs[4:9:2]):
-            gyp, gw, gb = _linear_grad(gp, y, w.data, True, nw, nb)
-            gy = gyp if gy is None else gy + gyp
-            gwb += gw, gb
-        return (*_norm_grad(gy, norm, inv, gamma.data, *needs[:3]), *gwb, gw_pos, gu, gvb,
-                gwo, gbo)
+        gy, gwq, gbq = _linear_grad(gq, y, wq.data, True, *needs[3:5])
+        gyk, gwk, _ = _linear_grad(gk, y, wk.data, True, needs[5], False)
+        gyv, gwv, gbv = _linear_grad(gv, y, wv.data, True, *needs[6:8])
+        return (*_norm_grad(gy + gyk + gyv, norm, inv, gamma.data, *needs[:3]), gwq, gbq, gwk,
+                gwv, gbv, gw_pos, gu, gvb, gwo, gbo)
 
     return _make(out, parents, backward)
 
@@ -612,80 +606,56 @@ def half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop: float, rng):
     parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, w2, b2)))
     x, gamma, beta, w1, b1, w2, b2 = parents
     a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
-    h = a * _sigmoid(a)
-    keep1 = _dropout_keep(h.shape, drop, rng)
-    if keep1 is not None:
-        h = h * _dropout_mult(keep1, a.dtype, drop)
-    z = h @ w2.data + b2.data
-    dtype2, keep2 = z.dtype, _dropout_keep(z.shape, drop, rng)
-    if keep2 is not None:
-        z = z * _dropout_mult(keep2, dtype2, drop)
+    h, dropped1 = _dropout(a * _sigmoid(a), drop, rng)
+    z, dropped2 = _dropout(h @ w2.data + b2.data, drop, rng)
     needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
-        g = g * 0.5
-        if keep2 is not None:
-            g = g * _dropout_mult(keep2, dtype2, drop)
         y = _sigmoid(a)
-        h = a * y
-        mult1 = None if keep1 is None else _dropout_mult(keep1, a.dtype, drop)
-        if mult1 is not None:
-            h = h * mult1
-        gh, gw2, gb2 = _linear_grad(g, h, w2.data, True, *needs[5:])
-        if mult1 is not None:
-            gh = gh * mult1
-        return (*_norm_linear_grad(_swish_grad(gh, a, y), x.data, mu, inv, gamma.data,
-                                   beta.data, w1.data, needs[:5]), gw2, gb2)
+        gh, gw2, gb2 = _linear_grad(dropped2(g * 0.5), dropped1(a * y), w2.data, True,
+                                    *needs[5:])
+        return (*_norm_linear_grad(_swish_grad(dropped1(gh), a, y), x.data, mu, inv,
+                                   gamma.data, beta.data, w1.data, needs[:5]), gw2, gb2)
 
     return _make(z * 0.5, parents, backward)
 
 
-def conv_module(x, mask, gamma, beta, w1, b1, dw, dw_bias, norm_gamma, norm_beta, w2, b2,
-                eps, norm_eps):
+def conv_module(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2,
+                eps, norm_eps, drop: float, rng):
     """The Conformer convolution module (Gulati et al., 2020) as one node:
     layer norm, pointwise ``w1`` to 2C channels, GLU, the same-padded
     depthwise convolution ``dw`` over frames zeroed where the (B, T, 1)
-    ``mask`` is 0, the norm over each utterance's valid frames, swish and
-    pointwise ``w2``. The backward keeps both norms' statistics, the
-    (B, T, 2C) pre-GLU activation ``a`` and the depthwise output ``c``, and
-    recomputes the norms, the sigmoids, the GLU, the swish and the padded
-    depthwise input from them, never a matmul.
+    ``mask`` is 0 (no bias: the next norm would subtract it, Ioffe & Szegedy,
+    2015), the norm over each utterance's valid frames, swish, pointwise
+    ``w2`` and inverted dropout. The backward keeps both norms' statistics,
+    the (B, T, 2C) pre-GLU activation ``a``, the depthwise output ``c`` and
+    the boolean dropout mask, and recomputes the norms, the sigmoids, the
+    GLU, the swish and the padded depthwise input from them, never a matmul.
     """
-    parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, dw, dw_bias, norm_gamma,
-                                    norm_beta, w2, b2)))
-    x, gamma, beta, w1, b1, dw, dw_bias, norm_gamma, norm_beta, w2, b2 = parents
+    parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2,
+                                    b2)))
+    x, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2 = parents
     a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
     u, y = _glu_halves(a)
-    c = _depthwise(_depthwise_pad(u * y, mask, len(dw.data)), dw.data, dw_bias.data)
+    c = _depthwise(_depthwise_pad(u * y, mask, len(dw.data)), dw.data)
     c_norm, c_mu, c_inv, inv_count = _norm_forward(c, norm_eps, mask)
     n = c_norm * norm_gamma.data + norm_beta.data
+    out, dropped = _dropout((n * _sigmoid(n)) @ w2.data + b2.data, drop, rng)
     needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
         c_norm = _normalized(c, c_mu, c_inv, mask)
         n = c_norm * norm_gamma.data + norm_beta.data
         s = _sigmoid(n)
-        gs, gw2, gb2 = _linear_grad(g, n * s, w2.data, True, *needs[9:])
+        gs, gw2, gb2 = _linear_grad(dropped(g), n * s, w2.data, True, *needs[8:])
         gc, gng, gnb = _norm_grad(_swish_grad(gs, n, s), c_norm, c_inv, norm_gamma.data,
-                                  True, *needs[7:9], mask=mask, inv_count=inv_count)
+                                  True, *needs[6:8], mask=mask, inv_count=inv_count)
         u, y = _glu_halves(a)
-        gu, gdw, gdb = _depthwise_grad(gc, _depthwise_pad(u * y, mask, len(dw.data)), mask,
-                                       dw.data)
+        gu, gdw = _depthwise_grad(gc, _depthwise_pad(u * y, mask, len(dw.data)), mask, dw.data)
         return (*_norm_linear_grad(_glu_grad(gu, u, y), x.data, mu, inv, gamma.data,
-                                   beta.data, w1.data, needs[:5]), gdw, gdb, gng, gnb, gw2, gb2)
+                                   beta.data, w1.data, needs[:5]), gdw, gng, gnb, gw2, gb2)
 
-    return _make((n * _sigmoid(n)) @ w2.data + b2.data, parents, backward)
-
-
-def dropout(x, prob: float, rng: np.random.Generator):
-    """Inverted dropout; identity when prob == 0. The node keeps the boolean
-    mask and scales the gradient by the multipliers made from it again."""
-    if prob <= 0.0:
-        return x
-    x = as_tensor(x)
-    dtype, keep = x.data.dtype, _dropout_keep(x.data.shape, prob, rng)
-    return _make(x.data * _dropout_mult(keep, dtype, prob), (x,),
-                 lambda g: (g * _dropout_mult(keep, dtype, prob),))
+    return _make(out, parents, backward)
 
 
 # numpy forward and backward pieces ----------------------------------------
@@ -726,6 +696,15 @@ def _dropout_keep(shape, drop, rng):
 def _dropout_mult(keep, dtype, drop):
     """The multipliers of a ``_dropout_keep`` mask: 0 or 1 / (1 - drop)."""
     return keep.astype(dtype) / (1.0 - drop)
+
+
+def _dropout(a, drop, rng):
+    """(``a`` after inverted dropout, the map that scales a gradient by the
+    same multipliers); the map keeps the boolean mask, not the multipliers."""
+    keep, dtype = _dropout_keep(a.shape, drop, rng), a.dtype
+    if keep is None:
+        return a, lambda g: g
+    return a * _dropout_mult(keep, dtype, drop), lambda g: g * _dropout_mult(keep, dtype, drop)
 
 
 def _rel_shift(x, writeable=False):
@@ -868,26 +847,26 @@ def _depthwise_pad(x, mask, kernel: int):
     return np.pad(x * mask, ((0, 0), (half, kernel - 1 - half), (0, 0)))
 
 
-def _depthwise(padded, w, b):
+def _depthwise(padded, w):
     """Depthwise convolution of a ``_depthwise_pad`` output with the (K, C)
-    ``w``, then ``b``: K shifted multiply-adds in tap order, never a
-    (B, T, K, C) product."""
+    ``w``: K shifted multiply-adds in tap order, never a (B, T, K, C)
+    product."""
     t = padded.shape[1] - len(w) + 1
     out = padded[:, :t] * w[0]
     for j in range(1, len(w)):
         out += padded[:, j: j + t] * w[j]
-    return out + b
+    return out
 
 
 def _depthwise_grad(g, padded, mask, w):
-    """(gx, gw, gb) of ``_depthwise(_depthwise_pad(x, mask, K), w, b)``."""
+    """(gx, gw) of ``_depthwise(_depthwise_pad(x, mask, K), w)``."""
     kernel, t = len(w), g.shape[1]
     half = (kernel - 1) // 2
     gpad = np.zeros_like(padded)
     for j in range(kernel):
         gpad[:, j: j + t] += g * w[j]
     gw = [(g * padded[:, j: j + t]).sum(axis=(0, 1)) for j in range(kernel)]
-    return gpad[:, half: half + t] * mask, np.stack(gw), g.sum(axis=(0, 1))
+    return gpad[:, half: half + t] * mask, np.stack(gw)
 
 
 def _norm_forward(x, eps, mask=None):

@@ -157,9 +157,9 @@ def cmd_quantize(args) -> int:
     written = 0
     for utt in index.entries:
         try:
-            w = frontend.load_16k(utt.path)
-        except frontend.WavError as err:
-            return _fail(1, f"utterance {utt.utt_id}: {err}")
+            w = datapipe.load_utterance(utt)
+        except datapipe.UtteranceError as err:
+            return _fail(1, str(err))
         try:
             labels = quantizer.labels_for_mel(qs, frontend.log_mel(w))
         except ValueError as err:

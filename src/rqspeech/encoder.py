@@ -14,13 +14,15 @@ Layout conventions:
   * attention scoring is the shift-style relative scheme: per-head content and
     position bias vectors plus a learned projection of sinusoidal offset
     encodings
+  * every parameter learns: keys and the depthwise convolution have no bias,
+    which the softmax and the conv module's norm would cancel
   * each sub-block is one autodiff node (``ad.half_ffn``,
-    ``ad.attention_block``, ``ad.conv_module``) that keeps statistics,
-    pre-activations and boolean dropout masks and recomputes the rest in its
-    backward; the attention node keeps q, k, v, its context and each score
-    row's max and exponential sum, never the (B, H, L, L) probabilities, so
-    a training tape grows with a batch's frames, not with the square of its
-    length
+    ``ad.attention_block``, ``ad.conv_module``) that draws its own dropout
+    masks, keeps statistics, pre-activations and the boolean masks, and
+    recomputes the rest in its backward; the attention node keeps q, k, v,
+    its context and each score row's max and exponential sum, never the
+    (B, H, L, L) probabilities, so a training tape grows with a batch's
+    frames, not with the square of its length
   * the convolution block normalizes per utterance and channel over valid
     frames only, so outputs never depend on batch composition
 
@@ -125,7 +127,8 @@ def param_shapes(cfg: EncoderConfig) -> dict:
         shapes[p + "attn.ln.beta"] = (h,)
         for lin in ("wq", "wk", "wv", "wo"):
             shapes[p + f"attn.{lin}.weight"] = (h, h)
-            shapes[p + f"attn.{lin}.bias"] = (h,)
+            if lin != "wk":  # the softmax cancels a key bias
+                shapes[p + f"attn.{lin}.bias"] = (h,)
         shapes[p + "attn.pos.weight"] = (h, h)
         shapes[p + "attn.bias_u"] = (cfg.heads, cfg.head_dim)
         shapes[p + "attn.bias_v"] = (cfg.heads, cfg.head_dim)
@@ -134,7 +137,6 @@ def param_shapes(cfg: EncoderConfig) -> dict:
         shapes[p + "conv.pw1.weight"] = (h, 2 * h)
         shapes[p + "conv.pw1.bias"] = (2 * h,)
         shapes[p + "conv.dw.weight"] = (k, h)
-        shapes[p + "conv.dw.bias"] = (h,)
         shapes[p + "conv.norm.gamma"] = (h,)
         shapes[p + "conv.norm.beta"] = (h,)
         shapes[p + "conv.pw2.weight"] = (h, h)
@@ -232,8 +234,8 @@ def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
 
 def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                    key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng) -> Tensor:
-    names = ("ln.gamma", "ln.beta", "wq.weight", "wq.bias", "wk.weight", "wk.bias",
-             "wv.weight", "wv.bias", "pos.weight", "bias_u", "bias_v", "wo.weight", "wo.bias")
+    names = ("ln.gamma", "ln.beta", "wq.weight", "wq.bias", "wk.weight", "wv.weight",
+             "wv.bias", "pos.weight", "bias_u", "bias_v", "wo.weight", "wo.bias")
     return ad.attention_block(x, key_mask, pos_enc, *(p[prefix + name] for name in names),
                               cfg.heads, LN_EPS, cfg.dropout if train else 0.0, rng)
 
@@ -250,10 +252,10 @@ def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     # the mask zeroes padded frames before the depthwise kernel reads them,
     # and the module's second norm takes per-(utterance, channel) statistics
     # over valid frames only
-    names = ("ln.gamma", "ln.beta", "pw1.weight", "pw1.bias", "dw.weight", "dw.bias",
-             "norm.gamma", "norm.beta", "pw2.weight", "pw2.bias")
-    y = ad.conv_module(x, mask, *(p[prefix + name] for name in names), LN_EPS, CONV_NORM_EPS)
-    return ad.dropout(y, cfg.dropout if train else 0.0, rng)
+    names = ("ln.gamma", "ln.beta", "pw1.weight", "pw1.bias", "dw.weight", "norm.gamma",
+             "norm.beta", "pw2.weight", "pw2.bias")
+    return ad.conv_module(x, mask, *(p[prefix + name] for name in names), LN_EPS,
+                          CONV_NORM_EPS, cfg.dropout if train else 0.0, rng)
 
 
 def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,

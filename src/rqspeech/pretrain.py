@@ -36,6 +36,7 @@ from .seeding import keyed_rng
 CHECKPOINT_MAGIC = b"MSEC"
 CHECKPOINT_VERSION = 1
 LOAD_MODES = ("full", "feature_extractor_only")
+ADAM_BLOCK_VALUES = 1 << 16  # values per in-place Adam block
 
 
 class CheckpointError(ValueError):
@@ -145,7 +146,8 @@ class AdamState:
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    total = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+    squares = (np.square(c, out=c) for c in (g.astype(np.float64) for g in grads.values()))
+    total = np.sqrt(sum(float(np.sum(sq)) for sq in squares))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
@@ -173,20 +175,26 @@ def clipped_gradients(loss: Tensor, params: dict, max_norm: float, step: int):
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float, beta2: float, eps: float) -> None:
-    """One Adam update (bias-corrected, no weight decay) in place."""
+    """One Adam update (bias-corrected, no weight decay) in place, in blocks
+    of ``ADAM_BLOCK_VALUES`` values, so its temporaries stay in cache; each
+    block takes the whole-tensor formula, so the bits do not depend on them."""
     state.count += 1
     t = state.count
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+        tensors = p.data, state.m[name], state.v[name]
+        flats = [a.reshape(-1) for a in tensors] + [np.ravel(grads[name])]
+        for i in range(0, p.data.size, ADAM_BLOCK_VALUES):
+            pb, mb, vb, g = (f[i:i + ADAM_BLOCK_VALUES] for f in flats)
+            mb *= beta1
+            mb += (1.0 - beta1) * g
+            vb *= beta2
+            vb += (1.0 - beta2) * g * g
+            pb -= (lr / bc1) * mb / (np.sqrt(vb / bc2) + eps)
+        for a, flat in zip(tensors, flats):
+            if not np.may_share_memory(a, flat):  # a strided array, updated as a copy
+                a[...] = flat.reshape(a.shape)
 
 
 # training state --------------------------------------------------------------

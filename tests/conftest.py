@@ -26,7 +26,8 @@ def masked_norm_node(x, gamma, beta, eps, mask):
 
 def float_dropout(x, prob, rng):
     """Inverted dropout as a product with float multipliers, the node that
-    ``autodiff.dropout`` was before it kept a boolean mask."""
+    the encoder's dropout was before each Conformer node drew and kept
+    boolean masks of its own."""
     if prob <= 0.0:
         return x
     x = autodiff.as_tensor(x)

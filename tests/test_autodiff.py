@@ -83,8 +83,7 @@ class TestPrimitives:
         # utterance 1's last two frames are padding: the output never reads
         # them, so their input gradient is exactly zero
         mask = ragged_mask([6, 4], 6, np.float64)
-        x, _, _ = check_op(lambda x, w, b: depthwise_node(x, mask, w, b),
-                           (2, 6, 3), (kernel, 3), (3,))
+        x, _ = check_op(lambda x, w: depthwise_node(x, mask, w), (2, 6, 3), (kernel, 3))
         assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
 
     @pytest.mark.parametrize("drop", [0.0, 0.3])
@@ -95,14 +94,18 @@ class TestPrimitives:
 
         check_op(build, (2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,))
 
-    @pytest.mark.parametrize("kernel", [1, 3])
-    def test_conv_module(self, kernel):
+    @pytest.mark.parametrize("kernel, drop", [(1, 0.0), (3, 0.0), (3, 0.3)])
+    def test_conv_module(self, kernel, drop):
         # utterances of 5, 3 and 1 valid frames; padded frames reach neither
         # the depthwise convolution nor the norm's statistics, so their input
-        # gradient is exactly zero
+        # gradient is exactly zero. A fresh rng per build draws the same
+        # dropout mask every time
         mask = ragged_mask([5, 3, 1], 5, np.float64)
-        x, *_ = check_op(lambda x, *p: ad.conv_module(x, mask, *p, 1e-5, 1e-5),
-                         (3, 5, 4), (4,), (4,), (4, 8), (8,), (kernel, 4), (4,), (4,), (4,),
+
+        def build(x, *p):
+            return ad.conv_module(x, mask, *p, 1e-5, 1e-5, drop, np.random.default_rng(0))
+
+        x, *_ = check_op(build, (3, 5, 4), (4,), (4,), (4, 8), (8,), (kernel, 4), (4,), (4,),
                          (4, 4), (4,))
         assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
 
@@ -137,8 +140,10 @@ class TestPrimitives:
             return ad.attention_block(x, key_mask, offsets, *p, 2, 1e-5, 0.3,
                                       np.random.default_rng(0))
 
-        check_op(build, (3, 4, 6), (6,), (6,), *[(6, 6), (6,)] * 3, (6, 6), (2, 3), (2, 3),
-                 (6, 6), (6,))
+        # x, the norm's gamma and beta, wq, bq, wk (no bias), wv, bv, w_pos,
+        # the two head biases, wo and bo
+        check_op(build, (3, 4, 6), (6,), (6,), (6, 6), (6,), (6, 6), (6, 6), (6,), (6, 6),
+                 (2, 3), (2, 3), (6, 6), (6,))
 
     def test_sum_mean(self):
         check_op(lambda a: ad.sum_(a, axis=1, keepdims=True), (3, 4, 2))
@@ -193,11 +198,11 @@ def glu_node(a):
     return ad._make(x * y, (a,), lambda g: (ad._glu_grad(g, x, y),))
 
 
-def depthwise_node(x, mask, w, b):
+def depthwise_node(x, mask, w):
     """The masked depthwise convolution as one node over the numpy pieces the
     conv module shares."""
     padded = ad._depthwise_pad(x.data, mask, len(w.data))
-    return ad._make(ad._depthwise(padded, w.data, b.data), (x, w, b),
+    return ad._make(ad._depthwise(padded, w.data), (x, w),
                     lambda g: ad._depthwise_grad(g, padded, mask, w.data))
 
 
@@ -337,18 +342,33 @@ class TestBooleanDropoutMasks:
     backward; the bits are those of the float-multiplier nodes."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_dropout_bitwise_equal_to_float_multiplier(self, dtype):
+    def test_conv_module_bitwise_equal_to_float_multiplier(self, dtype):
+        # the module's own mask against the module without dropout followed
+        # by a float-multiplier dropout node drawing from the same stream
         rng = np.random.default_rng(0)
-        x, w = rng.standard_normal((3, 50, 8)).astype(dtype), rng.standard_normal((3, 50, 8))
+        shapes = ((3, 50, 8), (8,), (8,), (8, 16), (16,), (5, 8), (8,), (8,), (8, 8), (8,))
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        mask = ragged_mask([50, 31, 7], 50, dtype)
+        probe = rng.standard_normal((3, 50, 8)).astype(dtype)
+
+        def fused(*tensors):
+            return ad.conv_module(tensors[0], mask, *tensors[1:], 1e-5, 1e-5, 0.1,
+                                  np.random.default_rng(1))
+
+        def chained(*tensors):
+            y = ad.conv_module(tensors[0], mask, *tensors[1:], 1e-5, 1e-5, 0.0, None)
+            return float_dropout(y, 0.1, np.random.default_rng(1))
+
         results = []
-        for drop_node in (ad.dropout, float_dropout):
-            t = Tensor(x, requires_grad=True)
-            y = drop_node(t, 0.1, np.random.default_rng(1))
-            ad.sum_(ad.mul(y, w.astype(dtype))).backward()
-            results.append((y.data, t.grad))
-        (y, g), (want_y, want_g) = results
-        assert y.dtype == g.dtype == dtype
-        assert y.tobytes() == want_y.tobytes() and g.tobytes() == want_g.tobytes()
+        for node in (fused, chained):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            y = node(*tensors)
+            ad.sum_(ad.mul(y, probe)).backward()
+            results.append([y.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+        y = results[0][0]
         assert 0 < np.count_nonzero(y == 0) < y.size
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -487,18 +507,37 @@ class TestSemantics:
         assert np.all((dropped == 0.0) | (dropped == 2.0 * plain))
         assert 0 < np.count_nonzero(dropped) < dropped.size
 
-    def test_dropout_zero_prob_is_identity(self):
-        x = Tensor(np.ones((2, 2)))
-        y = ad.dropout(x, 0.0, np.random.default_rng(0))
-        assert y is x
+    def test_zero_dropout_draws_nothing(self):
+        # at drop 0 each Conformer node leaves its generator untouched
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 5, 4))
+        mask = ragged_mask([5, 3], 5, np.float64)
+        conv = (np.ones(4), np.zeros(4), rng.standard_normal((4, 8)), np.zeros(8),
+                rng.standard_normal((3, 4)), np.ones(4), np.zeros(4), np.eye(4), np.zeros(4))
+        ffn = (np.ones(4), np.zeros(4), np.eye(4), np.zeros(4), np.eye(4), np.zeros(4))
+        attention = (np.ones(4), np.zeros(4), np.eye(4), np.zeros(4), np.eye(4), np.eye(4),
+                     np.zeros(4), np.eye(4), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(4),
+                     np.zeros(4))
+        drawn = np.random.default_rng(1)
+        before = drawn.bit_generator.state
+        ad.conv_module(x, mask, *conv, 1e-5, 1e-5, 0.0, drawn)
+        ad.half_ffn(x, *ffn, 1e-5, 0.0, drawn)
+        ad.attention_block(x, np.zeros((2, 1, 1, 5)), rng.standard_normal((9, 4)), *attention,
+                           2, 1e-5, 0.0, drawn)
+        assert drawn.bit_generator.state == before
 
-    def test_dropout_scales_kept_units(self):
+    def test_conv_module_dropout_scales_kept_units(self):
+        # each output unit is 0 or 1 / (1 - p) times the undropped module's
         rng = np.random.default_rng(1)
-        x = Tensor(np.ones((100, 100)))
-        y = ad.dropout(x, 0.25, rng)
-        vals = np.unique(y.data)
-        assert set(np.round(vals, 6)) <= {0.0, np.round(1 / 0.75, 6)}
-        assert abs(y.data.mean() - 1.0) < 0.05
+        x = rng.standard_normal((4, 25, 4))
+        mask = ragged_mask([25, 25, 10, 3], 25, np.float64)
+        p = (np.ones(4), np.zeros(4), rng.standard_normal((4, 8)), np.zeros(8),
+             rng.standard_normal((3, 4)), np.ones(4), np.zeros(4), rng.standard_normal((4, 4)),
+             rng.standard_normal(4))
+        plain = ad.conv_module(x, mask, *p, 1e-5, 1e-5, 0.0, None).data
+        dropped = ad.conv_module(x, mask, *p, 1e-5, 1e-5, 0.25, rng).data
+        assert np.all((dropped == 0.0) | (dropped == plain * (1.0 / 0.75)))
+        assert 0.65 < np.count_nonzero(dropped) / dropped.size < 0.85
 
 
 def serial_multi_softmax_nll(x, w, b, labels, n):

@@ -1,9 +1,10 @@
 """Malformed inputs through the in-process CLI: each ends in an exit code.
 
 One table per artefact: checkpoints, transcripts, corpus manifests, config
-files and label caches. A case corrupts one input, runs one command on it
-and checks that ``main`` returns 1 or 2 without raising, prints ``error:
-...`` naming the file, and writes no output. A last table sets each numeric
+files, label caches and WAV files. A case corrupts one input, runs one
+command on it and checks that ``main`` returns 1 or 2 without raising,
+prints ``error: ...`` naming the file, and writes no output (a failed
+pretrain run saves its last completed step). A last table sets each numeric
 config key to 0 and -1 and checks that ``main`` exits 0 or 2, naming the
 section and the config file.
 """
@@ -451,6 +452,62 @@ def test_intact_label_cache_gets_past_loading(inputs, label_caches, tmp_path, mo
     for utt_id, labels in warmed.items():
         assert np.array_equal(labels, quantizer.read_label_cache(
             tmp_path / "cache" / f"{utt_id}.lab"))
+
+
+# WAV files ------------------------------------------------------------------------
+
+def _wav_field(offset, fmt, value):
+    """corrupt(raw) that packs ``value`` at byte ``offset`` of the header."""
+    def corrupt(raw):
+        return raw[:offset] + struct.pack(fmt, value) + raw[offset + struct.calcsize(fmt):]
+    return corrupt
+
+
+# name -> corrupt(raw) -> bytes, for a 16-bit mono PCM WAV with the 44-byte
+# header ``frontend.write_wav`` writes: fmt fields from byte 20, data from 44
+WAV_CORRUPTIONS = {
+    "riff_header_cut": lambda raw: raw[:8],
+    "data_cut_short": lambda raw: raw[:44 + (len(raw) - 44) // 2],
+    "sample_rate_0": _wav_field(24, "<I", 0),
+    "8_bit_samples": _wav_field(34, "<H", 8),
+    "format_tag_3": _wav_field(20, "<H", 3),
+    "3_channels": _wav_field(22, "<H", 3),
+    "zero_length_data": lambda raw: _wav_field(40, "<I", 0)(raw)[:44],
+}
+
+
+def _quantize_on(manifest, inputs, tmp):
+    argv, _ = _pretrain_on(manifest, inputs, tmp)
+    return ["quantize", "--config", argv[2], "--out", str(tmp / "labels")], [tmp / "labels"]
+
+
+# name -> command(manifest path, inputs, scratch dir) -> (argv, output paths)
+WAV_COMMANDS = {**MANIFEST_COMMANDS, "quantize": _quantize_on}
+
+
+@pytest.mark.filterwarnings("ignore:merged 1 degenerate buckets")  # one utterance
+@pytest.mark.parametrize("command", WAV_COMMANDS)
+@pytest.mark.parametrize("corruption", WAV_CORRUPTIONS)
+def test_bad_wav_exits_1_naming_utterance_and_file(inputs, tmp_path, capsys, command,
+                                                   corruption):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(WAV_CORRUPTIONS[corruption]((inputs["corpus"] / "utt00.wav").read_bytes()))
+    manifest = tmp_path / "bad_manifest.tsv"
+    manifest.write_text(f"uttbad\t{bad}\t1.0\n", encoding="utf-8")
+    argv, outputs = WAV_COMMANDS[command](manifest, inputs, tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "uttbad" in err and str(bad) in err
+    assert "Traceback" not in err and out == ""
+    if command == "pretrain":
+        # a failed run saves its last completed step, here the first
+        run_dir, = outputs
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini", "final.msec",
+                                                            "metrics.csv"]
+        assert pretrain.read_checkpoint(run_dir / "final.msec")[0]["step"] == 0
+        assert (run_dir / "metrics.csv").read_text(encoding="utf-8").count("\n") == 1
+    else:
+        assert [p for out in outputs for p in [out, *out.rglob("*")] if p.is_file()] == []
 
 
 # numeric config keys at 0 and -1 --------------------------------------------------

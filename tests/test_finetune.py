@@ -9,6 +9,7 @@ from rqspeech import encoder as enc
 from rqspeech import finetune, pretrain
 from rqspeech.quantizer import QuantizerConfig
 from rqspeech.autodiff import Tensor
+from rqspeech.cli import main
 from rqspeech.datapipe import Batch
 from rqspeech.finetune import (BLANK_ID, CharTokenizer, FinetuneConfig,
                                InfeasibleTargetError, SpecAugmentConfig, beam_decode,
@@ -821,6 +822,81 @@ class TestFinetuneCheckpoint:
     def test_pretrain_checkpoint_is_not_a_finetune_checkpoint(self, pretrained_ckpt):
         with pytest.raises(pretrain.CheckpointError, match="not a finetune checkpoint"):
             finetune.load_finetune_checkpoint(pretrained_ckpt)
+
+
+class TestCheckpointsWithDeletedBiases:
+    """Checkpoints written while each layer had a key bias and a depthwise
+    bias still load: readers take the tensors the config names and ignore
+    the rest, and the softmax and the conv module's norm cancelled both."""
+
+    CFG = enc.EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2, dropout=0.0)
+
+    @pytest.fixture
+    def biases(self):
+        rng = np.random.default_rng(40)
+        return {f"layers.{i}.{family}":
+                (0.3 + 0.1 * rng.standard_normal(self.CFG.hidden)).astype(np.float32)
+                for i in range(self.CFG.num_layers)
+                for family in ("attn.wk.bias", "conv.dw.bias")}
+
+    @pytest.fixture
+    def old_writer(self, biases, monkeypatch):
+        """The checkpoint writer, adding the biases and their Adam moments."""
+        real = pretrain.write_checkpoint
+
+        def write(path, step, encoder_cfg, tensors, fields):
+            moments = {f"opt.{kind}.{name}": np.abs(b) for name, b in biases.items()
+                       for kind in "mv"}
+            real(path, step, encoder_cfg, {**tensors, **biases, **moments}, fields)
+        monkeypatch.setattr(pretrain, "write_checkpoint", write)
+
+    def final_with_biases(self, params, biases, mel, lengths):
+        """The encoder's final state with each layer's biases added back, to
+        its keys and to its depthwise output, in layer order."""
+        layers = range(self.CFG.num_layers)
+        keys = iter([biases[f"layers.{i}.attn.wk.bias"] for i in layers])
+        convs = iter([biases[f"layers.{i}.conv.dw.bias"] for i in layers])
+        attention, depthwise = ad._rel_attention, ad._depthwise
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ad, "_rel_attention",
+                      lambda q, k, *rest: attention(q, k + next(keys), *rest))
+            m.setattr(ad, "_depthwise", lambda padded, w: depthwise(padded, w) + next(convs))
+            with ad.no_grad():
+                final = enc.encode(params, self.CFG, mel, lengths).final.data
+        assert next(keys, None) is None and next(convs, None) is None
+        return final
+
+    def test_pretrain_and_finetune_checkpoints_load(self, biases, old_writer, tmp_path,
+                                                    capsys):
+        cfg = pretrain.PretrainConfig(seed=0, quantizer=QuantizerConfig(1, 8, 4))
+        pre, ft = tmp_path / "pre.msec", tmp_path / "ft.msec"
+        fresh = pretrain.init_train_state(self.CFG, cfg)
+        pretrain.save_checkpoint(fresh, pre)
+        loaded = pretrain.load_checkpoint(pre, "full", self.CFG, cfg)
+        state = finetune.init_finetune_state(pre, FinetuneConfig(seed=1),
+                                             CharTokenizer.from_texts(["ab"]))
+        finetune.save_finetune_checkpoint(state, ft)
+        restored = finetune.load_finetune_checkpoint(ft)
+        for path in (pre, ft):
+            assert main(["inspect", "--ckpt", str(path)]) == 0
+            out = capsys.readouterr().out
+            for name in biases:
+                assert f"{name}\t{self.CFG.hidden}\n" in out
+                assert f"opt.m.{name}\t{self.CFG.hidden}\n" in out
+
+        assert list(loaded.params) == list(fresh.params)
+        assert list(loaded.adam.m) == list(fresh.params)
+        for name, p in fresh.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        rng = np.random.default_rng(41)
+        mel = rng.standard_normal((2, 60, 80)).astype(np.float32)
+        lengths = np.array([60, 37])
+        want = self.final_with_biases(fresh.params, biases, mel, lengths)
+        for params in (loaded.params, state.params, restored.params):
+            with ad.no_grad():
+                got = enc.encode(params, self.CFG, mel, lengths).final.data
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
 
 
 class TestTranscriptManifest:

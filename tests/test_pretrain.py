@@ -190,6 +190,61 @@ class TestAdam:
         pretrain.clip_global_norm(grads, 1.0)
         assert np.allclose(grads["a"], [0.1, 0.2])
 
+    def test_clip_norm_bitwise_equal_to_squared_copies(self):
+        rng = np.random.default_rng(3)
+        grads = {"a": rng.standard_normal((40, 30)).astype(np.float32),
+                 "b": rng.standard_normal(70), "c": rng.standard_normal((9, 4)).T}
+        want = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+        before = {name: g.copy() for name, g in grads.items()}
+        assert pretrain.clip_global_norm(grads, 0.0) == want
+        for name, g in grads.items():
+            assert g.tobytes() == before[name].tobytes(), name
+
+    @staticmethod
+    def whole_tensor_adam(params, grads, state, lr, beta1, beta2, eps):
+        """``adam_step`` as the whole-tensor formula it was before it ran in
+        blocks."""
+        state.count += 1
+        t = state.count
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name, p in params.items():
+            g, m, v = grads[name], state.m[name], state.v[name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_bitwise_equal_to_whole_tensor_formula(self, dtype):
+        # two whole blocks and a part, less than a block, and a transposed
+        # parameter that the blocks update through a copy
+        n = pretrain.ADAM_BLOCK_VALUES
+        rng = np.random.default_rng(4)
+        arrays = {"big": rng.standard_normal(2 * n + 123), "small": rng.standard_normal((7, 5)),
+                  "transposed": rng.standard_normal((300, 250)).T}
+        runs = []
+        for step_fn in (pretrain.adam_step, self.whole_tensor_adam):
+            params = {k: Tensor(a.astype(dtype)) for k, a in arrays.items()}
+            params["transposed"].data = arrays["transposed"].astype(dtype).T.copy().T
+            state = pretrain.AdamState.init(params)
+            grad_rng = np.random.default_rng(5)
+            for step in range(1, 4):
+                grads = {k: grad_rng.standard_normal(a.shape).astype(dtype)
+                         for k, a in arrays.items()}
+                step_fn(params, grads, state, lr_schedule(step, 1e-3, 2), 0.9, 0.98, 1e-8)
+            runs.append((params, state))
+        (params, state), (want_params, want_state) = runs
+        assert not params["transposed"].data.flags.c_contiguous
+        assert state.count == want_state.count == 3
+        for name in arrays:
+            for got, want in ((params[name].data, want_params[name].data),
+                              (state.m[name], want_state.m[name]),
+                              (state.v[name], want_state.v[name])):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes(), name
+
 
 def resident_bytes():
     """This process's resident set size from /proc/self/statm."""
