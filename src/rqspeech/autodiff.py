@@ -99,9 +99,10 @@ class Tensor:
 def _backprop(root: Tensor, grad) -> None:
     """Walk the tape from ``root`` in reverse topological order, seeded with
     ``grad`` (cast to ``root``'s dtype), and accumulate into every Tensor with
-    ``requires_grad``. A node's closure and parents are released once it has
-    run, so each array the tape holds is freed as soon as the walk is past it;
-    a tape is walked once."""
+    ``requires_grad``. This is the one place that drops the gradients of
+    parents that need none. A node's closure and parents are released once it
+    has run, so each array the tape holds is freed as soon as the walk is past
+    it; a tape is walked once."""
     # iterative DFS: a deep encoder stack records chains of nodes long
     # enough to overflow the recursion limit
     topo, seen = [], set()
@@ -547,16 +548,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     The backward keeps the statistics and recomputes the normalized ``x``."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     norm, mu, inv, _ = _norm_forward(x.data, eps)
-    needs = [_needs_grad(t) for t in (x, gamma, beta)]
 
     def backward(g):
-        return _norm_grad(g, _normalized(x.data, mu, inv), inv, gamma.data, *needs)
+        return _norm_grad(g, _normalized(x.data, mu, inv), inv, gamma.data)
 
     return _make(norm * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
-def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, w_pos,
-                    bias_u, bias_v, wo, bo, heads: int, eps, drop: float, rng):
+def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, wo, bo,
+                    w_pos, bias_u, bias_v, heads: int, eps, drop: float, rng):
     """The Conformer's self-attention block (Gulati et al., 2020) as one node:
     layer norm, the ``wq``, ``wk`` and ``wv`` projections, relative-position
     attention (``_rel_attention``) over the (B, 1, 1, L) ``key_mask`` and the
@@ -570,27 +570,26 @@ def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, w_pos
     with the forward's expressions, so only one group's scores are alive at a
     time (Chen et al., 2016), and recomputes the norm, never a projection.
     """
-    parents = tuple(map(as_tensor, (x, gamma, beta, wq, bq, wk, wv, bv, w_pos, bias_u,
-                                    bias_v, wo, bo)))
-    x, gamma, beta, wq, bq, wk, wv, bv, w_pos, bias_u, bias_v, wo, bo = parents
+    parents = tuple(map(as_tensor, (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo, w_pos,
+                                    bias_u, bias_v)))
+    x, gamma, beta, wq, bq, wk, wv, bv, wo, bo, w_pos, bias_u, bias_v = parents
     norm, mu, inv, _ = _norm_forward(x.data, eps)
     y = norm * gamma.data + beta.data
     q, k, v = y @ wq.data + bq.data, y @ wk.data, y @ wv.data + bv.data
     ctx, attention_grad = _rel_attention(q, k, v, offsets, w_pos.data, bias_u.data,
                                          bias_v.data, key_mask, heads, drop, rng)
     out, dropped = _dropout(ctx @ wo.data + bo.data, drop, rng)
-    needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
-        gctx, gwo, gbo = _linear_grad(dropped(g), ctx, wo.data, True, *needs[11:])
+        gctx, gwo, gbo = _linear_grad(dropped(g), ctx, wo.data)
         gq, gk, gv, gw_pos, gu, gvb = attention_grad(gctx)
         norm = _normalized(x.data, mu, inv)
         y = norm * gamma.data + beta.data
-        gy, gwq, gbq = _linear_grad(gq, y, wq.data, True, *needs[3:5])
-        gyk, gwk, _ = _linear_grad(gk, y, wk.data, True, needs[5], False)
-        gyv, gwv, gbv = _linear_grad(gv, y, wv.data, True, *needs[6:8])
-        return (*_norm_grad(gy + gyk + gyv, norm, inv, gamma.data, *needs[:3]), gwq, gbq, gwk,
-                gwv, gbv, gw_pos, gu, gvb, gwo, gbo)
+        gy, gwq, gbq = _linear_grad(gq, y, wq.data)
+        gyk, gwk, _ = _linear_grad(gk, y, wk.data, nb=False)
+        gyv, gwv, gbv = _linear_grad(gv, y, wv.data)
+        return (*_norm_grad(gy + gyk + gyv, norm, inv, gamma.data), gwq, gbq, gwk, gwv, gbv,
+                gwo, gbo, gw_pos, gu, gvb)
 
     return _make(out, parents, backward)
 
@@ -608,14 +607,12 @@ def half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop: float, rng):
     a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
     h, dropped1 = _dropout(a * _sigmoid(a), drop, rng)
     z, dropped2 = _dropout(h @ w2.data + b2.data, drop, rng)
-    needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
         y = _sigmoid(a)
-        gh, gw2, gb2 = _linear_grad(dropped2(g * 0.5), dropped1(a * y), w2.data, True,
-                                    *needs[5:])
+        gh, gw2, gb2 = _linear_grad(dropped2(g * 0.5), dropped1(a * y), w2.data)
         return (*_norm_linear_grad(_swish_grad(dropped1(gh), a, y), x.data, mu, inv,
-                                   gamma.data, beta.data, w1.data, needs[:5]), gw2, gb2)
+                                   gamma.data, beta.data, w1.data), gw2, gb2)
 
     return _make(z * 0.5, parents, backward)
 
@@ -641,19 +638,18 @@ def conv_module(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2,
     c_norm, c_mu, c_inv, inv_count = _norm_forward(c, norm_eps, mask)
     n = c_norm * norm_gamma.data + norm_beta.data
     out, dropped = _dropout((n * _sigmoid(n)) @ w2.data + b2.data, drop, rng)
-    needs = [_needs_grad(t) for t in parents]
 
     def backward(g):
         c_norm = _normalized(c, c_mu, c_inv, mask)
         n = c_norm * norm_gamma.data + norm_beta.data
         s = _sigmoid(n)
-        gs, gw2, gb2 = _linear_grad(dropped(g), n * s, w2.data, True, *needs[8:])
+        gs, gw2, gb2 = _linear_grad(dropped(g), n * s, w2.data)
         gc, gng, gnb = _norm_grad(_swish_grad(gs, n, s), c_norm, c_inv, norm_gamma.data,
-                                  True, *needs[6:8], mask=mask, inv_count=inv_count)
+                                  mask, inv_count)
         u, y = _glu_halves(a)
         gu, gdw = _depthwise_grad(gc, _depthwise_pad(u * y, mask, len(dw.data)), mask, dw.data)
         return (*_norm_linear_grad(_glu_grad(gu, u, y), x.data, mu, inv, gamma.data,
-                                   beta.data, w1.data, needs[:5]), gdw, gng, gnb, gw2, gb2)
+                                   beta.data, w1.data), gdw, gng, gnb, gw2, gb2)
 
     return _make(out, parents, backward)
 
@@ -891,15 +887,13 @@ def _normalized(x, mu, inv, mask=None):
     return _masked(x - mu, mask) * inv
 
 
-def _norm_grad(g, norm, inv, gamma, nx=True, ng=True, nb=True, mask=None, inv_count=None):
-    """(gx, ggamma, gbeta) of ``norm * gamma + beta``; None where not needed."""
+def _norm_grad(g, norm, inv, gamma, mask=None, inv_count=None):
+    """(gx, ggamma, gbeta) of ``norm * gamma + beta``."""
     lead = tuple(range(g.ndim - 1))
-    gx = None
-    if nx:
-        gy = _masked(g * gamma, mask)
-        gx = _masked(inv * (gy - _norm_mean(gy, inv_count)
-                            - norm * _norm_mean(gy * norm, inv_count)), mask)
-    return (gx, (g * norm).sum(axis=lead) if ng else None, g.sum(axis=lead) if nb else None)
+    gy = _masked(g * gamma, mask)
+    gx = _masked(inv * (gy - _norm_mean(gy, inv_count)
+                        - norm * _norm_mean(gy * norm, inv_count)), mask)
+    return gx, (g * norm).sum(axis=lead), g.sum(axis=lead)
 
 
 def _masked(a, mask):
@@ -920,9 +914,9 @@ def _norm_linear(x, gamma, beta, w, b, eps):
     return (norm * gamma + beta) @ w + b, mu, inv
 
 
-def _norm_linear_grad(g, x, mu, inv, gamma, beta, w, needs):
+def _norm_linear_grad(g, x, mu, inv, gamma, beta, w):
     """(gx, ggamma, gbeta, gw, gb) of ``_norm_linear``, the norm recomputed
-    from (mu, inv); ``needs`` flags the five in that order."""
+    from (mu, inv)."""
     norm = _normalized(x, mu, inv)
-    gy, gw, gb = _linear_grad(g, norm * gamma + beta, w, True, *needs[3:])
-    return (*_norm_grad(gy, norm, inv, gamma, *needs[:3]), gw, gb)
+    gy, gw, gb = _linear_grad(g, norm * gamma + beta, w)
+    return (*_norm_grad(gy, norm, inv, gamma), gw, gb)

@@ -49,7 +49,7 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
     """
     spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
                                   cfg["datapipe"]["tokens_per_batch"])
-    epoch, stalled = 0, False
+    epoch, stalled, error = 0, False, None
     try:
         with metrics:
             while state.step < total and not stalled:
@@ -66,9 +66,12 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
                 epoch += 1
     except (pretrain.NonFiniteLossError, pretrain.LabelCacheError,
             finetune.InfeasibleTargetError, datapipe.UtteranceError) as err:
-        save()
-        return _fail(1, str(err))
+        error = str(err)
+    except FloatingPointError as err:  # a diverged encoder; a non-finite loss names its step
+        error = f"step {state.step + 1}: {err}"
     save()
+    if error is not None:
+        return _fail(1, error)
     if stalled:
         return _fail(1, f"epoch {epoch - 1} made no update: no batch had a training "
                         f"target; stopped at step {state.step}")
@@ -152,7 +155,6 @@ def cmd_quantize(args) -> int:
     except (ValueError, OSError) as err:
         return _fail(2, str(err))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     qs = quantizer.init_quantizer(cfg.seed, cfg.quantizer_config())
     written = 0
     for utt in index.entries:
@@ -168,6 +170,7 @@ def cmd_quantize(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         quantizer.write_label_cache(path, labels, qs.config.vocab_size)
         written += 1
+    out_dir.mkdir(parents=True, exist_ok=True)  # also for a corpus with no utterance
     print(f"quantize done: {written} label files in {out_dir}")
     return 0
 

@@ -195,13 +195,14 @@ def build_buckets(index: CorpusIndex, num_buckets: int = DEFAULT_NUM_BUCKETS,
     if not index.entries:
         raise ValueError("cannot bucket an empty corpus index")
     durations = np.sort([u.capped_duration for u in index.entries])
-    edges = []
-    for b in range(num_buckets):
-        hi = int(np.ceil(len(durations) * (b + 1) / num_buckets)) - 1
-        edges.append(float(durations[hi]))
+    # with more buckets than utterances every duration is an edge, and each
+    # further bucket only repeats one
+    drawn = min(num_buckets, len(durations))
+    edges = [float(durations[int(np.ceil(len(durations) * (b + 1) / drawn)) - 1])
+             for b in range(drawn)]
     merged = sorted(set(edges))
-    if len(merged) < len(edges):
-        warnings.warn(f"merged {len(edges) - len(merged)} degenerate buckets")
+    if len(merged) < num_buckets:
+        warnings.warn(f"merged {num_buckets - len(merged)} degenerate buckets")
     buckets = []
     for i, edge in enumerate(merged):
         max_frames = frames_for_duration(edge)

@@ -104,8 +104,26 @@ class EncoderOutput:
 
 # parameter construction ----------------------------------------------------
 
+# Each Conformer sub-block's parameters in the order its node takes them, each
+# with its shape spelled in config sizes: h hidden, f ffn, g 2 * hidden (the
+# GLU's input), k conv_kernel, n heads, d head_dim. A layer lists its blocks
+# in this order; that order is the order of the clipping norm's sum, so it
+# sets the bits of every clipped update.
+_NORM = (("ln.gamma", "h"), ("ln.beta", "h"))
+_FFN = _NORM + (("w1.weight", "hf"), ("w1.bias", "f"), ("w2.weight", "fh"), ("w2.bias", "h"))
+_ATTN = _NORM + (("wq.weight", "hh"), ("wq.bias", "h"), ("wk.weight", "hh"), ("wv.weight", "hh"),
+                 ("wv.bias", "h"), ("wo.weight", "hh"), ("wo.bias", "h"), ("pos.weight", "hh"),
+                 ("bias_u", "nd"), ("bias_v", "nd"))
+_CONV = _NORM + (("pw1.weight", "hg"), ("pw1.bias", "g"), ("dw.weight", "kh"),
+                 ("norm.gamma", "h"), ("norm.beta", "h"), ("pw2.weight", "hh"), ("pw2.bias", "h"))
+_LAYER_BLOCKS = {"ffn1": _FFN, "ffn2": _FFN, "attn": _ATTN, "conv": _CONV,
+                 "out_ln": (("gamma", "h"), ("beta", "h"))}
+
+
 def param_shapes(cfg: EncoderConfig) -> dict:
-    h, f, k = cfg.hidden, cfg.ffn, cfg.conv_kernel
+    h = cfg.hidden
+    sizes = {"h": h, "f": cfg.ffn, "g": 2 * h, "k": cfg.conv_kernel, "n": cfg.heads,
+             "d": cfg.head_dim}
     shapes = {
         "extractor.conv1.weight": (3 * 80, h),
         "extractor.conv1.bias": (h,),
@@ -115,34 +133,9 @@ def param_shapes(cfg: EncoderConfig) -> dict:
         "extractor.proj.bias": (h,),
     }
     for i in range(cfg.num_layers):
-        p = f"layers.{i}."
-        for ffn_name in ("ffn1", "ffn2"):
-            shapes[p + ffn_name + ".ln.gamma"] = (h,)
-            shapes[p + ffn_name + ".ln.beta"] = (h,)
-            shapes[p + ffn_name + ".w1.weight"] = (h, f)
-            shapes[p + ffn_name + ".w1.bias"] = (f,)
-            shapes[p + ffn_name + ".w2.weight"] = (f, h)
-            shapes[p + ffn_name + ".w2.bias"] = (h,)
-        shapes[p + "attn.ln.gamma"] = (h,)
-        shapes[p + "attn.ln.beta"] = (h,)
-        for lin in ("wq", "wk", "wv", "wo"):
-            shapes[p + f"attn.{lin}.weight"] = (h, h)
-            if lin != "wk":  # the softmax cancels a key bias
-                shapes[p + f"attn.{lin}.bias"] = (h,)
-        shapes[p + "attn.pos.weight"] = (h, h)
-        shapes[p + "attn.bias_u"] = (cfg.heads, cfg.head_dim)
-        shapes[p + "attn.bias_v"] = (cfg.heads, cfg.head_dim)
-        shapes[p + "conv.ln.gamma"] = (h,)
-        shapes[p + "conv.ln.beta"] = (h,)
-        shapes[p + "conv.pw1.weight"] = (h, 2 * h)
-        shapes[p + "conv.pw1.bias"] = (2 * h,)
-        shapes[p + "conv.dw.weight"] = (k, h)
-        shapes[p + "conv.norm.gamma"] = (h,)
-        shapes[p + "conv.norm.beta"] = (h,)
-        shapes[p + "conv.pw2.weight"] = (h, h)
-        shapes[p + "conv.pw2.bias"] = (h,)
-        shapes[p + "out_ln.gamma"] = (h,)
-        shapes[p + "out_ln.beta"] = (h,)
+        for block, table in _LAYER_BLOCKS.items():
+            for name, dims in table:
+                shapes[f"layers.{i}.{block}.{name}"] = tuple(sizes[d] for d in dims)
     shapes["final_ln.gamma"] = (h,)
     shapes["final_ln.beta"] = (h,)
     return shapes
@@ -232,18 +225,20 @@ def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
     return enc.astype(dtype)
 
 
+def _block_params(p: dict, prefix: str, table) -> list:
+    """The parameters a block's ``table`` names under ``prefix``, in its order."""
+    return [p[prefix + name] for name, _ in table]
+
+
 def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
                    key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng) -> Tensor:
-    names = ("ln.gamma", "ln.beta", "wq.weight", "wq.bias", "wk.weight", "wv.weight",
-             "wv.bias", "pos.weight", "bias_u", "bias_v", "wo.weight", "wo.bias")
-    return ad.attention_block(x, key_mask, pos_enc, *(p[prefix + name] for name in names),
+    return ad.attention_block(x, key_mask, pos_enc, *_block_params(p, prefix, _ATTN),
                               cfg.heads, LN_EPS, cfg.dropout if train else 0.0, rng)
 
 
 def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
               train: bool, rng) -> Tensor:
-    names = ("ln.gamma", "ln.beta", "w1.weight", "w1.bias", "w2.weight", "w2.bias")
-    return ad.half_ffn(x, *(p[prefix + name] for name in names), LN_EPS,
+    return ad.half_ffn(x, *_block_params(p, prefix, _FFN), LN_EPS,
                        cfg.dropout if train else 0.0, rng)
 
 
@@ -252,9 +247,7 @@ def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
     # the mask zeroes padded frames before the depthwise kernel reads them,
     # and the module's second norm takes per-(utterance, channel) statistics
     # over valid frames only
-    names = ("ln.gamma", "ln.beta", "pw1.weight", "pw1.bias", "dw.weight", "norm.gamma",
-             "norm.beta", "pw2.weight", "pw2.bias")
-    return ad.conv_module(x, mask, *(p[prefix + name] for name in names), LN_EPS,
+    return ad.conv_module(x, mask, *_block_params(p, prefix, _CONV), LN_EPS,
                           CONV_NORM_EPS, cfg.dropout if train else 0.0, rng)
 
 
@@ -299,7 +292,8 @@ def _encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarr
                                      pos_enc, train, rng))
         x = ad.add(x, _conv_block(params, p + "conv.", cfg, x, mask, train, rng))
         x = ad.add(x, _half_ffn(params, p + "ffn2.", cfg, x, train, rng))
-        x = ad.layer_norm(x, params[p + "out_ln.gamma"], params[p + "out_ln.beta"], LN_EPS)
+        x = ad.layer_norm(x, *_block_params(params, p + "out_ln.", _LAYER_BLOCKS["out_ln"]),
+                          LN_EPS)
         states.append(x)
 
     final = ad.layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"], LN_EPS)

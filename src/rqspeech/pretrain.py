@@ -160,16 +160,17 @@ def clipped_gradients(loss: Tensor, params: dict, max_norm: float, step: int):
 
     Every parameter gets a gradient (zeros where the loss does not reach it),
     clipped to ``max_norm`` in global norm. A non-finite loss raises
-    NonFiniteLossError naming ``step`` before any gradient is touched.
+    NonFiniteLossError naming ``step`` before any gradient is touched. No
+    parameter keeps a ``.grad``: the dict holds the step's only reference.
     """
     loss_val = loss.item()
     if not np.isfinite(loss_val):
         raise NonFiniteLossError(f"non-finite loss at step {step}: {loss_val}")
-    for p in params.values():
-        p.zero_grad()
     loss.backward()
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for name, p in params.items()}
+    grads = {}
+    for name, p in params.items():
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.zero_grad()
     return loss_val, grads, clip_global_norm(grads, max_norm)
 
 

@@ -140,10 +140,10 @@ class TestPrimitives:
             return ad.attention_block(x, key_mask, offsets, *p, 2, 1e-5, 0.3,
                                       np.random.default_rng(0))
 
-        # x, the norm's gamma and beta, wq, bq, wk (no bias), wv, bv, w_pos,
-        # the two head biases, wo and bo
+        # x, the norm's gamma and beta, wq, bq, wk (no bias), wv, bv, wo, bo,
+        # w_pos and the two head biases
         check_op(build, (3, 4, 6), (6,), (6,), (6, 6), (6,), (6, 6), (6, 6), (6,), (6, 6),
-                 (2, 3), (2, 3), (6, 6), (6,))
+                 (6,), (6, 6), (2, 3), (2, 3))
 
     def test_sum_mean(self):
         check_op(lambda a: ad.sum_(a, axis=1, keepdims=True), (3, 4, 2))
@@ -332,7 +332,7 @@ def float_half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop, rng):
         if mult1 is not None:
             gh = gh * mult1
         return (*ad._norm_linear_grad(ad._swish_grad(gh, a, y), x.data, mu, inv, gamma.data,
-                                      beta.data, w1.data, [True] * 5), gw2, gb2)
+                                      beta.data, w1.data), gw2, gb2)
 
     return ad._make(z * 0.5, parents, backward)
 
@@ -516,8 +516,8 @@ class TestSemantics:
                 rng.standard_normal((3, 4)), np.ones(4), np.zeros(4), np.eye(4), np.zeros(4))
         ffn = (np.ones(4), np.zeros(4), np.eye(4), np.zeros(4), np.eye(4), np.zeros(4))
         attention = (np.ones(4), np.zeros(4), np.eye(4), np.zeros(4), np.eye(4), np.eye(4),
-                     np.zeros(4), np.eye(4), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(4),
-                     np.zeros(4))
+                     np.zeros(4), np.eye(4), np.zeros(4), np.eye(4), np.zeros((2, 2)),
+                     np.zeros((2, 2)))
         drawn = np.random.default_rng(1)
         before = drawn.bit_generator.state
         ad.conv_module(x, mask, *conv, 1e-5, 1e-5, 0.0, drawn)

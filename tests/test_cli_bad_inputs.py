@@ -4,9 +4,10 @@ One table per artefact: checkpoints, transcripts, corpus manifests, config
 files, label caches and WAV files. A case corrupts one input, runs one
 command on it and checks that ``main`` returns 1 or 2 without raising,
 prints ``error: ...`` naming the file, and writes no output (a failed
-pretrain run saves its last completed step). A last table sets each numeric
-config key to 0 and -1 and checks that ``main`` exits 0 or 2, naming the
-section and the config file.
+pretrain run saves its last completed step). Two last tables set each
+numeric config key to 0 and -1, then to a huge value, and check that
+``main`` exits 0, 1 or 2, naming the section and the config file for a
+refused value; a run that diverges exits 1 and saves its last step.
 """
 
 import configparser
@@ -506,6 +507,8 @@ def test_bad_wav_exits_1_naming_utterance_and_file(inputs, tmp_path, capsys, com
                                                             "metrics.csv"]
         assert pretrain.read_checkpoint(run_dir / "final.msec")[0]["step"] == 0
         assert (run_dir / "metrics.csv").read_text(encoding="utf-8").count("\n") == 1
+    elif command == "quantize":
+        assert [p for p in outputs if p.exists()] == []  # not even the empty labels/
     else:
         assert [p for out in outputs for p in [out, *out.rglob("*")] if p.is_file()] == []
 
@@ -521,6 +524,28 @@ REFUSED_VALUES = {("pretrain", "total_steps"): ("0", "-1"),
                   ("datapipe", "workers"): ("-1",)}
 
 
+def _short_run(inputs, tmp, command):
+    """A config at <tmp>/c.ini for a short ``command`` run into <tmp>/out."""
+    ini = tmp / "c.ini"
+    if command == "finetune":
+        ckpt = tmp / "pre.msec"
+        ckpt.write_bytes(inputs["pretrain"])
+        _finetune_config(ini, inputs, ckpt, tmp / "out")
+    else:
+        write_pretrain_config(ini, inputs["corpus"], tmp / "out", total_steps=2)
+    return ini
+
+
+def _set_keys(ini, section, **values):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(ini, encoding="utf-8")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section].update(values)
+    with open(ini, "w", encoding="utf-8") as f:
+        parser.write(f)
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
 def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
@@ -528,21 +553,10 @@ def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
     """Pins what each key does at 0 and -1: it runs (exit 0) or is refused
     before any output (exit 2), naming its section and the config file; the
     values in ``REFUSED_VALUES`` are refused."""
-    ini = tmp_path / "c.ini"
-    if section == "finetune":
-        ckpt = tmp_path / "pre.msec"
-        ckpt.write_bytes(inputs["pretrain"])
-        _finetune_config(ini, inputs, ckpt, tmp_path / "out")
-    else:
-        write_pretrain_config(ini, inputs["corpus"], tmp_path / "out", total_steps=2)
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read(ini, encoding="utf-8")
-    if not parser.has_section(section):
-        parser.add_section(section)
-    parser[section][key] = value
-    with open(ini, "w", encoding="utf-8") as f:
-        parser.write(f)
-    code = main(["finetune" if section == "finetune" else "pretrain", "--config", str(ini)])
+    command = "finetune" if section == "finetune" else "pretrain"
+    ini = _short_run(inputs, tmp_path, command)
+    _set_keys(ini, section, **{key: value})
+    code = main([command, "--config", str(ini)])
     if value in REFUSED_VALUES.get((section, key), ()):
         assert code == 2
     assert code in (0, 2)
@@ -551,3 +565,61 @@ def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
         assert f"[{section}]" in err or f'"{section}.{key}"' in err
         assert str(ini) in err
         assert not (tmp_path / "out").exists()
+
+
+# numeric config keys at huge values -----------------------------------------------
+
+# keys that size an allocation or a thread count (the encoder and quantizer
+# sizes, ``workers``) or the length of the run (``total_steps``), and the two
+# SpecAugment mask counts, each of which runs a loop of random draws per mask,
+# stay out of the huge-values table
+HUGE_LEFT_OUT = {"encoder", "quantizer", ("datapipe", "workers"),
+                 ("pretrain", "total_steps"), ("finetune", "total_steps"),
+                 ("finetune", "time_masks"), ("finetune", "freq_masks")}
+HUGE_KEYS = [(section, key) for section, key in NUMERIC_KEYS
+             if section not in HUGE_LEFT_OUT and (section, key) not in HUGE_LEFT_OUT]
+# exit codes other than 0: a probability above 1 is refused, and a learning
+# rate of 1e30 diverges at the second step
+HUGE_EXIT_CODES = {("masking", "prob"): 2, ("finetune", "time_apply_prob"): 2,
+                   ("pretrain", "peak_lr"): 1}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is what diverges
+@pytest.mark.filterwarnings("ignore:merged .* degenerate buckets")  # num_buckets
+@pytest.mark.parametrize("section, key", HUGE_KEYS)
+def test_numeric_key_at_huge_value_exits_with_code(inputs, tmp_path, capsys, section, key):
+    """Pins what each key does at 10^18 (integers) or 1e30 (floats): a run
+    that ends in exit 0, or exit 1 or 2 with an ``error:`` line and no
+    traceback, never an exception or a hang."""
+    command = "finetune" if section == "finetune" else "pretrain"
+    ini = _short_run(inputs, tmp_path, command)
+    kind = SCHEMA[section][key][0]
+    _set_keys(ini, section, **{key: "1000000000000000000" if kind is int else "1e30"})
+    code = main([command, "--config", str(ini)])
+    err = capsys.readouterr().err
+    assert code == HUGE_EXIT_CODES.get((section, key), 0), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is what diverges
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_diverged_run_exits_1_and_saves_last_step(inputs, tmp_path, capsys, command):
+    # a learning rate of 1e30 takes one step to parameters whose next
+    # forward overflows; the run saves the step it completed, whose
+    # parameters need not be finite
+    ini = _short_run(inputs, tmp_path, command)
+    if command == "finetune":
+        _set_keys(ini, "finetune", encoder_lr="1e30", freeze_steps="0", total_steps="4")
+        final = tmp_path / "out" / "finetuned.msec"
+    else:
+        _set_keys(ini, "pretrain", peak_lr="1e30", total_steps="4")
+        final = tmp_path / "out" / "final.msec"
+    assert main([command, "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and "non-finite" in err
+    assert "Traceback" not in err
+    header, _ = pretrain.read_checkpoint(final)
+    assert 1 <= header["step"] < 4
+    assert f"error: step {header['step'] + 1}: " in err

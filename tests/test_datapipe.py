@@ -128,6 +128,15 @@ class TestBuildBuckets:
             spec = datapipe.build_buckets(index)
         assert len(spec.buckets) == 1
 
+    @pytest.mark.parametrize("num_buckets", [5, 100, 100_000_000])
+    def test_more_buckets_than_utterances_gives_one_edge_per_duration(self, num_buckets):
+        # every duration is an edge and every further bucket merges; the
+        # work is bounded by the utterances, not by the requested count
+        index = self.index_of([3.0, 1.0, 2.0, 2.0])
+        with pytest.warns(UserWarning, match=f"merged {num_buckets - 3} degenerate buckets"):
+            spec = datapipe.build_buckets(index, num_buckets=num_buckets, tokens_per_batch=4000)
+        assert spec.boundaries == (1.0, 2.0, 3.0)
+
     def test_inverse_proportional_batch_size(self):
         index = self.index_of([10.0] * 6 + [20.0] * 6)
         spec = datapipe.build_buckets(index, num_buckets=2, tokens_per_batch=4000)

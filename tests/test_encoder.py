@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rqspeech import autodiff as ad
-from rqspeech import encoder
+from rqspeech import encoder, pretrain
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
+from rqspeech.quantizer import QuantizerConfig
 from rqspeech.seeding import keyed_rng
 
 from conftest import blas_thread_count, float_dropout, masked_norm_node, traced_bytes
@@ -729,6 +730,46 @@ class TestParamCount:
         assert set(breakdown) == set(params)
         for name, n in breakdown.items():
             assert params[name].size == n
+
+
+class TestParamOrder:
+    """``param_shapes`` order is the order of the training params dict, and
+    ``pretrain.clip_global_norm`` adds squared norms as Python floats in that
+    order, so it sets the bits of ``grad_norm`` and of every clipped update."""
+
+    # a DESK_SCALE layer (hidden 64, ffn 256, 4 heads of 16, kernel 5)
+    LAYER = [("ffn1.ln.gamma", (64,)), ("ffn1.ln.beta", (64,)),
+             ("ffn1.w1.weight", (64, 256)), ("ffn1.w1.bias", (256,)),
+             ("ffn1.w2.weight", (256, 64)), ("ffn1.w2.bias", (64,)),
+             ("ffn2.ln.gamma", (64,)), ("ffn2.ln.beta", (64,)),
+             ("ffn2.w1.weight", (64, 256)), ("ffn2.w1.bias", (256,)),
+             ("ffn2.w2.weight", (256, 64)), ("ffn2.w2.bias", (64,)),
+             ("attn.ln.gamma", (64,)), ("attn.ln.beta", (64,)),
+             ("attn.wq.weight", (64, 64)), ("attn.wq.bias", (64,)),
+             ("attn.wk.weight", (64, 64)),
+             ("attn.wv.weight", (64, 64)), ("attn.wv.bias", (64,)),
+             ("attn.wo.weight", (64, 64)), ("attn.wo.bias", (64,)),
+             ("attn.pos.weight", (64, 64)), ("attn.bias_u", (4, 16)), ("attn.bias_v", (4, 16)),
+             ("conv.ln.gamma", (64,)), ("conv.ln.beta", (64,)),
+             ("conv.pw1.weight", (64, 128)), ("conv.pw1.bias", (128,)),
+             ("conv.dw.weight", (5, 64)), ("conv.norm.gamma", (64,)), ("conv.norm.beta", (64,)),
+             ("conv.pw2.weight", (64, 64)), ("conv.pw2.bias", (64,)),
+             ("out_ln.gamma", (64,)), ("out_ln.beta", (64,))]
+
+    def test_desk_scale_keys_shapes_and_order(self):
+        want = [("extractor.conv1.weight", (240, 64)), ("extractor.conv1.bias", (64,)),
+                ("extractor.conv2.weight", (192, 64)), ("extractor.conv2.bias", (64,)),
+                ("extractor.proj.weight", (64, 64)), ("extractor.proj.bias", (64,))]
+        want += [(f"layers.{i}.{name}", shape) for i in range(4) for name, shape in self.LAYER]
+        want += [("final_ln.gamma", (64,)), ("final_ln.beta", (64,))]
+        assert list(encoder.param_shapes(encoder.DESK_SCALE).items()) == want
+
+    def test_training_params_follow_it(self):
+        cfg = pretrain.PretrainConfig(quantizer=QuantizerConfig(num_codebooks=1, vocab_size=4,
+                                                                dim=4))
+        state = pretrain.init_train_state(encoder.DESK_SCALE, cfg)
+        assert list(state.params) == [*encoder.param_shapes(encoder.DESK_SCALE), "head.weight",
+                                      "head.bias"]
 
 
 class TestInitParam:

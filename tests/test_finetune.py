@@ -612,19 +612,35 @@ class TestFinetuneLoop:
             assert np.array_equal(state.params[k].data, arr)
             assert state.params[k].grad is None
 
-    def test_grad_norm_is_pre_clip_norm(self, pretrained_ckpt):
+    def test_grad_norm_is_pre_clip_norm(self, pretrained_ckpt, monkeypatch):
         texts = ["ab", "ba"]
         cfg = FinetuneConfig(grad_clip=1e-3, freeze_steps=0, seed=1,
                              spec_augment=SpecAugmentConfig(time_apply_prob=0.0,
                                                             max_freq_width=0))
         state = finetune.init_finetune_state(pretrained_ckpt, cfg,
                                              CharTokenizer.from_texts(texts))
+        received = []
+        adam_step = pretrain.adam_step
+
+        def keep_grads(params, grads, *args):  # called once per Adam group
+            received.extend(grads.values())
+            return adam_step(params, grads, *args)
+
+        monkeypatch.setattr(pretrain, "adam_step", keep_grads)
         batch = synth_batch(texts)
         m = finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
         assert m["grad_norm"] > 1e-3  # reported before clipping scales it down
-        clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
-                              for p in state.params.values()))
+        assert len(received) == len(state.params)
+        clipped = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in received))
         assert clipped == pytest.approx(1e-3, rel=1e-4)
+
+    @pytest.mark.parametrize("freeze_steps", [0, 1])
+    def test_step_leaves_no_gradient_on_parameters(self, pretrained_ckpt, freeze_steps):
+        texts = ["ab", "ba"]
+        state = self.make_state(pretrained_ckpt, texts, freeze_steps=freeze_steps)
+        batch = synth_batch(texts)
+        finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
+        assert [name for name, p in state.params.items() if p.grad is not None] == []
 
     def test_loss_is_one_ctc_node_over_the_log_softmax(self, pretrained_ckpt, monkeypatch):
         texts = ["ab", "ba", "aab"]

@@ -332,13 +332,28 @@ class TestTrainStep:
             pretrain.train_step(state, batch, epoch=0)
         assert state.quantizer_state.fingerprint() == fp
 
-    def test_grad_norm_is_pre_clip_norm(self):
+    def test_grad_norm_is_pre_clip_norm(self, monkeypatch):
         state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=12, grad_clip=1e-3))
+        received = []
+        adam_step = pretrain.adam_step
+
+        def keep_grads(params, grads, *args):
+            received.extend(grads.values())
+            return adam_step(params, grads, *args)
+
+        monkeypatch.setattr(pretrain, "adam_step", keep_grads)
         metrics = pretrain.train_step(state, random_batch(np.random.default_rng(8)), epoch=0)
         assert metrics.grad_norm > 1e-3  # reported before clipping scales it down
-        clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
-                              for p in state.params.values()))
+        assert len(received) == len(state.params)
+        clipped = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in received))
         assert clipped == pytest.approx(1e-3, rel=1e-4)
+
+    def test_step_leaves_no_gradient_on_parameters(self):
+        # the step's gradients are freed with its dict, not kept alive
+        # through the next step's forward
+        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=12))
+        assert pretrain.train_step(state, random_batch(np.random.default_rng(8)), 0) is not None
+        assert [name for name, p in state.params.items() if p.grad is not None] == []
 
     def test_peak_memory_below_full_logits(self):
         # the head dominates: 800 target rows x 16 x 512 float32 logits are
