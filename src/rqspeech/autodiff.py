@@ -13,9 +13,12 @@ with these as one fused node each: the layer norm, the Conformer's
 self-attention block (``attention_block``), macaron half feed-forward
 (``half_ffn``) and convolution module (``conv_module``), the pretraining
 head, and the CTC loss of a whole padded batch (``ctc_nll``).
-The norm and the three Conformer nodes keep statistics, pre-activations and
-boolean dropout masks, not their elementwise results, and recompute those in
-the backward from the numpy pieces at the bottom of this module, which
+Each Conformer node adds its own residual, so its output is the next
+block's input and no block output is kept beside it. The norm and the three
+Conformer nodes keep statistics and boolean dropout masks, not their
+elementwise results; the FFN and conv nodes keep no activation at all and
+recompute their first pointwise projection from their input. Each backward
+recomputes from the numpy pieces at the bottom of this module, which
 ``linear`` shares, so each formula exists once. Each Conformer node draws
 and keeps its own dropout masks; there is no dropout node. The attention
 block keeps q, k, v, its context and each score row's max and exponential
@@ -355,9 +358,9 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     reshaped to (rows, N, V), but the op runs one codebook at a time in a
     (rows, V) block, so the (rows, N*V) logits are never held (the blockwise
     loss of Wijmans et al., 2024). When the tape records, the gradients are
-    computed in the same pass and the backward only scales them. On two cores
-    the codebooks run on two threads (``_pool_map``); parts are added in
-    codebook order, so the bits do not depend on the split.
+    computed in the same pass and the backward only scales them in place.
+    On two cores the codebooks run on two threads (``_pool_map``); parts are
+    added in codebook order, so the bits do not depend on the split.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels)
@@ -406,8 +409,14 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
             if recording:
                 gx += part_gx
     out = np.asarray(nll / count, dtype=dtype)
-    return _make(out, (x, w, b), lambda g: (gx * float(g), gwb[:-1] * float(g),
-                                            gwb[-1] * float(g)))
+
+    def backward(g):
+        # a tape is walked once, so the gradients are scaled where they lie
+        np.multiply(gx, float(g), out=gx)
+        np.multiply(gwb, float(g), out=gwb)
+        return gx, gwb[:-1], gwb[-1]
+
+    return _make(out, (x, w, b), backward)
 
 
 @contextlib.contextmanager
@@ -557,12 +566,13 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, wo, bo,
                     w_pos, bias_u, bias_v, heads: int, eps, drop: float, rng):
-    """The Conformer's self-attention block (Gulati et al., 2020) as one node:
-    layer norm, the ``wq``, ``wk`` and ``wv`` projections, relative-position
-    attention (``_rel_attention``) over the (B, 1, 1, L) ``key_mask`` and the
-    (2L-1, H*d) ``offsets`` encodings, the ``wo`` projection and inverted
-    dropout, the dropout masks drawn from ``rng`` in that order. ``wk`` has no
-    bias: the softmax cancels the (q_i + u) . b it adds to query i's row.
+    """The Conformer's self-attention block (Gulati et al., 2020) and its
+    residual as one node: ``x`` plus layer norm, the ``wq``, ``wk`` and ``wv``
+    projections, relative-position attention (``_rel_attention``) over the
+    (B, 1, 1, L) ``key_mask`` and the (2L-1, H*d) ``offsets`` encodings, the
+    ``wo`` projection and inverted dropout, the dropout masks drawn from
+    ``rng`` in that order. ``wk`` has no bias: the softmax cancels the (q_i +
+    u) . b it adds to query i's row.
 
     The backward keeps the norm's statistics, q, k, v, the context, each
     (b, h, i) score row's max and exponential sum and boolean dropout masks,
@@ -588,51 +598,57 @@ def attention_block(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, wo, b
         gy, gwq, gbq = _linear_grad(gq, y, wq.data)
         gyk, gwk, _ = _linear_grad(gk, y, wk.data, nb=False)
         gyv, gwv, gbv = _linear_grad(gv, y, wv.data)
-        return (*_norm_grad(gy + gyk + gyv, norm, inv, gamma.data), gwq, gbq, gwk, gwv, gbv,
-                gwo, gbo, gw_pos, gu, gvb)
+        gx, *grads = _norm_grad(gy + gyk + gyv, norm, inv, gamma.data)
+        return (g + gx, *grads, gwq, gbq, gwk, gwv, gbv, gwo, gbo, gw_pos, gu, gvb)
 
-    return _make(out, parents, backward)
+    return _make(x.data + out, parents, backward)
 
 
 def half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop: float, rng):
-    """The Conformer's macaron half feed-forward (Gulati et al., 2020) as one
-    node: ``0.5 * dropout(dropout(swish(layer_norm(x) @ w1 + b1)) @ w2 + b2)``,
-    the two inverted-dropout masks drawn from ``rng`` in that order. The
-    backward keeps the norm's statistics, the pre-activation ``a`` and the
-    boolean dropout masks, and recomputes the norm, the sigmoid, the swish and
-    the dropout multipliers from them (Chen et al., 2016), never a matmul.
+    """The Conformer's macaron half feed-forward (Gulati et al., 2020) and its
+    residual as one node: ``x + 0.5 * dropout(dropout(swish(layer_norm(x) @ w1
+    + b1)) @ w2 + b2)``, the two inverted-dropout masks drawn from ``rng`` in
+    that order. The backward keeps the norm's statistics and the boolean
+    dropout masks, and recomputes the norm, the first projection's
+    pre-activation, the sigmoid, the swish and the dropout multipliers from
+    ``x`` (Chen et al., 2016).
     """
     parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, w2, b2)))
     x, gamma, beta, w1, b1, w2, b2 = parents
-    a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
+    norm, mu, inv, _ = _norm_forward(x.data, eps)
+    _, a = _norm_linear(norm, gamma.data, beta.data, w1.data, b1.data)
     h, dropped1 = _dropout(a * _sigmoid(a), drop, rng)
     z, dropped2 = _dropout(h @ w2.data + b2.data, drop, rng)
 
     def backward(g):
-        y = _sigmoid(a)
-        gh, gw2, gb2 = _linear_grad(dropped2(g * 0.5), dropped1(a * y), w2.data)
-        return (*_norm_linear_grad(_swish_grad(dropped1(gh), a, y), x.data, mu, inv,
-                                   gamma.data, beta.data, w1.data), gw2, gb2)
+        norm = _normalized(x.data, mu, inv)
+        y, a = _norm_linear(norm, gamma.data, beta.data, w1.data, b1.data)
+        s = _sigmoid(a)
+        gh, gw2, gb2 = _linear_grad(dropped2(g * 0.5), dropped1(a * s), w2.data)
+        gx, *grads = _norm_linear_grad(_swish_grad(dropped1(gh), a, s), norm, y, inv,
+                                       gamma.data, w1.data)
+        return (g + gx, *grads, gw2, gb2)
 
-    return _make(z * 0.5, parents, backward)
+    return _make(x.data + z * 0.5, parents, backward)
 
 
 def conv_module(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2,
                 eps, norm_eps, drop: float, rng):
-    """The Conformer convolution module (Gulati et al., 2020) as one node:
-    layer norm, pointwise ``w1`` to 2C channels, GLU, the same-padded
-    depthwise convolution ``dw`` over frames zeroed where the (B, T, 1)
-    ``mask`` is 0 (no bias: the next norm would subtract it, Ioffe & Szegedy,
-    2015), the norm over each utterance's valid frames, swish, pointwise
-    ``w2`` and inverted dropout. The backward keeps both norms' statistics,
-    the (B, T, 2C) pre-GLU activation ``a``, the depthwise output ``c`` and
-    the boolean dropout mask, and recomputes the norms, the sigmoids, the
-    GLU, the swish and the padded depthwise input from them, never a matmul.
+    """The Conformer convolution module (Gulati et al., 2020) and its residual
+    as one node: ``x`` plus layer norm, pointwise ``w1`` to 2C channels, GLU,
+    the same-padded depthwise convolution ``dw`` over frames zeroed where the
+    (B, T, 1) ``mask`` is 0 (no bias: the next norm would subtract it, Ioffe
+    & Szegedy, 2015), the norm over each utterance's valid frames, swish,
+    pointwise ``w2`` and inverted dropout. The backward keeps both norms'
+    statistics and the boolean dropout mask, and recomputes from ``x`` the
+    norms, the first projection's pre-activation, the sigmoids, the GLU, the
+    padded depthwise input, the depthwise output and the swish.
     """
     parents = tuple(map(as_tensor, (x, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2,
                                     b2)))
     x, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2 = parents
-    a, mu, inv = _norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
+    norm, mu, inv, _ = _norm_forward(x.data, eps)
+    _, a = _norm_linear(norm, gamma.data, beta.data, w1.data, b1.data)
     u, y = _glu_halves(a)
     c = _depthwise(_depthwise_pad(u * y, mask, len(dw.data)), dw.data)
     c_norm, c_mu, c_inv, inv_count = _norm_forward(c, norm_eps, mask)
@@ -640,18 +656,22 @@ def conv_module(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2,
     out, dropped = _dropout((n * _sigmoid(n)) @ w2.data + b2.data, drop, rng)
 
     def backward(g):
-        c_norm = _normalized(c, c_mu, c_inv, mask)
+        norm = _normalized(x.data, mu, inv)
+        y, a = _norm_linear(norm, gamma.data, beta.data, w1.data, b1.data)
+        u, s1 = _glu_halves(a)
+        padded = _depthwise_pad(u * s1, mask, len(dw.data))
+        c_norm = _normalized(_depthwise(padded, dw.data), c_mu, c_inv, mask)
         n = c_norm * norm_gamma.data + norm_beta.data
         s = _sigmoid(n)
         gs, gw2, gb2 = _linear_grad(dropped(g), n * s, w2.data)
         gc, gng, gnb = _norm_grad(_swish_grad(gs, n, s), c_norm, c_inv, norm_gamma.data,
                                   mask, inv_count)
-        u, y = _glu_halves(a)
-        gu, gdw = _depthwise_grad(gc, _depthwise_pad(u * y, mask, len(dw.data)), mask, dw.data)
-        return (*_norm_linear_grad(_glu_grad(gu, u, y), x.data, mu, inv, gamma.data,
-                                   beta.data, w1.data), gdw, gng, gnb, gw2, gb2)
+        gu, gdw = _depthwise_grad(gc, padded, mask, dw.data)
+        gx, *grads = _norm_linear_grad(_glu_grad(gu, u, s1), norm, y, inv, gamma.data,
+                                       w1.data)
+        return (g + gx, *grads, gdw, gng, gnb, gw2, gb2)
 
-    return _make(out, parents, backward)
+    return _make(x.data + out, parents, backward)
 
 
 # numpy forward and backward pieces ----------------------------------------
@@ -760,7 +780,9 @@ def _rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int
     q4, k4, v4 = split(q), split(k), split(v)
     u, vb = bias_u.reshape(1, heads, 1, d), bias_v.reshape(1, heads, 1, d)
     r = (offsets @ w_pos).reshape(n_off, heads, d).transpose(1, 2, 0)  # (H, d, 2L-1)
-    key_mask = np.broadcast_to(key_mask, (b, 1, 1, l))
+    # with no padded key the mask is zeros, and adding it changes no bit that
+    # the softmax sees
+    key_mask = np.broadcast_to(key_mask, (b, 1, 1, l)) if np.any(key_mask) else None
     score_dtype = np.result_type(q, k, bias_u)
     groups = _attention_groups(b, heads, l, score_dtype.itemsize)
     # each score row's max and exponential sum
@@ -772,7 +794,8 @@ def _rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int
         s = (q4[bs, hs] + u[:, hs]) @ np.swapaxes(k4[bs, hs], -1, -2)
         s += _rel_shift((q4[bs, hs] + vb[:, hs]) @ r[hs])
         s *= scale
-        s += key_mask[bs]
+        if key_mask is not None:
+            s += key_mask[bs]
         if forward:
             m[bs, hs] = s.max(axis=-1, keepdims=True)
         s -= m[bs, hs]
@@ -908,15 +931,16 @@ def _norm_mean(a, inv_count):
     return a.sum(axis=1, keepdims=True) * inv_count
 
 
-def _norm_linear(x, gamma, beta, w, b, eps):
-    """``layer_norm(x) @ w + b``, and the norm's (mu, inv)."""
-    norm, mu, inv, _ = _norm_forward(x, eps)
-    return (norm * gamma + beta) @ w + b, mu, inv
+def _norm_linear(norm, gamma, beta, w, b):
+    """(``norm * gamma + beta``, its projection ``@ w + b``) of a normalized
+    input."""
+    y = norm * gamma + beta
+    return y, y @ w + b
 
 
-def _norm_linear_grad(g, x, mu, inv, gamma, beta, w):
-    """(gx, ggamma, gbeta, gw, gb) of ``_norm_linear``, the norm recomputed
-    from (mu, inv)."""
-    norm = _normalized(x, mu, inv)
-    gy, gw, gb = _linear_grad(g, norm * gamma + beta, w)
+def _norm_linear_grad(g, norm, y, inv, gamma, w):
+    """(gx, ggamma, gbeta, gw, gb) of ``_norm_linear`` after a layer norm,
+    from the normalized input ``norm``, its affine ``y`` and the norm's
+    ``inv``."""
+    gy, gw, gb = _linear_grad(g, y, w)
     return (*_norm_grad(gy, norm, inv, gamma), gw, gb)

@@ -16,13 +16,15 @@ Layout conventions:
     encodings
   * every parameter learns: keys and the depthwise convolution have no bias,
     which the softmax and the conv module's norm would cancel
-  * each sub-block is one autodiff node (``ad.half_ffn``,
+  * each sub-block and its residual is one autodiff node (``ad.half_ffn``,
     ``ad.attention_block``, ``ad.conv_module``) that draws its own dropout
-    masks, keeps statistics, pre-activations and the boolean masks, and
-    recomputes the rest in its backward; the attention node keeps q, k, v,
-    its context and each score row's max and exponential sum, never the
-    (B, H, L, L) probabilities, so a training tape grows with a batch's
-    frames, not with the square of its length
+    masks, keeps its norm statistics and the boolean masks, and recomputes
+    the rest from its input in its backward; the FFN and conv nodes keep no
+    activation of their own and recompute their first pointwise projection,
+    and the attention node keeps q, k, v, its context and each score row's
+    max and exponential sum, never the (B, H, L, L) probabilities, so a
+    training tape grows with a batch's frames, not with the square of its
+    length or with the FFN's width
   * the convolution block normalizes per utterance and channel over valid
     frames only, so outputs never depend on batch composition
 
@@ -287,11 +289,10 @@ def _encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarr
     states = [x]
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
-        x = ad.add(x, _half_ffn(params, p + "ffn1.", cfg, x, train, rng))
-        x = ad.add(x, _rel_attention(params, p + "attn.", cfg, x, key_mask,
-                                     pos_enc, train, rng))
-        x = ad.add(x, _conv_block(params, p + "conv.", cfg, x, mask, train, rng))
-        x = ad.add(x, _half_ffn(params, p + "ffn2.", cfg, x, train, rng))
+        x = _half_ffn(params, p + "ffn1.", cfg, x, train, rng)
+        x = _rel_attention(params, p + "attn.", cfg, x, key_mask, pos_enc, train, rng)
+        x = _conv_block(params, p + "conv.", cfg, x, mask, train, rng)
+        x = _half_ffn(params, p + "ffn2.", cfg, x, train, rng)
         x = ad.layer_norm(x, *_block_params(params, p + "out_ln.", _LAYER_BLOCKS["out_ln"]),
                           LN_EPS)
         states.append(x)

@@ -98,16 +98,22 @@ class TestPrimitives:
     def test_conv_module(self, kernel, drop):
         # utterances of 5, 3 and 1 valid frames; padded frames reach neither
         # the depthwise convolution nor the norm's statistics, so their input
-        # gradient is exactly zero. A fresh rng per build draws the same
-        # dropout mask every time
+        # gradient is exactly the upstream gradient, the residual's identity
+        # path (it was exactly zero while the module left its residual to an
+        # add node). A fresh rng per build draws the same dropout mask every
+        # time
         mask = ragged_mask([5, 3, 1], 5, np.float64)
 
         def build(x, *p):
             return ad.conv_module(x, mask, *p, 1e-5, 1e-5, drop, np.random.default_rng(0))
 
-        x, *_ = check_op(build, (3, 5, 4), (4,), (4,), (4, 8), (8,), (kernel, 4), (4,), (4,),
+        x, *p = check_op(build, (3, 5, 4), (4,), (4,), (4, 8), (8,), (kernel, 4), (4,), (4,),
                          (4, 4), (4,))
-        assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
+        g = np.random.default_rng(1).standard_normal(x.shape)
+        x.zero_grad()
+        build(x, *p).backward(g)
+        padded = mask[..., 0] == 0
+        assert np.all(x.grad[padded] == g[padded])
 
     def test_take_rows(self):
         idx = np.array([0, 2, 2, 1])
@@ -305,12 +311,14 @@ class TestRelShift:
 
 
 def float_half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop, rng):
-    """``half_ffn`` as it was while it kept float dropout multipliers."""
+    """``half_ffn`` as it was while it kept float dropout multipliers and its
+    pre-activation, and left its residual to an add node."""
     def mult_of(shape, dtype):
         return (rng.random(shape) >= drop).astype(dtype) / (1.0 - drop) if drop > 0 else None
 
     parents = (x, gamma, beta, w1, b1, w2, b2)
-    a, mu, inv = ad._norm_linear(x.data, gamma.data, beta.data, w1.data, b1.data, eps)
+    norm, mu, inv, _ = ad._norm_forward(x.data, eps)
+    _, a = ad._norm_linear(norm, gamma.data, beta.data, w1.data, b1.data)
     h = a * ad._sigmoid(a)
     mult1 = mult_of(h.shape, h.dtype)
     if mult1 is not None:
@@ -331,20 +339,56 @@ def float_half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop, rng):
         gh, gw2, gb2 = ad._linear_grad(g, h, w2.data)
         if mult1 is not None:
             gh = gh * mult1
-        return (*ad._norm_linear_grad(ad._swish_grad(gh, a, y), x.data, mu, inv, gamma.data,
-                                      beta.data, w1.data), gw2, gb2)
+        norm = ad._normalized(x.data, mu, inv)
+        return (*ad._norm_linear_grad(ad._swish_grad(gh, a, y), norm,
+                                      norm * gamma.data + beta.data, inv, gamma.data, w1.data),
+                gw2, gb2)
 
-    return ad._make(z * 0.5, parents, backward)
+    return ad.add(x, ad._make(z * 0.5, parents, backward))
+
+
+def conv_block_node(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2, eps,
+                    norm_eps):
+    """``conv_module`` without dropout as it was while it kept its pre-GLU
+    activation and depthwise output and left its residual to an add node:
+    the block's output alone."""
+    parents = (x, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2)
+    norm, mu, inv, _ = ad._norm_forward(x.data, eps)
+    _, a = ad._norm_linear(norm, gamma.data, beta.data, w1.data, b1.data)
+    u, y = ad._glu_halves(a)
+    c = ad._depthwise(ad._depthwise_pad(u * y, mask, len(dw.data)), dw.data)
+    c_norm, c_mu, c_inv, inv_count = ad._norm_forward(c, norm_eps, mask)
+    n = c_norm * norm_gamma.data + norm_beta.data
+
+    def backward(g):
+        c_norm = ad._normalized(c, c_mu, c_inv, mask)
+        n = c_norm * norm_gamma.data + norm_beta.data
+        s = ad._sigmoid(n)
+        gs, gw2, gb2 = ad._linear_grad(g, n * s, w2.data)
+        gc, gng, gnb = ad._norm_grad(ad._swish_grad(gs, n, s), c_norm, c_inv, norm_gamma.data,
+                                     mask, inv_count)
+        u, y = ad._glu_halves(a)
+        gu, gdw = ad._depthwise_grad(gc, ad._depthwise_pad(u * y, mask, len(dw.data)), mask,
+                                     dw.data)
+        norm = ad._normalized(x.data, mu, inv)
+        return (*ad._norm_linear_grad(ad._glu_grad(gu, u, y), norm,
+                                      norm * gamma.data + beta.data, inv, gamma.data, w1.data),
+                gdw, gng, gnb, gw2, gb2)
+
+    return ad._make((n * ad._sigmoid(n)) @ w2.data + b2.data, parents, backward)
 
 
 class TestBooleanDropoutMasks:
     """The nodes keep boolean keep masks and rebuild the multipliers in the
-    backward; the bits are those of the float-multiplier nodes."""
+    backward, and add their own residual and recompute their pre-activations;
+    the bits are those of the float-multiplier nodes that kept their
+    activations, followed by an add node."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv_module_bitwise_equal_to_float_multiplier(self, dtype):
-        # the module's own mask against the module without dropout followed
-        # by a float-multiplier dropout node drawing from the same stream
+        # the module's own mask against the block without dropout that kept
+        # its activations, followed by a float-multiplier dropout node drawing
+        # from the same stream and the residual's add node
         rng = np.random.default_rng(0)
         shapes = ((3, 50, 8), (8,), (8,), (8, 16), (16,), (5, 8), (8,), (8,), (8, 8), (8,))
         arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
@@ -356,8 +400,8 @@ class TestBooleanDropoutMasks:
                                   np.random.default_rng(1))
 
         def chained(*tensors):
-            y = ad.conv_module(tensors[0], mask, *tensors[1:], 1e-5, 1e-5, 0.0, None)
-            return float_dropout(y, 0.1, np.random.default_rng(1))
+            y = conv_block_node(tensors[0], mask, *tensors[1:], 1e-5, 1e-5)
+            return ad.add(tensors[0], float_dropout(y, 0.1, np.random.default_rng(1)))
 
         results = []
         for node in (fused, chained):
@@ -369,7 +413,7 @@ class TestBooleanDropoutMasks:
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
         y = results[0][0]
-        assert 0 < np.count_nonzero(y == 0) < y.size
+        assert 0 < np.count_nonzero(y == arrays[0]) < y.size
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_half_ffn_bitwise_equal_to_float_multipliers(self, dtype):
@@ -527,17 +571,19 @@ class TestSemantics:
         assert drawn.bit_generator.state == before
 
     def test_conv_module_dropout_scales_kept_units(self):
-        # each output unit is 0 or 1 / (1 - p) times the undropped module's
+        # each output unit is the input plus 0 or 1 / (1 - p) times the
+        # undropped block's output
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 25, 4))
         mask = ragged_mask([25, 25, 10, 3], 25, np.float64)
         p = (np.ones(4), np.zeros(4), rng.standard_normal((4, 8)), np.zeros(8),
              rng.standard_normal((3, 4)), np.ones(4), np.zeros(4), rng.standard_normal((4, 4)),
              rng.standard_normal(4))
-        plain = ad.conv_module(x, mask, *p, 1e-5, 1e-5, 0.0, None).data
+        plain = conv_block_node(Tensor(x), mask, *map(Tensor, p), 1e-5, 1e-5).data
         dropped = ad.conv_module(x, mask, *p, 1e-5, 1e-5, 0.25, rng).data
-        assert np.all((dropped == 0.0) | (dropped == plain * (1.0 / 0.75)))
-        assert 0.65 < np.count_nonzero(dropped) / dropped.size < 0.85
+        kept = dropped == x + plain * (1.0 / 0.75)
+        assert np.all(kept | (dropped == x + plain * 0.0))
+        assert 0.65 < np.count_nonzero(kept) / dropped.size < 0.85
 
 
 def serial_multi_softmax_nll(x, w, b, labels, n):

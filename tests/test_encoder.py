@@ -157,7 +157,8 @@ class TestForward:
 
 class TestRelativeAttentionOracle:
     """Independent reimplementation of the attention scoring semantics:
-    softmax_j[((q_i+u).k_j + (q_i+v).W_pos pe(i-j)) / sqrt(d)] over valid keys."""
+    softmax_j[((q_i+u).k_j + (q_i+v).W_pos pe(i-j)) / sqrt(d)] over valid keys;
+    the block's node adds its input, the residual, to the result."""
 
     def reference(self, arrays, cfg, x, lengths):
         h, heads, d = cfg.hidden, cfg.heads, cfg.head_dim
@@ -215,7 +216,7 @@ class TestRelativeAttentionOracle:
         pos_enc = encoder.sinusoid_offsets(l - 1, cfg.hidden, np.float64)
         got = encoder._rel_attention(params, "layers.0.attn.", cfg, Tensor(x),
                                      key_mask, pos_enc, False, None)
-        want = self.reference(arrays, cfg, x, lengths)
+        want = x + self.reference(arrays, cfg, x, lengths)
         # rows for padded queries attend over valid keys in both, so compare all
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
@@ -282,20 +283,21 @@ class TestEncoderTape:
         # weight-reshape nodes, 163 while swish, the GLU and the depthwise
         # convolution were chains of generic ops, 123 while each step of the
         # FFNs and the conv modules was a node of its own, 67 while each
-        # attention block was six
+        # attention block was six, 47 while each sub-block's residual was an
+        # add node of its own
         cfg = EncoderConfig()
         params = make_params(cfg)
         mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
         out = encoder.encode(params, cfg, mel, np.array([40, 23]))
-        assert recorded_nodes(out.final) <= 47
+        assert recorded_nodes(out.final) <= 31
 
 
 class TestRetainedMemory:
     """What a training forward leaves alive for the backward, and the most
     the backward holds on top of it."""
 
-    def tape_bytes_per_label_frame(self, b, t, dropout=0.0):
-        cfg = EncoderConfig(dropout=dropout)
+    def tape_bytes_per_label_frame(self, b, t, dropout=0.0, ffn=256):
+        cfg = EncoderConfig(ffn=ffn, dropout=dropout)
         params = make_params(cfg)
         mel = np.random.default_rng(0).standard_normal((b, t, 80)).astype(np.float32)
         out, retained, _ = traced_bytes(lambda: encoder.encode(
@@ -307,14 +309,24 @@ class TestRetainedMemory:
         # while each step of the FFNs and the conv modules was a node that
         # kept its output, ~38 KB with each of them one node that recomputes
         # its elementwise activations and each layer norm keeping statistics,
-        # ~31 KB with attention keeping row statistics, not probabilities
+        # ~31 KB with attention keeping row statistics, not probabilities,
+        # ~16 KB with each node adding its residual and the FFN and conv
+        # nodes recomputing their pre-activations
         assert 16 * 100 >= encoder._SPLIT_MIN_FRAMES
-        assert self.tape_bytes_per_label_frame(16, 400) <= 36 * 1024
+        assert self.tape_bytes_per_label_frame(16, 400) <= 20 * 1024
 
     def test_training_tape_with_dropout_bytes_per_label_frame(self):
         # ~59 KB per label frame while attention kept its probabilities and
-        # every dropout mask was float multipliers, ~37 KB with boolean masks
-        assert self.tape_bytes_per_label_frame(16, 400, dropout=0.1) <= 46 * 1024
+        # every dropout mask was float multipliers, ~37 KB with boolean masks,
+        # ~36 KB with attention keeping row statistics, ~21 KB with each node
+        # adding its residual and recomputing its pre-activations
+        assert self.tape_bytes_per_label_frame(16, 400, dropout=0.1) <= 25 * 1024
+
+    def test_training_tape_bytes_do_not_grow_with_ffn_width(self):
+        # the FFN nodes keep no (N, ffn) activation; while they kept their
+        # pre-activation, ffn = 1024 kept ~24 KB per label frame more than 256
+        wide = self.tape_bytes_per_label_frame(16, 400, ffn=1024)
+        assert abs(wide - self.tape_bytes_per_label_frame(16, 400)) <= 1024
 
     def test_long_bucket_tape_bytes_near_short_bucket(self):
         # 2 x 3000 frames (30 s) kept 81 KB per label frame against 38 KB at
@@ -377,20 +389,21 @@ def chain_layer_norm(x, gamma, beta, eps):
 
 def chain_half_ffn(p, prefix, cfg, x, train, rng):
     """``_half_ffn`` as a chain of nodes: layer norm, linear, swish as
-    sigmoid and product, dropout, linear, dropout and the halving."""
+    sigmoid and product, dropout, linear, dropout, the halving and the
+    residual's add."""
     drop = cfg.dropout if train else 0.0
     y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     y = chain_swish(ad.linear(y, p[prefix + "w1.weight"], p[prefix + "w1.bias"]))
     y = float_dropout(y, drop, rng)
     y = ad.linear(y, p[prefix + "w2.weight"], p[prefix + "w2.bias"])
-    return ad.mul(float_dropout(y, drop, rng), 0.5)
+    return ad.add(x, ad.mul(float_dropout(y, drop, rng), 0.5))
 
 
 def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
     """``_conv_block`` as a chain of nodes: layer norm, linear, the GLU as
     slices, sigmoid and product, the depthwise convolution as mask, pad,
     unfold, a reshaped weight, product and sum, the masked norm, swish
-    as sigmoid and product, linear and dropout."""
+    as sigmoid and product, linear, dropout and the residual's add."""
     h, k = cfg.hidden, cfg.conv_kernel
     y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
@@ -401,7 +414,7 @@ def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
     y = masked_norm_node(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
                          encoder.CONV_NORM_EPS, mask)
     y = ad.linear(chain_swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
-    return float_dropout(y, cfg.dropout if train else 0.0, rng)
+    return ad.add(x, float_dropout(y, cfg.dropout if train else 0.0, rng))
 
 
 def chain_rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads, drop, rng):
@@ -460,9 +473,9 @@ def chain_matmul(x, w):
 
 
 def chain_attention(p, prefix, cfg, x, key_mask, pos_enc, train, rng):
-    """``_rel_attention`` as six nodes and a dropout: layer norm, the q, k
-    and v projections, ``chain_rel_attention``, the output linear and
-    dropout."""
+    """``_rel_attention`` as six nodes, a dropout and the residual's add:
+    layer norm, the q, k and v projections, ``chain_rel_attention`` (which
+    always adds its key mask), the output linear and dropout."""
     drop = cfg.dropout if train else 0.0
     y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     q, v = (ad.linear(y, p[prefix + f"{w}.weight"], p[prefix + f"{w}.bias"])
@@ -472,16 +485,16 @@ def chain_attention(p, prefix, cfg, x, key_mask, pos_enc, train, rng):
                               p[prefix + "bias_u"], p[prefix + "bias_v"], key_mask, cfg.heads,
                               drop, rng)
     out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
-    return float_dropout(out, drop, rng)
+    return ad.add(x, float_dropout(out, drop, rng))
 
 
 def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_seed=None):
     """States and parameter gradients of the encoder, then of the encoder with
     the chains that its fused nodes replaced swapped back in: the FFNs, the
-    attention blocks, the conv modules, float dropout multipliers, layer
-    norms that keep their normalized input and the padding of the
-    extractor's windows. A ``dropout_seed`` runs both in training mode from
-    the same generator seed."""
+    attention blocks, the conv modules, their residual adds, float dropout
+    multipliers, layer norms that keep their normalized input and the
+    padding of the extractor's windows. A ``dropout_seed`` runs both in
+    training mode from the same generator seed."""
     def run():
         params = encoder.params_to_tensors(arrays)
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
@@ -534,15 +547,17 @@ class TestPaddedWindowsOracle:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("drop", [0.0, 0.1])
-    @pytest.mark.parametrize("lengths", [[90], [9, 90, 41], [520, 17, 300, 9, 520, 64, 411, 250]],
-                             ids=["one", "whole", "split"])
+    @pytest.mark.parametrize("lengths", [[90], [9, 90, 41], [90, 90, 90],
+                                         [520, 17, 300, 9, 520, 64, 411, 250]],
+                             ids=["one", "whole", "unpadded", "split"])
     @pytest.mark.parametrize("matrices", [1, 3, 8, None])
     def test_attention_groups_bitwise_equal_to_six_node_chain(self, monkeypatch, dtype, drop,
                                                               lengths, matrices):
         # groups of one (L, L) score matrix, of three of an utterance's four
         # heads, of two utterances, and the default; 8 x 520 frames run as
         # two halves, the others whole, and a batch of one lets numpy take
-        # some gradient reshapes as views
+        # some gradient reshapes as views. Without padding the block skips
+        # its key mask, which the chain adds
         cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=4, dropout=drop)
         arrays = encoder.init_encoder_params(cfg, 11, dtype)
         rng = np.random.default_rng(12)
@@ -561,7 +576,8 @@ class TestPaddedWindowsOracle:
 class TestConvBlockOracle:
     """Loop-based reference for the convolution block: LN, pointwise + GLU,
     zero-masked depthwise conv ('same' padding), per-(utterance, channel)
-    statistics over valid frames, swish, pointwise."""
+    statistics over valid frames, swish, pointwise; the block's node adds
+    its input, the residual, to the result."""
 
     def reference(self, arrays, cfg, x, lengths):
         h, k = cfg.hidden, cfg.conv_kernel
@@ -609,7 +625,7 @@ class TestConvBlockOracle:
 
         mask = (np.arange(6)[None, :] < lengths[:, None]).astype(np.float64)[:, :, None]
         got = encoder._conv_block(params, "layers.0.conv.", cfg, Tensor(x), mask, False, None)
-        want = self.reference(arrays, cfg, x.copy(), lengths)
+        want = x + self.reference(arrays, cfg, x.copy(), lengths)
         valid0 = lengths[0]
         np.testing.assert_allclose(got.data[0, :valid0], want[0, :valid0], atol=1e-10)
         np.testing.assert_allclose(got.data[1], want[1], atol=1e-10)
