@@ -49,6 +49,12 @@ _grad_enabled = True
 # and run as fast as whole batches, where the backward's recomputation would
 # otherwise cost more than it saves
 _ATTENTION_GROUP_BYTES = 1 << 20
+# bytes of one (rows, V) logit block of ``multi_softmax_nll``; each pool
+# thread keeps one, so the head's memory does not grow with the batch's rows
+_HEAD_BLOCK_BYTES = 4 << 20
+# numpy's pairwise sum adds up to this many values in one unrolled loop, and
+# halves longer runs (``_pairwise_sum``)
+_PAIRWISE_LEAF = 128
 _OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
 _OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
 
@@ -355,12 +361,23 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
 
     ``x`` is (rows, H), ``w`` (H, N*V), ``b`` (N*V,) and ``labels`` (rows, N)
     integers. The value is ``cross_entropy_mean`` of ``linear(x, w, b)``
-    reshaped to (rows, N, V), but the op runs one codebook at a time in a
-    (rows, V) block, so the (rows, N*V) logits are never held (the blockwise
-    loss of Wijmans et al., 2024). When the tape records, the gradients are
-    computed in the same pass and the backward only scales them in place.
-    On two cores the codebooks run on two threads (``_pool_map``); parts are
-    added in codebook order, so the bits do not depend on the split.
+    reshaped to (rows, N, V), but the op runs one codebook at a time over
+    row blocks of at most ``_HEAD_BLOCK_BYTES`` of logits, so neither the
+    (rows, N*V) logits nor a codebook's (rows, V) logits are ever held (the
+    blockwise loss of Wijmans et al., 2024). When the tape records, the
+    gradients are computed in the same pass and the backward only scales
+    them in place: ``gx`` is written block by block, and ``gw`` and ``gb``
+    are summed over the blocks. On two cores the codebooks run on two
+    threads (``_pool_map``); parts are added in codebook order, so the bits
+    do not depend on the split.
+
+    The row blocks are nodes of numpy's pairwise summation tree over the
+    per-row NLLs (``_pairwise_sum``), so the loss has the bits of one block
+    over all rows, and so has ``gx``, whose rows are independent, wherever
+    BLAS computes each row of a product the same at the block's row count as
+    at all rows (it does at the default config; OpenBLAS's kernels for small
+    sizes need not). ``gw`` and ``gb`` add one matmul per block, so with more
+    than one block they differ from a single block's at the rounding level.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     labels = np.asarray(labels)
@@ -380,30 +397,42 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     x1 = np.concatenate([x.data, np.ones((rows, 1), dtype)], axis=1, dtype=dtype)
     wb = np.concatenate([w.data, b.data[None]], axis=0, dtype=dtype)
     scale = 1.0 / count if recording else None
+    block_rows = min(rows, max(_PAIRWISE_LEAF, _HEAD_BLOCK_BYTES // (vocab * dtype.itemsize)))
     if recording:
         gx = np.zeros(x.data.shape, dtype)
         gwb = np.empty(wb.shape, dtype)
-    blocks = queue.SimpleQueue()  # free (rows, V) blocks, one per thread
+    blocks = queue.SimpleQueue()  # free (block_rows, V) buffers, one per thread
 
     def codebook(j):
-        # codebook j's summed NLL in a free block; when the tape records, its
-        # gwb columns are written and its gx part is returned
+        # codebook j's summed NLL, its row blocks in turn in a free buffer;
+        # when the tape records, its gwb columns are written and its gx part
+        # is returned
+        cols = slice(j * vocab, (j + 1) * vocab)
+        part = np.empty(x.data.shape, dtype) if recording else None
         z = blocks.get()
+
+        def block(start, stop):
+            zb = z[:stop - start]
+            np.matmul(x1[start:stop], wb[:, cols], out=zb)
+            nll = _softmax_xent(zb, labels[start:stop, j], scale)
+            if recording:
+                gwb_block = x1[start:stop].T @ zb
+                if start == 0:
+                    gwb[:, cols] = gwb_block
+                else:
+                    gwb[:, cols] += gwb_block
+                np.matmul(zb, w.data[:, cols].T, out=part[start:stop])
+            return nll
+
         try:
-            cols = slice(j * vocab, (j + 1) * vocab)
-            np.matmul(x1, wb[:, cols], out=z)
-            nll = _softmax_xent(z, labels[:, j], scale)
-            if not recording:
-                return nll, None
-            gwb[:, cols] = x1.T @ z
-            return nll, z @ w.data[:, cols].T
+            return _pairwise_sum(block, 0, rows, block_rows, dtype), part
         finally:
             blocks.put(z)
 
     nll = 0.0
     with _pool_map(num_codebooks, "multi_softmax_nll") as (mapped, threads):
         for _ in range(threads):  # here, not in the pool: see _pool_map
-            blocks.put(np.empty((rows, vocab), dtype))
+            blocks.put(np.empty((block_rows, vocab), dtype))
         for part_nll, part_gx in mapped(codebook, range(num_codebooks)):
             nll += part_nll
             if recording:
@@ -468,6 +497,23 @@ def _openblas_threads():
         set_threads.restype = None
         return get_threads, set_threads
     return None
+
+
+def _pairwise_sum(leaf, start, stop, limit, dtype) -> float:
+    """``leaf(start, stop)``, a numpy sum of ``dtype`` values indexed by
+    [start, stop), assembled from ``leaf`` calls over pieces of at most
+    ``limit`` (or ``_PAIRWISE_LEAF``) indices, visited in order. numpy sums a
+    contiguous run of n > ``_PAIRWISE_LEAF`` values as the sum of its first
+    n2 = n//2 - (n//2) % 8 values plus the sum of the rest, in ``dtype``; the
+    pieces are nodes of that tree and are added as it adds them, so the
+    result has the bits of one ``leaf`` call over the whole range."""
+    n = stop - start
+    if n <= max(limit, _PAIRWISE_LEAF):
+        return leaf(start, stop)
+    half = n // 2 - (n // 2) % 8
+    left = _pairwise_sum(leaf, start, start + half, limit, dtype)
+    right = _pairwise_sum(leaf, start + half, stop, limit, dtype)
+    return float(dtype.type(left) + dtype.type(right))
 
 
 def _softmax_xent(z, labels, scale=None) -> float:
@@ -862,8 +908,11 @@ def _linear_grad(g, x, w, nx=True, nw=True, nb=True):
 def _depthwise_pad(x, mask, kernel: int):
     """A (B, T, C) ``x`` zeroed where the (B, T, 1) ``mask`` is 0 and
     same-padded over frames for ``kernel`` taps."""
+    b, t, c = x.shape
     half = (kernel - 1) // 2
-    return np.pad(x * mask, ((0, 0), (half, kernel - 1 - half), (0, 0)))
+    padded = np.zeros((b, t + kernel - 1, c), np.result_type(x, mask))
+    np.multiply(x, mask, out=padded[:, half: half + t])
+    return padded
 
 
 def _depthwise(padded, w):

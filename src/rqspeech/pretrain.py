@@ -36,7 +36,7 @@ from .seeding import keyed_rng
 CHECKPOINT_MAGIC = b"MSEC"
 CHECKPOINT_VERSION = 1
 LOAD_MODES = ("full", "feature_extractor_only")
-ADAM_BLOCK_VALUES = 1 << 16  # values per in-place Adam block
+ADAM_BLOCK_VALUES = 1 << 16  # values per in-place Adam block and per clipping block
 
 
 class CheckpointError(ValueError):
@@ -146,13 +146,29 @@ class AdamState:
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    squares = (np.square(c, out=c) for c in (g.astype(np.float64) for g in grads.values()))
-    total = np.sqrt(sum(float(np.sum(sq)) for sq in squares))
+    """The global norm of ``grads`` before clipping; above ``max_norm`` > 0,
+    every gradient is scaled in place to that norm.
+
+    Each gradient's float64 sum of squares runs over its values in memory
+    order, in blocks of ``ADAM_BLOCK_VALUES`` that are nodes of numpy's
+    pairwise tree (``ad._pairwise_sum``), so it has the bits of ``np.sum``
+    over a float64 copy of the whole gradient without making one. The sums
+    are added as Python floats in ``grads`` order."""
+    total = np.sqrt(sum(_square_sum(g) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
     return total
+
+
+def _square_sum(g) -> float:
+    flat = np.ravel(g, order="K")  # a view of any contiguous gradient
+
+    def block(start, stop):
+        c = flat[start:stop].astype(np.float64)
+        return float(np.sum(np.square(c, out=c)))
+    return ad._pairwise_sum(block, 0, flat.size, ADAM_BLOCK_VALUES, np.dtype(np.float64))
 
 
 def clipped_gradients(loss: Tensor, params: dict, max_norm: float, step: int):

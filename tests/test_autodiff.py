@@ -12,7 +12,7 @@ from rqspeech import autodiff as ad
 from rqspeech import pretrain
 from rqspeech.autodiff import Tensor
 
-from conftest import blas_thread_count, float_dropout, masked_norm_node
+from conftest import blas_thread_count, float_dropout, masked_norm_node, traced_bytes
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -85,6 +85,18 @@ class TestPrimitives:
         mask = ragged_mask([6, 4], 6, np.float64)
         x, _ = check_op(lambda x, w: depthwise_node(x, mask, w), (2, 6, 3), (kernel, 3))
         assert np.all(x.grad[mask[..., 0] == 0] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 4, 15])
+    def test_depthwise_pad_bitwise_equal_to_np_pad(self, kernel, dtype):
+        # the masked product written into a zeroed array, against np.pad of it
+        x = np.random.default_rng(kernel).standard_normal((3, 11, 5)).astype(dtype)
+        mask = ragged_mask([11, 7, 1], 11, dtype)
+        half = (kernel - 1) // 2
+        want = np.pad(x * mask, ((0, 0), (half, kernel - 1 - half), (0, 0)))
+        got = ad._depthwise_pad(x, mask, kernel)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("drop", [0.0, 0.3])
     def test_half_ffn(self, drop):
@@ -766,3 +778,78 @@ class TestCodebookSplit:
         assert threads == {threading.current_thread().name}
         for a, want in zip(got, serial_multi_softmax_nll(*problem, 3)):
             np.testing.assert_array_equal(a, want)
+
+
+def norm_relative(a, want):
+    return float(np.linalg.norm(a.astype(np.float64) - want) / np.linalg.norm(want))
+
+
+@pytest.fixture
+def head_row_blocks(monkeypatch):
+    """``multi_softmax_nll`` in the smallest row blocks it makes: a budget of
+    one byte leaves numpy's 128-value pairwise leaf as the only limit."""
+    monkeypatch.setattr(ad, "_HEAD_BLOCK_BYTES", 1)
+    return ad._PAIRWISE_LEAF
+
+
+class TestHeadRowBlocks:
+    # gw and gb add one matmul per block instead of one over all rows: the
+    # largest norm-relative differences seen over 80 random shapes were
+    # 5.8e-7 in float32 and 1.6e-15 in float64
+    GRAD_RTOL = {np.float32: 2e-6, np.float64: 1e-14}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pairwise_sum_bitwise_equal_to_np_sum(self, dtype):
+        rng = np.random.default_rng(7)
+        for n in [*range(1, 1100, 7), 4095, 4096, 65539]:
+            a = (3 * rng.standard_normal(n) + 1).astype(dtype)
+            for limit in (1, 200, 1024):
+                got = ad._pairwise_sum(lambda i, j: float(np.sum(a[i:j])), 0, n, limit,
+                                       np.dtype(dtype))
+                assert got == float(np.sum(a)), (n, limit)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [450, 777])
+    def test_loss_and_gx_bitwise_equal_to_serial_loop(self, one_blas_thread, head_row_blocks,
+                                                      monkeypatch, rows, dtype):
+        sizes = []
+        xent = ad._softmax_xent
+
+        def spy(z, labels, scale=None):
+            sizes.append(len(z))
+            return xent(z, labels, scale)
+        monkeypatch.setattr(ad, "_softmax_xent", spy)
+        problem = head_problem(np.random.default_rng(rows), rows, 3, 128, 32, dtype)
+        loss, gx, gw, gb = fused_head(*problem, 3)
+        # the three codebooks' blocks, interleaved by the pool
+        assert len(sizes) >= 3 * 3 and len(set(sizes)) > 1, sizes
+        assert sum(sizes) == 3 * rows and max(sizes) <= head_row_blocks
+        want = serial_multi_softmax_nll(*problem, 3)
+        assert loss.tobytes() == want[0].tobytes()
+        assert gx.tobytes() == want[1].tobytes()
+        for got, ref in ((gw, want[2]), (gb, want[3])):
+            assert got.dtype == ref.dtype
+            assert norm_relative(got, ref) <= self.GRAD_RTOL[dtype]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_small_hidden_within_rounding(self, one_blas_thread, head_row_blocks, dtype):
+        # the bits of the loss and gx hold where BLAS computes each row of a
+        # product the same at the block's row count as at all rows. At hidden
+        # 8 numpy's OpenBLAS 0.3.31 does not (its kernel choice depends on the
+        # matrix sizes), so gx moves at the rounding level there
+        problem = head_problem(np.random.default_rng(8), 450, 3, 128, 8, dtype)
+        for got, want in zip(fused_head(*problem, 3), serial_multi_softmax_nll(*problem, 3)):
+            assert norm_relative(got, want) <= self.GRAD_RTOL[dtype]
+
+    def test_peak_at_twice_the_rows_within_one_block(self, head_row_blocks):
+        # both sizes run in full blocks, so doubling the rows adds only the
+        # arrays with one row per head row: x1, gx and up to one gx part per
+        # codebook in flight, never a second (rows, V) buffer
+        n, vocab, hidden, itemsize = 4, 512, 32, 4
+        peaks = []
+        for rows in (1024, 2048):
+            problem = head_problem(np.random.default_rng(0), rows, n, vocab, hidden, np.float32)
+            peaks.append(traced_bytes(lambda: fused_head(*problem, n))[2])
+        block = head_row_blocks * vocab * itemsize
+        row_arrays = (2 + n) * 1024 * (hidden + 1) * itemsize
+        assert peaks[1] - peaks[0] <= block + row_arrays, peaks
