@@ -9,15 +9,19 @@ are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
 The op set is intentionally small: what the encoder and the losses need,
-with these as one fused node each: the layer norm, the Conformer's
-self-attention block (``attention_block``), macaron half feed-forward
-(``half_ffn``) and convolution module (``conv_module``), the pretraining
-head, and the CTC loss of a whole padded batch (``ctc_nll``).
+with these as one fused node each: the convolutional feature extractor
+(``feature_extractor``), the layer norm, the Conformer's self-attention
+block (``attention_block``), macaron half feed-forward (``half_ffn``) and
+convolution module (``conv_module``), the pretraining head, and the CTC loss
+of a whole padded batch (``ctc_nll``). Each op returns a gradient for every
+parent; constants such as the mel input and the padding masks are arrays a
+node holds, not parents.
 Each Conformer node adds its own residual, so its output is the next
 block's input and no block output is kept beside it. The norm and the three
 Conformer nodes keep statistics and boolean dropout masks, not their
 elementwise results; the FFN and conv nodes keep no activation at all and
-recompute their first pointwise projection from their input. Each backward
+recompute their first pointwise projection from their input, and the
+extractor keeps only its mel input and two masks. Each backward
 recomputes from the numpy pieces at the bottom of this module, which
 ``linear`` shares, so each formula exists once. Each Conformer node draws
 and keeps its own dropout masks; there is no dropout node. The attention
@@ -25,10 +29,10 @@ block keeps q, k, v, its context and each score row's max and exponential
 sum, never the (B, H, L, L) probabilities: its forward and backward run over
 groups of whole (utterance, head) score matrices, and the backward
 recomputes a group's probabilities from those statistics. Attention's
-relative shift and the extractor's windows are strided views, not gathers
-or K-fold copies. All ops keep dtype, so one graph runs in float32 to train
-and float64 to check gradients. ``_pool_map`` is the one pool: the head maps
-its codebooks over it, and the encoder its two halves.
+relative shift is a strided view, not a gather. All ops keep dtype, so one
+graph runs in float32 to train and float64 to check gradients. ``_pool_map``
+is the one pool: the head maps its codebooks over it, and the encoder its
+two halves.
 """
 
 from __future__ import annotations
@@ -193,10 +197,8 @@ def add(a, b):
     if isinstance(a, (int, float)):
         return add(b, a)
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _needs_grad(a), _needs_grad(b)
     return _make(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape) if na else None,
-                            _unbroadcast(g, b.data.shape) if nb else None))
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b):
@@ -207,17 +209,9 @@ def mul(a, b):
     if isinstance(a, (int, float)):
         return mul(b, a)
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _needs_grad(a), _needs_grad(b)
     return _make(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape) if na else None,
-                            _unbroadcast(g * a.data, b.data.shape) if nb else None))
-
-
-def relu(a):
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0).astype(a.data.dtype), (a,),
-                 lambda g: (g * mask,))
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                            _unbroadcast(g * a.data, b.data.shape)))
 
 
 # shape and indexing ------------------------------------------------------
@@ -280,32 +274,8 @@ def mean(a, axis=None, keepdims=False):
 def linear(x, w, b):
     """Fused x @ w + b for a 2-D weight and 1-D bias."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    needs = [_needs_grad(t) for t in (x, w, b)]
     return _make(x.data @ w.data + b.data, (x, w, b),
-                 lambda g: _linear_grad(g, x.data, w.data, *needs))
-
-
-def unfold_time(a, kernel: int, stride: int, pad=(0, 0)):
-    """Sliding windows over axis 1 of a (B, T, C) input zero-padded by ``pad``
-    = (before, after) frames: (B, T_out, K, C), a read-only view of the padded
-    copy, not a K-fold copy."""
-    a = as_tensor(a)
-    before, after = pad
-    padded = np.pad(a.data, ((0, 0), (before, after), (0, 0)))
-    b, t, c = padded.shape
-    t_out = (t - kernel) // stride + 1
-    s0, s1, s2 = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, shape=(b, t_out, kernel, c), strides=(s0, s1 * stride, s1, s2),
-        writeable=False)
-
-    def backward(g):
-        full = np.zeros_like(padded)
-        for k in range(kernel):
-            full[:, k: k + stride * t_out: stride] += g[:, :, k]
-        return (full[:, before: before + a.data.shape[1]],)
-
-    return _make(windows, (a,), backward)
+                 lambda g: _linear_grad(g, x.data, w.data))
 
 
 # softmax family -----------------------------------------------------------
@@ -720,6 +690,38 @@ def conv_module(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2,
     return _make(x.data + out, parents, backward)
 
 
+def feature_extractor(mel, masks, w1, b1, w2, b2, wp, bp):
+    """The convolutional feature extractor as one node: two kernel-3,
+    stride-2 convolutions over frames (``_stride2_windows``), each followed
+    by ReLU and the valid-frame mask of its output, then the projection
+    ``wp`` and the second mask again. ``mel`` is the (B, T, C) input array,
+    never a parameter, and ``masks`` the (B, T // 2, 1) and (B, T // 4, 1)
+    masks. The backward keeps only these three arrays, not copies, and
+    recomputes the windows, pre-activations and activations from ``mel``.
+    """
+    parents = tuple(map(as_tensor, (w1, b1, w2, b2, wp, bp)))
+    w1, b1, w2, b2, wp, bp = parents
+    mask1, mask2 = masks
+    # each convolution's windows are freed once its matmul has read them
+    h = _masked_relu(_stride2_windows(mel) @ w1.data + b1.data, mask1)
+    h = _masked_relu(_stride2_windows(h) @ w2.data + b2.data, mask2)
+
+    def backward(g):
+        x1 = _stride2_windows(mel)
+        a1 = x1 @ w1.data + b1.data
+        h1 = _masked_relu(a1, mask1)
+        x2 = _stride2_windows(h1)
+        a2 = x2 @ w2.data + b2.data
+        h2 = _masked_relu(a2, mask2)
+        gh2, gwp, gbp = _linear_grad(g * mask2, h2, wp.data)
+        gx2, gw2, gb2 = _linear_grad(gh2 * mask2 * (a2 > 0), x2, w2.data)
+        gh1 = _stride2_windows_grad(gx2, h1)
+        _, gw1, gb1 = _linear_grad(gh1 * mask1 * (a1 > 0), x1, w1.data, nx=False)
+        return gw1, gb1, gw2, gb2, gwp, gbp
+
+    return _make((h @ wp.data + bp.data) * mask2, parents, backward)
+
+
 # numpy forward and backward pieces ----------------------------------------
 # One formula each, shared by the nodes above; a fused node's backward calls
 # the same pieces on the same arrays as its forward, so a recomputed value
@@ -903,6 +905,37 @@ def _linear_grad(g, x, w, nx=True, nw=True, nb=True):
     return (g @ w.T if nx else None,
             x.reshape(-1, x.shape[-1]).T @ g2 if nw else None,
             g2.sum(axis=0) if nb else None)
+
+
+def _stride2_windows(x):
+    """The (B, T // 2, 3C) windows of a kernel-3, stride-2 convolution over
+    the frames of a (B, T, C) ``x`` right-padded by one zero frame, each
+    window its three frames in order."""
+    b, t, c = x.shape
+    n = t // 2
+    padded = np.pad(x, ((0, 0), (0, 1), (0, 0)))
+    windows = np.empty((b, n, 3, c), x.dtype)
+    for k in range(3):
+        windows[:, :, k] = padded[:, k: k + 2 * n: 2]
+    return windows.reshape(b, n, 3 * c)
+
+
+def _stride2_windows_grad(g, x):
+    """The gradient of ``x`` through ``_stride2_windows(x)``: each tap's
+    frames added back in tap order."""
+    b, t, c = x.shape
+    n = t // 2
+    full = np.zeros((b, t + 1, c), x.dtype)
+    g = g.reshape(b, n, 3, c)
+    for k in range(3):
+        full[:, k: k + 2 * n: 2] += g[:, :, k]
+    return full[:, :t]
+
+
+def _masked_relu(a, mask):
+    """ReLU of an extractor convolution's pre-activation ``a``, then its
+    valid-frame ``mask``."""
+    return np.where(a > 0, a, 0.0).astype(a.dtype, copy=False) * mask
 
 
 def _depthwise_pad(x, mask, kernel: int):

@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 runtime failure (corrupt/unreadable inputs),
 
 ``pretrain`` and ``finetune`` share one run loop, ``_train``: it writes one
 flushed metrics row per completed step and saves the final checkpoint, also
-when a batch fails (then at the last completed step, exit code 1).
+when a batch fails (then at the last completed step, exit code 1). A
+warning, such as a skipped WAV file or merged buckets, prints as one
+``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,12 @@ from .config import SEED_ENV_VAR, ConfigError, load_config, write_config
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for a command: the message as one plain line,
+    like ``_fail``'s, without its category or source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_index(cfg) -> datapipe.CorpusIndex:
@@ -361,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ Layout conventions:
   * the feature extractor applies two kernel-3 stride-2 convolutions (each
     right-padded by one zero frame so its output length is exactly
     floor(T / 2)), ReLU between, then a linear projection; total stride 4, so
-    encoder frames line up one-to-one with quantizer label frames
+    encoder frames line up one-to-one with quantizer label frames. It is one
+    autodiff node (``ad.feature_extractor``) that keeps only its mel input
+    and two valid-frame masks and recomputes its windows and activations in
+    its backward
   * each Conformer layer is half-FFN, relative-position self-attention,
     convolution block, half-FFN, with residuals and a closing layer norm
   * attention scoring is the shift-style relative scheme: per-head content and
@@ -16,15 +19,15 @@ Layout conventions:
     encodings
   * every parameter learns: keys and the depthwise convolution have no bias,
     which the softmax and the conv module's norm would cancel
-  * each sub-block and its residual is one autodiff node (``ad.half_ffn``,
-    ``ad.attention_block``, ``ad.conv_module``) that draws its own dropout
-    masks, keeps its norm statistics and the boolean masks, and recomputes
-    the rest from its input in its backward; the FFN and conv nodes keep no
-    activation of their own and recompute their first pointwise projection,
-    and the attention node keeps q, k, v, its context and each score row's
-    max and exponential sum, never the (B, H, L, L) probabilities, so a
-    training tape grows with a batch's frames, not with the square of its
-    length or with the FFN's width
+  * each Conformer sub-block and its residual is one autodiff node
+    (``ad.half_ffn``, ``ad.attention_block``, ``ad.conv_module``) that draws
+    its own dropout masks, keeps its norm statistics and the boolean masks,
+    and recomputes the rest from its input in its backward; the FFN and conv
+    nodes keep no activation of their own and recompute their first
+    pointwise projection, and the attention node keeps q, k, v, its context
+    and each score row's max and exponential sum, never the (B, H, L, L)
+    probabilities, so a training tape grows with a batch's frames, not with
+    the square of its length or with the FFN's width
   * the convolution block normalizes per utterance and channel over valid
     frames only, so outputs never depend on batch composition
 
@@ -106,11 +109,15 @@ class EncoderOutput:
 
 # parameter construction ----------------------------------------------------
 
-# Each Conformer sub-block's parameters in the order its node takes them, each
-# with its shape spelled in config sizes: h hidden, f ffn, g 2 * hidden (the
-# GLU's input), k conv_kernel, n heads, d head_dim. A layer lists its blocks
-# in this order; that order is the order of the clipping norm's sum, so it
-# sets the bits of every clipped update.
+# The extractor's and each Conformer sub-block's parameters in the order its
+# node takes them, each with its shape spelled in config sizes: h hidden, f
+# ffn, g 2 * hidden (the GLU's input), k conv_kernel, n heads, d head_dim, m
+# and w the three-frame windows of the 80 mel bins and of h channels. The
+# extractor comes first and a layer lists its blocks in this order; that
+# order is the order of the clipping norm's sum, so it sets the bits of every
+# clipped update.
+_EXTRACTOR = (("conv1.weight", "mh"), ("conv1.bias", "h"), ("conv2.weight", "wh"),
+              ("conv2.bias", "h"), ("proj.weight", "hh"), ("proj.bias", "h"))
 _NORM = (("ln.gamma", "h"), ("ln.beta", "h"))
 _FFN = _NORM + (("w1.weight", "hf"), ("w1.bias", "f"), ("w2.weight", "fh"), ("w2.bias", "h"))
 _ATTN = _NORM + (("wq.weight", "hh"), ("wq.bias", "h"), ("wk.weight", "hh"), ("wv.weight", "hh"),
@@ -125,19 +132,12 @@ _LAYER_BLOCKS = {"ffn1": _FFN, "ffn2": _FFN, "attn": _ATTN, "conv": _CONV,
 def param_shapes(cfg: EncoderConfig) -> dict:
     h = cfg.hidden
     sizes = {"h": h, "f": cfg.ffn, "g": 2 * h, "k": cfg.conv_kernel, "n": cfg.heads,
-             "d": cfg.head_dim}
-    shapes = {
-        "extractor.conv1.weight": (3 * 80, h),
-        "extractor.conv1.bias": (h,),
-        "extractor.conv2.weight": (3 * h, h),
-        "extractor.conv2.bias": (h,),
-        "extractor.proj.weight": (h, h),
-        "extractor.proj.bias": (h,),
-    }
-    for i in range(cfg.num_layers):
-        for block, table in _LAYER_BLOCKS.items():
-            for name, dims in table:
-                shapes[f"layers.{i}.{block}.{name}"] = tuple(sizes[d] for d in dims)
+             "d": cfg.head_dim, "m": 3 * 80, "w": 3 * h}
+    blocks = [("extractor.", _EXTRACTOR)]
+    blocks += [(f"layers.{i}.{block}.", table) for i in range(cfg.num_layers)
+               for block, table in _LAYER_BLOCKS.items()]
+    shapes = {prefix + name: tuple(sizes[d] for d in dims)
+              for prefix, table in blocks for name, dims in table}
     shapes["final_ln.gamma"] = (h,)
     shapes["final_ln.beta"] = (h,)
     return shapes
@@ -191,13 +191,6 @@ def _valid_mask(lengths: np.ndarray, padded_len: int, dtype) -> np.ndarray:
     return (np.arange(padded_len)[None, :] < lengths[:, None]).astype(dtype)[:, :, None]
 
 
-def _conv_stride2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Kernel-3 stride-2 convolution over time, right-padded by one zero frame."""
-    windows = ad.unfold_time(x, kernel=3, stride=2, pad=(0, 1))
-    b, t_out, k, c = windows.shape
-    return ad.linear(ad.reshape(windows, (b, t_out, k * c)), weight, bias)
-
-
 def _extract(params: dict, mel: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Feature extractor: (B, T, 80) log-Mel -> (B, floor(T/4), hidden), and
     each utterance's valid output length floor(length / 4), its label count."""
@@ -206,13 +199,10 @@ def _extract(params: dict, mel: np.ndarray, lengths: np.ndarray) -> tuple[Tensor
     # the caller padded with
     if int(lengths.min()) < t:
         mel = mel * _valid_mask(lengths, t, mel.dtype)
-    h = ad.as_tensor(mel)
-    for conv in ("extractor.conv1.", "extractor.conv2."):
-        h = ad.relu(_conv_stride2(h, params[conv + "weight"], params[conv + "bias"]))
-        lengths = lengths // 2
-        h = ad.mul(h, _valid_mask(lengths, h.shape[1], mel.dtype))
-    h = ad.linear(h, params["extractor.proj.weight"], params["extractor.proj.bias"])
-    return ad.mul(h, _valid_mask(lengths, h.shape[1], mel.dtype)), lengths
+    masks = [_valid_mask(lengths // 2, t // 2, mel.dtype),
+             _valid_mask(lengths // 4, t // 4, mel.dtype)]
+    return (ad.feature_extractor(mel, masks, *_block_params(params, "extractor.", _EXTRACTOR)),
+            lengths // 4)
 
 
 def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:

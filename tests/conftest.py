@@ -35,6 +35,39 @@ def float_dropout(x, prob, rng):
                         / (1.0 - prob))
 
 
+def relu_node(a):
+    """ReLU as the node the feature extractor recorded before it became one
+    node."""
+    a = autodiff.as_tensor(a)
+    mask = a.data > 0
+    return autodiff._make(np.where(mask, a.data, 0.0).astype(a.data.dtype), (a,),
+                          lambda g: (g * mask,))
+
+
+def unfold_time_node(a, kernel, stride, pad=(0, 0)):
+    """Sliding windows over axis 1 of a (B, T, C) input zero-padded by ``pad``
+    = (before, after) frames: (B, T_out, K, C), a read-only view of the padded
+    copy. The node the feature extractor's and the depthwise convolutions
+    recorded before each became part of one node."""
+    a = autodiff.as_tensor(a)
+    before, after = pad
+    padded = np.pad(a.data, ((0, 0), (before, after), (0, 0)))
+    b, t, c = padded.shape
+    t_out = (t - kernel) // stride + 1
+    s0, s1, s2 = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(b, t_out, kernel, c), strides=(s0, s1 * stride, s1, s2),
+        writeable=False)
+
+    def backward(g):
+        full = np.zeros_like(padded)
+        for k in range(kernel):
+            full[:, k: k + stride * t_out: stride] += g[:, :, k]
+        return (full[:, before: before + a.data.shape[1]],)
+
+    return autodiff._make(windows, (a,), backward)
+
+
 def traced_bytes(call):
     """``(call(), retained, peak)``: the bytes ``call`` leaves allocated and
     the most it held at once, both above what tracemalloc counted when it

@@ -12,7 +12,8 @@ from rqspeech import autodiff as ad
 from rqspeech import pretrain
 from rqspeech.autodiff import Tensor
 
-from conftest import blas_thread_count, float_dropout, masked_norm_node, traced_bytes
+from conftest import (blas_thread_count, float_dropout, masked_norm_node, relu_node,
+                      traced_bytes, unfold_time_node)
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -61,7 +62,7 @@ class TestPrimitives:
         check_op(lambda x, w, b: ad.linear(x, w, b), (2, 5, 4), (4, 3), (3,))
 
     def test_relu(self):
-        check_op(ad.relu, (4, 7), seed=3)
+        check_op(relu_node, (4, 7), seed=3)
 
     def test_glu(self):
         check_op(glu_node, (2, 3, 6))
@@ -76,7 +77,7 @@ class TestPrimitives:
         check_op(lambda a: a[:, 1:3], (4, 5))
 
     def test_unfold_time_padded(self):
-        check_op(lambda a: ad.unfold_time(a, kernel=3, stride=2, pad=(2, 1)), (2, 6, 4))
+        check_op(lambda a: unfold_time_node(a, kernel=3, stride=2, pad=(2, 1)), (2, 6, 4))
 
     @pytest.mark.parametrize("kernel", [1, 5])
     def test_depthwise_conv(self, kernel):
@@ -169,7 +170,7 @@ class TestPrimitives:
         check_op(lambda a: ad.mean(a), (3, 4))
 
     def test_unfold_time(self):
-        check_op(lambda a: ad.unfold_time(a, kernel=3, stride=2), (2, 9, 4))
+        check_op(lambda a: unfold_time_node(a, kernel=3, stride=2), (2, 9, 4))
 
     def test_softmax(self):
         check_op(lambda a: ad.softmax(a, axis=-1), (3, 5))
@@ -488,8 +489,11 @@ class TestAttentionGroups:
 
 class TestSemantics:
     def test_strided_views_are_read_only(self):
+        # the relative shift of (1, 3, 5) scores; only the backward asks for
+        # a view it writes through
         a = np.arange(18.0).reshape(1, 3, 6)[:, :, 1:]
-        assert not ad.unfold_time(a, kernel=2, stride=1).data.flags.writeable
+        assert not ad._rel_shift(a).flags.writeable
+        assert ad._rel_shift(a, True).flags.writeable
         assert a.flags.writeable
 
     def test_softmax_with_neginf_keys(self):

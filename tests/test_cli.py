@@ -292,6 +292,17 @@ class TestPretrainCommand:
         assert lines[0].startswith("step,loss")
         assert len(lines) == 5  # header + 4 steps
 
+    def test_merged_buckets_warn_in_one_plain_line(self, tmp_path, capsys):
+        # equal durations give both buckets one edge
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [1.0, 1.0, 1.0])
+        cfg_path = tmp_path / "c.ini"
+        write_pretrain_config(cfg_path, corpus, tmp_path / "out", total_steps=1)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines().count("warning: merged 1 degenerate buckets") == 1
+        assert "UserWarning" not in err and "datapipe.py" not in err
+
     def test_init_from_full_resumes_step(self, tmp_path):
         corpus = tmp_path / "corpus"
         write_corpus(corpus, [0.6, 0.9])

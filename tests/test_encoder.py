@@ -13,7 +13,8 @@ from rqspeech.encoder import EncoderConfig
 from rqspeech.quantizer import QuantizerConfig
 from rqspeech.seeding import keyed_rng
 
-from conftest import blas_thread_count, float_dropout, masked_norm_node, traced_bytes
+from conftest import (blas_thread_count, float_dropout, masked_norm_node, relu_node,
+                      traced_bytes, unfold_time_node)
 
 TINY = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, conv_kernel=5, dropout=0.0)
 
@@ -277,6 +278,76 @@ class TestFfnTape:
         assert recorded_nodes(out) == 1
 
 
+class TestExtractorTape:
+    def test_extractor_is_one_node(self):
+        # the windows, reshape, linear, ReLU and mask product of each
+        # convolution, then the projection and its mask product, were ten
+        params = make_params(TINY)
+        mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
+        out, lengths = encoder._extract(params, mel, np.array([40, 23]))
+        assert recorded_nodes(out) == 1
+        assert out.shape == (2, 10, TINY.hidden) and list(lengths) == [10, 5]
+
+
+class TestExtractorGradients:
+    """The extractor node alone, in float64, on a ragged batch whose lengths
+    are not all multiples of 4."""
+
+    lengths = np.array([23, 16, 9])
+    names = [name for name in encoder.param_shapes(TINY) if name.startswith("extractor.")]
+
+    def run(self, mel, probe, params):
+        out, _ = encoder._extract(params, mel, self.lengths)
+        return ad.sum_(ad.mul(out, probe))
+
+    def problem(self):
+        rng = np.random.default_rng(9)
+        mel = rng.standard_normal((3, 23, 80))
+        probe = rng.standard_normal((3, 5, TINY.hidden))
+        # biases of zero would leave the ReLUs' kinks where the inputs are
+        params = {name: Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
+                  for name, shape in encoder.param_shapes(TINY).items()
+                  if name in self.names}
+        return mel, probe, params
+
+    def test_all_six_gradients_match_finite_differences(self):
+        mel, probe, params = self.problem()
+        self.run(mel, probe, params).backward()
+        assert len(self.names) == 6
+        step = 1e-6
+        for name in self.names:
+            t = params[name]
+            want = np.zeros_like(t.data)
+            flat, wflat = t.data.reshape(-1), want.reshape(-1)
+            for i in range(flat.size):
+                saved = flat[i]
+                flat[i] = saved + step
+                with ad.no_grad():
+                    hi = self.run(mel, probe, params).item()
+                flat[i] = saved - step
+                with ad.no_grad():
+                    lo = self.run(mel, probe, params).item()
+                flat[i] = saved
+                wflat[i] = (hi - lo) / (2 * step)
+            np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-6, err_msg=name)
+
+    def test_padded_frames_change_nothing(self):
+        mel, probe, params = self.problem()
+        garbage = mel.copy()
+        for b, length in enumerate(self.lengths):
+            garbage[b, length:] = 1e3 * np.random.default_rng(b).standard_normal(
+                (mel.shape[1] - length, 80))
+        results = []
+        for x in (mel, garbage):
+            for t in params.values():
+                t.zero_grad()
+            out, _ = encoder._extract(params, x, self.lengths)
+            ad.sum_(ad.mul(out, probe)).backward()
+            results.append([out.data] + [params[name].grad for name in self.names])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestEncoderTape:
     def test_default_encoder_node_count(self):
         # 172 nodes while the convolutions recorded separate padding and
@@ -284,12 +355,12 @@ class TestEncoderTape:
         # convolution were chains of generic ops, 123 while each step of the
         # FFNs and the conv modules was a node of its own, 67 while each
         # attention block was six, 47 while each sub-block's residual was an
-        # add node of its own
+        # add node of its own, 31 while the extractor was ten
         cfg = EncoderConfig()
         params = make_params(cfg)
         mel = np.random.default_rng(0).standard_normal((2, 40, 80)).astype(np.float32)
         out = encoder.encode(params, cfg, mel, np.array([40, 23]))
-        assert recorded_nodes(out.final) <= 31
+        assert recorded_nodes(out.final) <= 22
 
 
 class TestRetainedMemory:
@@ -311,16 +382,19 @@ class TestRetainedMemory:
         # its elementwise activations and each layer norm keeping statistics,
         # ~31 KB with attention keeping row statistics, not probabilities,
         # ~16 KB with each node adding its residual and the FFN and conv
-        # nodes recomputing their pre-activations
+        # nodes recomputing their pre-activations, ~12 KB with the extractor
+        # one node that keeps its mel input and two masks (as ten nodes it
+        # kept 4.5 KB of windows, activations and masked products)
         assert 16 * 100 >= encoder._SPLIT_MIN_FRAMES
-        assert self.tape_bytes_per_label_frame(16, 400) <= 20 * 1024
+        assert self.tape_bytes_per_label_frame(16, 400) <= 14 * 1024
 
     def test_training_tape_with_dropout_bytes_per_label_frame(self):
         # ~59 KB per label frame while attention kept its probabilities and
         # every dropout mask was float multipliers, ~37 KB with boolean masks,
         # ~36 KB with attention keeping row statistics, ~21 KB with each node
-        # adding its residual and recomputing its pre-activations
-        assert self.tape_bytes_per_label_frame(16, 400, dropout=0.1) <= 25 * 1024
+        # adding its residual and recomputing its pre-activations, ~16 KB
+        # with the extractor one node
+        assert self.tape_bytes_per_label_frame(16, 400, dropout=0.1) <= 19 * 1024
 
     def test_training_tape_bytes_do_not_grow_with_ffn_width(self):
         # the FFN nodes keep no (N, ffn) activation; while they kept their
@@ -363,9 +437,25 @@ def chain_pad_time(a, before, after):
 
 
 def chain_conv_stride2(x, weight, bias):
-    windows = ad.unfold_time(chain_pad_time(ad.as_tensor(x), 0, 1), kernel=3, stride=2)
+    windows = unfold_time_node(chain_pad_time(ad.as_tensor(x), 0, 1), kernel=3, stride=2)
     b, t_out, k, c = windows.shape
     return ad.linear(ad.reshape(windows, (b, t_out, k * c)), weight, bias)
+
+
+def chain_extract(params, mel, lengths):
+    """``_extract`` as the chain of nodes it recorded before it became one
+    node: for each convolution the padding, windows, reshape, linear, ReLU
+    and mask product, then the projection and its mask product."""
+    t = mel.shape[1]
+    if int(lengths.min()) < t:
+        mel = mel * encoder._valid_mask(lengths, t, mel.dtype)
+    h = ad.as_tensor(mel)
+    for conv in ("extractor.conv1.", "extractor.conv2."):
+        h = relu_node(chain_conv_stride2(h, params[conv + "weight"], params[conv + "bias"]))
+        lengths = lengths // 2
+        h = ad.mul(h, encoder._valid_mask(lengths, h.shape[1], mel.dtype))
+    h = ad.linear(h, params["extractor.proj.weight"], params["extractor.proj.bias"])
+    return ad.mul(h, encoder._valid_mask(lengths, h.shape[1], mel.dtype)), lengths
 
 
 def chain_sigmoid(a):
@@ -408,7 +498,7 @@ def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
     y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
     y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
     y = ad.mul(ad.mul(y[:, :, :h], chain_sigmoid(y[:, :, h:])), mask)
-    windows = ad.unfold_time(chain_pad_time(y, (k - 1) // 2, (k - 1) // 2), k, 1)
+    windows = unfold_time_node(chain_pad_time(y, (k - 1) // 2, (k - 1) // 2), k, 1)
     dw = ad.reshape(p[prefix + "dw.weight"], (1, 1, k, h))
     y = ad.sum_(ad.mul(windows, dw), axis=2)
     y = masked_norm_node(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
@@ -493,8 +583,9 @@ def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_see
     the chains that its fused nodes replaced swapped back in: the FFNs, the
     attention blocks, the conv modules, their residual adds, float dropout
     multipliers, layer norms that keep their normalized input and the
-    padding of the extractor's windows. A ``dropout_seed`` runs both in
-    training mode from the same generator seed."""
+    extractor as padding, windows, linears, ReLUs and mask products. A
+    ``dropout_seed`` runs both in training mode from the same generator
+    seed."""
     def run():
         params = encoder.params_to_tensors(arrays)
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
@@ -503,7 +594,7 @@ def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_see
         return out.layer_states + [out.final], params
 
     got = run()
-    monkeypatch.setattr(encoder, "_conv_stride2", chain_conv_stride2)
+    monkeypatch.setattr(encoder, "_extract", chain_extract)
     monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
     monkeypatch.setattr(encoder, "_half_ffn", chain_half_ffn)
     monkeypatch.setattr(encoder, "_rel_attention", chain_attention)
