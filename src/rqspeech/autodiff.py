@@ -913,10 +913,12 @@ def _stride2_windows(x):
     window its three frames in order."""
     b, t, c = x.shape
     n = t // 2
-    padded = np.pad(x, ((0, 0), (0, 1), (0, 0)))
     windows = np.empty((b, n, 3, c), x.dtype)
     for k in range(3):
-        windows[:, :, k] = padded[:, k: k + 2 * n: 2]
+        # the last tap of the last window is the pad frame when t is even
+        taps = x[:, k: k + 2 * n: 2]
+        windows[:, :taps.shape[1], k] = taps
+        windows[:, taps.shape[1]:, k] = 0
     return windows.reshape(b, n, 3 * c)
 
 
@@ -934,8 +936,9 @@ def _stride2_windows_grad(g, x):
 
 def _masked_relu(a, mask):
     """ReLU of an extractor convolution's pre-activation ``a``, then its
-    valid-frame ``mask``."""
-    return np.where(a > 0, a, 0.0).astype(a.dtype, copy=False) * mask
+    valid-frame ``mask``. ``fmax`` maps NaN to 0 as ``a > 0`` would, and
+    adding 0 turns its -0 into +0, so every bit is ``where(a > 0, a, 0)``'s."""
+    return (np.fmax(a, 0) + 0) * mask
 
 
 def _depthwise_pad(x, mask, kernel: int):
@@ -1009,7 +1012,10 @@ def _norm_mean(a, inv_count):
     """Mean over the last axis; with ``inv_count``, over axis 1 of an ``a``
     that is already zero where the mask is."""
     if inv_count is None:
-        return a.mean(axis=-1, keepdims=True)
+        # ``a.mean``'s sum and division without its Python wrapper. It divides
+        # a float32 sum by the count in float64 and rounds to float32; one
+        # float32 division rounds to the same value
+        return np.add.reduce(a, -1, keepdims=True) / a.shape[-1]
     return a.sum(axis=1, keepdims=True) * inv_count
 
 

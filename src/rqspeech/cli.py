@@ -223,7 +223,7 @@ def cmd_decode(args) -> int:
         return _fail(2, f"--beam must be >= 1, got {args.beam}; use --greedy "
                         "for greedy decoding")
     try:
-        state = finetune.load_finetune_checkpoint(args.ckpt)
+        state = finetune.load_finetune_checkpoint(args.ckpt, optimizer=False)
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
     try:

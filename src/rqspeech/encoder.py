@@ -205,8 +205,31 @@ def _extract(params: dict, mel: np.ndarray, lengths: np.ndarray) -> tuple[Tensor
             lengths // 4)
 
 
+# (hidden, dtype) -> the read-only encodings of offsets -M..M for the largest
+# M asked for yet; a slice of it equals a fresh table bit for bit, because
+# each row depends only on its own offset
+_OFFSET_TABLES = {}
+
+
 def sinusoid_offsets(max_offset: int, hidden: int, dtype) -> np.ndarray:
-    """Encodings for relative offsets -max_offset..+max_offset, shape (2M+1, hidden)."""
+    """Encodings for relative offsets -max_offset..+max_offset, shape (2M+1, hidden).
+
+    The result is a read-only slice of one table per (hidden, dtype), which
+    is rebuilt whenever a longer one is asked for. Two threads may both
+    build it; each publishes only a complete table and slices its own.
+    """
+    key = (hidden, np.dtype(dtype))
+    table = _OFFSET_TABLES.get(key)
+    if table is None or len(table) < 2 * max_offset + 1:
+        table = _offset_table(max_offset, hidden, dtype)
+        table.flags.writeable = False
+        if len(_OFFSET_TABLES.get(key, ())) < len(table):
+            _OFFSET_TABLES[key] = table
+    mid = len(table) // 2
+    return table[mid - max_offset: mid + max_offset + 1]
+
+
+def _offset_table(max_offset: int, hidden: int, dtype) -> np.ndarray:
     offsets = np.arange(-max_offset, max_offset + 1, dtype=np.float64)
     dims = np.arange(0, hidden, 2, dtype=np.float64)
     inv_freq = 1.0 / (10000.0 ** (dims / hidden))

@@ -11,17 +11,18 @@ The CTC loss is the exact forward recursion in log space, one autodiff node
 recursion in numpy; ``batch_ctc_loss`` checks every target and builds the
 padded lattice for it, and ``ctc_loss`` is its batch of one. Decoding
 offers per-frame greedy collapse and a prefix beam search that merges
-equivalent prefixes by log-sum-exp. Both are vectorised: the greedy collapse
-is one mask over the argmax path, and the beam search scores each frame as
-one (beams × vocabulary) numpy grid. Its prefixes are integer nodes of a
-trie, so a frame costs the same however long the prefixes are: one integer
-lookup per beam finds the extensions that equal a kept prefix, one
-vectorised log-sum-exp folds them in, and one stable argsort picks the
-survivors. No language model.
+equivalent prefixes by log-sum-exp. The greedy collapse is one mask over the
+argmax path, and the beam search scores each frame as one (beams ×
+vocabulary) numpy grid. Its prefixes are integer nodes of a trie, so a frame
+costs the same however long the prefixes are: one integer lookup per beam
+finds the extensions that equal a kept prefix, a scalar log-sum-exp on
+Python floats folds them in, and one stable argsort picks the survivors.
+No language model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -35,6 +36,7 @@ from .seeding import keyed_rng
 
 BLANK_ID = 0
 NEG_INF = -np.inf
+_LN2 = math.log(2.0)
 
 
 class InfeasibleTargetError(ValueError):
@@ -211,6 +213,20 @@ def greedy_decode(logprobs) -> Hypothesis:
     return Hypothesis(tokens=tuple(path[keep].tolist()), log_prob=score)
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` of two Python floats by numpy's own formula, so the
+    bits are numpy's: equal arguments (same-signed infinities too) add ln 2,
+    otherwise the larger adds log1p(exp(-|x - y|)), and NaN stays NaN."""
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d
+
+
 def beam_decode(logprobs, beam_width: int) -> Hypothesis:
     """CTC prefix beam search merging equivalent prefixes by log-sum-exp.
 
@@ -220,6 +236,9 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
     The ``beam_width`` best candidates survive, ties going to the earlier
     candidate in prefix-then-symbol order; a folded prefix counts as found
     at the earlier of its own slot and its extension's.
+
+    Only the grid and the selection are numpy; the few scores per beam are
+    Python floats, whose adds and ``_logaddexp`` give numpy's bits.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -231,45 +250,49 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
     nodes = [0]                    # the prefix node of each beam
     # last symbol of each prefix; blank for the empty one, whose pnb stays
     # -inf and whose column 0 is overwritten
-    last = np.array([BLANK_ID])
-    pb = np.array([0.0])           # log P(prefix, path ends in blank)
-    pnb = np.array([NEG_INF])      # log P(prefix, path ends in its last symbol)
-    total = np.logaddexp(pb, pnb)
+    last = [BLANK_ID]
+    pb = [0.0]                     # log P(prefix, path ends in blank)
+    pnb = [NEG_INF]                # log P(prefix, path ends in its last symbol)
+    total_l = [_logaddexp(pb[0], pnb[0])]
+    total = np.array(total_l)
     kth = vocab - beam_width       # where row 0's beam_width-th largest partitions
     for frame in lp:
         # column c >= 1 appends c; repeating the last symbol needs a blank in
         # between, so only the paths that end in blank extend by it
         grid = total[:, None] + frame
-        repeat = frame[last]
-        grid[np.arange(len(nodes)), last] = pb + repeat
-        blank = total + frame[BLANK_ID]
-        stay = pnb + repeat        # the repeat collapses
+        flat = grid.ravel()
+        fr = frame.tolist()
+        blank_score = fr[BLANK_ID]
+        blank, stay = [], []
+        for j, c in enumerate(last):
+            repeat = fr[c]
+            if c:
+                flat[j * vocab + c] = pb[j] + repeat
+            blank.append(total_l[j] + blank_score)
+            stay.append(pnb[j] + repeat)  # the repeat collapses
 
         # beam j merges with the extension of its parent's beam i by its last
-        # symbol: one lookup per beam finds i
+        # symbol: one lookup per beam finds i, and the extension's score is
+        # the one its grid slot holds
         beam_of = {n: i for i, n in enumerate(nodes)}
-        js, ext = [], []
+        moved = {}                 # extension slot -> beam whose sum sorts there
         for j, n in enumerate(nodes):
             i = beam_of.get(parent[n])
-            if i is not None:
-                js.append(j)
-                ext.append(i * vocab + symbol[n])
-        flat = grid.ravel()
-        if js:
-            merged = flat[ext]
-            into = stay[js]
-            np.logaddexp(into, merged, out=into, where=merged != NEG_INF)
-            stay[js] = into
-        grid[:, 0] = np.logaddexp(blank, stay)
-        # the sum takes the earlier of its two slots, the other gets NaN
-        moved = {}                 # extension slot -> beam whose sum sorts there
-        for j, e in zip(js, ext):
-            own = j * vocab
-            if e < own:
-                moved[e] = j
-                flat[e], flat[own] = flat[own], np.nan
+            if i is None:
+                flat[j * vocab] = _logaddexp(blank[j], stay[j])
+                continue
+            c = symbol[n]
+            merged = (pb[i] if c == last[i] else total_l[i]) + fr[c]
+            if merged != NEG_INF:
+                stay[j] = _logaddexp(stay[j], merged)
+            # the sum takes the earlier of its two slots, the other gets NaN
+            own, ext = j * vocab, i * vocab + c
+            flat[own] = _logaddexp(blank[j], stay[j])
+            if ext < own:
+                moved[ext] = j
+                flat[ext], flat[own] = flat[own], np.nan
             else:
-                flat[e] = np.nan
+                flat[ext] = np.nan
 
         # row 0 has no NaN slot, so at least beam_width candidates reach its
         # beam_width-th largest value and only those can survive; NaN never
@@ -278,10 +301,10 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
         reach = (flat >= floor).nonzero()[0]
         order = reach[(-flat[reach]).argsort(kind="stable")[:beam_width]]
         total = flat[order]
+        total_l = total.tolist()
 
-        blank_l, stay_l, last_l = blank.tolist(), stay.tolist(), last.tolist()
         next_nodes, pb_l, pnb_l, next_last = [], [], [], []
-        for slot, score in zip(order.tolist(), total.tolist()):
+        for slot, score in zip(order.tolist(), total_l):
             i = moved.get(slot)
             i, c = divmod(slot, vocab) if i is None else (i, BLANK_ID)
             n = nodes[i]
@@ -296,12 +319,11 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
                 pnb_l.append(score)
                 next_last.append(c)
             else:
-                pb_l.append(blank_l[i])
-                pnb_l.append(stay_l[i])
-                next_last.append(last_l[i])
+                pb_l.append(blank[i])
+                pnb_l.append(stay[i])
+                next_last.append(last[i])
             next_nodes.append(n)
-        nodes = next_nodes
-        pb, pnb, last = np.array(pb_l), np.array(pnb_l), np.array(next_last)
+        nodes, pb, pnb, last = next_nodes, pb_l, pnb_l, next_last
 
     # survivors are sorted best first
     tokens = []
@@ -309,7 +331,7 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
     while n:
         tokens.append(symbol[n])
         n = parent[n]
-    return Hypothesis(tokens=tuple(reversed(tokens)), log_prob=float(total[0]))
+    return Hypothesis(tokens=tuple(reversed(tokens)), log_prob=total_l[0])
 
 
 # scoring -----------------------------------------------------------------------
@@ -485,18 +507,23 @@ def _finetune_config(raw: dict) -> FinetuneConfig:
     return FinetuneConfig(**{**raw, "spec_augment": SpecAugmentConfig(**raw["spec_augment"])})
 
 
-def load_finetune_checkpoint(path) -> FinetuneState:
-    header, tensors = pretrain.read_checkpoint(path)
+def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
+    """The state saved at ``path``. With ``optimizer`` False the file's
+    ``opt.*`` moments are not read and both Adam groups start fresh, which is
+    all that decoding needs."""
+    keep = None if optimizer else (lambda name: not name.startswith("opt."))
+    header, tensors = pretrain.read_checkpoint(path, keep=keep)
     run = header.get("run_config")
     if not isinstance(run, dict) or run.get("kind") != "finetune":
         raise pretrain.CheckpointError(f"not a finetune checkpoint: {path}")
     tokenizer = pretrain.header_value(run, "alphabet", CharTokenizer, path)
     cfg = pretrain.header_value(run, "finetune_config", _finetune_config, path)
     state = _new_state(header, tensors, path, cfg, tokenizer)
-    pretrain.restore_training_tensors(tensors, state.params,
-                                      [state.adam_encoder, state.adam_head], path)
-    state.adam_encoder.count = pretrain.header_value(run, "adam_count_encoder", int, path)
-    state.adam_head.count = pretrain.header_value(run, "adam_count_head", int, path)
+    adams = [state.adam_encoder, state.adam_head] if optimizer else []
+    pretrain.restore_training_tensors(tensors, state.params, adams, path)
+    if optimizer:
+        state.adam_encoder.count = pretrain.header_value(run, "adam_count_encoder", int, path)
+        state.adam_head.count = pretrain.header_value(run, "adam_count_head", int, path)
     state.step = pretrain.header_value(header, "step", int, path)
     return state
 

@@ -26,6 +26,8 @@ HOP_SAMPLES = 160
 NUM_MEL_BINS = 80
 FFT_SIZE = 512
 LOG_FLOOR = 1e-10
+# frames per block of log_mel's FFT and filterbank: ~2.7 MB of block buffers
+LOG_MEL_BLOCK_FRAMES = 256
 
 # Windowed-sinc resampler shape (Kaiser window).
 _KAISER_BETA = 8.6
@@ -246,18 +248,33 @@ def log_mel(w: Waveform) -> np.ndarray:
 
     Frames start at sample 0 with no padding; the power in each Mel channel is
     floored at 1e-10 before the natural log, so silence maps to log(1e-10).
+    Every frame's features depend on that frame alone, so they are computed
+    ``LOG_MEL_BLOCK_FRAMES`` frames at a time and the temporaries stay the
+    same size however long the waveform is.
     """
     if w.sample_rate != SAMPLE_RATE:
         raise ValueError(f"log_mel expects {SAMPLE_RATE} Hz input, got {w.sample_rate}")
     x = np.asarray(w.samples, dtype=np.float64)
     t = num_frames(len(x))
-
     # windowing a strided view copies each frame once, with no gather index
-    frames = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES][:t] * _HANN
-    spec = np.fft.rfft(frames, n=FFT_SIZE, axis=1)
-    # square the real and imaginary parts in the spectrum's own memory
-    parts = spec.view(np.float64).reshape(*spec.shape, 2)
-    np.square(parts, out=parts)
-    mel_power = (parts[..., 0] + parts[..., 1]) @ _FILTERBANK.T
-    np.maximum(mel_power, LOG_FLOOR, out=mel_power)
-    return np.log(mel_power, out=mel_power).astype(np.float32)
+    windows = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    out = np.empty((t, NUM_MEL_BINS), np.float32)
+    # one set of block buffers serves every block, so the allocator does not
+    # return and fault in fresh pages block after block
+    rows = min(t, LOG_MEL_BLOCK_FRAMES)
+    frames = np.empty((rows, WINDOW_SAMPLES))
+    spec = np.empty((rows, FFT_SIZE // 2 + 1), np.complex128)
+    power = np.empty((rows, FFT_SIZE // 2 + 1))
+    mel_power = np.empty((rows, NUM_MEL_BINS))
+    for start in range(0, t, rows):
+        n = min(rows, t - start)
+        np.multiply(windows[start:start + n], _HANN, out=frames[:n])
+        np.fft.rfft(frames[:n], n=FFT_SIZE, axis=1, out=spec[:n])
+        # square the real and imaginary parts in the spectrum's own memory
+        parts = spec[:n].view(np.float64).reshape(n, -1, 2)
+        np.square(parts, out=parts)
+        np.add(parts[..., 0], parts[..., 1], out=power[:n])
+        np.matmul(power[:n], _FILTERBANK.T, out=mel_power[:n])
+        np.maximum(mel_power[:n], LOG_FLOOR, out=mel_power[:n])
+        out[start:start + n] = np.log(mel_power[:n], out=mel_power[:n])
+    return out

@@ -857,3 +857,25 @@ class TestHeadRowBlocks:
         block = head_row_blocks * vocab * itemsize
         row_arrays = (2 + n) * 1024 * (hidden + 1) * itemsize
         assert peaks[1] - peaks[0] <= block + row_arrays, peaks
+
+
+class TestMaskedRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_where_form(self, dtype):
+        # the extractor's ReLU as ``np.where(a > 0, a, 0)`` computed it, on
+        # signed zeros, NaNs, infinities and subnormals, under both mask values
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                            info.smallest_subnormal, -info.smallest_subnormal,
+                            info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0], dtype)
+        rng = np.random.default_rng(3)
+        row = np.concatenate([special, rng.standard_normal(1000).astype(dtype)])
+        a = np.stack([row, row[::-1]]).reshape(2, -1, 2)
+        for mask_dtype in (dtype, np.float32, np.float64):
+            mask = np.zeros((2, a.shape[1], 1), mask_dtype)
+            mask[0] = 1
+            mask[1, ::3] = 1
+            with np.errstate(invalid="ignore"):  # inf * 0 on masked frames
+                want = np.where(a > 0, a, 0.0).astype(dtype) * mask
+                got = ad._masked_relu(a, mask)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), mask_dtype

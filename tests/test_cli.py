@@ -652,6 +652,30 @@ class TestDecodeAndScore:
         got = finetune.read_transcripts(hyp)
         assert set(got) == {"utt00", "utt01", "utt02"}
 
+    def test_decode_reads_no_moment_and_matches_full_state(self, finetuned_setup,
+                                                          monkeypatch):
+        ckpt, manifest, _, tmp = finetuned_setup
+        read = []
+        real = pretrain.read_checkpoint
+
+        def spy(*args, **kwargs):
+            header, tensors = real(*args, **kwargs)
+            read.extend(tensors)
+            return header, tensors
+        monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+        hyp = tmp / "hyp.tsv"
+        assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--out", str(hyp), "--beam", "4"]) == 0
+        assert read and not any(name.startswith("opt.") for name in read)
+        # the same bytes as a decode with every tensor of the file restored
+        state = finetune.load_finetune_checkpoint(ckpt)
+        lines = []
+        for utt in datapipe.read_manifest(manifest).entries:
+            mel = frontend.log_mel(datapipe.load_utterance(utt))
+            text = finetune.transcribe(state, mel[None], np.array([len(mel)]), 4)[0]
+            lines.append(f"{utt.utt_id}\t{text}\n")
+        assert hyp.read_bytes() == "".join(lines).encode("utf-8")
+
     def test_beam_one_equals_greedy(self, finetuned_setup):
         ckpt, manifest, _, tmp = finetuned_setup
         h1 = tmp / "h1.tsv"

@@ -76,6 +76,43 @@ class TestExtract:
             encoder.encode(params, TINY, np.zeros(mel_shape, np.float32), np.array(lengths))
 
 
+class TestOffsetTable:
+    @staticmethod
+    def fresh(max_offset, hidden, dtype):
+        """The encodings of offsets -M..M computed on their own, as every
+        encode computed them before the table was shared."""
+        offsets = np.arange(-max_offset, max_offset + 1, dtype=np.float64)
+        inv_freq = 1.0 / (10000.0 ** (np.arange(0, hidden, 2, dtype=np.float64) / hidden))
+        angles = offsets[:, None] * inv_freq[None, :]
+        enc = np.zeros((len(offsets), hidden))
+        enc[:, 0::2] = np.sin(angles)
+        enc[:, 1::2] = np.cos(angles)
+        return enc.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grown_table_slices_equal_fresh_tables(self, monkeypatch, dtype):
+        monkeypatch.setattr(encoder, "_OFFSET_TABLES", {})
+        encoder.sinusoid_offsets(4, 64, dtype)
+        longest = encoder.sinusoid_offsets(799, 64, dtype)
+        assert not longest.flags.writeable
+        for l in range(1, 801):
+            got = encoder.sinusoid_offsets(l - 1, 64, dtype)
+            want = self.fresh(l - 1, 64, dtype)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), l
+            assert not got.flags.writeable
+        # one table per (hidden, dtype), grown once and sliced since
+        assert list(encoder._OFFSET_TABLES) == [(64, np.dtype(dtype))]
+        assert encoder.sinusoid_offsets(3, 64, dtype).base is longest.base
+
+    def test_shorter_request_keeps_the_longer_table(self, monkeypatch):
+        monkeypatch.setattr(encoder, "_OFFSET_TABLES", {})
+        long = encoder.sinusoid_offsets(50, 16, np.float32)
+        encoder.sinusoid_offsets(10, 16, np.float32)
+        assert encoder._OFFSET_TABLES[(16, np.dtype(np.float32))] is long.base
+        with pytest.raises(ValueError):
+            long[0, 0] = 1.0
+
+
 class TestForward:
     def test_padded_matches_unpadded(self):
         cfg = EncoderConfig(num_layers=2, hidden=16, ffn=32, heads=2, dropout=0.0)

@@ -448,6 +448,43 @@ class TestBeamDecode:
         lp = random_logprobs(np.random.default_rng(10), 5, 4)
         assert beam_decode(Tensor(lp), 4) == beam_decode(lp, 4)
 
+    def test_decode_size_matches_reference(self):
+        # the size of a 15 s utterance's search: 375 frames, 28 symbols and
+        # blank, beam 8, near-uniform float32 scores as from an untrained head
+        rng = np.random.default_rng(16)
+        lp = np.log(np.full((375, 29), 1 / 29)) + 1e-3 * rng.standard_normal((375, 29))
+        lp = lp - np.log(np.exp(lp).sum(axis=1, keepdims=True))
+        self.assert_matches_reference(lp.astype(np.float32), 8)
+
+
+class TestLogaddexp:
+    @staticmethod
+    def assert_bits(x, y):
+        got = finetune._logaddexp(float(x), float(y))
+        assert isinstance(got, float)
+        want = np.logaddexp(np.float64(x), np.float64(y))
+        assert np.float64(got).tobytes() == want.tobytes(), (x, y)
+
+    def test_special_values_bitwise(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-300, -1e-300,
+                  1.0, -1.0, 0.5, -745.2, 709.8, -1e308, 1e308, np.log(2.0)]
+        # numpy warns where x - y overflows (+-1e308) and where it compares a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in itertools.product(values, repeat=2):
+                self.assert_bits(x, y)
+
+    def test_random_pairs_bitwise(self):
+        rng = np.random.default_rng(17)
+        n = 100_000
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        # near, equal and far pairs
+        y = np.where(rng.random(n) < 0.5, x + rng.standard_normal(n) * 1e-3,
+                     rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n))
+        y[::97] = x[::97]
+        got = np.array([finetune._logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
+        assert got.tobytes() == np.logaddexp(x, y).tobytes()
+
 
 @pytest.mark.parametrize("decode", [greedy_decode, lambda lp: beam_decode(lp, 4)],
                          ids=["greedy", "beam"])
@@ -834,6 +871,34 @@ class TestFinetuneCheckpoint:
         with pytest.raises(pretrain.CheckpointError, match=f"missing tensor {name}") as err:
             finetune.load_finetune_checkpoint(path)
         assert str(err.value).endswith(f": {path}")
+
+    def test_load_without_optimizer_reads_no_moment(self, saved, monkeypatch):
+        state, path = saved
+        read = []
+        real = pretrain.read_checkpoint
+
+        def spy(*args, **kwargs):
+            header, tensors = real(*args, **kwargs)
+            read.extend(tensors)
+            return header, tensors
+        monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+        loaded = finetune.load_finetune_checkpoint(path, optimizer=False)
+        assert sorted(read) == sorted(state.params)
+        assert (loaded.step, loaded.tokenizer.alphabet, loaded.cfg, loaded.encoder_cfg) == \
+            (state.step, state.tokenizer.alphabet, state.cfg, state.encoder_cfg)
+        for name, p in state.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+        # both optimizers start fresh
+        for adam in (loaded.adam_encoder, loaded.adam_head):
+            assert adam.count == 0
+            assert not any(np.any(m) for m in (*adam.m.values(), *adam.v.values()))
+
+    def test_load_without_optimizer_ignores_missing_moment(self, saved):
+        _, path = saved
+        rewrite_checkpoint_header(path, drop_entry("opt.m.ctc_head.bias"))
+        finetune.load_finetune_checkpoint(path, optimizer=False)
+        with pytest.raises(pretrain.CheckpointError, match="missing tensor opt.m.ctc_head.bias"):
+            finetune.load_finetune_checkpoint(path)
 
     def test_pretrain_checkpoint_is_not_a_finetune_checkpoint(self, pretrained_ckpt):
         with pytest.raises(pretrain.CheckpointError, match="not a finetune checkpoint"):

@@ -6,7 +6,7 @@ import pytest
 from rqspeech import frontend
 from rqspeech.frontend import Waveform, WavError
 
-from conftest import tone
+from conftest import tone, traced_bytes
 
 
 def naive_log_mel(samples):
@@ -189,6 +189,30 @@ class TestLogMel:
         x[: n // 4] = 0.0  # floored frames as well
         got = frontend.log_mel(Waveform(x, 16000))
         assert got.tobytes() == gather_log_mel(x).tobytes()
+
+    @pytest.mark.parametrize("blocks_and_frames", [(0, 1), (0, 255), (1, 0), (1, 1), (3, 1)])
+    def test_bitwise_equal_across_block_edges(self, blocks_and_frames):
+        blocks, frames = blocks_and_frames
+        t = blocks * frontend.LOG_MEL_BLOCK_FRAMES + frames
+        for extra in (0, 159):  # samples short of the next frame
+            n = frontend.WINDOW_SAMPLES + (t - 1) * frontend.HOP_SAMPLES + extra
+            x = 0.3 * np.random.default_rng(t).standard_normal(n)
+            x[: n // 4] = 0.0
+            got = frontend.log_mel(Waveform(x, 16000))
+            assert got.shape == (t, 80)
+            assert got.tobytes() == gather_log_mel(x).tobytes()
+
+    def test_peak_memory_bounded_by_one_block(self):
+        # at 4x the frames the peak grows by the output's extra rows only,
+        # never by more than one block's frames and spectrum
+        block = frontend.LOG_MEL_BLOCK_FRAMES
+        peaks = []
+        for t in (2 * block, 8 * block):
+            n = frontend.WINDOW_SAMPLES + (t - 1) * frontend.HOP_SAMPLES
+            w = Waveform(0.3 * np.random.default_rng(t).standard_normal(n), 16000)
+            peaks.append(traced_bytes(lambda: frontend.log_mel(w))[2])
+        block_bytes = block * (frontend.WINDOW_SAMPLES + frontend.FFT_SIZE + 2) * 8
+        assert peaks[1] - peaks[0] <= block_bytes, peaks
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
