@@ -3,7 +3,9 @@
 A character tokenizer (id 0 reserved for the CTC blank) and a single linear
 head over the encoder's final state turn the model into a speech recognizer.
 Finetuning keeps the encoder frozen for the first ``freeze_steps`` steps, then
-trains jointly with distinct encoder/decoder learning-rate schedules.
+trains jointly with distinct encoder/decoder learning-rate schedules, under
+pretrain's Adam and clipping constants and one record of moments: the head's
+update count is the step, the encoder's the step less ``freeze_steps``.
 SpecAugment runs on the input features during training only.
 
 The CTC loss is the exact forward recursion in log space, one autodiff node
@@ -30,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import datapipe
 from . import encoder as enc
+from . import frontend
 from . import pretrain
 from .autodiff import Tensor
 from .seeding import keyed_rng
@@ -91,6 +94,14 @@ class SpecAugmentConfig:
             raise ValueError("mask counts and widths must be >= 0")
         if not 0.0 <= self.time_apply_prob <= 1.0:
             raise ValueError("time_apply_prob must be in [0, 1]")
+        # one loop of draws per mask: past any input's frames or bins, more only cost time
+        max_frames = datapipe.frames_for_duration(datapipe.MAX_DURATION_S)
+        if self.num_time_masks > max_frames:
+            raise ValueError(f"num_time_masks must be <= {max_frames}, the frames of "
+                             f"a {datapipe.MAX_DURATION_S:g} s utterance")
+        if self.num_freq_masks > frontend.NUM_MEL_BINS:
+            raise ValueError(f"num_freq_masks must be <= {frontend.NUM_MEL_BINS}, "
+                             f"the Mel bins of a frame")
 
 
 @dataclass(frozen=True)
@@ -99,10 +110,6 @@ class FinetuneConfig:
     decoder_lr: float = 2e-3
     warmup_steps: int = 1000
     freeze_steps: int = 1500
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
-    grad_clip: float = 1.0
     seed: int = 0
     spec_augment: SpecAugmentConfig = field(default_factory=SpecAugmentConfig)
 
@@ -378,18 +385,16 @@ def score(refs, hyps, unit: str = "word"):
 
 @dataclass
 class FinetuneState:
-    """Encoder + CTC head with one Adam group each; the optimizers start fresh."""
+    """Encoder + CTC head with one record of Adam moments; it starts fresh."""
     encoder_cfg: enc.EncoderConfig
     cfg: FinetuneConfig
     tokenizer: CharTokenizer
     params: dict                  # encoder tensors + "ctc_head.*"
     step: int = 0
-    adam_encoder: pretrain.AdamState = field(init=False)
-    adam_head: pretrain.AdamState = field(init=False)
+    adam: pretrain.AdamState = field(init=False)
 
     def __post_init__(self):
-        self.adam_encoder = pretrain.AdamState.init(self.encoder_params())
-        self.adam_head = pretrain.AdamState.init(self.head_params())
+        self.adam = pretrain.AdamState.init(self.params)
 
     def _group(self, head: bool) -> dict:
         return {k: p for k, p in self.params.items() if k.startswith("ctc_head.") == head}
@@ -424,7 +429,7 @@ def _new_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
 def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
                         tokenizer: CharTokenizer) -> FinetuneState:
     """Load every encoder tensor from a pretraining checkpoint (full restore);
-    the CTC head and both optimizers start fresh, so the file's ``head.*``
+    the CTC head and the optimizer start fresh, so the file's ``head.*``
     and ``opt.*`` tensors are not read."""
     header, tensors = pretrain.read_checkpoint(
         checkpoint_path, keep=lambda name: not name.startswith(("head.", "opt.")))
@@ -457,20 +462,17 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
         rng=keyed_rng(cfg.seed, "dropout", epoch, state.step))
     loss = batch_ctc_loss(logprobs, out_lengths, targets, batch.utt_ids)
 
-    loss_val, grads, grad_norm = pretrain.clipped_gradients(loss, state.params, cfg.grad_clip,
-                                                            state.step + 1)
+    loss_val, grads, grad_norm = pretrain.clipped_gradients(loss, state.params, state.step + 1)
     state.step += 1
     frozen = state.step <= cfg.freeze_steps
     lr_head = pretrain.lr_schedule(state.step, cfg.decoder_lr, cfg.warmup_steps)
     head = state.head_params()
-    pretrain.adam_step(head, {k: grads[k] for k in head}, state.adam_head,
-                       lr_head, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    if not frozen:
+    pretrain.adam_step(head, {k: grads[k] for k in head}, state.adam, lr_head, state.step)
+    if not frozen:  # the encoder's first update comes after the freeze
         lr_enc = pretrain.lr_schedule(state.step, cfg.encoder_lr, cfg.warmup_steps)
         encoder_group = state.encoder_params()
-        pretrain.adam_step(encoder_group, {k: grads[k] for k in encoder_group},
-                           state.adam_encoder, lr_enc,
-                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        pretrain.adam_step(encoder_group, {k: grads[k] for k in encoder_group}, state.adam,
+                           lr_enc, state.step - cfg.freeze_steps)
 
     return {"step": state.step, "loss": loss_val, "frozen": frozen,
             "lr_head": lr_head,
@@ -495,22 +497,24 @@ def transcribe(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
 def save_finetune_checkpoint(state: FinetuneState, path) -> None:
     pretrain.write_checkpoint(
         path, state.step, state.encoder_cfg,
-        pretrain.checkpoint_tensors(state.params, [state.adam_encoder, state.adam_head]),
+        pretrain.checkpoint_tensors(state.params, state.adam),
         {"run_config": {"kind": "finetune",
                         "alphabet": state.tokenizer.alphabet,
-                        "finetune_config": asdict(state.cfg),
-                        "adam_count_encoder": state.adam_encoder.count,
-                        "adam_count_head": state.adam_head.count}})
+                        "finetune_config": asdict(state.cfg)}})
 
 
 def _finetune_config(raw: dict) -> FinetuneConfig:
-    return FinetuneConfig(**{**raw, "spec_augment": SpecAugmentConfig(**raw["spec_augment"])})
+    # older records also carry the settings that are now pretrain's constants
+    kept = {**raw, "spec_augment": SpecAugmentConfig(**raw["spec_augment"])}
+    for key in ("adam_beta1", "adam_beta2", "adam_eps", "grad_clip"):
+        kept.pop(key, None)
+    return FinetuneConfig(**kept)
 
 
 def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
     """The state saved at ``path``. With ``optimizer`` False the file's
-    ``opt.*`` moments are not read and both Adam groups start fresh, which is
-    all that decoding needs."""
+    ``opt.*`` moments are not read and Adam starts fresh, which is all that
+    decoding needs."""
     keep = None if optimizer else (lambda name: not name.startswith("opt."))
     header, tensors = pretrain.read_checkpoint(path, keep=keep)
     run = header.get("run_config")
@@ -519,11 +523,8 @@ def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
     tokenizer = pretrain.header_value(run, "alphabet", CharTokenizer, path)
     cfg = pretrain.header_value(run, "finetune_config", _finetune_config, path)
     state = _new_state(header, tensors, path, cfg, tokenizer)
-    adams = [state.adam_encoder, state.adam_head] if optimizer else []
-    pretrain.restore_training_tensors(tensors, state.params, adams, path)
-    if optimizer:
-        state.adam_encoder.count = pretrain.header_value(run, "adam_count_encoder", int, path)
-        state.adam_head.count = pretrain.header_value(run, "adam_count_head", int, path)
+    pretrain.restore_training_tensors(tensors, state.params,
+                                      state.adam if optimizer else None, path)
     state.step = pretrain.header_value(header, "step", int, path)
     return state
 

@@ -3,8 +3,10 @@
 The loop wires the other modules together: clean features produce frozen
 labels (quantizer), a masked copy of the features feeds the encoder, and a
 linear head over the stack-final state predicts, per codebook, the label of
-every masked 40 ms frame. Adam with an inverse-square-root schedule, global
-gradient-norm clipping at 1.0, and no weight decay.
+every masked 40 ms frame. Adam (``ADAM_BETAS``, ``ADAM_EPS``) with an
+inverse-square-root schedule, global gradient-norm clipping at ``GRAD_CLIP``,
+and no weight decay. Adam's state is its moments: its update count t is the
+training step, which the checkpoint already stores.
 
 Checkpoints (format "MSEC") carry every named tensor (encoder + head + Adam
 moments), the step counter, and the run configuration; finetune checkpoints
@@ -37,6 +39,9 @@ CHECKPOINT_MAGIC = b"MSEC"
 CHECKPOINT_VERSION = 1
 LOAD_MODES = ("full", "feature_extractor_only")
 ADAM_BLOCK_VALUES = 1 << 16  # values per in-place Adam block and per clipping block
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-8
+GRAD_CLIP = 1.0  # bound on the global gradient norm of every training step
 
 
 class CheckpointError(ValueError):
@@ -55,11 +60,7 @@ class NonFiniteLossError(FloatingPointError):
 class PretrainConfig:
     peak_lr: float = 8e-4
     warmup_steps: int = 4000
-    total_steps: int = 100000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
-    grad_clip: float = 1.0
+    total_steps: int = 1000
     seed: int = 0
     mask: masking.MaskConfig = field(default_factory=masking.MaskConfig)
     quantizer: quant.QuantizerConfig = field(default_factory=quant.QuantizerConfig)
@@ -132,9 +133,9 @@ def codebook_utilization(labels: np.ndarray, num_codebooks: int, vocab_size: int
 
 @dataclass
 class AdamState:
+    """Adam's moments by parameter name; its update count is the caller's."""
     m: dict
     v: dict
-    count: int = 0
 
     @staticmethod
     def init(params: dict) -> "AdamState":
@@ -171,11 +172,11 @@ def _square_sum(g) -> float:
     return ad._pairwise_sum(block, 0, flat.size, ADAM_BLOCK_VALUES, np.dtype(np.float64))
 
 
-def clipped_gradients(loss: Tensor, params: dict, max_norm: float, step: int):
+def clipped_gradients(loss: Tensor, params: dict, step: int):
     """(loss value, {name: gradient}, global norm before clipping) of ``loss``.
 
     Every parameter gets a gradient (zeros where the loss does not reach it),
-    clipped to ``max_norm`` in global norm. A non-finite loss raises
+    clipped to ``GRAD_CLIP`` in global norm. A non-finite loss raises
     NonFiniteLossError naming ``step`` before any gradient is touched. No
     parameter keeps a ``.grad``: the dict holds the step's only reference.
     """
@@ -187,16 +188,15 @@ def clipped_gradients(loss: Tensor, params: dict, max_norm: float, step: int):
     for name, p in params.items():
         grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
         p.zero_grad()
-    return loss_val, grads, clip_global_norm(grads, max_norm)
+    return loss_val, grads, clip_global_norm(grads, GRAD_CLIP)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float, beta2: float, eps: float) -> None:
-    """One Adam update (bias-corrected, no weight decay) in place, in blocks
-    of ``ADAM_BLOCK_VALUES`` values, so its temporaries stay in cache; each
-    block takes the whole-tensor formula, so the bits do not depend on them."""
-    state.count += 1
-    t = state.count
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float, t: int) -> None:
+    """Adam's ``t``-th update of ``params`` (bias-corrected, no weight decay)
+    in place, in blocks of ``ADAM_BLOCK_VALUES`` values, so its temporaries
+    stay in cache; each block takes the whole-tensor formula, so the bits do
+    not depend on them. ``state`` may hold moments of other parameters too."""
+    beta1, beta2 = ADAM_BETAS
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, p in params.items():
@@ -208,7 +208,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             mb += (1.0 - beta1) * g
             vb *= beta2
             vb += (1.0 - beta2) * g * g
-            pb -= (lr / bc1) * mb / (np.sqrt(vb / bc2) + eps)
+            pb -= (lr / bc1) * mb / (np.sqrt(vb / bc2) + ADAM_EPS)
         for a, flat in zip(tensors, flats):
             if not np.may_share_memory(a, flat):  # a strided array, updated as a copy
                 a[...] = flat.reshape(a.shape)
@@ -322,12 +322,10 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
     loss = ad.multi_softmax_nll(rows, state.params["head.weight"], state.params["head.bias"],
                                 flat_labels, qcfg.num_codebooks)
 
-    loss_val, grads, grad_norm = clipped_gradients(loss, state.params, cfg.grad_clip,
-                                                   state.step + 1)
+    loss_val, grads, grad_norm = clipped_gradients(loss, state.params, state.step + 1)
     state.step += 1
     lr = lr_schedule(state.step, cfg.peak_lr, cfg.warmup_steps)
-    adam_step(state.params, grads, state.adam, lr,
-              cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam_step(state.params, grads, state.adam, lr, state.step)
 
     return StepMetrics(
         step=state.step, loss=loss_val, learning_rate=lr,
@@ -339,13 +337,11 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
 
 # checkpoint I/O --------------------------------------------------------------
 
-def checkpoint_tensors(params: dict, adams) -> dict:
-    """Parameters plus the ``opt.m.*``/``opt.v.*`` moments of each Adam group."""
-    tensors = {name: p.data for name, p in params.items()}
-    for adam in adams:
-        tensors.update({f"opt.m.{k}": v for k, v in adam.m.items()})
-        tensors.update({f"opt.v.{k}": v for k, v in adam.v.items()})
-    return tensors
+def checkpoint_tensors(params: dict, adam: AdamState) -> dict:
+    """Parameters plus Adam's ``opt.m.*``/``opt.v.*`` moments."""
+    return {**{name: p.data for name, p in params.items()},
+            **{f"opt.m.{k}": v for k, v in adam.m.items()},
+            **{f"opt.v.{k}": v for k, v in adam.v.items()}}
 
 
 def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: dict,
@@ -386,9 +382,8 @@ def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: d
 
 def save_checkpoint(state: TrainState, path) -> None:
     write_checkpoint(path, state.step, state.encoder_cfg,
-                     checkpoint_tensors(state.params, [state.adam]),
-                     {"adam_count": state.adam.count,
-                      "quantizer": {"seed": state.quantizer_state.seed,
+                     checkpoint_tensors(state.params, state.adam),
+                     {"quantizer": {"seed": state.quantizer_state.seed,
                                     **asdict(state.cfg.quantizer)},
                       "run_config": state.run_config})
 
@@ -483,12 +478,12 @@ def restore_tensor(tensors: dict, name: str, shape, path) -> np.ndarray:
     return arr
 
 
-def restore_training_tensors(tensors: dict, params: dict, adams, path) -> None:
-    """Replace every parameter and the moments of every Adam group in place
-    from the checkpoint read from ``path``."""
+def restore_training_tensors(tensors: dict, params: dict, adam, path) -> None:
+    """Replace every parameter and, unless ``adam`` is None, every Adam moment
+    in place from the checkpoint read from ``path``."""
     for name, p in params.items():
         p.data = restore_tensor(tensors, name, p.data.shape, path)
-    for adam in adams:
+    if adam is not None:
         for name in adam.m:
             adam.m[name] = restore_tensor(tensors, f"opt.m.{name}", adam.m[name].shape, path)
             adam.v[name] = restore_tensor(tensors, f"opt.v.{name}", adam.v[name].shape, path)
@@ -512,15 +507,14 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
         state = _train_state(encoder_cfg, cfg,
                              {name: restore_tensor(tensors, name, shape, path)
                               for name, shape in shapes.items()}, run_config)
-        restore_training_tensors(tensors, {}, [state.adam], path)  # the Adam moments
+        restore_training_tensors(tensors, {}, state.adam, path)  # the Adam moments
         state.step = header_value(header, "step", int, path)
-        state.adam.count = header_value(header, "adam_count", int, path)
         return state
 
     _, tensors = read_checkpoint(path, keep=lambda name: name.startswith("extractor."))
     state = init_train_state(encoder_cfg, cfg, run_config)
     restore_training_tensors(tensors, {name: p for name, p in state.params.items()
-                                       if name.startswith("extractor.")}, [], path)
+                                       if name.startswith("extractor.")}, None, path)
     return state
 
 

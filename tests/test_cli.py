@@ -1,11 +1,12 @@
 import configparser
+import inspect
 import struct
 
 import numpy as np
 import pytest
 
 from rqspeech import config as cfgmod
-from rqspeech import datapipe, finetune, frontend, pretrain, quantizer
+from rqspeech import datapipe, encoder, finetune, frontend, masking, pretrain, quantizer
 from rqspeech.cli import main
 
 from conftest import make_speechlike, rewrite_checkpoint_header
@@ -121,6 +122,20 @@ class TestConfig:
         again = cfgmod.load_config(out)
         assert again.values == cfg.values
 
+    def test_schema_defaults_equal_program_defaults(self):
+        # a run with no config file gets what the typed configs and the data
+        # pipeline default to
+        cfg = cfgmod.default_config()
+        assert cfg.encoder_config() == encoder.EncoderConfig()
+        assert cfg.quantizer_config() == quantizer.QuantizerConfig()
+        assert cfg.mask_config() == masking.MaskConfig()
+        assert cfg.pretrain_config() == pretrain.PretrainConfig()
+        assert cfg.finetune_config() == finetune.FinetuneConfig()
+        workers = inspect.signature(datapipe.iter_epoch).parameters["workers"].default
+        assert cfg["datapipe"] == {"num_buckets": datapipe.DEFAULT_NUM_BUCKETS,
+                                   "tokens_per_batch": datapipe.DEFAULT_TOKENS_PER_BATCH,
+                                   "workers": workers}
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "c.ini"
         path.write_text("[run]\nseed = 7\n")
@@ -149,6 +164,10 @@ class TestConfig:
          "[finetune] mask counts and widths must be >= 0"),
         ("finetune", "finetune", "time_apply_prob", "1.5",
          "[finetune] time_apply_prob must be in [0, 1]"),
+        ("finetune", "finetune", "time_masks", "3999",
+         "[finetune] num_time_masks must be <= 3998, the frames of a 40 s utterance"),
+        ("finetune", "finetune", "freq_masks", "81",
+         "[finetune] num_freq_masks must be <= 80, the Mel bins of a frame"),
         ("quantize", "quantizer", "vocab_size", "70000",
          "[quantizer] vocab_size 70000 exceeds the label cache format's 65536"),
         ("pretrain", "datapipe", "num_buckets", "0", 'key "datapipe.num_buckets" must be >= 1'),

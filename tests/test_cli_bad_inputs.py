@@ -570,17 +570,17 @@ def test_numeric_key_at_zero_or_negative_exits_0_or_2(inputs, tmp_path, capsys,
 # numeric config keys at huge values -----------------------------------------------
 
 # keys that size an allocation or a thread count (the encoder and quantizer
-# sizes, ``workers``) or the length of the run (``total_steps``), and the two
-# SpecAugment mask counts, each of which runs a loop of random draws per mask,
-# stay out of the huge-values table
+# sizes, ``workers``) or the length of the run (``total_steps``) stay out of
+# the huge-values table
 HUGE_LEFT_OUT = {"encoder", "quantizer", ("datapipe", "workers"),
-                 ("pretrain", "total_steps"), ("finetune", "total_steps"),
-                 ("finetune", "time_masks"), ("finetune", "freq_masks")}
+                 ("pretrain", "total_steps"), ("finetune", "total_steps")}
 HUGE_KEYS = [(section, key) for section, key in NUMERIC_KEYS
              if section not in HUGE_LEFT_OUT and (section, key) not in HUGE_LEFT_OUT]
-# exit codes other than 0: a probability above 1 is refused, and a learning
+# exit codes other than 0: a probability above 1 and a SpecAugment mask count
+# above the frames or Mel bins of any utterance are refused, and a learning
 # rate of 1e30 diverges at the second step
 HUGE_EXIT_CODES = {("masking", "prob"): 2, ("finetune", "time_apply_prob"): 2,
+                   ("finetune", "time_masks"): 2, ("finetune", "freq_masks"): 2,
                    ("pretrain", "peak_lr"): 1}
 
 

@@ -564,6 +564,14 @@ class TestSpecAugment:
                 hits += 1
         assert abs(hits / trials - 0.2) < 0.01
 
+    def test_mask_counts_bounded_by_frames_and_bins(self):
+        # the frames of a 40 s utterance, and the Mel bins of a frame
+        SpecAugmentConfig(num_time_masks=3998, num_freq_masks=80)
+        with pytest.raises(ValueError, match="num_time_masks must be <= 3998"):
+            SpecAugmentConfig(num_time_masks=3999)
+        with pytest.raises(ValueError, match="num_freq_masks must be <= 80"):
+            SpecAugmentConfig(num_freq_masks=81)
+
 
 def char_pattern(ch):
     rng = keyed_rng(99, "charpat", ch)
@@ -625,6 +633,38 @@ class TestFinetuneLoop:
                       for k, p in state.encoder_params().items())
         assert changed
 
+    def test_encoder_adam_counts_from_the_freeze(self, pretrained_ckpt, monkeypatch):
+        # the encoder's first update, at step 3 after a freeze of 2, is Adam's
+        # update from zero moments at t = 1, not at t = 3
+        texts = ["ab", "ba"]
+        state = self.make_state(pretrained_ckpt, texts, freeze_steps=2)
+        batch = synth_batch(texts)
+        transcripts = dict(zip(batch.utt_ids, texts))
+        for _ in range(2):
+            finetune.finetune_step(state, batch, transcripts, epoch=0)
+        encoder_group = state.encoder_params()
+        before = {k: p.data.copy() for k, p in encoder_group.items()}
+        assert not any(state.adam.m[k].any() or state.adam.v[k].any() for k in encoder_group)
+        grads = {}
+        adam_step = pretrain.adam_step
+
+        def keep_grads(params, step_grads, *args):
+            grads.update(step_grads)
+            return adam_step(params, step_grads, *args)
+
+        monkeypatch.setattr(pretrain, "adam_step", keep_grads)
+        m = finetune.finetune_step(state, batch, transcripts, epoch=0)
+        assert m["step"] == 3 and not m["frozen"]
+        (beta1, beta2), eps = pretrain.ADAM_BETAS, pretrain.ADAM_EPS
+        for k, p in encoder_group.items():
+            g = grads[k]
+            m1, v1 = (1.0 - beta1) * g, (1.0 - beta2) * g * g
+            want = before[k] - (m["lr_encoder"] / (1.0 - beta1)) * m1 / (
+                np.sqrt(v1 / (1.0 - beta2)) + eps)
+            assert state.adam.m[k].tobytes() == m1.tobytes(), k
+            assert state.adam.v[k].tobytes() == v1.tobytes(), k
+            assert p.data.tobytes() == want.tobytes(), k
+
     def test_loss_decreases(self, pretrained_ckpt):
         texts = ["ab", "ba"]
         state = self.make_state(pretrained_ckpt, texts, freeze_steps=0)
@@ -644,14 +684,15 @@ class TestFinetuneLoop:
         with pytest.raises(pretrain.NonFiniteLossError, match="at step 1"):
             finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
         assert state.step == 0
-        assert state.adam_encoder.count == state.adam_head.count == 0
+        assert zero_moments(state.adam)
         for k, arr in snapshot.items():
             assert np.array_equal(state.params[k].data, arr)
             assert state.params[k].grad is None
 
     def test_grad_norm_is_pre_clip_norm(self, pretrained_ckpt, monkeypatch):
         texts = ["ab", "ba"]
-        cfg = FinetuneConfig(grad_clip=1e-3, freeze_steps=0, seed=1,
+        monkeypatch.setattr(pretrain, "GRAD_CLIP", 1e-3)
+        cfg = FinetuneConfig(freeze_steps=0, seed=1,
                              spec_augment=SpecAugmentConfig(time_apply_prob=0.0,
                                                             max_freq_width=0))
         state = finetune.init_finetune_state(pretrained_ckpt, cfg,
@@ -710,7 +751,7 @@ class TestFinetuneLoop:
         with pytest.raises(InfeasibleTargetError, match="^utterance toy1: "):
             finetune.finetune_step(state, batch, transcripts, epoch=0)
         assert state.step == 0
-        assert state.adam_encoder.count == state.adam_head.count == 0
+        assert zero_moments(state.adam)
         for k, arr in snapshot.items():
             assert np.array_equal(state.params[k].data, arr)
 
@@ -759,12 +800,14 @@ def assert_same_state(a, b):
     assert list(a.params) == list(b.params)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data), name
-    for group_a, group_b in ((a.adam_encoder, b.adam_encoder), (a.adam_head, b.adam_head)):
-        assert group_a.count == group_b.count
-        assert list(group_a.m) == list(group_b.m)
-        for name in group_a.m:
-            assert np.array_equal(group_a.m[name], group_b.m[name]), name
-            assert np.array_equal(group_a.v[name], group_b.v[name]), name
+    assert list(a.adam.m) == list(b.adam.m) == list(a.params)
+    for name in a.adam.m:
+        assert np.array_equal(a.adam.m[name], b.adam.m[name]), name
+        assert np.array_equal(a.adam.v[name], b.adam.v[name]), name
+
+
+def zero_moments(adam):
+    return not any(np.any(a) for a in (*adam.m.values(), *adam.v.values()))
 
 
 def drop_entry(name):
@@ -817,16 +860,35 @@ class TestFinetuneCheckpoint:
         finetune.save_finetune_checkpoint(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_older_header_form_loads(self, saved):
-        # earlier writers also stored "quantizer": null and the head's Adam
-        # count as "adam_count"; both are ignored on load
+    def test_older_header_form_loads(self, saved, tmp_path):
+        # earlier writers also stored "quantizer": null, Adam's update counts
+        # (the step for the head, the step less freeze_steps for the encoder)
+        # and the Adam and clipping settings in "finetune_config"; all are
+        # ignored on load, and training continues as from the unedited file
         state, path = saved
+        older = tmp_path / "older.msec"
+        older.write_bytes(path.read_bytes())
 
-        def older(header):
+        def edit(header):
             header["quantizer"] = None
-            header["adam_count"] = state.adam_head.count
-        rewrite_checkpoint_header(path, older)
-        assert_same_state(finetune.load_finetune_checkpoint(path), state)
+            header["adam_count"] = state.step
+            run = header["run_config"]
+            run.update(adam_count_head=state.step,
+                       adam_count_encoder=state.step - state.cfg.freeze_steps)
+            run["finetune_config"].update(adam_beta1=0.9, adam_beta2=0.98, adam_eps=1e-8,
+                                          grad_clip=1.0)
+        rewrite_checkpoint_header(older, edit)
+        assert_same_state(finetune.load_finetune_checkpoint(older), state)
+        texts = ["ab", "ba"]
+        batch = synth_batch(texts)
+        runs = []
+        for source in (path, older):
+            loaded = finetune.load_finetune_checkpoint(source)
+            m = finetune.finetune_step(loaded, batch, dict(zip(batch.utt_ids, texts)), epoch=1)
+            out = tmp_path / f"{source.stem}.next.msec"
+            finetune.save_finetune_checkpoint(loaded, out)
+            runs.append((m, out.read_bytes()))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("key, edit", [
         ("encoder_config", lambda h: h.pop("encoder_config")),
@@ -836,12 +898,9 @@ class TestFinetuneCheckpoint:
         ("alphabet", lambda h: h["run_config"].update(alphabet="")),
         ("finetune_config", lambda h: h["run_config"].pop("finetune_config")),
         ("finetune_config", lambda h: h["run_config"]["finetune_config"].pop("spec_augment")),
-        ("adam_count_head", lambda h: h["run_config"].pop("adam_count_head")),
-        ("adam_count_encoder", lambda h: h["run_config"].update(adam_count_encoder=None)),
     ], ids=["encoder_config-missing", "encoder_config-unknown-key",
             "encoder_config-bad-value", "alphabet-missing", "alphabet-empty",
-            "finetune_config-missing", "finetune_config-malformed",
-            "adam_count_head-missing", "adam_count_encoder-null"])
+            "finetune_config-missing", "finetune_config-malformed"])
     def test_bad_header_rejected(self, saved, key, edit):
         _, path = saved
         rewrite_checkpoint_header(path, edit)
@@ -888,10 +947,8 @@ class TestFinetuneCheckpoint:
             (state.step, state.tokenizer.alphabet, state.cfg, state.encoder_cfg)
         for name, p in state.params.items():
             assert np.array_equal(loaded.params[name].data, p.data), name
-        # both optimizers start fresh
-        for adam in (loaded.adam_encoder, loaded.adam_head):
-            assert adam.count == 0
-            assert not any(np.any(m) for m in (*adam.m.values(), *adam.v.values()))
+        # the optimizer starts fresh
+        assert zero_moments(loaded.adam)
 
     def test_load_without_optimizer_ignores_missing_moment(self, saved):
         _, path = saved

@@ -162,8 +162,7 @@ class TestAdam:
         params = {"w": Tensor(np.ones((3, 3), np.float32), requires_grad=True)}
         state = pretrain.AdamState.init(params)
         before = params["w"].data.copy()
-        pretrain.adam_step(params, {"w": np.zeros((3, 3), np.float32)}, state,
-                           lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-8)
+        pretrain.adam_step(params, {"w": np.zeros((3, 3), np.float32)}, state, lr=1e-3, t=1)
         assert np.array_equal(params["w"].data, before)
 
     def test_init_moments_are_zero_and_unshared(self):
@@ -214,11 +213,10 @@ class TestAdam:
         assert peak < grads["w"].size * 8
 
     @staticmethod
-    def whole_tensor_adam(params, grads, state, lr, beta1, beta2, eps):
+    def whole_tensor_adam(params, grads, state, lr, t):
         """``adam_step`` as the whole-tensor formula it was before it ran in
         blocks."""
-        state.count += 1
-        t = state.count
+        (beta1, beta2), eps = pretrain.ADAM_BETAS, pretrain.ADAM_EPS
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
         for name, p in params.items():
@@ -246,11 +244,10 @@ class TestAdam:
             for step in range(1, 4):
                 grads = {k: grad_rng.standard_normal(a.shape).astype(dtype)
                          for k, a in arrays.items()}
-                step_fn(params, grads, state, lr_schedule(step, 1e-3, 2), 0.9, 0.98, 1e-8)
+                step_fn(params, grads, state, lr_schedule(step, 1e-3, 2), step)
             runs.append((params, state))
         (params, state), (want_params, want_state) = runs
         assert not params["transposed"].data.flags.c_contiguous
-        assert state.count == want_state.count == 3
         for name in arrays:
             for got, want in ((params[name].data, want_params[name].data),
                               (state.m[name], want_state.m[name]),
@@ -346,7 +343,8 @@ class TestTrainStep:
         assert state.quantizer_state.fingerprint() == fp
 
     def test_grad_norm_is_pre_clip_norm(self, monkeypatch):
-        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=12, grad_clip=1e-3))
+        monkeypatch.setattr(pretrain, "GRAD_CLIP", 1e-3)
+        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=12))
         received = []
         adam_step = pretrain.adam_step
 
@@ -467,7 +465,7 @@ class TestCheckpoint:
             if not name.startswith("extractor."):
                 assert np.array_equal(p.data, fresh.params[name].data), name
         assert loaded.step == 0
-        assert loaded.adam.count == 0
+        assert not any(np.any(a) for a in (*loaded.adam.m.values(), *loaded.adam.v.values()))
         assert np.all(loaded.adam.m["head.weight"] == 0)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
@@ -515,7 +513,6 @@ class TestCheckpoint:
             pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config())
 
     @pytest.mark.parametrize("key, edit", [
-        ("adam_count", lambda h: h.pop("adam_count")),
         ("step", lambda h: h.update(step="x")),
     ])
     def test_bad_counter_rejected(self, tmp_path, key, edit):
@@ -525,6 +522,27 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, edit)
         with pytest.raises(CheckpointError, match=key):
             pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config())
+
+    def test_older_header_form_loads(self, tmp_path):
+        # earlier writers also stored Adam's update count, always the step, as
+        # "adam_count"; it is ignored on load, and training continues the same
+        cfg = tiny_config(seed=7)
+        state = pretrain.init_train_state(TINY_ENC, cfg)
+        batch = random_batch(np.random.default_rng(6))
+        for _ in range(2):
+            pretrain.train_step(state, batch, epoch=0)
+        path, older = tmp_path / "a.msec", tmp_path / "older.msec"
+        pretrain.save_checkpoint(state, path)
+        older.write_bytes(path.read_bytes())
+        rewrite_checkpoint_header(older, lambda header: header.update(adam_count=state.step))
+        runs = []
+        for source in (path, older):
+            loaded = pretrain.load_checkpoint(source, "full", TINY_ENC, cfg)
+            m = pretrain.train_step(loaded, batch, epoch=1)
+            out = tmp_path / f"{source.stem}.next.msec"
+            pretrain.save_checkpoint(loaded, out)
+            runs.append((m, out.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="load mode"):
