@@ -260,12 +260,7 @@ def sum_(a, axis=None, keepdims=False):
 
 def mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[i] for i in axis]))
-    else:
-        count = a.data.shape[axis]
+    count = a.data.size if axis is None else a.data.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -899,11 +894,11 @@ def _rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads: int
     return merge(ctx), grad
 
 
-def _linear_grad(g, x, w, nx=True, nw=True, nb=True):
+def _linear_grad(g, x, w, nx=True, nb=True):
     """(gx, gw, gb) of ``x @ w + b`` for a 2-D ``w``; None where not needed."""
     g2 = g.reshape(-1, g.shape[-1])
     return (g @ w.T if nx else None,
-            x.reshape(-1, x.shape[-1]).T @ g2 if nw else None,
+            x.reshape(-1, x.shape[-1]).T @ g2,
             g2.sum(axis=0) if nb else None)
 
 

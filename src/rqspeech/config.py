@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import os
+from dataclasses import fields
 from pathlib import Path
 
 from . import datapipe, encoder, masking, quantizer
@@ -86,10 +87,8 @@ class RunConfig:
             encoder_lr=f["encoder_lr"], decoder_lr=f["decoder_lr"],
             warmup_steps=f["warmup_steps"], freeze_steps=f["freeze_steps"],
             seed=self.seed,
-            spec_augment=SpecAugmentConfig(
-                num_time_masks=f["time_masks"], max_time_width=f["max_time_width"],
-                time_apply_prob=f["time_apply_prob"], num_freq_masks=f["freq_masks"],
-                max_freq_width=f["max_freq_width"]))
+            spec_augment=SpecAugmentConfig(**{field.name: f[field.name]
+                                              for field in fields(SpecAugmentConfig)}))
 
     def flat_dict(self) -> dict:
         return {f"{sec}.{key}": val for sec, body in self.values.items()

@@ -16,7 +16,9 @@ in descriptor order.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import itertools
+import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -86,7 +88,7 @@ class BatchDescriptor:
 
 @dataclass
 class Batch:
-    features: np.ndarray     # (B, bucket_max_frames, 80) float32, zero padded
+    features: np.ndarray     # (B, T, 80) float32, zero padded; T = bucket max or longer
     lengths: np.ndarray      # (B,) valid frame counts
     utt_ids: list
     epoch: int
@@ -145,6 +147,21 @@ def text_lines(path):
             yield lineno, line.rstrip("\n")
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """The path ``<path>.tmp`` to write ``path``'s new content to: renamed onto
+    ``path`` when the block ends, deleted when it fails, so a write that fails
+    midway leaves any previous file at ``path`` whole."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def read_manifest(path) -> CorpusIndex:
     """Manifest alternative to scanning: one "id<TAB>path<TAB>duration_s" per line,
     each id once (labels, masks and caches are keyed by id)."""
@@ -172,10 +189,9 @@ def read_manifest(path) -> CorpusIndex:
     return CorpusIndex(entries=entries)
 
 
-def crop(w: frontend.Waveform, max_seconds: float, seed: int, epoch: int,
-         utt_id: str) -> frontend.Waveform:
-    """Random contiguous window for over-long audio, resampled per epoch."""
-    max_samples = int(round(max_seconds * w.sample_rate))
+def crop(w: frontend.Waveform, seed: int, epoch: int, utt_id: str) -> frontend.Waveform:
+    """Random MAX_DURATION_S window for over-long audio, resampled per epoch."""
+    max_samples = int(round(MAX_DURATION_S * w.sample_rate))
     n = len(w.samples)
     if n <= max_samples:
         return w
@@ -223,8 +239,6 @@ def schedule_epoch(spec: BucketSpec, index: CorpusIndex, seed: int,
     queues = {}
     for bucket in spec.buckets:
         utts = members[bucket.bucket_id]
-        if not utts:
-            continue
         order = keyed_rng(seed, "shuffle", epoch, bucket.bucket_id).permutation(len(utts))
         shuffled = [utts[i] for i in order]
         batches = [tuple(shuffled[i: i + bucket.batch_size])
@@ -262,7 +276,8 @@ def load_utterance(utt: Utterance) -> frontend.Waveform:
 
 
 def load_batch(desc: BatchDescriptor, spec: BucketSpec, seed: int) -> Batch:
-    """Decode, resample, crop, and featurize one batch; pad to the bucket max."""
+    """Decode, resample, crop, and featurize one batch; pad to the bucket max or
+    the longest utterance."""
     bucket = spec.buckets[desc.bucket_id]
     feats = np.zeros((len(desc.utterances), bucket.max_frames, frontend.NUM_MEL_BINS),
                      dtype=np.float32)
@@ -272,10 +287,12 @@ def load_batch(desc: BatchDescriptor, spec: BucketSpec, seed: int) -> Batch:
     for i, utt in enumerate(desc.utterances):
         w = load_utterance(utt)
         cropped[i] = w.duration > MAX_DURATION_S
-        w = crop(w, MAX_DURATION_S, seed, desc.epoch, utt.utt_id)
+        w = crop(w, seed, desc.epoch, utt.utt_id)
         mel = frontend.log_mel(w)
-        if mel.shape[0] > bucket.max_frames:
-            mel = mel[: bucket.max_frames]  # resampling round-off guard
+        if mel.shape[0] > feats.shape[1]:
+            # the manifest understates this utterance's duration: widen the
+            # batch rather than cut frames that its label cache covers
+            feats = np.pad(feats, ((0, 0), (0, mel.shape[0] - feats.shape[1]), (0, 0)))
         feats[i, : mel.shape[0]] = mel
         lengths[i] = mel.shape[0]
         ids.append(utt.utt_id)

@@ -47,6 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .frontend import NUM_MEL_BINS
 from .seeding import keyed_rng
 
 LN_EPS = 1e-5
@@ -132,7 +133,7 @@ _LAYER_BLOCKS = {"ffn1": _FFN, "ffn2": _FFN, "attn": _ATTN, "conv": _CONV,
 def param_shapes(cfg: EncoderConfig) -> dict:
     h = cfg.hidden
     sizes = {"h": h, "f": cfg.ffn, "g": 2 * h, "k": cfg.conv_kernel, "n": cfg.heads,
-             "d": cfg.head_dim, "m": 3 * 80, "w": 3 * h}
+             "d": cfg.head_dim, "m": 3 * NUM_MEL_BINS, "w": 3 * h}
     blocks = [("extractor.", _EXTRACTOR)]
     blocks += [(f"layers.{i}.{block}.", table) for i in range(cfg.num_layers)
                for block, table in _LAYER_BLOCKS.items()]
@@ -155,10 +156,7 @@ def init_param(name: str, shape, seed: int, dtype=np.float32) -> np.ndarray:
     if name.endswith((".bias", ".beta")):
         return np.zeros(shape, dtype=dtype)
     rng = keyed_rng(seed, "param", name)
-    if len(shape) == 2:
-        fan_in, fan_out = shape
-    else:
-        fan_in, fan_out = int(np.prod(shape[:-1])), shape[-1]
+    fan_in, fan_out = shape
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     # one stream drawn in blocks gives the one-shot draw's values without its
     # full-size float64 temporary

@@ -82,25 +82,25 @@ class CharTokenizer:
 
 @dataclass(frozen=True)
 class SpecAugmentConfig:
-    num_time_masks: int = 2
+    time_masks: int = 2
     max_time_width: int = 80
     time_apply_prob: float = 0.2
-    num_freq_masks: int = 2
+    freq_masks: int = 2
     max_freq_width: int = 27
 
     def __post_init__(self):
-        if min(self.num_time_masks, self.max_time_width,
-               self.num_freq_masks, self.max_freq_width) < 0:
+        if min(self.time_masks, self.max_time_width,
+               self.freq_masks, self.max_freq_width) < 0:
             raise ValueError("mask counts and widths must be >= 0")
         if not 0.0 <= self.time_apply_prob <= 1.0:
             raise ValueError("time_apply_prob must be in [0, 1]")
         # one loop of draws per mask: past any input's frames or bins, more only cost time
         max_frames = datapipe.frames_for_duration(datapipe.MAX_DURATION_S)
-        if self.num_time_masks > max_frames:
-            raise ValueError(f"num_time_masks must be <= {max_frames}, the frames of "
+        if self.time_masks > max_frames:
+            raise ValueError(f"time_masks must be <= {max_frames}, the frames of "
                              f"a {datapipe.MAX_DURATION_S:g} s utterance")
-        if self.num_freq_masks > frontend.NUM_MEL_BINS:
-            raise ValueError(f"num_freq_masks must be <= {frontend.NUM_MEL_BINS}, "
+        if self.freq_masks > frontend.NUM_MEL_BINS:
+            raise ValueError(f"freq_masks must be <= {frontend.NUM_MEL_BINS}, "
                              f"the Mel bins of a frame")
 
 
@@ -130,12 +130,12 @@ def spec_augment(mel: np.ndarray, cfg: SpecAugmentConfig,
     t, bins = out.shape
     apply_time = rng.random() < cfg.time_apply_prob
     if apply_time:
-        for _ in range(cfg.num_time_masks):
+        for _ in range(cfg.time_masks):
             width = int(rng.integers(0, cfg.max_time_width + 1))
             width = min(width, t)
             start = int(rng.integers(0, t - width + 1))
             out[start: start + width, :] = 0.0
-    for _ in range(cfg.num_freq_masks):
+    for _ in range(cfg.freq_masks):
         width = int(rng.integers(0, cfg.max_freq_width + 1))
         width = min(width, bins)
         start = int(rng.integers(0, bins - width + 1))
@@ -504,8 +504,12 @@ def save_finetune_checkpoint(state: FinetuneState, path) -> None:
 
 
 def _finetune_config(raw: dict) -> FinetuneConfig:
-    # older records also carry the settings that are now pretrain's constants
-    kept = {**raw, "spec_augment": SpecAugmentConfig(**raw["spec_augment"])}
+    # older records also carry the settings that are now pretrain's constants,
+    # and name the mask counts num_time_masks and num_freq_masks; unpacking
+    # makes a spec_augment that is not a mapping a TypeError
+    renamed = {"num_time_masks": "time_masks", "num_freq_masks": "freq_masks"}
+    spec = {renamed.get(key, key): value for key, value in {**raw["spec_augment"]}.items()}
+    kept = {**raw, "spec_augment": SpecAugmentConfig(**spec)}
     for key in ("adam_beta1", "adam_beta2", "adam_eps", "grad_clip"):
         kept.pop(key, None)
     return FinetuneConfig(**kept)

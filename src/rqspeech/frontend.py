@@ -214,17 +214,16 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(num_bins: int = NUM_MEL_BINS, fft_size: int = FFT_SIZE,
-                   sample_rate: int = SAMPLE_RATE, f_min: float = 0.0,
-                   f_max: float = 8000.0) -> np.ndarray:
-    """Triangular HTK-mel filters, shape (num_bins, fft_size // 2 + 1)."""
-    n_freqs = fft_size // 2 + 1
-    freqs = np.linspace(0.0, sample_rate / 2.0, n_freqs)
-    mel_pts = np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), num_bins + 2)
+def mel_filterbank() -> np.ndarray:
+    """Triangular HTK-mel filters spanning 0 Hz to the Nyquist rate, shape
+    (NUM_MEL_BINS, FFT_SIZE // 2 + 1)."""
+    n_freqs = FFT_SIZE // 2 + 1
+    freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, n_freqs)
+    mel_pts = np.linspace(0.0, _hz_to_mel(SAMPLE_RATE / 2.0), NUM_MEL_BINS + 2)
     hz_pts = _mel_to_hz(mel_pts)
 
-    fb = np.zeros((num_bins, n_freqs), dtype=np.float64)
-    for m in range(num_bins):
+    fb = np.zeros((NUM_MEL_BINS, n_freqs), dtype=np.float64)
+    for m in range(NUM_MEL_BINS):
         lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (freqs - lo) / (center - lo)
         down = (hi - freqs) / (hi - center)

@@ -42,8 +42,6 @@ class MaskPlan:
 
 def _targets_from_input_mask(input_mask: np.ndarray) -> np.ndarray:
     label_frames = len(input_mask) // STACK_WINDOW
-    if label_frames == 0:
-        return np.zeros(0, dtype=bool)
     return input_mask[: label_frames * STACK_WINDOW].reshape(label_frames, STACK_WINDOW).any(axis=1)
 
 

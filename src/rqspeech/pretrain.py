@@ -33,6 +33,7 @@ from . import encoder as enc
 from . import masking
 from . import quantizer as quant
 from .autodiff import Tensor
+from .datapipe import replacing
 from .seeding import keyed_rng
 
 CHECKPOINT_MAGIC = b"MSEC"
@@ -251,9 +252,9 @@ def _train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig, arrays: di
 
 
 def init_train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig,
-                     run_config: dict | None = None, dtype=np.float32) -> TrainState:
-    arrays = enc.init_encoder_params(encoder_cfg, cfg.seed, dtype)
-    arrays.update(init_head_params(encoder_cfg, cfg.quantizer, cfg.seed, dtype))
+                     run_config: dict | None = None) -> TrainState:
+    arrays = enc.init_encoder_params(encoder_cfg, cfg.seed)
+    arrays.update(init_head_params(encoder_cfg, cfg.quantizer, cfg.seed))
     return _train_state(encoder_cfg, cfg, arrays, run_config)
 
 
@@ -300,10 +301,10 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
     qcfg = cfg.quantizer
     feats, plans, labels = prepare_masked_batch(state, batch, epoch)
 
-    label_lengths = batch.lengths // 4
+    label_lengths = batch.lengths // quant.STACK_WINDOW
     flat_rows = []   # row index into the flattened (B * Lmax) state matrix
     flat_labels = []
-    l_max = feats.shape[1] // 4
+    l_max = feats.shape[1] // quant.STACK_WINDOW
     for i, plan in enumerate(plans):
         positions = np.flatnonzero(plan.target_mask)
         flat_rows.append(positions + i * l_max)
@@ -364,20 +365,13 @@ def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: d
               "encoder_config": encoder_cfg.to_dict(),
               "tensors": entries}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        with open(partial, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            for entry in entries:
-                f.write(np.ascontiguousarray(tensors[entry["name"]], dtype="<f4"))
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with replacing(path) as partial, open(partial, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        for entry in entries:
+            f.write(np.ascontiguousarray(tensors[entry["name"]], dtype="<f4"))
 
 
 def save_checkpoint(state: TrainState, path) -> None:

@@ -11,12 +11,13 @@ may be computed once per utterance and cached.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .datapipe import replacing
+from .frontend import NUM_MEL_BINS
 from .seeding import keyed_rng
 
 STACK_WINDOW = 4
@@ -33,7 +34,7 @@ class QuantizerConfig:
     num_codebooks: int = 32
     vocab_size: int = 2048
     dim: int = 16
-    input_dim: int = STACK_WINDOW * 80
+    input_dim: int = STACK_WINDOW * NUM_MEL_BINS
 
     def __post_init__(self):
         for name in ("num_codebooks", "vocab_size", "dim", "input_dim"):
@@ -199,16 +200,9 @@ def write_label_cache(path, labels: np.ndarray, vocab_size: int) -> None:
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= vocab_size:
         raise ValueError("labels out of range for vocab_size")
     l, n = labels.shape
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        with open(partial, "wb") as f:
-            f.write(f"MSEQ1 {l} {n} {vocab_size}\n".encode("ascii"))
-            f.write(labels.astype("<u2").tobytes())
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with replacing(path) as partial, open(partial, "wb") as f:
+        f.write(f"MSEQ1 {l} {n} {vocab_size}\n".encode("ascii"))
+        f.write(labels.astype("<u2").tobytes())
 
 
 def read_label_cache(path) -> np.ndarray:

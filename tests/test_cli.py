@@ -165,9 +165,9 @@ class TestConfig:
         ("finetune", "finetune", "time_apply_prob", "1.5",
          "[finetune] time_apply_prob must be in [0, 1]"),
         ("finetune", "finetune", "time_masks", "3999",
-         "[finetune] num_time_masks must be <= 3998, the frames of a 40 s utterance"),
+         "[finetune] time_masks must be <= 3998, the frames of a 40 s utterance"),
         ("finetune", "finetune", "freq_masks", "81",
-         "[finetune] num_freq_masks must be <= 80, the Mel bins of a frame"),
+         "[finetune] freq_masks must be <= 80, the Mel bins of a frame"),
         ("quantize", "quantizer", "vocab_size", "70000",
          "[quantizer] vocab_size 70000 exceeds the label cache format's 65536"),
         ("pretrain", "datapipe", "num_buckets", "0", 'key "datapipe.num_buckets" must be >= 1'),
@@ -254,6 +254,12 @@ class TestPretrainCommand:
         path = self.manifest_config(tmp_path, "abc")
         assert main([command, "--config", str(path)]) == 2
         assert "manifest.tsv:1: duration 'abc' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_of_only_short_entries_exit_2(self, tmp_path, capsys):
+        path = self.manifest_config(tmp_path, "0.2")
+        assert main(["pretrain", "--config", str(path)]) == 2
+        assert "corpus contains no usable utterances" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @staticmethod
@@ -562,6 +568,32 @@ class TestQuantizeCommand:
         b = (tmp_path / "out_b" / "metrics.csv").read_text()
         assert a == b
 
+    def test_understated_manifest_cached_labels_match_online(self, tmp_path):
+        # the manifest declares 2.0 s for 2.056 s WAVs: batches keep every
+        # frame, as quantize labels the whole audio
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(8)
+        manifest = tmp_path / "manifest.tsv"
+        for i in range(2):
+            wav = corpus / f"u{i}.wav"
+            frontend.write_wav(wav, make_speechlike(rng, 2.056), 16000)
+            with open(manifest, "a", encoding="utf-8") as f:
+                f.write(f"u{i}\t{wav}\t2.0\n")
+        cache = tmp_path / "cache"
+        for name, cache_dir in (("a", ""), ("b", cache)):
+            path = tmp_path / f"{name}.ini"
+            write_pretrain_config(path, corpus, tmp_path / f"out_{name}", total_steps=3,
+                                  label_cache_dir=cache_dir)
+            path.write_text(path.read_text().replace(f"root = {corpus}",
+                                                     f"manifest = {manifest}"))
+            if name == "b":
+                assert main(["quantize", "--config", str(path), "--out", str(cache)]) == 0
+            assert main(["pretrain", "--config", str(path)]) == 0
+        a = (tmp_path / "out_a" / "metrics.csv").read_text()
+        b = (tmp_path / "out_b" / "metrics.csv").read_text()
+        assert a == b
+
     def test_non_16k_audio_labels_match_pretrain_frames(self, tmp_path):
         # 8 kHz and 22.05 kHz files are resampled to 16 kHz by quantize and by
         # the pretrain batch loader alike, so each gets one label per 4 frames
@@ -704,6 +736,24 @@ class TestDecodeAndScore:
         assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
                      "--out", str(h2), "--beam", "1"]) == 0
         assert finetune.read_transcripts(h1) == finetune.read_transcripts(h2)
+
+    def test_decode_without_out_writes_stdout(self, finetuned_setup, capsys):
+        ckpt, manifest, _, tmp = finetuned_setup
+        hyp = tmp / "hyp.tsv"
+        assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--out", str(hyp), "--greedy"]) == 0
+        capsys.readouterr()
+        assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--greedy"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 3 and out == hyp.read_text(encoding="utf-8")
+
+    def test_score_all_empty_references_exit_2(self, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.tsv", tmp_path / "hyps.tsv"
+        refs.write_text("a\t\nb\t\n", encoding="utf-8")
+        hyps.write_text("a\tx\nb\t\n", encoding="utf-8")
+        assert main(["score", "--refs", str(refs), "--hyps", str(hyps)]) == 2
+        assert "total reference length is zero" in capsys.readouterr().err
 
     def test_score_identical_files_zero(self, finetuned_setup, capsys):
         _, _, trans, tmp = finetuned_setup

@@ -62,6 +62,14 @@ class TestScanCorpus:
         with pytest.raises(ValueError, match=r"manifest.tsv:2: utterance id 'X' repeats line 1"):
             datapipe.read_manifest(manifest)
 
+    def test_manifest_drops_entries_under_minimum(self, tmp_path):
+        index = build_corpus(tmp_path, [1.0])
+        manifest = tmp_path / "manifest.tsv"
+        path = index.entries[0].path
+        manifest.write_text(f"a\t{path}\t0.29\nb\t{path}\t0.3\nc\t{path}\t0.0\n")
+        loaded = datapipe.read_manifest(manifest)
+        assert [u.utt_id for u in loaded.entries] == ["b"]
+
     @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "NaN"])
     def test_manifest_rejects_non_finite_duration(self, tmp_path, duration):
         # a NaN would reach the bucket arithmetic, an inf would bucket as 40 s
@@ -85,12 +93,12 @@ class TestScanCorpus:
 class TestCrop:
     def test_short_input_identity(self):
         w = frontend.Waveform(tone(100, 10.0), 16000)
-        out = datapipe.crop(w, 40.0, seed=0, epoch=0, utt_id="a")
+        out = datapipe.crop(w, seed=0, epoch=0, utt_id="a")
         assert out is w
 
     def test_long_input_exact_length(self):
         w = frontend.Waveform(np.zeros(800000), 16000)  # 50 s
-        out = datapipe.crop(w, 40.0, seed=0, epoch=0, utt_id="a")
+        out = datapipe.crop(w, seed=0, epoch=0, utt_id="a")
         assert len(out.samples) == 640000
 
     def test_offsets_vary_across_epochs(self):
@@ -98,14 +106,14 @@ class TestCrop:
         w = frontend.Waveform(np.arange(n, dtype=np.float64) / n, 16000)
         starts = set()
         for epoch in range(20):
-            out = datapipe.crop(w, 40.0, seed=3, epoch=epoch, utt_id="long")
+            out = datapipe.crop(w, seed=3, epoch=epoch, utt_id="long")
             starts.add(int(round(out.samples[0] * n)))
         assert len(starts) >= 2
 
     def test_same_key_same_offset(self):
         w = frontend.Waveform(np.arange(800000, dtype=np.float64), 16000)
-        a = datapipe.crop(w, 40.0, seed=1, epoch=4, utt_id="x")
-        b = datapipe.crop(w, 40.0, seed=1, epoch=4, utt_id="x")
+        a = datapipe.crop(w, seed=1, epoch=4, utt_id="x")
+        b = datapipe.crop(w, seed=1, epoch=4, utt_id="x")
         assert a.samples[0] == b.samples[0]
 
 
@@ -256,3 +264,35 @@ class TestLoadBatch:
             assert a.bucket_id == b.bucket_id
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.lengths, b.lengths)
+
+    def test_prefetch_steady_state_matches_serial(self, tmp_path):
+        # one utterance per batch: nine batches keep two workers' four-batch
+        # prefetch window full for most of the epoch
+        index = build_corpus(tmp_path, [0.4 + 0.1 * i for i in range(9)])
+        spec = datapipe.build_buckets(index, num_buckets=3, tokens_per_batch=1)
+        serial = list(datapipe.iter_epoch(spec, index, seed=4, epoch=2, workers=1))
+        parallel = list(datapipe.iter_epoch(spec, index, seed=4, epoch=2, workers=2))
+        assert len(serial) == len(parallel) == 9
+        for a, b in zip(serial, parallel):
+            assert a.utt_ids == b.utt_ids
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.lengths, b.lengths)
+
+    def test_understated_duration_keeps_every_frame(self, tmp_path):
+        # the manifest declares 2.0 s for 2.056 s of audio beside an exact entry
+        rng = np.random.default_rng(1)
+        frontend.write_wav(tmp_path / "long.wav", make_speechlike(rng, 2.056), 16000)
+        frontend.write_wav(tmp_path / "exact.wav", make_speechlike(rng, 1.5), 16000)
+        index = CorpusIndex(entries=[Utterance("long", str(tmp_path / "long.wav"), 2.0),
+                                     Utterance("exact", str(tmp_path / "exact.wav"), 1.5)])
+        spec = datapipe.build_buckets(index, num_buckets=1, tokens_per_batch=10000)
+        (desc,) = datapipe.schedule_epoch(spec, index, seed=0, epoch=0)
+        batch = datapipe.load_batch(desc, spec, seed=0)
+        mels = {u.utt_id: frontend.log_mel(frontend.load_audio(u.path)) for u in index.entries}
+        assert len(mels["long"]) > spec.buckets[0].max_frames
+        assert batch.features.shape[1] == len(mels["long"])
+        for i, utt_id in enumerate(batch.utt_ids):
+            t = len(mels[utt_id])
+            assert batch.lengths[i] == t
+            assert np.array_equal(batch.features[i, :t], mels[utt_id])
+            assert np.all(batch.features[i, t:] == 0.0)

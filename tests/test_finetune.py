@@ -540,8 +540,8 @@ class TestSpecAugment:
         assert np.array_equal(out, mel)
 
     def test_freq_band_zeroed_others_untouched(self):
-        cfg = SpecAugmentConfig(num_time_masks=0, time_apply_prob=0.0,
-                                num_freq_masks=1, max_freq_width=27)
+        cfg = SpecAugmentConfig(time_masks=0, time_apply_prob=0.0,
+                                freq_masks=1, max_freq_width=27)
         rng = np.random.default_rng(1)
         mel = np.abs(rng.standard_normal((40, 80))).astype(np.float32) + 0.5
         out = spec_augment(mel, cfg, keyed_rng(3, "sa"))
@@ -566,11 +566,11 @@ class TestSpecAugment:
 
     def test_mask_counts_bounded_by_frames_and_bins(self):
         # the frames of a 40 s utterance, and the Mel bins of a frame
-        SpecAugmentConfig(num_time_masks=3998, num_freq_masks=80)
-        with pytest.raises(ValueError, match="num_time_masks must be <= 3998"):
-            SpecAugmentConfig(num_time_masks=3999)
-        with pytest.raises(ValueError, match="num_freq_masks must be <= 80"):
-            SpecAugmentConfig(num_freq_masks=81)
+        SpecAugmentConfig(time_masks=3998, freq_masks=80)
+        with pytest.raises(ValueError, match="time_masks must be <= 3998"):
+            SpecAugmentConfig(time_masks=3999)
+        with pytest.raises(ValueError, match="freq_masks must be <= 80"):
+            SpecAugmentConfig(freq_masks=81)
 
 
 def char_pattern(ch):
@@ -863,8 +863,10 @@ class TestFinetuneCheckpoint:
     def test_older_header_form_loads(self, saved, tmp_path):
         # earlier writers also stored "quantizer": null, Adam's update counts
         # (the step for the head, the step less freeze_steps for the encoder)
-        # and the Adam and clipping settings in "finetune_config"; all are
-        # ignored on load, and training continues as from the unedited file
+        # and the Adam and clipping settings in "finetune_config", and named
+        # the SpecAugment mask counts num_time_masks and num_freq_masks; all
+        # are read or ignored on load, and training continues as from the
+        # unedited file
         state, path = saved
         older = tmp_path / "older.msec"
         older.write_bytes(path.read_bytes())
@@ -877,6 +879,9 @@ class TestFinetuneCheckpoint:
                        adam_count_encoder=state.step - state.cfg.freeze_steps)
             run["finetune_config"].update(adam_beta1=0.9, adam_beta2=0.98, adam_eps=1e-8,
                                           grad_clip=1.0)
+            spec = run["finetune_config"]["spec_augment"]
+            spec["num_time_masks"] = spec.pop("time_masks")
+            spec["num_freq_masks"] = spec.pop("freq_masks")
         rewrite_checkpoint_header(older, edit)
         assert_same_state(finetune.load_finetune_checkpoint(older), state)
         texts = ["ab", "ba"]
