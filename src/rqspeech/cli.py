@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -32,6 +34,20 @@ from .config import SEED_ENV_VAR, ConfigError, load_config, write_config
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _cannot_write(err: OSError) -> int:
+    # a failed rename onto the destination names the temporary file first
+    return _fail(2, f"cannot write {err.filename2 or err.filename}: {err.strerror}")
+
+
+def _unwritable(path) -> OSError | None:
+    """The error that writing the file ``path`` will meet if it shows before
+    any work is done: its directory is missing, or ``path`` is a directory."""
+    path = Path(path)
+    code = (errno.EISDIR if path.is_dir() else None if path.parent.is_dir()
+            else errno.ENOTDIR if path.parent.exists() else errno.ENOENT)
+    return None if code is None else OSError(code, os.strerror(code), str(path))
 
 
 def _warn(message, category, filename, lineno, file=None, line=None) -> None:
@@ -121,8 +137,11 @@ def cmd_pretrain(args) -> int:
             _warm_label_cache(state, index, Path(cache_dir))
         except (ValueError, OSError) as err:
             return _fail(1, str(err))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, out_dir / "config.ini")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_config(cfg, out_dir / "config.ini")
+    except OSError as err:
+        return _cannot_write(err)
 
     every = cfg["pretrain"]["checkpoint_every"]
 
@@ -176,10 +195,16 @@ def cmd_quantize(args) -> int:
         except ValueError as err:
             return _fail(1, f"utterance {utt.utt_id}: {err}")
         path = out_dir / (utt.utt_id + ".lab")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        quantizer.write_label_cache(path, labels, qs.config.vocab_size)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            quantizer.write_label_cache(path, labels, qs.config.vocab_size)
+        except OSError as err:
+            return _cannot_write(err)
         written += 1
-    out_dir.mkdir(parents=True, exist_ok=True)  # also for a corpus with no utterance
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # also for a corpus with no utterance
+    except OSError as err:
+        return _cannot_write(err)
     print(f"quantize done: {written} label files in {out_dir}")
     return 0
 
@@ -206,8 +231,11 @@ def cmd_finetune(args) -> int:
         state = finetune.init_finetune_state(ckpt, cfg.finetune_config(), tokenizer)
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, out_dir / "config.ini")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_config(cfg, out_dir / "config.ini")
+    except OSError as err:
+        return _cannot_write(err)
 
     if _train(cfg, index, state, cfg["finetune"]["total_steps"],
               lambda batch, epoch: finetune.finetune_step(state, batch, transcripts, epoch),
@@ -222,6 +250,9 @@ def cmd_decode(args) -> int:
     if not args.greedy and args.beam < 1:
         return _fail(2, f"--beam must be >= 1, got {args.beam}; use --greedy "
                         "for greedy decoding")
+    err = args.out and _unwritable(args.out)
+    if err:
+        return _cannot_write(err)
     try:
         state = finetune.load_finetune_checkpoint(args.ckpt, optimizer=False)
     except pretrain.CheckpointError as err:
@@ -247,13 +278,19 @@ def cmd_decode(args) -> int:
         lines.append(f"{utt.utt_id}\t{text}")
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        try:
+            Path(args.out).write_text(output, encoding="utf-8")
+        except OSError as err:
+            return _cannot_write(err)
     else:
         sys.stdout.write(output)
     return 0
 
 
 def cmd_score(args) -> int:
+    err = args.report and _unwritable(args.report)
+    if err:
+        return _cannot_write(err)
     try:
         refs = finetune.read_transcripts(args.refs)
         hyps = finetune.read_transcripts(args.hyps)
@@ -273,21 +310,22 @@ def cmd_score(args) -> int:
         return _fail(2, str(err))
 
     if args.report:
-        with open(args.report, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["utt_id", "word_edits", "ref_words", "wer_percent",
-                             "char_edits", "ref_chars", "cer_percent"])
-            for i, utt_id in enumerate(ids):
-                wd, wn = word_pairs[i]
-                cd, cn = char_pairs[i]
-                writer.writerow([utt_id, wd, wn,
-                                 f"{100.0 * wd / wn:.2f}" if wn else "",
-                                 cd, cn,
-                                 f"{100.0 * cd / cn:.2f}" if cn else ""])
-            writer.writerow(["TOTAL", sum(p[0] for p in word_pairs),
-                             sum(p[1] for p in word_pairs), f"{wer:.2f}",
-                             sum(p[0] for p in char_pairs),
-                             sum(p[1] for p in char_pairs), f"{cer:.2f}"])
+        rows = [["utt_id", "word_edits", "ref_words", "wer_percent",
+                 "char_edits", "ref_chars", "cer_percent"]]
+        for i, utt_id in enumerate(ids):
+            wd, wn = word_pairs[i]
+            cd, cn = char_pairs[i]
+            rows.append([utt_id, wd, wn, f"{100.0 * wd / wn:.2f}" if wn else "",
+                         cd, cn, f"{100.0 * cd / cn:.2f}" if cn else ""])
+        rows.append(["TOTAL", sum(p[0] for p in word_pairs),
+                     sum(p[1] for p in word_pairs), f"{wer:.2f}",
+                     sum(p[0] for p in char_pairs),
+                     sum(p[1] for p in char_pairs), f"{cer:.2f}"])
+        try:
+            with open(args.report, "w", newline="") as f:
+                csv.writer(f).writerows(rows)
+        except OSError as err:
+            return _cannot_write(err)
     print(f"WER {wer:.2f}")
     print(f"CER {cer:.2f}")
     return 0

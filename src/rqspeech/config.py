@@ -9,8 +9,9 @@ be written back out and reloaded to reproduce a run exactly.
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import datapipe, encoder, masking, quantizer
@@ -19,26 +20,28 @@ from .pretrain import PretrainConfig
 
 SEED_ENV_VAR = "RQSPEECH_SEED"
 
+
+def _field_keys(cls, *skip: str) -> dict:
+    """``{name: (type, default)}`` of the plain-default fields of ``cls``, less
+    ``skip``; an annotation (a string) other than int, float or str fails."""
+    types = {"int": int, "float": float, "str": str}
+    return {f.name: (types[f.type], f.default) for f in fields(cls)
+            if f.default is not MISSING and f.name not in skip}
+
+
 SCHEMA = {
     "run": {"seed": (int, 0), "output_dir": (str, "")},
     "corpus": {"root": (str, ""), "manifest": (str, ""), "transcripts": (str, "")},
-    "encoder": {"num_layers": (int, 4), "hidden": (int, 64), "ffn": (int, 256),
-                "heads": (int, 4), "conv_kernel": (int, 5), "dropout": (float, 0.0)},
-    "quantizer": {"num_codebooks": (int, 32), "vocab_size": (int, 2048),
-                  "dim": (int, 16)},
-    "masking": {"prob": (float, 0.4), "span_frames": (int, 40),
-                "noise_mean": (float, 0.0), "noise_std": (float, 0.1)},
-    "pretrain": {"peak_lr": (float, 8e-4), "warmup_steps": (int, 4000),
-                 "total_steps": (int, 1000), "checkpoint_every": (int, 500),
+    "encoder": _field_keys(encoder.EncoderConfig),
+    "quantizer": _field_keys(quantizer.QuantizerConfig, "input_dim"),
+    "masking": _field_keys(masking.MaskConfig),
+    "pretrain": {**_field_keys(PretrainConfig, "seed"), "checkpoint_every": (int, 500),
                  "label_cache_dir": (str, "")},
-    "datapipe": {"num_buckets": (int, 6), "tokens_per_batch": (int, 16000),
-                 "workers": (int, 1)},
-    "finetune": {"checkpoint": (str, ""), "encoder_lr": (float, 2e-4),
-                 "decoder_lr": (float, 2e-3), "warmup_steps": (int, 1000),
-                 "freeze_steps": (int, 1500), "total_steps": (int, 1000),
-                 "time_masks": (int, 2), "max_time_width": (int, 80),
-                 "time_apply_prob": (float, 0.2), "freq_masks": (int, 2),
-                 "max_freq_width": (int, 27)},
+    "datapipe": {"num_buckets": (int, datapipe.DEFAULT_NUM_BUCKETS),
+                 "tokens_per_batch": (int, datapipe.DEFAULT_TOKENS_PER_BATCH),
+                 "workers": (int, datapipe.DEFAULT_WORKERS)},
+    "finetune": {"checkpoint": (str, ""), **_field_keys(FinetuneConfig, "seed"),
+                 "total_steps": (int, 1000), **_field_keys(SpecAugmentConfig)},
 }
 
 
@@ -74,21 +77,17 @@ class RunConfig:
     def mask_config(self) -> masking.MaskConfig:
         return masking.MaskConfig(**self.values["masking"])
 
+    def _build(self, cls, section: str, **rest):
+        body = self.values[section]
+        return cls(**{f.name: body[f.name] for f in fields(cls) if f.name in body}, **rest)
+
     def pretrain_config(self) -> PretrainConfig:
-        p = self.values["pretrain"]
-        return PretrainConfig(peak_lr=p["peak_lr"], warmup_steps=p["warmup_steps"],
-                              total_steps=p["total_steps"], seed=self.seed,
-                              mask=self.mask_config(),
-                              quantizer=self.quantizer_config())
+        return self._build(PretrainConfig, "pretrain", seed=self.seed,
+                           mask=self.mask_config(), quantizer=self.quantizer_config())
 
     def finetune_config(self) -> FinetuneConfig:
-        f = self.values["finetune"]
-        return FinetuneConfig(
-            encoder_lr=f["encoder_lr"], decoder_lr=f["decoder_lr"],
-            warmup_steps=f["warmup_steps"], freeze_steps=f["freeze_steps"],
-            seed=self.seed,
-            spec_augment=SpecAugmentConfig(**{field.name: f[field.name]
-                                              for field in fields(SpecAugmentConfig)}))
+        return self._build(FinetuneConfig, "finetune", seed=self.seed,
+                           spec_augment=self._build(SpecAugmentConfig, "finetune"))
 
     def flat_dict(self) -> dict:
         return {f"{sec}.{key}": val for sec, body in self.values.items()
@@ -106,7 +105,8 @@ def load_config(path) -> RunConfig:
     if not path.is_file():
         problem = "is not a file" if path.exists() else "not found"
         raise ConfigError(f"config file {problem}: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no [DEFAULT]: its keys would reach every section, so it is refused as unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_file((line for _, line in datapipe.text_lines(path)), source=str(path))
     except configparser.Error as err:
@@ -128,6 +128,8 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(
                     f'key "{section}.{key}" expects {want_type.__name__}, '
                     f'got {raw!r}') from None
+            if want_type is float and not math.isfinite(cfg.values[section][key]):
+                raise ConfigError(f'key "{section}.{key}" expects a finite float, got {raw!r}')
 
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:

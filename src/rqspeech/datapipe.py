@@ -33,6 +33,7 @@ MIN_DURATION_S = 0.3
 MAX_DURATION_S = 40.0
 DEFAULT_NUM_BUCKETS = 6
 DEFAULT_TOKENS_PER_BATCH = 16000  # Mel frames per batch (~160 s of audio)
+DEFAULT_WORKERS = 1  # batch loader threads; 1 loads in the caller
 
 
 class UtteranceError(ValueError):
@@ -301,7 +302,7 @@ def load_batch(desc: BatchDescriptor, spec: BucketSpec, seed: int) -> Batch:
 
 
 def iter_epoch(spec: BucketSpec, index: CorpusIndex, seed: int, epoch: int,
-               workers: int = 1):
+               workers: int = DEFAULT_WORKERS):
     """Yield the epoch's batches in schedule order, optionally prefetched.
 
     Worker count only affects wall-clock time; the yielded sequence is

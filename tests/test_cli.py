@@ -94,6 +94,65 @@ def metric_steps(path):
     return [int(line.split(",")[0]) for line in lines[1:]]
 
 
+# the config.ini a run writes with every key at its default, byte for byte;
+# a key with an empty value is written "key = ", with a trailing space
+DEFAULT_CONFIG_INI = """\
+[run]
+seed = 0
+output_dir =
+
+[corpus]
+root =
+manifest =
+transcripts =
+
+[encoder]
+num_layers = 4
+hidden = 64
+ffn = 256
+heads = 4
+conv_kernel = 5
+dropout = 0.0
+
+[quantizer]
+num_codebooks = 32
+vocab_size = 2048
+dim = 16
+
+[masking]
+prob = 0.4
+span_frames = 40
+noise_mean = 0.0
+noise_std = 0.1
+
+[pretrain]
+peak_lr = 0.0008
+warmup_steps = 4000
+total_steps = 1000
+checkpoint_every = 500
+label_cache_dir =
+
+[datapipe]
+num_buckets = 6
+tokens_per_batch = 16000
+workers = 1
+
+[finetune]
+checkpoint =
+encoder_lr = 0.0002
+decoder_lr = 0.002
+warmup_steps = 1000
+freeze_steps = 1500
+total_steps = 1000
+time_masks = 2
+max_time_width = 80
+time_apply_prob = 0.2
+freq_masks = 2
+max_freq_width = 27
+
+""".replace(" =\n", " = \n")
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -135,6 +194,12 @@ class TestConfig:
         assert cfg["datapipe"] == {"num_buckets": datapipe.DEFAULT_NUM_BUCKETS,
                                    "tokens_per_batch": datapipe.DEFAULT_TOKENS_PER_BATCH,
                                    "workers": workers}
+
+    def test_written_default_config_is_pinned(self, tmp_path):
+        # sections, key order and float repr of every run's config.ini
+        path = tmp_path / "c.ini"
+        cfgmod.write_config(cfgmod.default_config(), path)
+        assert path.read_bytes() == DEFAULT_CONFIG_INI.encode("utf-8")
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "c.ini"

@@ -623,3 +623,90 @@ def test_diverged_run_exits_1_and_saves_last_step(inputs, tmp_path, capsys, comm
     header, _ = pretrain.read_checkpoint(final)
     assert 1 <= header["step"] < 4
     assert f"error: step {header['step'] + 1}: " in err
+
+
+# non-finite floats, the [DEFAULT] section and unwritable outputs ------------------
+
+FLOAT_KEYS = [(section, key) for section, body in SCHEMA.items()
+              for key, (kind, _) in body.items() if kind is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_float_key_exits_2(inputs, tmp_path, capsys, section, key, value):
+    # such a value would train to non-finite parameters and still exit 0
+    command = "finetune" if section == "finetune" else "pretrain"
+    ini = _short_run(inputs, tmp_path, command)
+    _set_keys(ini, section, **{key: value})
+    assert main([command, "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == (f'error: key "{section}.{key}" expects a finite '
+                                       f"float, got '{value}'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 5\n",
+                                  "[DEFAULT]\nhidden = 32\n[encoder]\nheads = 2\n"],
+                         ids=["alone", "beside_encoder"])
+def test_default_section_is_unknown(tmp_path, capsys, text):
+    # configparser would hand [DEFAULT]'s keys to every section, or drop them
+    ini = tmp_path / "c.ini"
+    ini.write_text(text, encoding="utf-8")
+    assert main(["inspect", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == f'error: unknown section "[DEFAULT]" in {ini}\n'
+
+
+def _run_into_file(command):
+    def make(inputs, tmp):
+        ini = _short_run(inputs, tmp, "finetune" if command == "finetune" else "pretrain")
+        (tmp / "out").write_text("a file\n", encoding="utf-8")
+        extra = ["--out", str(tmp / "out")] if command == "quantize" else []
+        return [command, "--config", str(ini), *extra], tmp / "out"
+    return make
+
+
+def _quantize_onto_directory(inputs, tmp):
+    # the label file is written beside its path and renamed onto it
+    ini = _short_run(inputs, tmp, "pretrain")
+    (tmp / "out" / "utt00.lab").mkdir(parents=True)
+    return ["quantize", "--config", str(ini), "--out", str(tmp / "out")], tmp / "out" / "utt00.lab"
+
+
+def _decode_into_missing_dir(inputs, tmp):
+    ckpt = tmp / "ft.msec"
+    ckpt.write_bytes(inputs["finetune"])
+    dest = tmp / "missing" / "hyp.tsv"
+    return ["decode", "--ckpt", str(ckpt), "--manifest", str(inputs["manifest"]),
+            "--out", str(dest)], dest
+
+
+def _score_into_missing_dir(inputs, tmp):
+    dest = tmp / "missing" / "r.csv"
+    return ["score", "--refs", str(inputs["transcripts"]), "--hyps",
+            str(inputs["transcripts"]), "--report", str(dest)], dest
+
+
+# name -> (command(inputs, scratch dir) -> (argv, the path it cannot write), reason)
+UNWRITABLE_OUTPUTS = {
+    "pretrain_output_dir_is_a_file": (_run_into_file("pretrain"), "File exists"),
+    "finetune_output_dir_is_a_file": (_run_into_file("finetune"), "File exists"),
+    "quantize_out_is_a_file": (_run_into_file("quantize"), "File exists"),
+    "quantize_label_path_is_a_directory": (_quantize_onto_directory, "Is a directory"),
+    "decode_out_in_missing_dir": (_decode_into_missing_dir, "No such file or directory"),
+    "score_report_in_missing_dir": (_score_into_missing_dir, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_exits_2_with_message(inputs, tmp_path, capsys, monkeypatch, case):
+    make_command, reason = UNWRITABLE_OUTPUTS[case]
+    argv, dest = make_command(inputs, tmp_path)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    if argv[0] in ("decode", "score"):  # they refuse it before reading any input
+        def unread(*args, **kwargs):
+            raise AssertionError("read an input")
+        monkeypatch.setattr(datapipe, "read_manifest", unread)
+        monkeypatch.setattr(finetune, "read_transcripts", unread)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write {dest}: {reason}\n" and out == ""
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
