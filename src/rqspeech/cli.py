@@ -6,9 +6,9 @@ written next to the outputs so a run can be reproduced from its artifacts.
 Exit codes: 0 success, 1 runtime failure (corrupt/unreadable inputs),
 2 invalid configuration or usage.
 
-``pretrain`` and ``finetune`` share one run loop, ``_train``: it writes one
-flushed metrics row per completed step and saves the final checkpoint, also
-when a batch fails (then at the last completed step, exit code 1). A
+``pretrain`` and ``finetune`` share one run loop, ``_train``, which makes all
+of a run's writes. It saves the final checkpoint at the last completed step
+also when a batch fails (exit code 1) or another write fails (exit code 2). A
 warning, such as a skipped WAV file or merged buckets, prints as one
 ``warning: <message>`` line on stderr.
 """
@@ -64,19 +64,40 @@ def _load_index(cfg) -> datapipe.CorpusIndex:
     return datapipe.scan_corpus(root)
 
 
-def _train(cfg, index, state, total: int, step, metrics, save) -> int:
-    """Run ``step(batch, epoch)`` over epochs of ``index`` until ``state.step``
-    reaches ``total``, then ``save()``; returns the exit code.
+class _WriteError(Exception):
+    """``cannot write <path>: <reason>`` for a file of a run."""
 
-    ``step`` returns its metrics row, or None when it made no update. It
-    raises before any update, so a failed batch saves the last completed step.
-    An epoch without any update would repeat forever, so it saves and fails.
+
+def _written(path, write, *args):
+    """``write(*args)``, whose OSError becomes a _WriteError naming ``path``."""
+    try:
+        return write(*args)
+    except OSError as err:
+        raise _WriteError(f"cannot write {path}: {err.strerror or err}") from None
+
+
+def _train(cfg, index, state, total: int, step, metrics: Path, fields, save, final: Path,
+           periodic=lambda step: None) -> int:
+    """Run ``step(batch, epoch)`` over epochs of ``index`` until ``state.step``
+    reaches ``total``, making every write of the run; returns the exit code.
+
+    The config goes beside ``final``; each completed step adds a row of
+    ``fields`` to ``metrics`` and ``save(state, path)`` where ``periodic``
+    gives a path; the run ends with ``save(state, final)``. ``step`` returns
+    its metrics row, or None when it made no update. It raises before any
+    update, so a failed batch or write saves the last completed step. An
+    epoch without any update would repeat forever, so it saves and fails.
     """
+    try:
+        final.parent.mkdir(parents=True, exist_ok=True)
+        write_config(cfg, final.parent / "config.ini")
+    except OSError as err:
+        return _cannot_write(err)
     spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
                                   cfg["datapipe"]["tokens_per_batch"])
-    epoch, stalled, error = 0, False, None
+    epoch, stalled, code = 0, False, 0
     try:
-        with metrics:
+        with _written(metrics, pretrain.MetricsWriter, metrics, fields, state.step) as writer:
             while state.step < total and not stalled:
                 stalled = True
                 for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
@@ -85,22 +106,27 @@ def _train(cfg, index, state, total: int, step, metrics, save) -> int:
                     if m is None:
                         continue
                     stalled = False
-                    metrics.write(m)
+                    _written(metrics, writer.write, m)
+                    if path := periodic(state.step):
+                        _written(path, save, state, path)
                     if state.step >= total:
                         break
                 epoch += 1
+        if stalled:
+            code = _fail(1, f"epoch {epoch - 1} made no update: no batch had a training "
+                            f"target; stopped at step {state.step}")
     except (pretrain.NonFiniteLossError, pretrain.LabelCacheError,
             finetune.InfeasibleTargetError, datapipe.UtteranceError) as err:
-        error = str(err)
+        code = _fail(1, str(err))
     except FloatingPointError as err:  # a diverged encoder; a non-finite loss names its step
-        error = f"step {state.step + 1}: {err}"
-    save()
-    if error is not None:
-        return _fail(1, error)
-    if stalled:
-        return _fail(1, f"epoch {epoch - 1} made no update: no batch had a training "
-                        f"target; stopped at step {state.step}")
-    return 0
+        code = _fail(1, f"step {state.step + 1}: {err}")
+    except _WriteError as err:
+        code = _fail(2, str(err))
+    try:
+        _written(final, save, state, final)
+    except _WriteError as err:
+        code = _fail(2, str(err))
+    return code
 
 
 def cmd_pretrain(args) -> int:
@@ -137,24 +163,13 @@ def cmd_pretrain(args) -> int:
             _warm_label_cache(state, index, Path(cache_dir))
         except (ValueError, OSError) as err:
             return _fail(1, str(err))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_config(cfg, out_dir / "config.ini")
-    except OSError as err:
-        return _cannot_write(err)
-
     every = cfg["pretrain"]["checkpoint_every"]
-
-    def step(batch, epoch):
-        m = pretrain.train_step(state, batch, epoch)
-        if m is not None and m.step % every == 0:
-            pretrain.save_checkpoint(state, out_dir / f"ckpt_{m.step:06d}.msec")
-        return m
-
-    if _train(cfg, index, state, train_cfg.total_steps, step,
-              pretrain.MetricsWriter(out_dir / "metrics.csv", start_step=state.step),
-              lambda: pretrain.save_checkpoint(state, out_dir / "final.msec")):
-        return 1
+    if code := _train(cfg, index, state, train_cfg.total_steps,
+                      lambda batch, epoch: pretrain.train_step(state, batch, epoch),
+                      out_dir / "metrics.csv", pretrain.METRICS_FIELDS,
+                      pretrain.save_checkpoint, out_dir / "final.msec",
+                      lambda step: step % every == 0 and out_dir / f"ckpt_{step:06d}.msec"):
+        return code
     print(f"pretrain done: {state.step} steps, checkpoints in {out_dir}")
     return 0
 
@@ -231,17 +246,12 @@ def cmd_finetune(args) -> int:
         state = finetune.init_finetune_state(ckpt, cfg.finetune_config(), tokenizer)
     except pretrain.CheckpointError as err:
         return _fail(1, str(err))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_config(cfg, out_dir / "config.ini")
-    except OSError as err:
-        return _cannot_write(err)
-
-    if _train(cfg, index, state, cfg["finetune"]["total_steps"],
-              lambda batch, epoch: finetune.finetune_step(state, batch, transcripts, epoch),
-              pretrain.MetricsWriter(out_dir / "finetune_metrics.csv", finetune.METRICS_FIELDS),
-              lambda: finetune.save_finetune_checkpoint(state, out_dir / "finetuned.msec")):
-        return 1
+    if code := _train(cfg, index, state, cfg["finetune"]["total_steps"],
+                      lambda batch, epoch: finetune.finetune_step(state, batch, transcripts,
+                                                                  epoch),
+                      out_dir / "finetune_metrics.csv", finetune.METRICS_FIELDS,
+                      finetune.save_finetune_checkpoint, out_dir / "finetuned.msec"):
+        return code
     print(f"finetune done: {state.step} steps, checkpoint in {out_dir}")
     return 0
 

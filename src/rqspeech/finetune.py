@@ -6,7 +6,8 @@ Finetuning keeps the encoder frozen for the first ``freeze_steps`` steps, then
 trains jointly with distinct encoder/decoder learning-rate schedules, under
 pretrain's Adam and clipping constants and one record of moments: the head's
 update count is the step, the encoder's the step less ``freeze_steps``.
-SpecAugment runs on the input features during training only.
+A run reads the encoder and draws the CTC head, a load draws nothing (both
+by ``pretrain.build_tensors``). SpecAugment runs on training features only.
 
 The CTC loss is the exact forward recursion in log space, one autodiff node
 (``ad.ctc_nll``) for a whole padded batch, whose backward runs the beta
@@ -385,16 +386,13 @@ def score(refs, hyps, unit: str = "word"):
 
 @dataclass
 class FinetuneState:
-    """Encoder + CTC head with one record of Adam moments; it starts fresh."""
+    """Encoder + CTC head with one record of Adam moments."""
     encoder_cfg: enc.EncoderConfig
     cfg: FinetuneConfig
     tokenizer: CharTokenizer
     params: dict                  # encoder tensors + "ctc_head.*"
+    adam: pretrain.AdamState
     step: int = 0
-    adam: pretrain.AdamState = field(init=False)
-
-    def __post_init__(self):
-        self.adam = pretrain.AdamState.init(self.params)
 
     def _group(self, head: bool) -> dict:
         return {k: p for k, p in self.params.items() if k.startswith("ctc_head.") == head}
@@ -412,28 +410,27 @@ METRICS_FIELDS = (("step", "{m[step]}"), ("loss", "{m[loss]:.6f}"),
                   ("frozen", "{m[frozen]:d}"), ("grad_norm", "{m[grad_norm]:.6f}"))
 
 
-def _new_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
-               tokenizer: CharTokenizer) -> FinetuneState:
-    """Every encoder tensor of a read checkpoint, a fresh CTC head, step 0."""
+def _finetune_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
+                    tokenizer: CharTokenizer, reads, moments: bool = False) -> FinetuneState:
+    """A step-0 state: the encoder ``header`` names and a CTC head for ``tokenizer``."""
     encoder_cfg = pretrain.header_value(header, "encoder_config",
                                         lambda raw: enc.EncoderConfig(**raw), path)
-    arrays = {name: pretrain.restore_tensor(tensors, name, shape, path)
-              for name, shape in enc.param_shapes(encoder_cfg).items()}
-    arrays["ctc_head.weight"] = enc.init_param(
-        "ctc_head.weight", (encoder_cfg.hidden, tokenizer.vocab_size), cfg.seed)
-    arrays["ctc_head.bias"] = np.zeros(tokenizer.vocab_size, dtype=np.float32)
+    shapes = {**enc.param_shapes(encoder_cfg),
+              **pretrain._ctc_head_shapes(encoder_cfg, tokenizer.vocab_size)}
+    params, adam = pretrain.build_tensors(shapes, cfg.seed, (tensors, path), reads, moments)
     return FinetuneState(encoder_cfg=encoder_cfg, cfg=cfg, tokenizer=tokenizer,
-                         params=enc.params_to_tensors(arrays))
+                         params=params, adam=adam)
 
 
 def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
                         tokenizer: CharTokenizer) -> FinetuneState:
-    """Load every encoder tensor from a pretraining checkpoint (full restore);
-    the CTC head and the optimizer start fresh, so the file's ``head.*``
-    and ``opt.*`` tensors are not read."""
+    """Every encoder tensor from a pretraining checkpoint; the CTC head is
+    drawn and the moments are zeros, so the file's ``head.*`` and ``opt.*``
+    tensors are not read."""
     header, tensors = pretrain.read_checkpoint(
         checkpoint_path, keep=lambda name: not name.startswith(("head.", "opt.")))
-    return _new_state(header, tensors, checkpoint_path, cfg, tokenizer)
+    return _finetune_state(header, tensors, checkpoint_path, cfg, tokenizer,
+                           reads=lambda name: not name.startswith("ctc_head."))
 
 
 def _ctc_logprobs(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
@@ -516,9 +513,9 @@ def _finetune_config(raw: dict) -> FinetuneConfig:
 
 
 def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
-    """The state saved at ``path``. With ``optimizer`` False the file's
-    ``opt.*`` moments are not read and Adam starts fresh, which is all that
-    decoding needs."""
+    """The state saved at ``path``, drawing nothing. With ``optimizer`` False
+    the file's ``opt.*`` moments are not read and Adam starts from zeros,
+    which is all that decoding needs."""
     keep = None if optimizer else (lambda name: not name.startswith("opt."))
     header, tensors = pretrain.read_checkpoint(path, keep=keep)
     run = header.get("run_config")
@@ -526,9 +523,8 @@ def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
         raise pretrain.CheckpointError(f"not a finetune checkpoint: {path}")
     tokenizer = pretrain.header_value(run, "alphabet", CharTokenizer, path)
     cfg = pretrain.header_value(run, "finetune_config", _finetune_config, path)
-    state = _new_state(header, tensors, path, cfg, tokenizer)
-    pretrain.restore_training_tensors(tensors, state.params,
-                                      state.adam if optimizer else None, path)
+    state = _finetune_state(header, tensors, path, cfg, tokenizer,
+                            reads=lambda name: True, moments=optimizer)
     state.step = pretrain.header_value(header, "step", int, path)
     return state
 

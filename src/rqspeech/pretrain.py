@@ -9,10 +9,10 @@ and no weight decay. Adam's state is its moments: its update count t is the
 training step, which the checkpoint already stores.
 
 Checkpoints (format "MSEC") carry every named tensor (encoder + head + Adam
-moments), the step counter, and the run configuration; finetune checkpoints
-go through the same writer and restore helpers. Two load modes: ``full``
-restores everything, ``feature_extractor_only`` restores just the
-``extractor.*`` tensors; a fresh run loads nothing. The quantizer is always
+moments), the step counter, and the run configuration. Every start, also
+finetune's, builds its tensors with ``build_tensors``, each read from a
+checkpoint or drawn, never both: ``full`` reads all, ``feature_extractor_only``
+the ``extractor.*`` tensors, a fresh run nothing. The quantizer is always
 rebuilt from the seed and config of the *current* run.
 """
 
@@ -141,8 +141,7 @@ class AdamState:
     @staticmethod
     def init(params: dict) -> "AdamState":
         """Zero moments; ``np.zeros`` maps large ones lazily, so their pages
-        are first touched by the first ``adam_step`` (a restore replaces
-        them untouched)."""
+        are first touched by the first ``adam_step``."""
         return AdamState(m={k: np.zeros(p.data.shape, p.data.dtype) for k, p in params.items()},
                          v={k: np.zeros(p.data.shape, p.data.dtype) for k, p in params.items()})
 
@@ -234,28 +233,54 @@ def _head_shapes(encoder_cfg: enc.EncoderConfig, qcfg: quant.QuantizerConfig) ->
     return {"head.weight": (encoder_cfg.hidden, n_out), "head.bias": (n_out,)}
 
 
-def init_head_params(encoder_cfg: enc.EncoderConfig, qcfg: quant.QuantizerConfig,
-                     seed: int, dtype=np.float32) -> dict:
-    return {name: enc.init_param(name, shape, seed, dtype)
-            for name, shape in _head_shapes(encoder_cfg, qcfg).items()}
+def _ctc_head_shapes(encoder_cfg: enc.EncoderConfig, vocab_size: int) -> dict:
+    return {"ctc_head.weight": (encoder_cfg.hidden, vocab_size), "ctc_head.bias": (vocab_size,)}
 
 
-def _train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig, arrays: dict,
-                 run_config: dict | None) -> TrainState:
-    """A step-0 TrainState over ``arrays`` with fresh Adam moments and the
-    quantizer of ``cfg``."""
-    params = enc.params_to_tensors(arrays)
-    return TrainState(encoder_cfg=encoder_cfg, cfg=cfg, params=params,
-                      adam=AdamState.init(params),
+def build_tensors(shapes: dict, seed: int, checkpoint=None, reads=lambda name: True,
+                  moments: bool = False) -> tuple[dict, AdamState]:
+    """A run's parameters, as Tensors in ``shapes`` order, and Adam moments.
+
+    Parameter ``name`` comes from ``checkpoint``, the ``(tensors, path)``
+    read from a file, if ``reads(name)``, else from ``enc.init_param``; the
+    moments come from its ``opt.*`` tensors if ``moments``, else are zeros.
+    """
+    tensors, path = checkpoint or ({}, None)
+
+    def taken(name, shape):
+        if name not in tensors:
+            raise CheckpointError(f"checkpoint missing tensor {name}: {path}")
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint {path} "
+                                  f"has {tensors[name].shape}, config {shape}")
+        return tensors[name]
+
+    params = enc.params_to_tensors({name: taken(name, shape) if checkpoint and reads(name)
+                                    else enc.init_param(name, shape, seed)
+                                    for name, shape in shapes.items()})
+    if not moments:
+        return params, AdamState.init(params)
+    adam = AdamState(m={}, v={})
+    for name, shape in shapes.items():
+        adam.m[name] = taken(f"opt.m.{name}", shape)
+        adam.v[name] = taken(f"opt.v.{name}", shape)
+    return params, adam
+
+
+def _train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig, run_config: dict | None,
+                 *restore) -> TrainState:
+    """A step-0 TrainState over ``build_tensors(shapes, cfg.seed, *restore)``
+    with the quantizer of ``cfg``."""
+    shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
+    params, adam = build_tensors(shapes, cfg.seed, *restore)
+    return TrainState(encoder_cfg=encoder_cfg, cfg=cfg, params=params, adam=adam,
                       quantizer_state=quant.init_quantizer(cfg.seed, cfg.quantizer),
                       run_config=dict(run_config or {}))
 
 
 def init_train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig,
                      run_config: dict | None = None) -> TrainState:
-    arrays = enc.init_encoder_params(encoder_cfg, cfg.seed)
-    arrays.update(init_head_params(encoder_cfg, cfg.quantizer, cfg.seed))
-    return _train_state(encoder_cfg, cfg, arrays, run_config)
+    return _train_state(encoder_cfg, cfg, run_config)
 
 
 def _labels_for(state: TrainState, utt_id: str, mel: np.ndarray,
@@ -460,55 +485,23 @@ def _read_records(f, path: Path, keep):
     return header, tensors
 
 
-def restore_tensor(tensors: dict, name: str, shape, path) -> np.ndarray:
-    """Tensor ``name`` of the checkpoint read from ``path``, which must have
-    ``shape``."""
-    if name not in tensors:
-        raise CheckpointError(f"checkpoint missing tensor {name}: {path}")
-    arr = tensors[name]
-    if arr.shape != shape:
-        raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint {path} "
-                              f"has {arr.shape}, config {shape}")
-    return arr
-
-
-def restore_training_tensors(tensors: dict, params: dict, adam, path) -> None:
-    """Replace every parameter and, unless ``adam`` is None, every Adam moment
-    in place from the checkpoint read from ``path``."""
-    for name, p in params.items():
-        p.data = restore_tensor(tensors, name, p.data.shape, path)
-    if adam is not None:
-        for name in adam.m:
-            adam.m[name] = restore_tensor(tensors, f"opt.m.{name}", adam.m[name].shape, path)
-            adam.v[name] = restore_tensor(tensors, f"opt.v.{name}", adam.v[name].shape, path)
-
-
 def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
                     cfg: PretrainConfig, run_config: dict | None = None) -> TrainState:
     """Build a TrainState from a checkpoint under one of the ``LOAD_MODES``.
 
-    A ``full`` load takes every parameter and moment from the file and draws
-    no random initialisation; ``feature_extractor_only`` starts from
-    ``init_train_state`` and takes the extractor's parameters. The quantizer
+    A ``full`` load takes every parameter, moment and the step from the file;
+    ``feature_extractor_only`` reads the ``extractor.*`` tensors and draws
+    the rest as ``init_train_state`` does, at step 0. The quantizer
     always comes from ``cfg`` (seed and config of the current run); a
     continued run may deliberately pick a new quantizer seed.
     """
     if mode not in LOAD_MODES:
         raise ValueError(f"unknown load mode: {mode!r} (expected one of {LOAD_MODES})")
-    if mode == "full":
-        header, tensors = read_checkpoint(path)
-        shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
-        state = _train_state(encoder_cfg, cfg,
-                             {name: restore_tensor(tensors, name, shape, path)
-                              for name, shape in shapes.items()}, run_config)
-        restore_training_tensors(tensors, {}, state.adam, path)  # the Adam moments
-        state.step = header_value(header, "step", int, path)
-        return state
-
-    _, tensors = read_checkpoint(path, keep=lambda name: name.startswith("extractor."))
-    state = init_train_state(encoder_cfg, cfg, run_config)
-    restore_training_tensors(tensors, {name: p for name, p in state.params.items()
-                                       if name.startswith("extractor.")}, None, path)
+    full = mode == "full"
+    reads = (lambda name: True) if full else (lambda name: name.startswith("extractor."))
+    header, tensors = read_checkpoint(path, keep=None if full else reads)
+    state = _train_state(encoder_cfg, cfg, run_config, (tensors, path), reads, full)
+    state.step = header_value(header, "step", int, path) if full else 0
     return state
 
 

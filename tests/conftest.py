@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rqspeech import autodiff, frontend
+from rqspeech import autodiff, frontend, pretrain
+from rqspeech import encoder as enc
 
 
 def blas_thread_count():
@@ -114,6 +115,24 @@ def make_speechlike(rng, seconds, rate=16000):
         x += rng.uniform(0.05, 0.25) * np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
     x += 0.01 * rng.standard_normal(n)
     return np.clip(x, -0.99, 0.99)
+
+
+def spy_state_building(monkeypatch):
+    """(names ``enc.init_param`` draws, parameter names of each record of
+    zero Adam moments built), both filled in as a state is built."""
+    drawn, zeroed = [], []
+    init_param, init_moments = enc.init_param, pretrain.AdamState.init
+
+    def draw(name, *args, **kwargs):
+        drawn.append(name)
+        return init_param(name, *args, **kwargs)
+
+    def zeros(params):
+        zeroed.append(list(params))
+        return init_moments(params)
+    monkeypatch.setattr(enc, "init_param", draw)
+    monkeypatch.setattr(pretrain.AdamState, "init", staticmethod(zeros))
+    return drawn, zeroed
 
 
 def rewrite_checkpoint_header(path, edit):

@@ -85,8 +85,8 @@ def test_criterion_03_gradient_correctness_full_sweep():
     rng = np.random.default_rng(300)
 
     arrays = encoder.init_encoder_params(enc_cfg, seed=3, dtype=np.float64)
-    arrays.update({k: v.astype(np.float64) for k, v in
-                   pretrain.init_head_params(enc_cfg, qcfg, seed=3, dtype=np.float64).items()})
+    arrays.update({name: encoder.init_param(name, shape, 3, np.float64)
+                   for name, shape in pretrain._head_shapes(enc_cfg, qcfg).items()})
     params = encoder.params_to_tensors(arrays)
     wlogits = Tensor(rng.standard_normal(enc_cfg.num_layers + 1), requires_grad=True)
 

@@ -207,6 +207,17 @@ class TestConfig:
         monkeypatch.setenv(cfgmod.SEED_ENV_VAR, "42")
         assert cfgmod.load_config(path).seed == 42
 
+    def test_non_integer_seed_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6])
+        path = tmp_path / "c.ini"
+        write_pretrain_config(path, corpus, tmp_path / "out")
+        monkeypatch.setenv("RQSPEECH_SEED", "abc")
+        assert main(["pretrain", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: RQSPEECH_SEED must be an integer, got 'abc'\n"
+        assert out == "" and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, section, key, value, message", [
         ("pretrain", "encoder", "heads", "3", "[encoder] hidden must be divisible by heads"),
         ("inspect", "encoder", "heads", "3", "[encoder] hidden must be divisible by heads"),
@@ -583,6 +594,33 @@ class TestPretrainCommand:
         assert state.step == len(rows_written) < 50
 
 
+    # the file in the way -> (the checkpoint saved at the end, its step)
+    BLOCKED_WRITES = {"ckpt_000002.msec": ("final.msec", 2),
+                      "metrics.csv": ("final.msec", 0),
+                      "final.msec": ("ckpt_000004.msec", 4)}
+
+    @pytest.mark.parametrize("blocked", BLOCKED_WRITES)
+    def test_failed_write_saves_and_exits_2(self, tmp_path, capsys, blocked):
+        # a directory in the way stops the run, which saves where it still
+        # can and names the file it could not write
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.8, 1.0, 1.2])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir)
+        (out_dir / blocked).mkdir(parents=True)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: cannot write {out_dir / blocked}: Is a directory\n"
+        assert out == ""
+        saved, step = self.BLOCKED_WRITES[blocked]
+        header, _ = pretrain.read_checkpoint(out_dir / saved)
+        assert header["step"] == step
+        if blocked != "metrics.csv":
+            assert metric_steps(out_dir / "metrics.csv")[-1] == step
+        assert not list(out_dir.glob("*.tmp"))
+
+
 class TestQuantizeCommand:
     def test_writes_one_file_per_utterance_deterministically(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -925,6 +963,24 @@ tokens_per_batch = 1000
         lines = on_disk[1].splitlines()
         assert lines[0] == "step,loss,lr_encoder,lr_head,frozen,grad_norm"
         assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+
+    @pytest.mark.parametrize("blocked", ["finetune_metrics.csv", "finetuned.msec"])
+    def test_finetune_failed_write_saves_and_exits_2(self, finetuned_setup, capsys, blocked):
+        _, _, _, base = finetuned_setup
+        out_dir = base / "ft_blocked"
+        cfg = base / "ft_blocked.ini"
+        cfg.write_text((base / "ft.ini").read_text().replace(
+            str(base / "ft_out"), str(out_dir)), encoding="utf-8")
+        (out_dir / blocked).mkdir(parents=True)
+        assert main(["finetune", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: cannot write {out_dir / blocked}: Is a directory\n"
+        assert out == ""
+        if blocked == "finetuned.msec":  # every step ran, and none could be saved
+            assert metric_steps(out_dir / "finetune_metrics.csv") == [1, 2, 3]
+        else:
+            assert finetune.load_finetune_checkpoint(out_dir / "finetuned.msec").step == 0
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_finetune_unreadable_wav_mid_run_saves_and_exits_1(self, finetuned_setup,
                                                                capsys, monkeypatch):

@@ -17,7 +17,7 @@ from rqspeech.finetune import (BLANK_ID, CharTokenizer, FinetuneConfig,
                                spec_augment)
 from rqspeech.seeding import keyed_rng
 
-from conftest import rewrite_checkpoint_header
+from conftest import rewrite_checkpoint_header, spy_state_building
 
 TINY_ENC = enc.EncoderConfig(num_layers=1, hidden=16, ffn=32, heads=2, dropout=0.0)
 
@@ -839,9 +839,17 @@ def test_init_reads_encoder_tensors_only(pretrained_ckpt, monkeypatch):
     # the same state as one built from every tensor of the file
     header, tensors = real(pretrained_ckpt)
     assert any(name.startswith(("head.", "opt.")) for name in tensors)
-    full = finetune._new_state(header, tensors, pretrained_ckpt, state.cfg,
-                               CharTokenizer.from_texts(texts))
+    full = finetune._finetune_state(header, tensors, pretrained_ckpt, state.cfg,
+                                    CharTokenizer.from_texts(texts),
+                                    reads=lambda name: not name.startswith("ctc_head."))
     assert_same_state(state, full)
+
+
+def test_init_draws_only_the_ctc_head(pretrained_ckpt, monkeypatch):
+    drawn, zeroed = spy_state_building(monkeypatch)
+    state = TestFinetuneLoop().make_state(pretrained_ckpt, ["ab", "ba"])
+    assert drawn == ["ctc_head.weight", "ctc_head.bias"]
+    assert zeroed == [list(state.params)]
 
 
 class TestFinetuneCheckpoint:
@@ -851,6 +859,16 @@ class TestFinetuneCheckpoint:
         path = tmp_path / "ft.msec"
         finetune.save_finetune_checkpoint(state, path)
         return state, path
+
+    @pytest.mark.parametrize("optimizer", [True, False])
+    def test_load_draws_nothing(self, saved, monkeypatch, optimizer):
+        # with the optimizer the moments are read, not zeros then replaced
+        state, path = saved
+        drawn, zeroed = spy_state_building(monkeypatch)
+        loaded = finetune.load_finetune_checkpoint(path, optimizer=optimizer)
+        assert drawn == []
+        assert zeroed == ([] if optimizer else [list(state.params)])
+        assert list(loaded.params) == list(state.params)
 
     def test_save_load_save_byte_identical(self, saved, tmp_path):
         state, path = saved

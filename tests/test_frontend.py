@@ -101,6 +101,50 @@ class TestLoadAudio:
         assert (rate, n, ch) == (16000, len(w.samples), 1)
 
 
+FMT_MONO = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+FMT_STEREO = struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16)
+PCM = np.arange(-50, 50, dtype="<i2").tobytes()
+
+
+def riff(*chunks, form=b"WAVE"):
+    """A RIFF file of (chunk id, payload) chunks, each padded to even length."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + form + body
+
+
+class TestWavContainer:
+    @pytest.mark.parametrize("raw, message", [
+        (riff((b"fmt ", FMT_MONO), (b"data", PCM), form=b"AVI "), "not a RIFF/WAVE file"),
+        (b"RIFX" + riff((b"fmt ", FMT_MONO), (b"data", PCM))[4:], "not a RIFF/WAVE file"),
+        (riff((b"data", PCM)), "missing fmt or data chunk"),
+        (riff((b"fmt ", FMT_MONO)), "missing fmt or data chunk"),
+        (riff((b"fmt ", FMT_MONO[:14]), (b"data", PCM)), "short fmt chunk"),
+        (riff((b"fmt ", FMT_STEREO), (b"data", PCM[:6])),
+         "data size not a whole number of frames"),
+    ], ids=["not-wave", "not-riff", "no-fmt", "no-data", "short-fmt", "partial-frame"])
+    def test_malformed_container_named(self, tmp_path, raw, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        for read in (frontend.load_audio, frontend.wav_info):
+            with pytest.raises(WavError, match=f"^malformed container: {message}$"):
+                read(path)
+
+    def test_odd_chunk_pad_byte_skipped(self, tmp_path):
+        plain, padded = tmp_path / "plain.wav", tmp_path / "padded.wav"
+        plain.write_bytes(riff((b"fmt ", FMT_MONO), (b"data", PCM)))
+        padded.write_bytes(riff((b"LIST", b"abc"), (b"fmt ", FMT_MONO), (b"data", PCM)))
+        assert len(padded.read_bytes()) == len(plain.read_bytes()) + 12
+        w = frontend.load_audio(padded)
+        assert np.array_equal(w.samples, frontend.load_audio(plain).samples)
+        assert np.array_equal(w.samples, np.arange(-50, 50) / 32768.0)
+        assert frontend.wav_info(padded) == frontend.wav_info(plain) == (16000, 100, 1)
+
+    def test_wav_info_missing_file(self, tmp_path):
+        with pytest.raises(WavError, match="^no such file: .*absent.wav$"):
+            frontend.wav_info(tmp_path / "absent.wav")
+
+
 class TestResample:
     def test_identity_rate_bit_identical(self):
         w = Waveform(tone(440, 0.5), 16000)

@@ -16,7 +16,7 @@ from rqspeech.datapipe import Batch
 from rqspeech.pretrain import (CheckpointError, NonFiniteLossError, PretrainConfig,
                                lr_schedule, multi_softmax_loss)
 
-from conftest import rewrite_checkpoint_header, traced_bytes
+from conftest import rewrite_checkpoint_header, spy_state_building, traced_bytes
 
 TINY_ENC = enc.EncoderConfig(num_layers=2, hidden=32, ffn=64, heads=4, dropout=0.0)
 TINY_Q = quant.QuantizerConfig(num_codebooks=2, vocab_size=64, dim=8)
@@ -442,6 +442,22 @@ class TestCheckpoint:
         again = tmp_path / "b.msec"
         pretrain.save_checkpoint(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_each_tensor_has_one_source(self, tmp_path, monkeypatch):
+        # a full load draws nothing and builds no zero moments to replace; a
+        # feature-extractor load draws exactly the parameters it does not read
+        state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=7))
+        path = tmp_path / "a.msec"
+        pretrain.save_checkpoint(state, path)
+        drawn, zeroed = spy_state_building(monkeypatch)
+        pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config(seed=7))
+        assert drawn == zeroed == []
+        pretrain.load_checkpoint(path, "feature_extractor_only", TINY_ENC, tiny_config(seed=7))
+        assert drawn == [n for n in state.params if not n.startswith("extractor.")]
+        assert zeroed == [list(state.params)]
+        drawn.clear()
+        pretrain.init_train_state(TINY_ENC, tiny_config(seed=7))
+        assert drawn == list(state.params)
 
     def test_feature_extractor_only_restores_exact_subset(self, tmp_path):
         cfg = tiny_config(seed=8)
