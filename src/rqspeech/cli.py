@@ -176,24 +176,16 @@ def cmd_pretrain(args) -> int:
 
 def _warm_label_cache(state: pretrain.TrainState, index, cache_dir: Path) -> None:
     """Seed the in-memory label cache from MSEQ1 files that fit the quantizer."""
-    qcfg = state.quantizer_state.config
     for utt in index.entries:
         path = cache_dir / (utt.utt_id + ".lab")
         if path.is_file() and utt.duration <= datapipe.MAX_DURATION_S:
-            labels = quantizer.read_label_cache(path)
-            if labels.shape[1] != qcfg.num_codebooks or labels.max(initial=0) >= qcfg.vocab_size:
-                raise ValueError(f"label cache {path} does not fit the quantizer's "
-                                 f"{qcfg.num_codebooks} codebooks of {qcfg.vocab_size} labels")
-            state.label_cache[utt.utt_id] = labels
+            state.label_cache[utt.utt_id] = quantizer.read_label_cache(
+                path, state.quantizer_state.config)
 
 
 def cmd_quantize(args) -> int:
     try:
         cfg = load_config(args.config)
-        vocab = cfg["quantizer"]["vocab_size"]
-        if vocab > quantizer.LABEL_CACHE_MAX_VOCAB:
-            raise ConfigError(f"[quantizer] vocab_size {vocab} exceeds the label cache "
-                              f"format's {quantizer.LABEL_CACHE_MAX_VOCAB} in {args.config}")
         index = _load_index(cfg)
     except (ValueError, OSError) as err:
         return _fail(2, str(err))

@@ -13,6 +13,7 @@ Conventions (fixed so every frame count is exactly predictable):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,14 +64,25 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return buf
 
 
-def _parse_wav(f):
-    """Parse a RIFF/WAVE stream; returns (rate, channels, int16 frame array)."""
+def _skip(f, n: int, what: str) -> None:
+    """Seek past ``n`` bytes, which the file must hold, without reading them."""
+    here = f.tell()
+    if f.seek(0, os.SEEK_END) - here < n:
+        raise WavError(f"malformed container: truncated {what}")
+    f.seek(here + n)
+
+
+def _wav_header(f):
+    """Parse a RIFF/WAVE stream's headers; returns (rate, channels, frames,
+    offset of the data chunk's samples). Only the RIFF header, the chunk
+    headers and the ``fmt `` chunk are read; every other chunk is sought past
+    once its declared size is checked against the file."""
     riff = _read_exact(f, 12, "RIFF header")
     if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
         raise WavError("malformed container: not a RIFF/WAVE file")
 
     fmt = None
-    data = None
+    data = None  # (offset, size)
     while True:
         head = f.read(8)
         if len(head) == 0:
@@ -81,9 +93,10 @@ def _parse_wav(f):
         if chunk_id == b"fmt ":
             fmt = _read_exact(f, size, "fmt chunk")
         elif chunk_id == b"data":
-            data = _read_exact(f, size, "data chunk")
+            data = (f.tell(), size)
+            _skip(f, size, "data chunk")
         else:
-            _read_exact(f, size, f"chunk {chunk_id!r}")
+            _skip(f, size, f"chunk {chunk_id!r}")
         if size % 2:  # RIFF pads chunks to even length
             f.read(1)
         if fmt is not None and data is not None:
@@ -104,11 +117,11 @@ def _parse_wav(f):
     if rate == 0:
         raise WavError("malformed container: sample rate 0")
 
+    offset, size = data
     frame_bytes = 2 * channels
-    if len(data) % frame_bytes:
+    if size % frame_bytes:
         raise WavError("malformed container: data size not a whole number of frames")
-    pcm = np.frombuffer(data, dtype="<i2").reshape(-1, channels)
-    return rate, channels, pcm
+    return rate, channels, size // frame_bytes, offset
 
 
 def load_audio(path) -> Waveform:
@@ -117,7 +130,10 @@ def load_audio(path) -> Waveform:
     if not path.is_file():
         raise WavError(f"no such file: {path}")
     with open(path, "rb") as f:
-        rate, channels, pcm = _parse_wav(f)
+        rate, channels, frames, offset = _wav_header(f)
+        f.seek(offset)
+        data = _read_exact(f, frames * 2 * channels, "data chunk")
+    pcm = np.frombuffer(data, dtype="<i2").reshape(-1, channels)
     samples = pcm.astype(np.float64) / 32768.0
     if channels == 2:
         samples = samples.mean(axis=1)
@@ -133,17 +149,18 @@ def load_16k(path) -> Waveform:
 
 
 def wav_info(path):
-    """(sample_rate, num_frames, channels) from the header, without decoding.
+    """(sample_rate, num_frames, channels) from the headers alone.
 
-    The data chunk's presence and length are still validated so a truncated
-    file is reported rather than silently indexed.
+    The samples are not read, but the data chunk's presence and declared
+    length are still checked against the file, so a truncated file is
+    reported rather than silently indexed.
     """
     path = Path(path)
     if not path.is_file():
         raise WavError(f"no such file: {path}")
     with open(path, "rb") as f:
-        rate, channels, pcm = _parse_wav(f)
-    return rate, pcm.shape[0], channels
+        rate, channels, frames, _ = _wav_header(f)
+    return rate, frames, channels
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:

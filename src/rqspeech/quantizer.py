@@ -11,6 +11,7 @@ may be computed once per utterance and cached.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +26,7 @@ NORM_EPS = 1e-8
 # label frames per nearest-codeword block: the (rows, V) float64 screen of one
 # block stays at 4 MB for V = 2048, whatever the utterance length
 LABEL_BLOCK_ROWS = 256
-# the label cache stores each label as a little-endian u16
+# a label is a u16 in the cache file and in memory
 LABEL_CACHE_MAX_VOCAB = 65536
 
 
@@ -40,6 +41,9 @@ class QuantizerConfig:
         for name in ("num_codebooks", "vocab_size", "dim", "input_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.vocab_size > LABEL_CACHE_MAX_VOCAB:
+            raise ValueError(f"vocab_size {self.vocab_size} exceeds the label cache "
+                             f"format's {LABEL_CACHE_MAX_VOCAB}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def init_quantizer(seed: int, config: QuantizerConfig = QuantizerConfig()) -> Qu
 
 
 def assign_labels(qs: QuantizerState, normalized: np.ndarray) -> np.ndarray:
-    """Nearest-codeword labels, shape (L, N) int32.
+    """Nearest-codeword labels, shape (L, N) uint16.
 
     labels[l, j] = argmin_i ||p - c_ij||^2 with p = x_l @ A_j, ties broken by
     the smallest index, where the distance is the float64 sum of squares of the
@@ -133,7 +137,7 @@ def assign_labels(qs: QuantizerState, normalized: np.ndarray) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"label frame {int(np.argmin(finite))} is not finite")
     n = qs.config.num_codebooks
-    labels = np.empty((x.shape[0], n), dtype=np.int32)
+    labels = np.empty((x.shape[0], n), dtype=np.uint16)
     for j in range(n):
         codebook = qs.codebooks[j]
         # rows [c, ||c||^2], so that [-2p, 1] @ screen.T = ||c||^2 - 2 p.c
@@ -202,11 +206,16 @@ def write_label_cache(path, labels: np.ndarray, vocab_size: int) -> None:
     l, n = labels.shape
     with replacing(path) as partial, open(partial, "wb") as f:
         f.write(f"MSEQ1 {l} {n} {vocab_size}\n".encode("ascii"))
-        f.write(labels.astype("<u2").tobytes())
+        f.write(labels.astype("<u2", copy=False).tobytes())
 
 
-def read_label_cache(path) -> np.ndarray:
-    """Read a label cache file back to an (L, N) int32 array."""
+def read_label_cache(path, config: QuantizerConfig | None = None) -> np.ndarray:
+    """Read a label cache file back to an (L, N) uint16 array, its stored width.
+
+    The payload is read straight into the array. With ``config``, a file whose
+    header holds another codebook count N or vocabulary V is refused, naming
+    the file and both shapes, before its payload is read.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         header = f.readline().decode("ascii", errors="replace").split()
@@ -214,11 +223,17 @@ def read_label_cache(path) -> np.ndarray:
                 or not all(tok.isdigit() for tok in header[1:])):
             raise ValueError(f"not a label cache file: {path}")
         l, n, v = (int(tok) for tok in header[1:])
-        payload = f.read()
-    expected = l * n * 2
-    if len(payload) != expected:
-        raise ValueError(f"label cache truncated: {path}")
-    labels = np.frombuffer(payload, dtype="<u2").reshape(l, n).astype(np.int32)
+        if config is not None and (n, v) != (config.num_codebooks, config.vocab_size):
+            raise ValueError(f"label cache {path} of {n} codebooks of {v} labels does not "
+                             f"fit the quantizer's {config.num_codebooks} codebooks of "
+                             f"{config.vocab_size} labels")
+        start = f.tell()
+        # sized before the array is made, so a corrupt header allocates nothing
+        if f.seek(0, os.SEEK_END) - start != l * n * 2:
+            raise ValueError(f"label cache truncated: {path}")
+        f.seek(start)
+        labels = np.empty((l, n), dtype="<u2")
+        f.readinto(labels)
     if labels.size and labels.max() >= v:
         raise ValueError(f"label cache contains out-of-range labels: {path}")
     return labels

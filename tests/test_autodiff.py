@@ -845,6 +845,21 @@ class TestHeadRowBlocks:
         for got, want in zip(fused_head(*problem, 3), serial_multi_softmax_nll(*problem, 3)):
             assert norm_relative(got, want) <= self.GRAD_RTOL[dtype]
 
+    @pytest.mark.parametrize("block_bytes", [1, None])
+    def test_uint16_labels_bitwise_equal_to_int64(self, monkeypatch, block_bytes):
+        # labels reach the head at the cache's u16 width; the gather and the
+        # scatter must pick the same logits as with int64 indices, in one row
+        # block and in many
+        if block_bytes:
+            monkeypatch.setattr(ad, "_HEAD_BLOCK_BYTES", block_bytes)
+        x, w, b, labels = head_problem(np.random.default_rng(16), 333, 3, 2048, 16,
+                                       np.float32)
+        labels[0] = 2047
+        wide = fused_head(x, w, b, labels.astype(np.int64), 3)
+        narrow = fused_head(x, w, b, labels.astype(np.uint16), 3)
+        for a, want in zip(narrow, wide):
+            assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
+
     def test_peak_at_twice_the_rows_within_one_block(self, head_row_blocks):
         # both sizes run in full blocks, so doubling the rows adds only the
         # arrays with one row per head row: x1, gx and up to one gx part per

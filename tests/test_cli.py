@@ -246,6 +246,8 @@ class TestConfig:
          "[finetune] freq_masks must be <= 80, the Mel bins of a frame"),
         ("quantize", "quantizer", "vocab_size", "70000",
          "[quantizer] vocab_size 70000 exceeds the label cache format's 65536"),
+        ("pretrain", "quantizer", "vocab_size", "65537",
+         "[quantizer] vocab_size 65537 exceeds the label cache format's 65536"),
         ("pretrain", "datapipe", "num_buckets", "0", 'key "datapipe.num_buckets" must be >= 1'),
         ("pretrain", "pretrain", "checkpoint_every", "0",
          'key "pretrain.checkpoint_every" must be >= 1'),
@@ -553,7 +555,8 @@ class TestPretrainCommand:
         assert main(["pretrain", "--config", str(cfg)]) == 1
         assert "utt00.lab" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("codebooks, vocab", [(8, 32), (2, 64)])
+    # (2, 16): every label also fits under the run's 32, but names another codeword
+    @pytest.mark.parametrize("codebooks, vocab", [(8, 32), (2, 64), (2, 16)])
     def test_label_cache_of_another_quantizer_exit_1(self, tmp_path, capsys,
                                                      codebooks, vocab):
         # the run's quantizer has 2 codebooks of 32 labels
@@ -569,6 +572,8 @@ class TestPretrainCommand:
         assert main(["pretrain", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "utt01.lab" in err and "2 codebooks of 32 labels" in err
+        assert f"{codebooks} codebooks of {vocab} labels" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rows", [5, 60])
     def test_label_cache_of_another_length_saves_and_exits_1(self, tmp_path, capsys, rows):

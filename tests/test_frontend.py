@@ -122,7 +122,10 @@ class TestWavContainer:
         (riff((b"fmt ", FMT_MONO[:14]), (b"data", PCM)), "short fmt chunk"),
         (riff((b"fmt ", FMT_STEREO), (b"data", PCM[:6])),
          "data size not a whole number of frames"),
-    ], ids=["not-wave", "not-riff", "no-fmt", "no-data", "short-fmt", "partial-frame"])
+        (riff((b"fmt ", FMT_MONO), (b"data", PCM))[:-1], "truncated data chunk"),
+        (riff((b"fmt ", FMT_MONO), (b"data", PCM))[:-190], "truncated data chunk"),
+    ], ids=["not-wave", "not-riff", "no-fmt", "no-data", "short-fmt", "partial-frame",
+            "data-short-1", "data-short-190"])
     def test_malformed_container_named(self, tmp_path, raw, message):
         path = tmp_path / "bad.wav"
         path.write_bytes(raw)
@@ -143,6 +146,47 @@ class TestWavContainer:
     def test_wav_info_missing_file(self, tmp_path):
         with pytest.raises(WavError, match="^no such file: .*absent.wav$"):
             frontend.wav_info(tmp_path / "absent.wav")
+
+    def test_wav_info_reads_headers_only(self, tmp_path, monkeypatch):
+        # a 30 s file with a chunk before and after its data: 960,000 data bytes
+        path = tmp_path / "long.wav"
+        pcm = np.arange(480_000, dtype=np.int64).astype("<i2").tobytes()
+        path.write_bytes(riff((b"LIST", b"abcd"), (b"fmt ", FMT_MONO), (b"data", pcm),
+                              (b"junk", bytes(5000))))
+        seen = []
+
+        class Counted:
+            """A binary file that records the size of every read it returns."""
+
+            def __init__(self, f):
+                self._f = f
+
+            def read(self, n=-1):
+                buf = self._f.read(n)
+                seen.append(len(buf))
+                return buf
+
+            def seek(self, *args):
+                return self._f.seek(*args)
+
+            def tell(self):
+                return self._f.tell()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+        monkeypatch.setattr(frontend, "open", lambda *a, **k: Counted(open(*a, **k)),
+                            raising=False)
+        assert frontend.wav_info(path) == (16000, 480_000, 1)
+        # the RIFF header 12, the LIST header 8, the fmt chunk 8 + 16, the data header 8
+        assert seen == [12, 8, 8, 16, 8]
+        seen.clear()
+        w = frontend.load_audio(path)
+        assert seen == [12, 8, 8, 16, 8, len(pcm)]
+        assert np.array_equal(w.samples * 32768.0, np.frombuffer(pcm, "<i2"))
 
 
 class TestResample:

@@ -34,7 +34,7 @@ def reference_assign_labels(qs, normalized):
     codebook, its sum of squares, then the first argmin. ``assign_labels``
     must return these labels byte for byte."""
     x = normalized.astype(np.float64, copy=False)
-    labels = np.empty((x.shape[0], qs.config.num_codebooks), dtype=np.int32)
+    labels = np.empty((x.shape[0], qs.config.num_codebooks), dtype=np.uint16)
     for j in range(qs.config.num_codebooks):
         projected = x @ qs.projections[j]
         diff = projected[:, None, :] - qs.codebooks[j][None, :, :]
@@ -70,7 +70,7 @@ class TestAgainstDifferenceScan:
 
     def check(self, qs, x):
         got = quantizer.assign_labels(qs, x)
-        assert got.dtype == np.int32 and got.shape == (x.shape[0], qs.config.num_codebooks)
+        assert got.dtype == np.uint16 and got.shape == (x.shape[0], qs.config.num_codebooks)
         assert got.tobytes() == reference_assign_labels(qs, x).tobytes()
 
     def test_default_config_on_log_mel(self):
@@ -287,6 +287,15 @@ class TestLabelCache:
         quantizer.write_label_cache(path, labels, 2048)
         assert np.array_equal(quantizer.read_label_cache(path), labels)
 
+    def test_read_is_uint16_at_stored_width(self, tmp_path):
+        labels = np.random.default_rng(1).integers(0, 65536, size=(37, 32))
+        labels[0, 0] = 65535
+        path = tmp_path / "utt.lab"
+        quantizer.write_label_cache(path, labels, 65536)
+        got = quantizer.read_label_cache(path)
+        assert got.dtype == np.uint16 and got.nbytes == 37 * 32 * 2
+        assert np.array_equal(got, labels)
+
     def test_header_layout(self, tmp_path):
         labels = np.array([[1, 2], [3, 4]], dtype=np.int32)
         path = tmp_path / "x.lab"
@@ -340,6 +349,12 @@ class TestLabelCache:
             quantizer.write_label_cache(path, np.zeros((9, 2), np.int32), 8)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["u.lab"]
+
+    def test_config_vocab_beyond_label_width_refused(self):
+        assert QuantizerConfig(vocab_size=65536).vocab_size == 65536
+        with pytest.raises(ValueError, match="^vocab_size 65537 exceeds the label cache "
+                                             "format's 65536$"):
+            QuantizerConfig(vocab_size=65537)
 
     def test_oversized_vocab_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="65536"):
