@@ -159,10 +159,11 @@ def load_config(path) -> RunConfig:
 
 
 def write_config(cfg: RunConfig, path) -> None:
-    """Write the effective config (defaults applied) in loadable form."""
+    """Write the effective config (defaults applied) in loadable form, whole
+    or not at all."""
     parser = configparser.ConfigParser(interpolation=None)
     for section, body in cfg.values.items():
         parser[section] = {k: repr(v) if isinstance(v, float) else str(v)
                            for k, v in body.items()}
-    with open(path, "w", encoding="utf-8") as f:
+    with datapipe.replacing(path) as partial, open(partial, "w", encoding="utf-8") as f:
         parser.write(f)

@@ -1,5 +1,10 @@
 import configparser
+import csv
+import errno
 import inspect
+import io
+import os
+import pathlib
 import struct
 
 import numpy as np
@@ -92,6 +97,11 @@ def metric_steps(path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("step,loss,")
     return [int(line.split(",")[0]) for line in lines[1:]]
+
+
+def full_disk():
+    """The OSError a write meets on a full disk."""
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 # the config.ini a run writes with every key at its default, byte for byte;
@@ -339,6 +349,25 @@ class TestPretrainCommand:
         assert main(["pretrain", "--config", str(path)]) == 2
         assert "corpus contains no usable utterances" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_finetune_manifest_of_only_short_entries_exit_2(self, tmp_path, capsys):
+        # transcripts and a checkpoint that fit: the corpus is all that is wrong
+        path = self.manifest_config(tmp_path, "0.2")
+        (tmp_path / "t.tsv").write_text("utt00\tab\n", encoding="utf-8")
+        cfg = cfgmod.load_config(path)
+        pretrain.save_checkpoint(pretrain.init_train_state(cfg.encoder_config(),
+                                                           cfg.pretrain_config()),
+                                 tmp_path / "p.msec")
+        assert main(["finetune", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: corpus contains no usable utterances\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_quantize_manifest_of_only_short_entries_exit_0(self, tmp_path, capsys):
+        path = self.manifest_config(tmp_path, "0.2")
+        labels = tmp_path / "labels"
+        assert main(["quantize", "--config", str(path), "--out", str(labels)]) == 0
+        assert capsys.readouterr().out == f"quantize done: 0 label files in {labels}\n"
+        assert list(labels.iterdir()) == []
 
     @staticmethod
     def guard_steps(monkeypatch, limit):
@@ -626,6 +655,67 @@ class TestPretrainCommand:
         assert not list(out_dir.glob("*.tmp"))
 
 
+    def test_failed_metrics_row_names_it_and_the_saved_step(self, tmp_path, capsys,
+                                                            monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.8, 1.0, 1.2])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir)
+        real = pretrain.MetricsWriter.write
+
+        def full_disk_at_step_2(writer, m):
+            if m.step == 2:
+                raise full_disk()
+            real(writer, m)
+        monkeypatch.setattr(pretrain.MetricsWriter, "write", full_disk_at_step_2)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out_dir / 'metrics.csv'}: No space left on device; "
+            "it lacks the row of step 2, which final.msec holds\n")
+        assert metric_steps(out_dir / "metrics.csv") == [1]
+        assert pretrain.read_checkpoint(out_dir / "final.msec")[0]["step"] == 2
+
+    def test_failed_final_save_prints_after_the_run_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.8, 1.0, 1.2])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir)
+        (out_dir / "final.msec").mkdir(parents=True)
+        raise_after_step(monkeypatch, pretrain, "train_step", 1,
+                         pretrain.NonFiniteLossError("step 2: non-finite loss"))
+        assert main(["pretrain", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: step 2: non-finite loss\n"
+            f"error: cannot write {out_dir / 'final.msec'}: Is a directory\n")
+        assert metric_steps(out_dir / "metrics.csv") == [1]
+        assert not list(out_dir.glob("*.tmp"))
+
+    def test_config_failing_midway_keeps_previous_file(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.8])
+        cfg_path = tmp_path / "c.ini"
+        out_dir = tmp_path / "out"
+        write_pretrain_config(cfg_path, corpus, out_dir)
+        out_dir.mkdir()
+        (out_dir / "config.ini").write_bytes(b"[run]\nseed = 1\n")
+        real = configparser.ConfigParser.write
+
+        def half_then_full_disk(parser, f, *args):
+            text = io.StringIO()
+            real(parser, text, *args)
+            f.write(text.getvalue()[:len(text.getvalue()) // 2])
+            raise full_disk()
+        monkeypatch.setattr(configparser.ConfigParser, "write", half_then_full_disk)
+        assert main(["pretrain", "--config", str(cfg_path)]) == 2
+        assert (out_dir / "config.ini").read_bytes() == b"[run]\nseed = 1\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["config.ini"]
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out_dir / 'config.ini'}: No space left on device\n")
+
+
 class TestQuantizeCommand:
     def test_writes_one_file_per_utterance_deterministically(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -834,6 +924,46 @@ class TestDecodeAndScore:
             text = finetune.transcribe(state, mel[None], np.array([len(mel)]), 4)[0]
             lines.append(f"{utt.utt_id}\t{text}\n")
         assert hyp.read_bytes() == "".join(lines).encode("utf-8")
+
+    def test_decode_out_failing_midway_keeps_previous_file(self, finetuned_setup, capsys,
+                                                           monkeypatch):
+        ckpt, manifest, _, tmp = finetuned_setup
+        hyp = tmp / "hyp.tsv"
+        hyp.write_bytes(b"utt00\tprevious\n")
+        real = pathlib.Path.write_text
+
+        def half_then_full_disk(path, text, *args, **kwargs):
+            real(path, text[:len(text) // 2], *args, **kwargs)
+            raise full_disk()
+        monkeypatch.setattr(pathlib.Path, "write_text", half_then_full_disk)
+        assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--out", str(hyp), "--greedy"]) == 2
+        assert hyp.read_bytes() == b"utt00\tprevious\n"
+        assert not list(tmp.glob("*.tmp"))
+        assert capsys.readouterr().err == (
+            f"error: cannot write {hyp}: No space left on device\n")
+
+    def test_score_report_failing_midway_keeps_previous_file(self, finetuned_setup, capsys,
+                                                             monkeypatch):
+        _, _, trans, tmp = finetuned_setup
+        report = tmp / "report.csv"
+        report.write_bytes(b"utt_id,previous\n")
+        real = csv.writer
+
+        class HalfThenFullDisk:
+            def __init__(self, f):
+                self._writer = real(f)
+
+            def writerows(self, rows):
+                self._writer.writerows(rows[:len(rows) // 2])
+                raise full_disk()
+        monkeypatch.setattr(csv, "writer", HalfThenFullDisk)
+        assert main(["score", "--refs", str(trans), "--hyps", str(trans),
+                     "--report", str(report)]) == 2
+        assert report.read_bytes() == b"utt_id,previous\n"
+        assert not list(tmp.glob("*.tmp"))
+        out, err = capsys.readouterr()
+        assert err == f"error: cannot write {report}: No space left on device\n" and out == ""
 
     def test_beam_one_equals_greedy(self, finetuned_setup):
         ckpt, manifest, _, tmp = finetuned_setup
