@@ -337,7 +337,7 @@ def cmd_inspect(args) -> int:
             param_total += math.prod(shapes[name])
     print(f"parameters: {param_total}")
     print(f"step: {header['step']}")
-    print("config: " + json.dumps(header.get("encoder_config", {}), sort_keys=True))
+    print("config: " + json.dumps(header["encoder_config"].to_dict(), sort_keys=True))
     return 0
 
 

@@ -99,6 +99,19 @@ def default_config() -> RunConfig:
                       for sec, body in SCHEMA.items()})
 
 
+def _typed(want_type, raw: str):
+    """``want_type(raw)``, finite or within int64; a ValueError names what it must be."""
+    try:
+        value = want_type(raw)
+    except ValueError:
+        raise ValueError("an integer" if want_type is int else "a float") from None
+    if want_type is float and not math.isfinite(value):
+        raise ValueError("a finite float")
+    if want_type is int and not -2**63 <= value < 2**63:
+        raise ValueError("a 64-bit integer")
+    return value
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; the seed env var wins if set."""
     path = Path(path)
@@ -109,8 +122,12 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_file((line for _, line in datapipe.text_lines(path)), source=str(path))
-    except configparser.Error as err:
-        raise ConfigError(f"cannot parse {path}: {err}") from None
+    except configparser.Error as err:  # its own message spans lines and repeats the path
+        line = getattr(err, "lineno", None) or err.errors[0][0]
+        why = {configparser.MissingSectionHeaderError: "line before any [section]",
+               configparser.ParsingError: "expected key = value"}.get(
+                   type(err), str(err).split("]: ")[-1])  # a repeated section or key
+        raise ConfigError(f"cannot parse {path}:{line}: {why}") from None
     except ValueError as err:  # not UTF-8, or a NUL byte, at path:line
         raise ConfigError(f"cannot parse {err}") from None
 
@@ -121,22 +138,17 @@ def load_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f'unknown key "{section}.{key}" in {path}')
-            want_type = SCHEMA[section][key][0]
             try:
-                cfg.values[section][key] = want_type(raw)
-            except ValueError:
-                raise ConfigError(
-                    f'key "{section}.{key}" expects {want_type.__name__}, '
-                    f'got {raw!r}') from None
-            if want_type is float and not math.isfinite(cfg.values[section][key]):
-                raise ConfigError(f'key "{section}.{key}" expects a finite float, got {raw!r}')
+                cfg.values[section][key] = _typed(SCHEMA[section][key][0], raw)
+            except ValueError as err:
+                raise ConfigError(f'key "{section}.{key}" expects {err}, got {raw!r}') from None
 
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            cfg.values["run"]["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+            cfg.values["run"]["seed"] = _typed(int, env_seed)
+        except ValueError as err:
+            raise ConfigError(f"{SEED_ENV_VAR} must be {err}, got {env_seed!r}") from None
 
     # the typed configs check their own ranges; building them here makes a bad
     # value a config error before a command writes anything

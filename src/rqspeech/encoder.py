@@ -71,8 +71,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("num_layers", "hidden", "ffn", "heads", "conv_kernel"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be {'>= 1' if type(value) is int else 'an int'}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.hidden % self.heads != 0:

@@ -413,8 +413,7 @@ METRICS_FIELDS = (("step", "{m[step]}"), ("loss", "{m[loss]:.6f}"),
 def _finetune_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
                     tokenizer: CharTokenizer, reads, moments: bool = False) -> FinetuneState:
     """A step-0 state: the encoder ``header`` names and a CTC head for ``tokenizer``."""
-    encoder_cfg = pretrain.header_value(header, "encoder_config",
-                                        lambda raw: enc.EncoderConfig(**raw), path)
+    encoder_cfg = header["encoder_config"]
     shapes = {**enc.param_shapes(encoder_cfg),
               **pretrain._ctc_head_shapes(encoder_cfg, tokenizer.vocab_size)}
     params, adam = pretrain.build_tensors(shapes, cfg.seed, (tensors, path), reads, moments)
@@ -521,11 +520,11 @@ def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
     run = header.get("run_config")
     if not isinstance(run, dict) or run.get("kind") != "finetune":
         raise pretrain.CheckpointError(f"not a finetune checkpoint: {path}")
-    tokenizer = pretrain.header_value(run, "alphabet", CharTokenizer, path)
-    cfg = pretrain.header_value(run, "finetune_config", _finetune_config, path)
+    tokenizer = pretrain.header_value(run, "alphabet", path, CharTokenizer)
+    cfg = pretrain.header_value(run, "finetune_config", path, _finetune_config)
     state = _finetune_state(header, tensors, path, cfg, tokenizer,
                             reads=lambda name: True, moments=optimizer)
-    state.step = pretrain.header_value(header, "step", int, path)
+    state.step = header["step"]
     return state
 
 

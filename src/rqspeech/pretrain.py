@@ -407,18 +407,14 @@ def save_checkpoint(state: TrainState, path) -> None:
                       "run_config": state.run_config})
 
 
-def header_key(record, key: str, path):
-    """``record[key]`` from a checkpoint header; CheckpointError when absent."""
+def header_value(record, key: str, path, parse=lambda raw: raw):
+    """``parse(record[key])`` from a checkpoint header; a missing or malformed
+    entry is a CheckpointError."""
     try:
-        return record[key]
+        raw = record[key]
     except (KeyError, TypeError):
         raise CheckpointError(f"corrupt checkpoint: {path} "
                               f"(missing header key {key!r})") from None
-
-
-def header_value(record, key: str, parse, path):
-    """``parse(record[key])``; a missing or malformed entry is a CheckpointError."""
-    raw = header_key(record, key, path)
     try:
         return parse(raw)
     except (KeyError, TypeError, ValueError) as err:
@@ -432,9 +428,10 @@ def _is_count(value) -> bool:
 def read_checkpoint(path, keep=None):
     """(header dict, {name: float32 array}) from an MSEC file.
 
-    Every tensor the header lists must end inside the file; of those, only
-    the ones whose name ``keep`` accepts (all when ``keep`` is None) are read,
-    each straight into an array of its own.
+    The header's ``step`` is a count and its ``encoder_config`` an
+    ``EncoderConfig``, both checked here alone. Every tensor the header lists
+    must end inside the file; of those, only the ones whose name ``keep``
+    accepts (all when ``keep`` is None) are read, each into an array of its own.
     """
     path = Path(path)
     try:
@@ -463,11 +460,14 @@ def _read_records(f, path: Path, keep):
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"corrupt checkpoint: {path} (bad header)") from None
 
-    header_key(header, "step", path)
+    if not _is_count(header_value(header, "step", path)):
+        raise CheckpointError(f"corrupt checkpoint: {path} (bad step {header['step']!r})")
+    header["encoder_config"] = header_value(header, "encoder_config", path,
+                                            lambda raw: enc.EncoderConfig(**raw))
     base = 12 + header_len
     wanted = []
-    for entry in header_value(header, "tensors", list, path):
-        name, shape, start = (header_key(entry, key, path) for key in ("name", "shape", "offset"))
+    for entry in header_value(header, "tensors", path, list):
+        name, shape, start = (header_value(entry, key, path) for key in ("name", "shape", "offset"))
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(map(_is_count, shape)) and _is_count(start)):
             raise CheckpointError(f"corrupt checkpoint: {path} (bad tensor entry {name!r})")
@@ -501,7 +501,7 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     reads = (lambda name: True) if full else (lambda name: name.startswith("extractor."))
     header, tensors = read_checkpoint(path, keep=None if full else reads)
     state = _train_state(encoder_cfg, cfg, run_config, (tensors, path), reads, full)
-    state.step = header_value(header, "step", int, path) if full else 0
+    state.step = header["step"] if full else 0
     return state
 
 

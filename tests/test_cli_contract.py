@@ -47,10 +47,6 @@ READS = {
     "quantize": {"config", "manifest", "wav"},
 }
 SEEDS = range(120)
-# FOUND: configparser's message for a config line before any section header
-# spans three lines, and ``load_config`` passes it on whole, so two of the
-# three lines on stderr start with neither ``error:`` nor ``warning:``
-MULTI_LINE_ERRORS = {("config", "no_section_header")}
 
 
 def draw(seed):
@@ -143,15 +139,8 @@ def _case_id(seed):
     return f"{seed}-{command}-" + "-".join(f"{k}:{v}" for k, v in faults.items())
 
 
-def _case(seed):
-    found = MULTI_LINE_ERRORS.intersection(draw(seed)[1].items())
-    return pytest.param(seed, id=_case_id(seed), marks=[
-        pytest.mark.xfail(strict=True, reason="FOUND: multi-line config parse error")
-    ] if found else [])
-
-
 @pytest.mark.filterwarnings("always")
-@pytest.mark.parametrize("seed", [_case(seed) for seed in SEEDS])
+@pytest.mark.parametrize("seed", SEEDS, ids=_case_id)
 def test_two_faults_keep_the_exit_contract(inputs, label_caches, tmp_path, capsys, seed):
     command, faults = draw(seed)
     argv = build(command, faults, inputs, label_caches, tmp_path)

@@ -36,6 +36,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="even"):
             EncoderConfig(hidden=63, heads=1)
 
+    @pytest.mark.parametrize("name, value", [("hidden", 64.0), ("num_layers", True),
+                                             ("heads", "4")])
+    def test_rejects_size_that_is_not_an_int(self, name, value):
+        # a checkpoint header's JSON can carry any of these
+        with pytest.raises(ValueError, match=f"^{name} must be an int$"):
+            EncoderConfig(**{name: value})
+
 
 class TestExtract:
     def test_stride_arithmetic(self):

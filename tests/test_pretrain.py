@@ -516,7 +516,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             pretrain.read_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["tensors", "step", "name", "shape", "offset"])
+    @pytest.mark.parametrize("key", ["tensors", "step", "encoder_config", "name", "shape",
+                                     "offset"])
     def test_missing_header_key_rejected(self, tmp_path, key):
         state = pretrain.init_train_state(TINY_ENC, tiny_config())
         path = tmp_path / "k.msec"
