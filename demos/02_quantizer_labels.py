@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rqspeech import frontend, quantizer
+from rqspeech import frontend, quantizer, records
 
 rng = np.random.default_rng(0)
 
@@ -43,6 +43,6 @@ print(f"deterministic: {np.array_equal(labels, again)}, "
 
 # label cache round trip
 path = Path(tempfile.mkdtemp(prefix="rqspeech_demo_")) / "utt.lab"
-quantizer.write_label_cache(path, labels, cfg.vocab_size)
+records.write_label_cache(path, labels, cfg.vocab_size)
 print(f"cache file starts with: {path.read_bytes()[:16]!r}")
-print(f"cache round-trips: {np.array_equal(quantizer.read_label_cache(path), labels)}")
+print(f"cache round-trips: {np.array_equal(records.read_label_cache(path), labels)}")

@@ -20,8 +20,8 @@ all of a run's writes. It saves the final checkpoint at the last completed
 step also when a batch fails (exit code 1) or another write fails (exit code
 2); a failed save of it prints after the run's own error and exits 2. Every
 whole-file output (checkpoints, label files, ``config.ini``, ``decode
---out``, ``score --report``) is written beside its path and renamed onto it,
-so a write that fails midway leaves any previous file whole.
+--out``, ``score --report``) goes through ``records.replacing``, so a write
+that fails midway leaves any previous file whole.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datapipe, encoder, finetune, frontend, pretrain, quantizer
+from . import datapipe, encoder, finetune, frontend, pretrain, quantizer, records
 from .config import SEED_ENV_VAR, ConfigError, load_config, write_config
 
 
@@ -124,7 +124,7 @@ def _train(cfg, index, state, total: int, step, metrics: Path, fields, save, fin
     try:
         # a diverged encoder names the step; a non-finite loss names its own
         with _failing(1, FloatingPointError, lambda err: f"step {state.step + 1}: {err}"), \
-                _failing(1, (pretrain.NonFiniteLossError, pretrain.LabelCacheError,
+                _failing(1, (pretrain.NonFiniteLossError, records.LabelCacheError,
                              finetune.InfeasibleTargetError, datapipe.UtteranceError)):
             with _writing(metrics):
                 writer = pretrain.MetricsWriter(metrics, fields, state.step)
@@ -171,7 +171,7 @@ def cmd_pretrain(args) -> int:
     encoder_cfg = cfg.encoder_config()
     train_cfg = cfg.pretrain_config()
 
-    with _failing(1, pretrain.CheckpointError):
+    with _failing(1, records.CheckpointError):
         if args.init_from:
             state = pretrain.load_checkpoint(args.init_from, args.init_mode,
                                              encoder_cfg, train_cfg,
@@ -198,7 +198,7 @@ def _warm_label_cache(state: pretrain.TrainState, index, cache_dir: Path) -> Non
     for utt in index.entries:
         path = cache_dir / (utt.utt_id + ".lab")
         if path.is_file() and utt.duration <= datapipe.MAX_DURATION_S:
-            state.label_cache[utt.utt_id] = quantizer.read_label_cache(
+            state.label_cache[utt.utt_id] = records.read_label_cache(
                 path, state.quantizer_state.config)
 
 
@@ -216,7 +216,7 @@ def cmd_quantize(args) -> int:
         path = out_dir / (utt.utt_id + ".lab")
         with _writing():
             path.parent.mkdir(parents=True, exist_ok=True)
-            quantizer.write_label_cache(path, labels, qs.config.vocab_size)
+            records.write_label_cache(path, labels, qs.config.vocab_size)
     with _writing():
         out_dir.mkdir(parents=True, exist_ok=True)  # also for a corpus with no utterance
     print(f"quantize done: {len(index.entries)} label files in {out_dir}")
@@ -239,7 +239,7 @@ def cmd_finetune(args) -> int:
 
     tokenizer = finetune.CharTokenizer.from_texts(
         transcripts[u.utt_id] for u in index.entries)
-    with _failing(1, pretrain.CheckpointError):
+    with _failing(1, records.CheckpointError):
         state = finetune.init_finetune_state(ckpt, cfg.finetune_config(), tokenizer)
     _train(cfg, index, state, cfg["finetune"]["total_steps"],
            lambda batch, epoch: finetune.finetune_step(state, batch, transcripts, epoch),
@@ -256,7 +256,7 @@ def cmd_decode(args) -> int:
     if args.out:
         with _writing(args.out):
             _check_writable(args.out)
-    with _failing(1, pretrain.CheckpointError):
+    with _failing(1, records.CheckpointError):
         state = finetune.load_finetune_checkpoint(args.ckpt, optimizer=False)
     with _failing(2, (OSError, ValueError), lambda err: f"cannot read manifest: {err}"):
         index = datapipe.read_manifest(args.manifest)
@@ -274,7 +274,7 @@ def cmd_decode(args) -> int:
     if not args.out:
         sys.stdout.write(output)
         return 0
-    with _writing(args.out), datapipe.replacing(args.out) as partial:
+    with _writing(args.out), records.replacing(args.out) as partial:
         partial.write_text(output, encoding="utf-8")
     return 0
 
@@ -309,7 +309,7 @@ def cmd_score(args) -> int:
                      sum(p[1] for p in word_pairs), f"{wer:.2f}",
                      sum(p[0] for p in char_pairs),
                      sum(p[1] for p in char_pairs), f"{cer:.2f}"])
-        with _writing(args.report), datapipe.replacing(args.report) as partial, \
+        with _writing(args.report), records.replacing(args.report) as partial, \
                 open(partial, "w", newline="") as f:
             csv.writer(f).writerows(rows)
     print(f"WER {wer:.2f}")
@@ -327,8 +327,8 @@ def cmd_inspect(args) -> int:
         print(f"encoder parameters: {total}")
         return 0
 
-    with _failing(1, pretrain.CheckpointError):
-        header, _ = pretrain.read_checkpoint(args.ckpt, keep=lambda name: False)
+    with _failing(1, records.CheckpointError):
+        header, _ = records.read_checkpoint(args.ckpt, keep=lambda name: False)
     shapes = {entry["name"]: entry["shape"] for entry in header["tensors"]}
     param_total = 0
     for name in sorted(shapes):

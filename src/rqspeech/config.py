@@ -14,7 +14,7 @@ import os
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from . import datapipe, encoder, masking, quantizer
+from . import datapipe, encoder, masking, quantizer, records
 from .finetune import FinetuneConfig, SpecAugmentConfig
 from .pretrain import PretrainConfig
 
@@ -177,5 +177,5 @@ def write_config(cfg: RunConfig, path) -> None:
     for section, body in cfg.values.items():
         parser[section] = {k: repr(v) if isinstance(v, float) else str(v)
                            for k, v in body.items()}
-    with datapipe.replacing(path) as partial, open(partial, "w", encoding="utf-8") as f:
+    with records.replacing(path) as partial, open(partial, "w", encoding="utf-8") as f:
         parser.write(f)

@@ -16,9 +16,7 @@ in descriptor order.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import itertools
-import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -146,21 +144,6 @@ def text_lines(path):
             if "\0" in line:
                 raise ValueError(f"{path}:{lineno}: holds a NUL byte")
             yield lineno, line.rstrip("\n")
-
-
-@contextlib.contextmanager
-def replacing(path):
-    """The path ``<path>.tmp`` to write ``path``'s new content to: renamed onto
-    ``path`` when the block ends, deleted when it fails, so a write that fails
-    midway leaves any previous file at ``path`` whole."""
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        yield partial
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
 
 
 def read_manifest(path) -> CorpusIndex:

@@ -35,6 +35,7 @@ from . import datapipe
 from . import encoder as enc
 from . import frontend
 from . import pretrain
+from . import records
 from .autodiff import Tensor
 from .seeding import keyed_rng
 
@@ -426,7 +427,7 @@ def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
     """Every encoder tensor from a pretraining checkpoint; the CTC head is
     drawn and the moments are zeros, so the file's ``head.*`` and ``opt.*``
     tensors are not read."""
-    header, tensors = pretrain.read_checkpoint(
+    header, tensors = records.read_checkpoint(
         checkpoint_path, keep=lambda name: not name.startswith(("head.", "opt.")))
     return _finetune_state(header, tensors, checkpoint_path, cfg, tokenizer,
                            reads=lambda name: not name.startswith("ctc_head."))
@@ -491,7 +492,7 @@ def transcribe(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
 # finetune checkpoints --------------------------------------------------------
 
 def save_finetune_checkpoint(state: FinetuneState, path) -> None:
-    pretrain.write_checkpoint(
+    records.write_checkpoint(
         path, state.step, state.encoder_cfg,
         pretrain.checkpoint_tensors(state.params, state.adam),
         {"run_config": {"kind": "finetune",
@@ -516,12 +517,12 @@ def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
     the file's ``opt.*`` moments are not read and Adam starts from zeros,
     which is all that decoding needs."""
     keep = None if optimizer else (lambda name: not name.startswith("opt."))
-    header, tensors = pretrain.read_checkpoint(path, keep=keep)
+    header, tensors = records.read_checkpoint(path, keep=keep)
     run = header.get("run_config")
     if not isinstance(run, dict) or run.get("kind") != "finetune":
-        raise pretrain.CheckpointError(f"not a finetune checkpoint: {path}")
-    tokenizer = pretrain.header_value(run, "alphabet", path, CharTokenizer)
-    cfg = pretrain.header_value(run, "finetune_config", path, _finetune_config)
+        raise records.CheckpointError(f"not a finetune checkpoint: {path}")
+    tokenizer = records.header_value(run, "alphabet", path, CharTokenizer)
+    cfg = records.header_value(run, "finetune_config", path, _finetune_config)
     state = _finetune_state(header, tensors, path, cfg, tokenizer,
                             reads=lambda name: True, moments=optimizer)
     state.step = header["step"]

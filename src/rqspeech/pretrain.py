@@ -8,23 +8,17 @@ inverse-square-root schedule, global gradient-norm clipping at ``GRAD_CLIP``,
 and no weight decay. Adam's state is its moments: its update count t is the
 training step, which the checkpoint already stores.
 
-Checkpoints (format "MSEC") carry every named tensor (encoder + head + Adam
-moments), the step counter, and the run configuration. Every start, also
-finetune's, builds its tensors with ``build_tensors``, each read from a
-checkpoint or drawn, never both: ``full`` reads all, ``feature_extractor_only``
-the ``extractor.*`` tensors, a fresh run nothing. The quantizer is always
-rebuilt from the seed and config of the *current* run.
+Every start, also finetune's, builds its tensors with ``build_tensors``, each
+read from a checkpoint (``records``) or drawn, never both: ``full`` reads
+all, ``feature_extractor_only`` the ``extractor.*`` tensors, a fresh run
+nothing. The quantizer is always rebuilt from the seed and config of the
+*current* run.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import math
-import os
-import struct
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -33,24 +27,14 @@ from . import encoder as enc
 from . import masking
 from . import quantizer as quant
 from .autodiff import Tensor
-from .datapipe import replacing
+from .records import CheckpointError, LabelCacheError, read_checkpoint, write_checkpoint
 from .seeding import keyed_rng
 
-CHECKPOINT_MAGIC = b"MSEC"
-CHECKPOINT_VERSION = 1
 LOAD_MODES = ("full", "feature_extractor_only")
 ADAM_BLOCK_VALUES = 1 << 16  # values per in-place Adam block and per clipping block
 ADAM_BETAS = (0.9, 0.98)
 ADAM_EPS = 1e-8
 GRAD_CLIP = 1.0  # bound on the global gradient norm of every training step
-
-
-class CheckpointError(ValueError):
-    """Version, magic, or tensor-shape mismatch while loading a checkpoint."""
-
-
-class LabelCacheError(ValueError):
-    """A cached label array whose frame count does not fit its utterance."""
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -361,7 +345,7 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
         grad_norm=float(grad_norm))
 
 
-# checkpoint I/O --------------------------------------------------------------
+# run state <-> checkpoint record ---------------------------------------------
 
 def checkpoint_tensors(params: dict, adam: AdamState) -> dict:
     """Parameters plus Adam's ``opt.m.*``/``opt.v.*`` moments."""
@@ -370,119 +354,12 @@ def checkpoint_tensors(params: dict, adam: AdamState) -> dict:
             **{f"opt.v.{k}": v for k, v in adam.v.items()}}
 
 
-def write_checkpoint(path, step: int, encoder_cfg: enc.EncoderConfig, tensors: dict,
-                     fields: dict) -> None:
-    """Write magic, version, length-prefixed JSON header, then f32 tensor data;
-    ``fields`` are the header entries that depend on the kind of run.
-
-    The file is written beside ``path`` and renamed onto it when complete, so
-    a write that fails midway leaves any previous checkpoint at ``path`` whole.
-    """
-    entries = []
-    offset = 0
-    for name in sorted(tensors):
-        shape = list(tensors[name].shape)
-        entries.append({"name": name, "shape": shape, "offset": offset})
-        offset += math.prod(shape) * 4
-    header = {**fields,
-              "format_version": CHECKPOINT_VERSION,
-              "step": step,
-              "encoder_config": encoder_cfg.to_dict(),
-              "tensors": entries}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with replacing(path) as partial, open(partial, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for entry in entries:
-            f.write(np.ascontiguousarray(tensors[entry["name"]], dtype="<f4"))
-
-
 def save_checkpoint(state: TrainState, path) -> None:
     write_checkpoint(path, state.step, state.encoder_cfg,
                      checkpoint_tensors(state.params, state.adam),
                      {"quantizer": {"seed": state.quantizer_state.seed,
                                     **asdict(state.cfg.quantizer)},
                       "run_config": state.run_config})
-
-
-def header_value(record, key: str, path, parse=lambda raw: raw):
-    """``parse(record[key])`` from a checkpoint header; a missing or malformed
-    entry is a CheckpointError."""
-    try:
-        raw = record[key]
-    except (KeyError, TypeError):
-        raise CheckpointError(f"corrupt checkpoint: {path} "
-                              f"(missing header key {key!r})") from None
-    try:
-        return parse(raw)
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointError(f"corrupt checkpoint: {path} (bad {key}: {err})") from None
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-def read_checkpoint(path, keep=None):
-    """(header dict, {name: float32 array}) from an MSEC file.
-
-    The header's ``step`` is a count and its ``encoder_config`` an
-    ``EncoderConfig``, both checked here alone. Every tensor the header lists
-    must end inside the file; of those, only the ones whose name ``keep``
-    accepts (all when ``keep`` is None) are read, each into an array of its own.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            return _read_records(f, path, keep)
-    except FileNotFoundError:
-        raise CheckpointError(f"no such checkpoint: {path}") from None
-    except OSError as err:
-        raise CheckpointError(f"cannot read checkpoint: {path} "
-                              f"({err.strerror or err})") from None
-
-
-def _read_records(f, path: Path, keep):
-    size = os.fstat(f.fileno()).st_size
-    prefix = f.read(12)
-    if len(prefix) < 12 or prefix[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"corrupt checkpoint: {path} (bad magic)")
-    version, header_len = struct.unpack("<II", prefix[4:])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version} unsupported "
-                              f"(expected {CHECKPOINT_VERSION}): {path}")
-    if size < 12 + header_len:
-        raise CheckpointError(f"corrupt checkpoint: {path} (truncated header)")
-    try:
-        header = json.loads(f.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise CheckpointError(f"corrupt checkpoint: {path} (bad header)") from None
-
-    if not _is_count(header_value(header, "step", path)):
-        raise CheckpointError(f"corrupt checkpoint: {path} (bad step {header['step']!r})")
-    header["encoder_config"] = header_value(header, "encoder_config", path,
-                                            lambda raw: enc.EncoderConfig(**raw))
-    base = 12 + header_len
-    wanted = []
-    for entry in header_value(header, "tensors", path, list):
-        name, shape, start = (header_value(entry, key, path) for key in ("name", "shape", "offset"))
-        if not (isinstance(name, str) and isinstance(shape, list)
-                and all(map(_is_count, shape)) and _is_count(start)):
-            raise CheckpointError(f"corrupt checkpoint: {path} (bad tensor entry {name!r})")
-        if base + start + 4 * math.prod(shape) > size:
-            raise CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
-        if keep is None or keep(name):
-            wanted.append((name, shape, base + start))
-    tensors = {}
-    for name, shape, at in wanted:
-        arr = np.empty(shape, dtype="<f4")
-        f.seek(at)
-        if f.readinto(arr) != arr.nbytes:
-            raise CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
-        tensors[name] = arr
-    return header, tensors
 
 
 def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,

@@ -5,20 +5,20 @@ frames (4x downsampling), normalize each channel over the utterance, project
 through a frozen random matrix per codebook, and take the nearest codeword by
 squared Euclidean distance. Everything here is deterministic in (seed, config)
 and immutable after construction; masking never touches the targets, so labels
-may be computed once per utterance and cached.
+may be computed once per utterance and cached (``records`` holds the cache
+format).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .datapipe import replacing
 from .frontend import NUM_MEL_BINS
+# the label cache's I/O, which the benchmark calls and traces on this module
+from .records import LABEL_CACHE_MAX_VOCAB, read_label_cache, write_label_cache  # noqa: F401
 from .seeding import keyed_rng
 
 STACK_WINDOW = 4
@@ -26,8 +26,6 @@ NORM_EPS = 1e-8
 # label frames per nearest-codeword block: the (rows, V) float64 screen of one
 # block stays at 4 MB for V = 2048, whatever the utterance length
 LABEL_BLOCK_ROWS = 256
-# a label is a u16 in the cache file and in memory
-LABEL_CACHE_MAX_VOCAB = 65536
 
 
 @dataclass(frozen=True)
@@ -191,49 +189,3 @@ def labels_for_mel(qs: QuantizerState, mel: np.ndarray) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"Mel frame {int(np.argmin(finite))} is not finite")
     return assign_labels(qs, normalize(stack_downsample(mel)))
-
-
-def write_label_cache(path, labels: np.ndarray, vocab_size: int) -> None:
-    """Cache file: ASCII header "MSEQ1 L N V", then L*N little-endian u16.
-
-    The file is written beside ``path`` and renamed onto it when complete, so
-    a write that fails midway leaves any previous cache at ``path`` whole.
-    """
-    if vocab_size > LABEL_CACHE_MAX_VOCAB:
-        raise ValueError(f"label cache format requires vocab_size <= {LABEL_CACHE_MAX_VOCAB}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= vocab_size:
-        raise ValueError("labels out of range for vocab_size")
-    l, n = labels.shape
-    with replacing(path) as partial, open(partial, "wb") as f:
-        f.write(f"MSEQ1 {l} {n} {vocab_size}\n".encode("ascii"))
-        f.write(labels.astype("<u2", copy=False).tobytes())
-
-
-def read_label_cache(path, config: QuantizerConfig | None = None) -> np.ndarray:
-    """Read a label cache file back to an (L, N) uint16 array, its stored width.
-
-    The payload is read straight into the array. With ``config``, a file whose
-    header holds another codebook count N or vocabulary V is refused, naming
-    the file and both shapes, before its payload is read.
-    """
-    path = Path(path)
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii", errors="replace").split()
-        if (len(header) != 4 or header[0] != "MSEQ1"
-                or not all(tok.isdigit() for tok in header[1:])):
-            raise ValueError(f"not a label cache file: {path}")
-        l, n, v = (int(tok) for tok in header[1:])
-        if config is not None and (n, v) != (config.num_codebooks, config.vocab_size):
-            raise ValueError(f"label cache {path} of {n} codebooks of {v} labels does not "
-                             f"fit the quantizer's {config.num_codebooks} codebooks of "
-                             f"{config.vocab_size} labels")
-        start = f.tell()
-        # sized before the array is made, so a corrupt header allocates nothing
-        if f.seek(0, os.SEEK_END) - start != l * n * 2:
-            raise ValueError(f"label cache truncated: {path}")
-        f.seek(start)
-        labels = np.empty((l, n), dtype="<u2")
-        f.readinto(labels)
-    if labels.size and labels.max() >= v:
-        raise ValueError(f"label cache contains out-of-range labels: {path}")
-    return labels

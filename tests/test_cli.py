@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rqspeech import config as cfgmod
-from rqspeech import datapipe, encoder, finetune, frontend, masking, pretrain, quantizer
+from rqspeech import datapipe, encoder, finetune, frontend, masking, pretrain, quantizer, records
 from rqspeech.cli import main
 
 from conftest import make_speechlike, rewrite_checkpoint_header
@@ -905,13 +905,13 @@ class TestDecodeAndScore:
                                                           monkeypatch):
         ckpt, manifest, _, tmp = finetuned_setup
         read = []
-        real = pretrain.read_checkpoint
+        real = records.read_checkpoint
 
         def spy(*args, **kwargs):
             header, tensors = real(*args, **kwargs)
             read.extend(tensors)
             return header, tensors
-        monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+        monkeypatch.setattr(records, "read_checkpoint", spy)
         hyp = tmp / "hyp.tsv"
         assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
                      "--out", str(hyp), "--beam", "4"]) == 0

@@ -57,6 +57,7 @@ CHECKPOINT_CORRUPTIONS = {
     "step_fraction": _header_edit(lambda h: h.update(step=1.5)),
     "step_string": _header_edit(lambda h: h.update(step="1")),
     "step_bool": _header_edit(lambda h: h.update(step=True)),
+    "step_past_64_bits": _header_edit(lambda h: h.update(step=2**70)),
     "encoder_config_list": _header_edit(lambda h: h.update(encoder_config=[1])),
     "encoder_config_unknown_key": _header_edit(lambda h: h["encoder_config"].update(bogus=1)),
     "encoder_config_float_size": _header_edit(lambda h: h["encoder_config"].update(hidden=16.0)),
@@ -414,6 +415,7 @@ LABEL_CACHE_CORRUPTIONS = {
     "codebooks_changed": _lab_header_field(2, _plus_one),
     "vocab_changed": _lab_header_field(3, lambda field: b"1"),
     "label_at_vocab_size": _first_label_at_vocab_size,
+    "no_newline": lambda raw: raw.replace(b"\n", b" "),
 }
 
 

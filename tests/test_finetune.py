@@ -6,7 +6,7 @@ import pytest
 
 from rqspeech import autodiff as ad
 from rqspeech import encoder as enc
-from rqspeech import finetune, pretrain
+from rqspeech import finetune, pretrain, records
 from rqspeech.quantizer import QuantizerConfig
 from rqspeech.autodiff import Tensor
 from rqspeech.cli import main
@@ -827,13 +827,13 @@ def reshape_entry(name, shape):
 def test_init_reads_encoder_tensors_only(pretrained_ckpt, monkeypatch):
     texts = ["ab", "ba"]
     read = []
-    real = pretrain.read_checkpoint
+    real = records.read_checkpoint
 
     def spy(*args, **kwargs):
         header, tensors = real(*args, **kwargs)
         read.extend(tensors)
         return header, tensors
-    monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+    monkeypatch.setattr(records, "read_checkpoint", spy)
     state = TestFinetuneLoop().make_state(pretrained_ckpt, texts)
     assert sorted(read) == sorted(enc.param_shapes(TINY_ENC))
     # the same state as one built from every tensor of the file
@@ -957,13 +957,13 @@ class TestFinetuneCheckpoint:
     def test_load_without_optimizer_reads_no_moment(self, saved, monkeypatch):
         state, path = saved
         read = []
-        real = pretrain.read_checkpoint
+        real = records.read_checkpoint
 
         def spy(*args, **kwargs):
             header, tensors = real(*args, **kwargs)
             read.extend(tensors)
             return header, tensors
-        monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+        monkeypatch.setattr(records, "read_checkpoint", spy)
         loaded = finetune.load_finetune_checkpoint(path, optimizer=False)
         assert sorted(read) == sorted(state.params)
         assert (loaded.step, loaded.tokenizer.alphabet, loaded.cfg, loaded.encoder_cfg) == \
@@ -1003,13 +1003,14 @@ class TestCheckpointsWithDeletedBiases:
     @pytest.fixture
     def old_writer(self, biases, monkeypatch):
         """The checkpoint writer, adding the biases and their Adam moments."""
-        real = pretrain.write_checkpoint
+        real = records.write_checkpoint
 
         def write(path, step, encoder_cfg, tensors, fields):
             moments = {f"opt.{kind}.{name}": np.abs(b) for name, b in biases.items()
                        for kind in "mv"}
             real(path, step, encoder_cfg, {**tensors, **biases, **moments}, fields)
-        monkeypatch.setattr(pretrain, "write_checkpoint", write)
+        for writer in (pretrain, records):
+            monkeypatch.setattr(writer, "write_checkpoint", write)
 
     def final_with_biases(self, params, biases, mel, lengths):
         """The encoder's final state with each layer's biases added back, to

@@ -2,7 +2,7 @@
 
 Every module of ``src/rqspeech`` is parsed with ``ast``. ``header_value`` may
 be called with the key ``"step"`` or ``"encoder_config"`` only inside the
-checkpoint reader, ``pretrain._read_records``, which checks both; every
+checkpoint reader, ``records._read_records``, which checks both; every
 loader and ``inspect`` then reads the checked values from the header it
 returns.
 """
@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rqspeech"
 SHARED_KEYS = frozenset({"step", "encoder_config"})
-READER = ("pretrain.py", "_read_records")
+READER = ("records.py", "_read_records")
 
 
 def shared_key_reads(module: str, source: str) -> list[str]:
@@ -51,11 +51,11 @@ def test_reader_reads_both():
 
 def test_violations_are_found():
     source = ("def _read_records(f):\n    return header_value(h, 'step', p)\n"
-              "def load(h, p):\n    return pretrain.header_value(h, 'step', p, int)\n"
+              "def load(h, p):\n    return records.header_value(h, 'step', p, int)\n"
               "def build(h, p):\n    cfg = header_value(h, key='encoder_config', path=p)\n"
               "    return header_value(h, 'alphabet', p)\n")
-    assert shared_key_reads("pretrain.py", source) == ["pretrain.py:4: load",
-                                                       "pretrain.py:6: build"]
+    assert shared_key_reads("records.py", source) == ["records.py:4: load",
+                                                      "records.py:6: build"]
     assert shared_key_reads("finetune.py", source) == ["finetune.py:2: _read_records",
                                                        "finetune.py:4: load",
                                                        "finetune.py:6: build"]

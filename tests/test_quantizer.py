@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rqspeech import frontend, quantizer
+from rqspeech import frontend, quantizer, records
 from rqspeech.quantizer import QuantizerConfig
 
 from conftest import make_speechlike
@@ -343,7 +343,7 @@ class TestLabelCache:
             def __exit__(self, *exc):
                 self._f.close()
 
-        monkeypatch.setattr(quantizer, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
+        monkeypatch.setattr(records, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError, match="No space left"):
             quantizer.write_label_cache(path, np.zeros((9, 2), np.int32), 8)
