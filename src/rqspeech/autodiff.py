@@ -30,22 +30,17 @@ sum, never the (B, H, L, L) probabilities: its forward and backward run over
 groups of whole (utterance, head) score matrices, and the backward
 recomputes a group's probabilities from those statistics. Attention's
 relative shift is a strided view, not a gather. All ops keep dtype, so one
-graph runs in float32 to train and float64 to check gradients. ``_pool_map``
-is the one pool: the head maps its codebooks over it, and the encoder its
-two halves.
+graph runs in float32 to train and float64 to check gradients.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import ctypes
-import functools
-import glob
-import os
 import queue
 
 import numpy as np
+
+from . import parallel
 
 _grad_enabled = True
 # bytes of (L, L) attention scores in one group of ``_rel_attention``; a group
@@ -59,8 +54,6 @@ _HEAD_BLOCK_BYTES = 4 << 20
 # numpy's pairwise sum adds up to this many values in one unrolled loop, and
 # halves longer runs (``_pairwise_sum``)
 _PAIRWISE_LEAF = 128
-_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
-_OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
 
 
 @contextlib.contextmanager
@@ -333,8 +326,8 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
     gradients are computed in the same pass and the backward only scales
     them in place: ``gx`` is written block by block, and ``gw`` and ``gb``
     are summed over the blocks. On two cores the codebooks run on two
-    threads (``_pool_map``); parts are added in codebook order, so the bits
-    do not depend on the split.
+    threads (``parallel.pool_map``); parts are added in codebook order, so
+    the bits do not depend on the split.
 
     The row blocks are nodes of numpy's pairwise summation tree over the
     per-row NLLs (``_pairwise_sum``), so the loss has the bits of one block
@@ -395,8 +388,8 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
             blocks.put(z)
 
     nll = 0.0
-    with _pool_map(num_codebooks, "multi_softmax_nll") as (mapped, threads):
-        for _ in range(threads):  # here, not in the pool: see _pool_map
+    with parallel.pool_map(num_codebooks, "multi_softmax_nll") as (mapped, threads):
+        for _ in range(threads):  # here, not in the pool: see parallel.pool_map
             blocks.put(np.empty((block_rows, vocab), dtype))
         for part_nll, part_gx in mapped(codebook, range(num_codebooks)):
             nll += part_nll
@@ -411,57 +404,6 @@ def multi_softmax_nll(x, w, b, labels, num_codebooks: int):
         return gx, gwb[:-1], gwb[-1]
 
     return _make(out, (x, w, b), backward)
-
-
-@contextlib.contextmanager
-def _pool_map(n, name):
-    """``(map, threads)`` for ``n`` independent tasks: the head's codebooks
-    or the encoder's two batch halves.
-
-    With two usable cores and numpy's OpenBLAS at hand, ``map`` is the
-    ordered map of a two-thread pool whose threads are named after ``name``,
-    and OpenBLAS is held at one thread meanwhile; otherwise it is the builtin
-    ``map`` on one thread. Each result is bit-identical to a serial run at one
-    BLAS thread. A task enters through a private function, never through
-    ``encoder.encode`` or ``Tensor.backward``, so a tracer that keeps one
-    stack of open spans around those sees them on the calling thread only.
-    The caller allocates the buffers the tasks share: buffers allocated on
-    pool threads cost measurably more peak memory.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    blas = _openblas_threads() if n > 1 and (cores or 1) > 1 else None
-    if blas is None:
-        yield map, 1
-        return
-    get_threads, set_threads = blas
-    saved = get_threads()
-    set_threads(1)
-    pool = concurrent.futures.ThreadPoolExecutor(2, name)
-    try:
-        yield pool.map, 2
-    finally:
-        pool.shutdown(cancel_futures=True)  # joins the threads
-        set_threads(saved)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "*openblas*"))
-    for lib in libs:
-        try:
-            dll = ctypes.CDLL(lib)
-            get_threads = getattr(dll, _OPENBLAS_GET)
-            set_threads = getattr(dll, _OPENBLAS_SET)
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        return get_threads, set_threads
-    return None
 
 
 def _pairwise_sum(leaf, start, stop, limit, dtype) -> float:

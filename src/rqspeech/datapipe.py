@@ -15,16 +15,13 @@ in descriptor order.
 
 from __future__ import annotations
 
-import concurrent.futures
-import itertools
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import frontend
+from . import frontend, parallel
 from .seeding import keyed_rng
 
 MIN_DURATION_S = 0.3
@@ -292,18 +289,4 @@ def iter_epoch(spec: BucketSpec, index: CorpusIndex, seed: int, epoch: int,
     identical for any value because every load is a pure keyed function.
     """
     descriptors = schedule_epoch(spec, index, seed, epoch)
-    if workers <= 1:
-        for desc in descriptors:
-            yield load_batch(desc, spec, seed)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        it = iter(descriptors)
-        for desc in itertools.islice(it, 2 * workers):
-            pending.append(pool.submit(load_batch, desc, spec, seed))
-        for desc in it:
-            batch = pending.popleft().result()
-            pending.append(pool.submit(load_batch, desc, spec, seed))
-            yield batch
-        while pending:
-            yield pending.popleft().result()
+    yield from parallel.prefetch(lambda desc: load_batch(desc, spec, seed), descriptors, workers)

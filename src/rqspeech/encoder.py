@@ -46,6 +46,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .frontend import NUM_MEL_BINS
 from .seeding import keyed_rng
@@ -318,7 +319,7 @@ def _encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarr
 def _encode_halves(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,
                    train: bool, rng) -> EncoderOutput:
     """``_encode`` of the utterances [0:ceil(B/2)] and the rest, one half per
-    pool thread (``ad._pool_map``), recorded as one node.
+    pool thread (``parallel.pool_map``), recorded as one node.
 
     Each half runs on leaf Tensors of its own over the same parameter arrays,
     so no two threads write one ``.grad``, and keeps the padded width. The
@@ -342,7 +343,7 @@ def _encode_halves(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: n
                       train, rngs[k])
         return out.layer_states + [out.final], out.lengths
 
-    with ad._pool_map(2, "encode") as (mapped, _):
+    with parallel.pool_map(2, "encode") as (mapped, _):
         outs = list(mapped(forward, (0, 1)))
     final = outs[0][0][-1]
     data = np.empty((len(outs[0][0]), b) + final.shape[1:], final.dtype)
@@ -358,7 +359,7 @@ def _encode_halves(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: n
             ad._backprop(roots[k], g[:, halves[k]])
             return [leaf.grad for leaf in leaves[k]]
 
-        with ad._pool_map(2, "encode") as (mapped, _):
+        with parallel.pool_map(2, "encode") as (mapped, _):
             grads = list(mapped(walk, (0, 1)))
         return tuple(g0 if g1 is None else g1 if g0 is None else g0 + g1
                      for g0, g1 in zip(*grads))

@@ -8,12 +8,7 @@ import pytest
 
 from rqspeech import autodiff, frontend, pretrain
 from rqspeech import encoder as enc
-
-
-def blas_thread_count():
-    """numpy's OpenBLAS thread count, or None when it cannot be read."""
-    blas = autodiff._openblas_threads()
-    return blas and blas[0]()
+from rqspeech.parallel import blas_thread_count
 
 
 def masked_norm_node(x, gamma, beta, eps, mask):

@@ -1,6 +1,5 @@
 import inspect
 import math
-import os
 import sys
 import threading
 import time
@@ -9,11 +8,12 @@ import numpy as np
 import pytest
 
 from rqspeech import autodiff as ad
-from rqspeech import pretrain
+from rqspeech import parallel, pretrain
 from rqspeech.autodiff import Tensor
+from rqspeech.parallel import blas_thread_count
 
-from conftest import (blas_thread_count, float_dropout, masked_norm_node, relu_node,
-                      traced_bytes, unfold_time_node)
+from conftest import (float_dropout, masked_norm_node, relu_node, traced_bytes,
+                      unfold_time_node)
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -635,17 +635,8 @@ def fused_head(x, w, b, labels, n):
 @pytest.fixture
 def one_blas_thread():
     """OpenBLAS at one thread, the count the split runs the head at."""
-    blas = ad._openblas_threads()
-    if blas is None:
+    with parallel.one_blas_thread():
         yield
-        return
-    get_threads, set_threads = blas
-    saved = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(saved)
 
 
 class TestCodebookSplit:
@@ -682,8 +673,8 @@ class TestCodebookSplit:
                 np.testing.assert_array_equal(a, b)
 
     def test_every_codebook_runs_on_pool_thread_at_one_blas_thread(self, monkeypatch):
-        blas = ad._openblas_threads()
-        if blas is None or len(os.sched_getaffinity(0)) < 2:
+        blas = parallel.openblas_threads()
+        if blas is None or parallel.cores() < 2:
             pytest.skip("the head runs serially here")
         seen = {}
         xent = ad._softmax_xent
@@ -771,14 +762,14 @@ class TestCodebookSplit:
             threads.add(threading.current_thread().name)
             return xent(z, labels, scale)
         monkeypatch.setattr(ad, "_softmax_xent", spy)
-        monkeypatch.setattr(ad, "_OPENBLAS_SET", "no_such_symbol")
-        ad._openblas_threads.cache_clear()
+        monkeypatch.setattr(parallel, "_OPENBLAS_SET", "no_such_symbol")
+        parallel.openblas_threads.cache_clear()
         try:
-            assert ad._openblas_threads() is None
+            assert parallel.openblas_threads() is None
             problem = head_problem(np.random.default_rng(3), 30, 3, 16, 8, np.float64)
             got = fused_head(*problem, 3)
         finally:
-            ad._openblas_threads.cache_clear()
+            parallel.openblas_threads.cache_clear()
         assert threads == {threading.current_thread().name}
         for a, want in zip(got, serial_multi_softmax_nll(*problem, 3)):
             np.testing.assert_array_equal(a, want)

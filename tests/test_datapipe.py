@@ -1,9 +1,11 @@
+import concurrent.futures
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rqspeech import datapipe, frontend
+from rqspeech import datapipe, frontend, parallel
 from rqspeech.datapipe import CorpusIndex, Utterance
 
 from conftest import make_speechlike, tone
@@ -265,18 +267,64 @@ class TestLoadBatch:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.lengths, b.lengths)
 
-    def test_prefetch_steady_state_matches_serial(self, tmp_path):
-        # one utterance per batch: nine batches keep two workers' four-batch
-        # prefetch window full for most of the epoch
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_huge_worker_count_capped_at_cores(self, tmp_path, monkeypatch, cores):
+        # one utterance per batch: nine batches keep the prefetch window full
+        # for most of the epoch. The pool runs each load when it is submitted,
+        # so no thread starts and the loads in flight can be counted
         index = build_corpus(tmp_path, [0.4 + 0.1 * i for i in range(9)])
         spec = datapipe.build_buckets(index, num_buckets=3, tokens_per_batch=1)
         serial = list(datapipe.iter_epoch(spec, index, seed=4, epoch=2, workers=1))
-        parallel = list(datapipe.iter_epoch(spec, index, seed=4, epoch=2, workers=2))
-        assert len(serial) == len(parallel) == 9
-        for a, b in zip(serial, parallel):
+        asked, loaded, real = [], [], datapipe.load_batch
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        def load(*args):
+            loaded.append(args[0])
+            return real(*args)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
+        monkeypatch.setattr(datapipe, "load_batch", load)
+        prefetched = []
+        for batch in datapipe.iter_epoch(spec, index, seed=4, epoch=2, workers=10**18):
+            prefetched.append(batch)
+            assert len(loaded) - len(prefetched) <= 2 * sum(asked)
+        assert asked == ([cores] if cores > 1 else [])
+        assert len(serial) == len(prefetched) == 9
+        for a, b in zip(serial, prefetched):
             assert a.utt_ids == b.utt_ids
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.lengths, b.lengths)
+
+    def test_closing_cancels_queued_loads(self, tmp_path, monkeypatch):
+        if parallel.cores() < 2:
+            pytest.skip("one core loads in the caller")
+        index = build_corpus(tmp_path, [0.4 + 0.1 * i for i in range(9)])
+        spec = datapipe.build_buckets(index, num_buckets=3, tokens_per_batch=1)
+        first = datapipe.schedule_epoch(spec, index, seed=4, epoch=2)[0]
+        loaded = []
+
+        def load(desc, *_):
+            loaded.append(desc)
+            if desc != first:
+                threading.Event().wait(1.0)
+            return desc
+        monkeypatch.setattr(datapipe, "load_batch", load)
+        batches = datapipe.iter_epoch(spec, index, seed=4, epoch=2, workers=2)
+        assert next(batches) == first
+        batches.close()
+        # the first load, and one held on each of the two threads
+        assert len(loaded) <= 3, loaded
 
     def test_understated_duration_keeps_every_frame(self, tmp_path):
         # the manifest declares 2.0 s for 2.056 s of audio beside an exact entry

@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import threading
 
@@ -7,14 +6,15 @@ import numpy as np
 import pytest
 
 from rqspeech import autodiff as ad
-from rqspeech import encoder, pretrain
+from rqspeech import encoder, parallel, pretrain
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
+from rqspeech.parallel import blas_thread_count
 from rqspeech.quantizer import QuantizerConfig
 from rqspeech.seeding import keyed_rng
 
-from conftest import (blas_thread_count, float_dropout, masked_norm_node, relu_node,
-                      traced_bytes, unfold_time_node)
+from conftest import (float_dropout, masked_norm_node, relu_node, traced_bytes,
+                      unfold_time_node)
 
 TINY = EncoderConfig(num_layers=1, hidden=8, ffn=16, heads=2, conv_kernel=5, dropout=0.0)
 
@@ -1025,7 +1025,7 @@ class TestBatchSplit:
     def test_pool_and_one_core_paths_give_the_same_bits(self, monkeypatch):
         problem = split_problem()
         pooled, pooled_grads = run_encoder(monkeypatch, True, *problem)
-        monkeypatch.setattr(ad, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
         serial, serial_grads = run_encoder(monkeypatch, True, *problem)
         assert pooled.final.data.tobytes() == serial.final.data.tobytes()
         for name, grad in pooled_grads.items():
@@ -1054,8 +1054,8 @@ class TestBatchSplit:
                 assert grads[name].tobytes() == grad.tobytes(), name
 
     def test_halves_run_on_pool_threads_at_one_blas_thread(self, monkeypatch):
-        blas = ad._openblas_threads()
-        if blas is None or len(os.sched_getaffinity(0)) < 2:
+        blas = parallel.openblas_threads()
+        if blas is None or parallel.cores() < 2:
             pytest.skip("the halves run serially here")
         seen = []
         real = encoder._encode

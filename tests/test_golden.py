@@ -15,16 +15,14 @@ a change that moves bits on purpose, run
 from __future__ import annotations
 
 import ctypes
-import glob
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from rqspeech import datapipe, frontend, pretrain
+from rqspeech import datapipe, frontend, parallel, pretrain
 from rqspeech.cli import main
 
 from conftest import make_speechlike
@@ -52,12 +50,10 @@ def build_info() -> dict:
     CPU, or else the BLAS that numpy was built against."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     config = f"{blas.get('name')} {blas.get('version')} (build)"
-    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                      "numpy.libs", "*openblas*")):
-        get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_config64_", None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            config = get().decode()
+    get = getattr(parallel.openblas_library(), "scipy_openblas_get_config64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        config = get().decode()
     return {"numpy": np.__version__, "blas": config}
 
 
