@@ -187,8 +187,6 @@ def add(a, b):
         a = as_tensor(a)
         b = float(b)
         return _make(a.data + b, (a,), lambda g: (g,))
-    if isinstance(a, (int, float)):
-        return add(b, a)
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data + b.data, (a, b),
                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
@@ -199,8 +197,6 @@ def mul(a, b):
         a = as_tensor(a)
         b = float(b)
         return _make(a.data * b, (a,), lambda g: (g * b,))
-    if isinstance(a, (int, float)):
-        return mul(b, a)
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data * b.data, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.data.shape),

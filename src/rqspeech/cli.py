@@ -167,6 +167,9 @@ def cmd_pretrain(args) -> int:
                               + " or ".join(pretrain.LOAD_MODES))
         out_dir = Path(cfg.require("run", "output_dir"))
         index = _training_index(cfg)
+        cache_dir = cfg["pretrain"]["label_cache_dir"]
+        cached = [(utt, records.label_cache_path(cache_dir, utt.utt_id))
+                  for utt in index.entries] if cache_dir else []
 
     encoder_cfg = cfg.encoder_config()
     train_cfg = cfg.pretrain_config()
@@ -179,10 +182,8 @@ def cmd_pretrain(args) -> int:
         else:
             state = pretrain.init_train_state(encoder_cfg, train_cfg,
                                               run_config=cfg.flat_dict())
-    cache_dir = cfg["pretrain"]["label_cache_dir"]
-    if cache_dir:
-        with _failing(1, (ValueError, OSError)):
-            _warm_label_cache(state, index, Path(cache_dir))
+    with _failing(1, (ValueError, OSError)):
+        _warm_label_cache(state, cached)
     every = cfg["pretrain"]["checkpoint_every"]
     _train(cfg, index, state, train_cfg.total_steps,
            lambda batch, epoch: pretrain.train_step(state, batch, epoch),
@@ -193,27 +194,27 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _warm_label_cache(state: pretrain.TrainState, index, cache_dir: Path) -> None:
-    """Seed the in-memory label cache from MSEQ1 files that fit the quantizer."""
-    for utt in index.entries:
-        path = cache_dir / (utt.utt_id + ".lab")
+def _warm_label_cache(state: pretrain.TrainState, cached) -> None:
+    """Seed the in-memory label cache from the MSEQ1 files of ``cached``, its
+    (utterance, label file) pairs, that exist and fit the quantizer."""
+    for utt, path in cached:
         if path.is_file() and utt.duration <= datapipe.MAX_DURATION_S:
             state.label_cache[utt.utt_id] = records.read_label_cache(
                 path, state.quantizer_state.config)
 
 
 def cmd_quantize(args) -> int:
+    out_dir = Path(args.out)
     with _failing(2, (ValueError, OSError)):
         cfg = load_config(args.config)
         index = _load_index(cfg)
-    out_dir = Path(args.out)
+        paths = [records.label_cache_path(out_dir, utt.utt_id) for utt in index.entries]
     qs = quantizer.init_quantizer(cfg.seed, cfg.quantizer_config())
-    for utt in index.entries:
+    for utt, path in zip(index.entries, paths):
         # the utterance's own error names it; a bad feature gets its name
         with _failing(1, ValueError, lambda err: f"utterance {utt.utt_id}: {err}"), \
                 _failing(1, datapipe.UtteranceError):
             labels = quantizer.labels_for_mel(qs, frontend.log_mel(datapipe.load_utterance(utt)))
-        path = out_dir / (utt.utt_id + ".lab")
         with _writing():
             path.parent.mkdir(parents=True, exist_ok=True)
             records.write_label_cache(path, labels, qs.config.vocab_size)

@@ -7,8 +7,8 @@ Layout conventions:
   * activations are time-major (batch, frames, channels)
   * the feature extractor applies two kernel-3 stride-2 convolutions (each
     right-padded by one zero frame so its output length is exactly
-    floor(T / 2)), ReLU between, then a linear projection; total stride 4, so
-    encoder frames line up one-to-one with quantizer label frames. It is one
+    floor(T / 2)), ReLU between, then a linear projection; total stride 4
+    (``FRAME_STRIDE``), one encoder frame per quantizer label frame. It is one
     autodiff node (``ad.feature_extractor``) that keeps only its mel input
     and two valid-frame masks and recomputes its windows and activations in
     its backward
@@ -53,11 +53,12 @@ from .seeding import keyed_rng
 
 LN_EPS = 1e-5
 CONV_NORM_EPS = 1e-5
+FRAME_STRIDE = 2 * 2  # mel frames per encoder frame: two stride-2 convolutions
 MIN_INPUT_FRAMES = 8  # two stride-2 convolutions need at least one output frame
 INIT_BLOCK_VALUES = 1 << 17  # values per init draw: 1 MB of float64
-# a batch with at least this many padded label frames (B * T // 4) runs as two
-# halves on two cores; below it, thread start-up and the halves' second tape
-# walk cost more than the second core gains
+# a batch with at least this many padded label frames (B * T // FRAME_STRIDE)
+# runs as two halves on two cores; below it, thread start-up and the halves'
+# second tape walk cost more than the second core gains
 _SPLIT_MIN_FRAMES = 1024
 
 
@@ -192,17 +193,17 @@ def _valid_mask(lengths: np.ndarray, padded_len: int, dtype) -> np.ndarray:
 
 
 def _extract(params: dict, mel: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Feature extractor: (B, T, 80) log-Mel -> (B, floor(T/4), hidden), and
-    each utterance's valid output length floor(length / 4), its label count."""
+    """Feature extractor: (B, T, 80) log-Mel -> (B, T // FRAME_STRIDE, hidden),
+    and each utterance's valid output length, its label count."""
     t = mel.shape[1]
     # frames past each valid length must never reach the convolutions, whatever
     # the caller padded with
     if int(lengths.min()) < t:
         mel = mel * _valid_mask(lengths, t, mel.dtype)
     masks = [_valid_mask(lengths // 2, t // 2, mel.dtype),
-             _valid_mask(lengths // 4, t // 4, mel.dtype)]
+             _valid_mask(lengths // FRAME_STRIDE, t // FRAME_STRIDE, mel.dtype)]
     return (ad.feature_extractor(mel, masks, *_block_params(params, "extractor.", _EXTRACTOR)),
-            lengths // 4)
+            lengths // FRAME_STRIDE)
 
 
 # (hidden, dtype) -> the read-only encodings of offsets -M..M for the largest
@@ -283,7 +284,7 @@ def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarra
                          f"got shapes {mel.shape} and {lengths.shape}")
     if int(lengths.min()) < MIN_INPUT_FRAMES:
         raise ValueError(f"utterance too short: need >= {MIN_INPUT_FRAMES} input frames")
-    if len(lengths) < 2 or len(lengths) * (mel.shape[1] // 4) < _SPLIT_MIN_FRAMES:
+    if len(lengths) < 2 or len(lengths) * (mel.shape[1] // FRAME_STRIDE) < _SPLIT_MIN_FRAMES:
         return _encode(params, cfg, mel, lengths, train, rng)
     return _encode_halves(params, cfg, mel, lengths, train, rng)
 

@@ -4,10 +4,11 @@ A character tokenizer (id 0 reserved for the CTC blank) and a single linear
 head over the encoder's final state turn the model into a speech recognizer.
 Finetuning keeps the encoder frozen for the first ``freeze_steps`` steps, then
 trains jointly with distinct encoder/decoder learning-rate schedules, under
-pretrain's Adam and clipping constants and one record of moments: the head's
-update count is the step, the encoder's the step less ``freeze_steps``.
-A run reads the encoder and draws the CTC head, a load draws nothing (both
-by ``pretrain.build_tensors``). SpecAugment runs on training features only.
+pretrain's Adam and clipping constants, one record of moments and one
+gradient dict: the head's update count is the step, the encoder's the step
+less ``freeze_steps``. A run reads the encoder and draws the CTC head, whose
+shapes are this module's; a load draws nothing (``pretrain.build_tensors``).
+SpecAugment runs on training features only.
 
 The CTC loss is the exact forward recursion in log space, one autodiff node
 (``ad.ctc_nll``) for a whole padded batch, whose backward runs the beta
@@ -16,9 +17,9 @@ padded lattice for it, and ``ctc_loss`` is its batch of one. Decoding
 offers per-frame greedy collapse and a prefix beam search that merges
 equivalent prefixes by log-sum-exp. The greedy collapse is one mask over the
 argmax path, and the beam search scores each frame as one (beams ×
-vocabulary) numpy grid. Its prefixes are integer nodes of a trie, so a frame
-costs the same however long the prefixes are: one integer lookup per beam
-finds the extensions that equal a kept prefix, a scalar log-sum-exp on
+vocabulary) numpy grid. A beam is its prefix's trie node and two scores, so a
+frame costs the same however long the prefixes are: one integer lookup per
+beam finds the extensions that equal a kept prefix, a scalar log-sum-exp on
 Python floats folds them in, and one stable argsort picks the survivors.
 No language model.
 """
@@ -256,10 +257,9 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
     # each prefix is one node of a trie: node 0 is the empty prefix, node n
     # extends node parent[n] by symbol[n], and child[(n, c)] finds it again
     parent, symbol, child = [-1], [BLANK_ID], {}
-    nodes = [0]                    # the prefix node of each beam
-    # last symbol of each prefix; blank for the empty one, whose pnb stays
-    # -inf and whose column 0 is overwritten
-    last = [BLANK_ID]
+    # the prefix node of each beam, whose symbol is the prefix's last; the
+    # empty prefix's is blank, its pnb stays -inf and its column 0 is overwritten
+    nodes = [0]
     pb = [0.0]                     # log P(prefix, path ends in blank)
     pnb = [NEG_INF]                # log P(prefix, path ends in its last symbol)
     total_l = [_logaddexp(pb[0], pnb[0])]
@@ -273,7 +273,8 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
         fr = frame.tolist()
         blank_score = fr[BLANK_ID]
         blank, stay = [], []
-        for j, c in enumerate(last):
+        for j, n in enumerate(nodes):
+            c = symbol[n]
             repeat = fr[c]
             if c:
                 flat[j * vocab + c] = pb[j] + repeat
@@ -291,7 +292,7 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
                 flat[j * vocab] = _logaddexp(blank[j], stay[j])
                 continue
             c = symbol[n]
-            merged = (pb[i] if c == last[i] else total_l[i]) + fr[c]
+            merged = (pb[i] if c == symbol[nodes[i]] else total_l[i]) + fr[c]
             if merged != NEG_INF:
                 stay[j] = _logaddexp(stay[j], merged)
             # the sum takes the earlier of its two slots, the other gets NaN
@@ -312,7 +313,7 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
         total = flat[order]
         total_l = total.tolist()
 
-        next_nodes, pb_l, pnb_l, next_last = [], [], [], []
+        next_nodes, pb_l, pnb_l = [], [], []
         for slot, score in zip(order.tolist(), total_l):
             i = moved.get(slot)
             i, c = divmod(slot, vocab) if i is None else (i, BLANK_ID)
@@ -326,13 +327,11 @@ def beam_decode(logprobs, beam_width: int) -> Hypothesis:
                     symbol.append(c)
                 pb_l.append(NEG_INF)
                 pnb_l.append(score)
-                next_last.append(c)
             else:
                 pb_l.append(blank[i])
                 pnb_l.append(stay[i])
-                next_last.append(last[i])
             next_nodes.append(n)
-        nodes, pb, pnb, last = next_nodes, pb_l, pnb_l, next_last
+        nodes, pb, pnb = next_nodes, pb_l, pnb_l
 
     # survivors are sorted best first
     tokens = []
@@ -415,8 +414,9 @@ def _finetune_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
                     tokenizer: CharTokenizer, reads, moments: bool = False) -> FinetuneState:
     """A step-0 state: the encoder ``header`` names and a CTC head for ``tokenizer``."""
     encoder_cfg = header["encoder_config"]
+    vocab = tokenizer.vocab_size
     shapes = {**enc.param_shapes(encoder_cfg),
-              **pretrain._ctc_head_shapes(encoder_cfg, tokenizer.vocab_size)}
+              "ctc_head.weight": (encoder_cfg.hidden, vocab), "ctc_head.bias": (vocab,)}
     params, adam = pretrain.build_tensors(shapes, cfg.seed, (tensors, path), reads, moments)
     return FinetuneState(encoder_cfg=encoder_cfg, cfg=cfg, tokenizer=tokenizer,
                          params=params, adam=adam)
@@ -463,13 +463,11 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
     state.step += 1
     frozen = state.step <= cfg.freeze_steps
     lr_head = pretrain.lr_schedule(state.step, cfg.decoder_lr, cfg.warmup_steps)
-    head = state.head_params()
-    pretrain.adam_step(head, {k: grads[k] for k in head}, state.adam, lr_head, state.step)
+    pretrain.adam_step(state.head_params(), grads, state.adam, lr_head, state.step)
     if not frozen:  # the encoder's first update comes after the freeze
         lr_enc = pretrain.lr_schedule(state.step, cfg.encoder_lr, cfg.warmup_steps)
-        encoder_group = state.encoder_params()
-        pretrain.adam_step(encoder_group, {k: grads[k] for k in encoder_group}, state.adam,
-                           lr_enc, state.step - cfg.freeze_steps)
+        pretrain.adam_step(state.encoder_params(), grads, state.adam, lr_enc,
+                           state.step - cfg.freeze_steps)
 
     return {"step": state.step, "loss": loss_val, "frozen": frozen,
             "lr_head": lr_head,

@@ -179,7 +179,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, t: int) ->
     """Adam's ``t``-th update of ``params`` (bias-corrected, no weight decay)
     in place, in blocks of ``ADAM_BLOCK_VALUES`` values, so its temporaries
     stay in cache; each block takes the whole-tensor formula, so the bits do
-    not depend on them. ``state`` may hold moments of other parameters too."""
+    not depend on them. Of ``grads`` and ``state``, only the entries of
+    ``params`` are read."""
     beta1, beta2 = ADAM_BETAS
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
@@ -215,10 +216,6 @@ class TrainState:
 def _head_shapes(encoder_cfg: enc.EncoderConfig, qcfg: quant.QuantizerConfig) -> dict:
     n_out = qcfg.num_codebooks * qcfg.vocab_size
     return {"head.weight": (encoder_cfg.hidden, n_out), "head.bias": (n_out,)}
-
-
-def _ctc_head_shapes(encoder_cfg: enc.EncoderConfig, vocab_size: int) -> dict:
-    return {"ctc_head.weight": (encoder_cfg.hidden, vocab_size), "ctc_head.bias": (vocab_size,)}
 
 
 def build_tensors(shapes: dict, seed: int, checkpoint=None, reads=lambda name: True,

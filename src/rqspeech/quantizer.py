@@ -1,12 +1,12 @@
 """Frozen random-projection quantizer: the label source for pretraining.
 
-Pipeline per utterance: stack 4 consecutive Mel frames into 320-channel label
-frames (4x downsampling), normalize each channel over the utterance, project
-through a frozen random matrix per codebook, and take the nearest codeword by
-squared Euclidean distance. Everything here is deterministic in (seed, config)
-and immutable after construction; masking never touches the targets, so labels
-may be computed once per utterance and cached (``records`` holds the cache
-format).
+Pipeline per utterance: stack ``STACK_WINDOW`` Mel frames at a time, the
+encoder's stride, into 320-channel label frames, normalize each channel over
+the utterance, project through a frozen random matrix per codebook, and take
+the nearest codeword by squared Euclidean distance. Everything here is
+deterministic in (seed, config) and immutable after construction; masking
+never touches the targets, so labels may be computed once per utterance and
+cached (``records`` holds the cache format).
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import FRAME_STRIDE
 from .frontend import NUM_MEL_BINS
-# the label cache's I/O, which the benchmark calls and traces on this module
+# the label cache's I/O, re-exported for the benchmark alone, which traces it here
 from .records import LABEL_CACHE_MAX_VOCAB, read_label_cache, write_label_cache  # noqa: F401
 from .seeding import keyed_rng
 
-STACK_WINDOW = 4
+STACK_WINDOW = FRAME_STRIDE  # Mel frames per label frame
 NORM_EPS = 1e-8
 # label frames per nearest-codeword block: the (rows, V) float64 screen of one
 # block stays at 4 MB for V = 2048, whatever the utterance length

@@ -2,9 +2,10 @@
 
 Checkpoints (format "MSEC") carry every named tensor (encoder + head + Adam
 moments), the step counter, and the run configuration; label caches (format
-"MSEQ1") carry one utterance's frozen labels. Each format has one writer and
-one reader, which fills each array with one read at its offset. Of the
-package only ``encoder`` is imported, for the ``EncoderConfig`` the
+"MSEQ1") carry one utterance's frozen labels, in the file that
+``label_cache_path`` names inside a label directory. Each format has one
+writer and one reader, which fills each array with one read at its offset.
+Of the package only ``encoder`` is imported, for the ``EncoderConfig`` the
 checkpoint reader builds.
 """
 
@@ -161,6 +162,17 @@ def _read_records(f, path: Path, keep):
             wanted.append((name, shape, base + start))
     return header, {name: _read_array(f, at, shape, "<f4", truncated)
                     for name, shape, at in wanted}
+
+
+def label_cache_path(directory, utt_id: str) -> Path:
+    """``<directory>/<utt_id>.lab``, the label cache of utterance ``utt_id``.
+
+    An id may name subdirectories, but an absolute id or one with a ``..``
+    part would name a file outside ``directory``: that is a ValueError
+    naming the id and the directory."""
+    if Path(utt_id).is_absolute() or ".." in Path(utt_id).parts:
+        raise ValueError(f"utterance id {utt_id!r} names a label file outside {directory}")
+    return Path(directory) / (utt_id + ".lab")
 
 
 def write_label_cache(path, labels: np.ndarray, vocab_size: int) -> None:

@@ -6,12 +6,15 @@ import io
 import os
 import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from rqspeech import config as cfgmod
-from rqspeech import datapipe, encoder, finetune, frontend, masking, pretrain, quantizer, records
+from rqspeech import (cli, datapipe, encoder, finetune, frontend, masking, pretrain, quantizer,
+                      records)
 from rqspeech.cli import main
 
 from conftest import make_speechlike, rewrite_checkpoint_header
@@ -595,7 +598,7 @@ class TestPretrainCommand:
         cache.mkdir()
         labels = np.random.default_rng(0).integers(0, vocab, size=(14, codebooks))
         labels[0, 0] = vocab - 1
-        quantizer.write_label_cache(cache / "utt01.lab", labels, vocab)
+        records.write_label_cache(cache / "utt01.lab", labels, vocab)
         cfg = tmp_path / "c.ini"
         write_pretrain_config(cfg, corpus, tmp_path / "out", label_cache_dir=cache)
         assert main(["pretrain", "--config", str(cfg)]) == 1
@@ -613,7 +616,7 @@ class TestPretrainCommand:
         cache = tmp_path / "cache"
         cache.mkdir()
         labels = np.random.default_rng(0).integers(0, 32, size=(rows, 2))
-        quantizer.write_label_cache(cache / "utt01.lab", labels, 32)
+        records.write_label_cache(cache / "utt01.lab", labels, 32)
         cfg_path = tmp_path / "c.ini"
         out_dir = tmp_path / "out"
         write_pretrain_config(cfg_path, corpus, out_dir, total_steps=50,
@@ -749,6 +752,52 @@ class TestQuantizeCommand:
                      str(tmp_path / "cache")]) == 1
         assert "utterance utt01: Mel frame 9 is not finite" in capsys.readouterr().err
 
+    @staticmethod
+    def ids_config(tmp_path, ids, label_cache_dir=""):
+        """Config whose manifest lists one 0.6 s WAV under each of ``ids``."""
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("".join(f"{utt_id}\t{corpus / 'utt00.wav'}\t0.6\n"
+                                    for utt_id in ids), encoding="utf-8")
+        path = tmp_path / "c.ini"
+        write_pretrain_config(path, corpus, tmp_path / "out", label_cache_dir=label_cache_dir)
+        path.write_text(path.read_text().replace(f"root = {corpus}", f"manifest = {manifest}"))
+        return path
+
+    @pytest.mark.parametrize("command", ["quantize", "pretrain"])
+    @pytest.mark.parametrize("escape", ["../x", "a/../../x", "absolute"])
+    def test_id_naming_a_file_outside_the_label_directory_exit_2(self, tmp_path, capsys,
+                                                                 monkeypatch, command, escape):
+        # every escape would name <tmp>/run/x.lab, so a regression writes or
+        # reads inside this test's own directory only
+        labels = tmp_path / "run" / "labels"
+        utt_id = str(tmp_path / "run" / "x") if escape == "absolute" else escape
+        path = self.ids_config(tmp_path, ["ok", utt_id],
+                               label_cache_dir=labels if command == "pretrain" else "")
+        computed = []
+        monkeypatch.setattr(quantizer, "labels_for_mel", lambda *args: computed.append(args))
+        out_arg = ["--out", str(labels)] if command == "quantize" else []
+        assert main([command, "--config", str(path), *out_arg]) == 2
+        assert capsys.readouterr().err == (f"error: utterance id {utt_id!r} names a label "
+                                           f"file outside {labels}\n")
+        assert computed == []
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+    def test_ids_with_subdirectories_or_inner_dots_stay_inside(self, tmp_path, monkeypatch):
+        labels = tmp_path / "labels"
+        path = self.ids_config(tmp_path, ["spk1/utt1", "a..b"], label_cache_dir=labels)
+        assert main(["quantize", "--config", str(path), "--out", str(labels)]) == 0
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.lab")) == [
+            "labels/a..b.lab", "labels/spk1/utt1.lab"]
+        warmed = {}
+
+        def stop(cfg, index, state, *args):
+            warmed.update(state.label_cache)
+        monkeypatch.setattr(cli, "_train", stop)
+        assert main(["pretrain", "--config", str(path)]) == 0
+        assert sorted(warmed) == ["a..b", "spk1/utt1"]
+
     def test_pretrain_with_warm_label_cache_matches_online(self, tmp_path):
         corpus = tmp_path / "corpus"
         write_corpus(corpus, [0.6, 0.9])
@@ -815,7 +864,7 @@ class TestQuantizeCommand:
             frames = int(batch.lengths[i])
             utt = next(u for u in index.entries if u.utt_id == utt_id)
             assert frames == datapipe.frames_for_duration(utt.duration)
-            labels = quantizer.read_label_cache(cache / (utt_id + ".lab"))
+            labels = records.read_label_cache(cache / (utt_id + ".lab"))
             assert labels.shape[0] == frames // 4
 
     def test_offline_cache_matches_online_labels(self, tmp_path):
@@ -832,7 +881,7 @@ class TestQuantizeCommand:
         for utt in index.entries:
             w = frontend.load_audio(utt.path)
             online = quantizer.labels_for_mel(qs, frontend.log_mel(w))
-            cached = quantizer.read_label_cache(cache / (utt.utt_id + ".lab"))
+            cached = records.read_label_cache(cache / (utt.utt_id + ".lab"))
             assert np.array_equal(online, cached)
 
 
@@ -1252,3 +1301,13 @@ dropout = 0.1
         lines = [l for l in out.strip().splitlines() if "\t" in l]
         total = int(out.strip().splitlines()[-1].split(":")[1])
         assert total == sum(int(l.split("\t")[1]) for l in lines)
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), ([], 2)])
+def test_module_entry_exits_with_the_command_code(args, code):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-m", "rqspeech.cli", *args], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == code
+    if code == 0:
+        assert run.stdout.startswith("usage: ")

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 import pytest
 
-from rqspeech import cli, datapipe, finetune, pretrain, quantizer
+from rqspeech import cli, datapipe, finetune, frontend, pretrain, records
 from rqspeech.cli import main
 from rqspeech.config import SCHEMA, ConfigError, load_config
 
@@ -468,7 +468,7 @@ def test_intact_label_cache_gets_past_loading(inputs, label_caches, tmp_path, mo
     assert main(argv) == 0
     assert sorted(warmed) == ["utt00", "utt01", "utt02"]
     for utt_id, labels in warmed.items():
-        assert np.array_equal(labels, quantizer.read_label_cache(
+        assert np.array_equal(labels, records.read_label_cache(
             tmp_path / "cache" / f"{utt_id}.lab"))
 
 
@@ -528,6 +528,20 @@ def test_bad_wav_exits_1_naming_utterance_and_file(inputs, tmp_path, capsys, com
         assert [p for p in outputs if p.exists()] == []  # not even the empty labels/
     else:
         assert [p for out in outputs for p in [out, *out.rglob("*")] if p.is_file()] == []
+
+
+def test_empty_8k_wav_exits_1_as_too_short(inputs, tmp_path, capsys):
+    """The one input that resamples to no sample: an 8 kHz WAV without data,
+    which its manifest declares at 1.0 s."""
+    wav = tmp_path / "e.wav"
+    frontend.write_wav(wav, np.zeros(0), 8000)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"e\t{wav}\t1.0\n", encoding="utf-8")
+    argv, outputs = _quantize_on(manifest, inputs, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: utterance e at {wav} holds 0.0000 s of audio, "
+                                       f"less than the 0.3 s minimum\n")
+    assert [p for p in outputs if p.exists()] == []
 
 
 # numeric config keys at 0 and -1 --------------------------------------------------

@@ -9,7 +9,6 @@ from rqspeech import autodiff as ad
 from rqspeech import encoder, parallel, pretrain
 from rqspeech.autodiff import Tensor
 from rqspeech.encoder import EncoderConfig
-from rqspeech.parallel import blas_thread_count
 from rqspeech.quantizer import QuantizerConfig
 from rqspeech.seeding import keyed_rng
 
@@ -1097,11 +1096,9 @@ class TestBatchSplit:
                 raise FloatingPointError("encoder produced non-finite values")
             return real(params, cfg, mel, lengths, train, rng)
         monkeypatch.setattr(encoder, "_encode", failing)
-        before = blas_thread_count()
         with pytest.raises(FloatingPointError, match="non-finite"):
             run_encoder(monkeypatch, True, *split_problem())
         assert not any(t.name.startswith("encode") for t in threading.enumerate())
-        assert blas_thread_count() == before
 
     def test_backward_error_in_one_half_reraised(self, monkeypatch):
         # the loss's walk is call 1 and the halves' walks are calls 2 and 3
@@ -1116,12 +1113,10 @@ class TestBatchSplit:
                 raise MemoryError("half walk")
             return real(root, grad)
         monkeypatch.setattr(ad, "_backprop", failing)
-        before = blas_thread_count()
         with pytest.raises(MemoryError, match="half walk"):
             run_encoder(monkeypatch, True, *split_problem())
         assert len(calls) == 3
         assert not any(t.name.startswith("encode") for t in threading.enumerate())
-        assert blas_thread_count() == before
 
     @pytest.mark.parametrize("shape, splits", [
         ((40, 400), True),    # the pretrain benchmark's batch: 40 x 100 label frames

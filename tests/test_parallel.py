@@ -4,11 +4,14 @@ The layering tests parse every module of ``src/rqspeech`` with ``ast``: only
 ``parallel.py`` imports ``concurrent.futures``, ``ctypes`` or ``threading``,
 calls ``os.sched_getaffinity`` or ``os.cpu_count``, or constructs a
 ``ThreadPoolExecutor``, so no other module starts a thread, counts the cores
-or touches OpenBLAS.
+or touches OpenBLAS. The OpenBLAS fallbacks run with the lookups substituted,
+and start no thread.
 """
 
 import ast
 from pathlib import Path
+
+from rqspeech import parallel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rqspeech"
 OWNER = "parallel.py"
@@ -64,3 +67,16 @@ def test_violations_are_found():
         "datapipe.py:7: calls ThreadPoolExecutor",
         "datapipe.py:8: calls ThreadPoolExecutor"]
     assert thread_code(OWNER, source) == []
+
+
+def test_blas_hold_without_openblas_holds_nothing(monkeypatch):
+    monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
+    with parallel.one_blas_thread():
+        assert parallel.blas_thread_count() is None
+
+
+def test_openblas_library_that_does_not_load_is_none(monkeypatch, tmp_path):
+    junk = tmp_path / "libscipy_openblas64_-junk.so"
+    junk.write_bytes(b"not a shared library")
+    monkeypatch.setattr(parallel.glob, "glob", lambda pattern: [str(junk)])
+    assert parallel.openblas_library.__wrapped__() is None

@@ -284,22 +284,22 @@ class TestLabelCache:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 2048, size=(37, 32)).astype(np.int32)
         path = tmp_path / "utt.lab"
-        quantizer.write_label_cache(path, labels, 2048)
-        assert np.array_equal(quantizer.read_label_cache(path), labels)
+        records.write_label_cache(path, labels, 2048)
+        assert np.array_equal(records.read_label_cache(path), labels)
 
     def test_read_is_uint16_at_stored_width(self, tmp_path):
         labels = np.random.default_rng(1).integers(0, 65536, size=(37, 32))
         labels[0, 0] = 65535
         path = tmp_path / "utt.lab"
-        quantizer.write_label_cache(path, labels, 65536)
-        got = quantizer.read_label_cache(path)
+        records.write_label_cache(path, labels, 65536)
+        got = records.read_label_cache(path)
         assert got.dtype == np.uint16 and got.nbytes == 37 * 32 * 2
         assert np.array_equal(got, labels)
 
     def test_header_layout(self, tmp_path):
         labels = np.array([[1, 2], [3, 4]], dtype=np.int32)
         path = tmp_path / "x.lab"
-        quantizer.write_label_cache(path, labels, 16)
+        records.write_label_cache(path, labels, 16)
         raw = path.read_bytes()
         assert raw.startswith(b"MSEQ1 2 2 16\n")
         body = np.frombuffer(raw.split(b"\n", 1)[1], dtype="<u2")
@@ -308,22 +308,22 @@ class TestLabelCache:
     def test_truncated_rejected(self, tmp_path):
         labels = np.zeros((4, 4), dtype=np.int32)
         path = tmp_path / "t.lab"
-        quantizer.write_label_cache(path, labels, 8)
+        records.write_label_cache(path, labels, 8)
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])
         with pytest.raises(ValueError, match="truncated"):
-            quantizer.read_label_cache(path)
+            records.read_label_cache(path)
 
     @pytest.mark.parametrize("header", [b"MSEQ1 2 x 16", b"MSEQ1 2 2 1.5", b"MSEQ1 -1 2 16"])
     def test_non_integer_header_field_names_path(self, tmp_path, header):
         path = tmp_path / "h.lab"
         path.write_bytes(header + b"\n" + bytes(8))
         with pytest.raises(ValueError, match=f"not a label cache file: {path}"):
-            quantizer.read_label_cache(path)
+            records.read_label_cache(path)
 
     def test_failed_write_keeps_previous_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "u.lab"
-        quantizer.write_label_cache(path, np.ones((6, 2), np.int32), 8)
+        records.write_label_cache(path, np.ones((6, 2), np.int32), 8)
         before = path.read_bytes()
 
         class HalfWritten:
@@ -346,7 +346,7 @@ class TestLabelCache:
         monkeypatch.setattr(records, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError, match="No space left"):
-            quantizer.write_label_cache(path, np.zeros((9, 2), np.int32), 8)
+            records.write_label_cache(path, np.zeros((9, 2), np.int32), 8)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["u.lab"]
 
@@ -358,4 +358,4 @@ class TestLabelCache:
 
     def test_oversized_vocab_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="65536"):
-            quantizer.write_label_cache(tmp_path / "v.lab", np.zeros((1, 1), np.int32), 70000)
+            records.write_label_cache(tmp_path / "v.lab", np.zeros((1, 1), np.int32), 70000)

@@ -3,7 +3,9 @@
 The reader tests pin the 64-bit bound on a checkpoint's ``step`` and the
 bounded read of a label cache's header. The layering tests parse every
 module of ``src/rqspeech`` with ``ast``: only ``records.py`` calls
-``os.replace`` or holds a format's magic, only it and ``frontend.py`` (whose
+``os.replace``, holds a format's magic or names a ``.lab`` file, and
+``label_cache_path`` keeps every label file inside its directory; only it
+and ``frontend.py`` (whose
 WAV headers are the corpus's format, not a record of the run) import
 ``struct``, and ``records.py`` imports only the standard library, numpy and
 ``.encoder``.
@@ -79,6 +81,19 @@ def asked(monkeypatch):
     return sizes
 
 
+@pytest.mark.parametrize("utt_id, name", [("u", "u.lab"), ("spk1/utt1", "spk1/utt1.lab"),
+                                          ("a..b", "a..b.lab"), ("...", "....lab")])
+def test_label_cache_path_inside_its_directory(tmp_path, utt_id, name):
+    assert records.label_cache_path(tmp_path, utt_id) == tmp_path / name
+
+
+@pytest.mark.parametrize("utt_id", ["../x", "a/../../x", "..", "a/..", "/x"])
+def test_label_cache_path_outside_its_directory_refused(tmp_path, utt_id):
+    with pytest.raises(ValueError, match=f"^utterance id {utt_id!r} names a label file "
+                                         f"outside {tmp_path}$"):
+        records.label_cache_path(tmp_path, utt_id)
+
+
 def test_label_cache_header_read_is_bounded(tmp_path, asked):
     path = tmp_path / "u.lab"
     records.write_label_cache(path, np.arange(6).reshape(3, 2), 8)
@@ -125,6 +140,9 @@ def record_code(module: str, source: str) -> list[str]:
                 type(node.value) is type(magic) and node.value.startswith(magic)
                 for magic in MAGICS):
             found.append(f"{module}:{node.lineno}: holds {node.value!r}")
+        if isinstance(node, ast.Constant) and type(node.value) is str and node.value.endswith(
+                ".lab"):
+            found.append(f"{module}:{node.lineno}: names a label file {node.value!r}")
     return found
 
 
@@ -172,3 +190,9 @@ def test_violations_are_found():
     assert record_code("frontend.py", source)[0] == "frontend.py:6: calls os.replace"
     assert record_code(OWNER, source) == []
     assert foreign_imports(source) == [".pretrain", ".quantizer"]
+
+
+def test_label_file_names_are_found():
+    source = "path = cache / (utt_id + '.lab')\nhelp = 'one .lab file per id'\n"
+    assert record_code("cli.py", source) == ["cli.py:1: names a label file '.lab'"]
+    assert record_code(OWNER, source) == []
