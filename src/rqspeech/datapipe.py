@@ -65,14 +65,13 @@ class Bucket:
 
 @dataclass(frozen=True)
 class BucketSpec:
-    boundaries: tuple  # ascending upper duration edges, one per bucket
-    buckets: tuple
+    buckets: tuple  # by ascending max_duration; a bucket's id is its index
 
     def bucket_of(self, duration: float) -> int:
-        for i, edge in enumerate(self.boundaries):
-            if duration <= edge:
-                return i
-        return len(self.boundaries) - 1
+        for bucket in self.buckets:
+            if duration <= bucket.max_duration:
+                return bucket.bucket_id
+        return len(self.buckets) - 1
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,8 @@ def build_buckets(index: CorpusIndex, num_buckets: int = DEFAULT_NUM_BUCKETS,
                   tokens_per_batch: int = DEFAULT_TOKENS_PER_BATCH) -> BucketSpec:
     """Equal-count duration split; batch size inversely proportional to length.
 
-    Duplicate boundaries (fewer distinct durations than buckets) are merged
-    with a warning.
+    Buckets whose upper edges coincide (fewer distinct durations than
+    buckets) are merged into one, with a warning.
     """
     if not index.entries:
         raise ValueError("cannot bucket an empty corpus index")
@@ -206,39 +205,33 @@ def build_buckets(index: CorpusIndex, num_buckets: int = DEFAULT_NUM_BUCKETS,
         batch_size = max(1, tokens_per_batch // max(max_frames, 1))
         buckets.append(Bucket(bucket_id=i, max_duration=edge,
                               max_frames=max_frames, batch_size=batch_size))
-    return BucketSpec(boundaries=tuple(merged), buckets=tuple(buckets))
+    return BucketSpec(buckets=tuple(buckets))
 
 
 def schedule_epoch(spec: BucketSpec, index: CorpusIndex, seed: int,
                    epoch: int) -> list:
     """Per-bucket shuffles grouped into batches, interleaved by sampling the
     next batch's bucket with probability proportional to its remaining count."""
-    members = {b.bucket_id: [] for b in spec.buckets}
+    members = [[] for _ in spec.buckets]
     for utt in index.entries:
         members[spec.bucket_of(utt.capped_duration)].append(utt)
 
-    queues = {}
-    for bucket in spec.buckets:
-        utts = members[bucket.bucket_id]
+    queues = []
+    for bucket, utts in zip(spec.buckets, members):
         order = keyed_rng(seed, "shuffle", epoch, bucket.bucket_id).permutation(len(utts))
         shuffled = [utts[i] for i in order]
-        batches = [tuple(shuffled[i: i + bucket.batch_size])
-                   for i in range(0, len(shuffled), bucket.batch_size)]
-        queues[bucket.bucket_id] = batches
+        queues.append([tuple(shuffled[i: i + bucket.batch_size])
+                       for i in range(0, len(shuffled), bucket.batch_size)])
 
     rng = keyed_rng(seed, "schedule", epoch)
-    bucket_ids = sorted(queues)
-    remaining = np.array([len(queues[b]) for b in bucket_ids], dtype=np.float64)
-    taken = {b: 0 for b in bucket_ids}
+    remaining = np.array([len(q) for q in queues], dtype=np.float64)
+    taken = [0] * len(queues)
     out = []
     while remaining.sum() > 0:
-        probs = remaining / remaining.sum()
-        choice = int(rng.choice(len(bucket_ids), p=probs))
-        b = bucket_ids[choice]
-        out.append(BatchDescriptor(epoch=epoch, bucket_id=b,
-                                   utterances=queues[b][taken[b]]))
+        b = int(rng.choice(len(queues), p=remaining / remaining.sum()))
+        out.append(BatchDescriptor(epoch=epoch, bucket_id=b, utterances=queues[b][taken[b]]))
         taken[b] += 1
-        remaining[choice] -= 1
+        remaining[b] -= 1
     return out
 
 

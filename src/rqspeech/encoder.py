@@ -246,27 +246,6 @@ def _block_params(p: dict, prefix: str, table) -> list:
     return [p[prefix + name] for name, _ in table]
 
 
-def _rel_attention(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
-                   key_mask: np.ndarray, pos_enc: np.ndarray, train: bool, rng) -> Tensor:
-    return ad.attention_block(x, key_mask, pos_enc, *_block_params(p, prefix, _ATTN),
-                              cfg.heads, LN_EPS, cfg.dropout if train else 0.0, rng)
-
-
-def _half_ffn(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
-              train: bool, rng) -> Tensor:
-    return ad.half_ffn(x, *_block_params(p, prefix, _FFN), LN_EPS,
-                       cfg.dropout if train else 0.0, rng)
-
-
-def _conv_block(p: dict, prefix: str, cfg: EncoderConfig, x: Tensor,
-                mask: np.ndarray, train: bool, rng) -> Tensor:
-    # the mask zeroes padded frames before the depthwise kernel reads them,
-    # and the module's second norm takes per-(utterance, channel) statistics
-    # over valid frames only
-    return ad.conv_module(x, mask, *_block_params(p, prefix, _CONV), LN_EPS,
-                          CONV_NORM_EPS, cfg.dropout if train else 0.0, rng)
-
-
 def encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,
            *, train: bool = False, rng=None) -> EncoderOutput:
     """The network's one forward pass: feature extractor, then Conformer stack.
@@ -300,13 +279,19 @@ def _encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarr
     mask = _valid_mask(lengths, l, dtype)
     pos_enc = sinusoid_offsets(l - 1, cfg.hidden, dtype)
 
+    drop = cfg.dropout if train else 0.0
     states = [x]
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
-        x = _half_ffn(params, p + "ffn1.", cfg, x, train, rng)
-        x = _rel_attention(params, p + "attn.", cfg, x, key_mask, pos_enc, train, rng)
-        x = _conv_block(params, p + "conv.", cfg, x, mask, train, rng)
-        x = _half_ffn(params, p + "ffn2.", cfg, x, train, rng)
+        x = ad.half_ffn(x, *_block_params(params, p + "ffn1.", _FFN), LN_EPS, drop, rng)
+        x = ad.attention_block(x, key_mask, pos_enc, *_block_params(params, p + "attn.", _ATTN),
+                               cfg.heads, LN_EPS, drop, rng)
+        # the mask zeroes padded frames before the depthwise kernel reads them,
+        # and the module's second norm takes per-(utterance, channel) statistics
+        # over valid frames only
+        x = ad.conv_module(x, mask, *_block_params(params, p + "conv.", _CONV), LN_EPS,
+                           CONV_NORM_EPS, drop, rng)
+        x = ad.half_ffn(x, *_block_params(params, p + "ffn2.", _FFN), LN_EPS, drop, rng)
         x = ad.layer_norm(x, *_block_params(params, p + "out_ln.", _LAYER_BLOCKS["out_ln"]),
                           LN_EPS)
         states.append(x)

@@ -130,20 +130,19 @@ def spec_augment(mel: np.ndarray, cfg: SpecAugmentConfig,
     """Zero random frequency bands always; zero time spans behind a
     per-utterance coin with probability ``time_apply_prob``."""
     out = mel.copy()
-    t, bins = out.shape
-    apply_time = rng.random() < cfg.time_apply_prob
-    if apply_time:
-        for _ in range(cfg.time_masks):
-            width = int(rng.integers(0, cfg.max_time_width + 1))
-            width = min(width, t)
-            start = int(rng.integers(0, t - width + 1))
-            out[start: start + width, :] = 0.0
-    for _ in range(cfg.freq_masks):
-        width = int(rng.integers(0, cfg.max_freq_width + 1))
-        width = min(width, bins)
-        start = int(rng.integers(0, bins - width + 1))
-        out[:, start: start + width] = 0.0
+    if rng.random() < cfg.time_apply_prob:
+        _zero_bands(out, cfg.time_masks, cfg.max_time_width, rng)
+    _zero_bands(out.T, cfg.freq_masks, cfg.max_freq_width, rng)
     return out
+
+
+def _zero_bands(rows: np.ndarray, count: int, max_width: int, rng) -> None:
+    """Zero ``count`` bands of ``rows``, each a width in [0, max_width], cut
+    to the row count, then a start drawn so that the band fits."""
+    for _ in range(count):
+        width = min(int(rng.integers(0, max_width + 1)), len(rows))
+        start = int(rng.integers(0, len(rows) - width + 1))
+        rows[start: start + width] = 0.0
 
 
 # CTC --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import struct
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -168,10 +168,16 @@ def label_cache_path(directory, utt_id: str) -> Path:
     """``<directory>/<utt_id>.lab``, the label cache of utterance ``utt_id``.
 
     An id may name subdirectories, but an absolute id or one with a ``..``
-    part would name a file outside ``directory``: that is a ValueError
-    naming the id and the directory."""
+    part would name a file outside ``directory``, and an id spelled other
+    than its normalized path (``a//b``, ``./a``, ``a/``, the empty id) would
+    share its file with another id: each is a ValueError naming the id and
+    the directory."""
     if Path(utt_id).is_absolute() or ".." in Path(utt_id).parts:
         raise ValueError(f"utterance id {utt_id!r} names a label file outside {directory}")
+    path = str(PurePosixPath(utt_id))
+    if path != utt_id:
+        raise ValueError(f"utterance id {utt_id!r} is not spelled as the path {path!r} "
+                         f"that names its label file in {directory}")
     return Path(directory) / (utt_id + ".lab")
 
 

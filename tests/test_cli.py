@@ -784,6 +784,25 @@ class TestQuantizeCommand:
         assert computed == []
         assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["quantize", "pretrain"])
+    @pytest.mark.parametrize("respelled", ["a//b", "a/./b", "./a/b", "a/b/"])
+    def test_ids_spelling_one_label_file_two_ways_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                        command, respelled):
+        # each spelling names labels/a/b.lab, which a/b names too: one
+        # utterance's labels would overwrite or stand in for the other's
+        labels = tmp_path / "labels"
+        path = self.ids_config(tmp_path, ["a/b", respelled],
+                               label_cache_dir=labels if command == "pretrain" else "")
+        computed = []
+        monkeypatch.setattr(quantizer, "labels_for_mel", lambda *args: computed.append(args))
+        out_arg = ["--out", str(labels)] if command == "quantize" else []
+        assert main([command, "--config", str(path), *out_arg]) == 2
+        assert capsys.readouterr().err == (f"error: utterance id {respelled!r} is not spelled "
+                                           f"as the path 'a/b' that names its label file "
+                                           f"in {labels}\n")
+        assert computed == []
+        assert not labels.exists() and not (tmp_path / "out").exists()
+
     def test_ids_with_subdirectories_or_inner_dots_stay_inside(self, tmp_path, monkeypatch):
         labels = tmp_path / "labels"
         path = self.ids_config(tmp_path, ["spk1/utt1", "a..b"], label_cache_dir=labels)

@@ -1,5 +1,7 @@
 import concurrent.futures
+import itertools
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from rqspeech import datapipe, frontend, parallel
 from rqspeech.datapipe import CorpusIndex, Utterance
+from rqspeech.seeding import keyed_rng
 
 from conftest import make_speechlike, tone
 
@@ -128,7 +131,7 @@ class TestBuildBuckets:
     def test_sextile_boundaries(self):
         index = self.index_of(list(range(1, 13)))  # 1..12 s
         spec = datapipe.build_buckets(index, num_buckets=6, tokens_per_batch=4000)
-        assert spec.boundaries == (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+        assert tuple(b.max_duration for b in spec.buckets) == (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
         counts = Counter(spec.bucket_of(u.duration) for u in index.entries)
         assert all(counts[b] == 2 for b in range(6))
 
@@ -145,7 +148,7 @@ class TestBuildBuckets:
         index = self.index_of([3.0, 1.0, 2.0, 2.0])
         with pytest.warns(UserWarning, match=f"merged {num_buckets - 3} degenerate buckets"):
             spec = datapipe.build_buckets(index, num_buckets=num_buckets, tokens_per_batch=4000)
-        assert spec.boundaries == (1.0, 2.0, 3.0)
+        assert tuple(b.max_duration for b in spec.buckets) == (1.0, 2.0, 3.0)
 
     def test_inverse_proportional_batch_size(self):
         index = self.index_of([10.0] * 6 + [20.0] * 6)
@@ -207,6 +210,68 @@ class TestScheduleEpoch:
             assert len(descs) == 100
             first.append(sum(1 for d in descs[:10] if d.bucket_id == 0))
         assert abs(np.mean(first) - 9.0) < 0.5
+
+
+def edge_bucket_of(edges, duration):
+    """``bucket_of`` as it read a spec's separate tuple of edges: the oracle
+    for the bucket that the spec's own buckets give."""
+    for i, edge in enumerate(edges):
+        if duration <= edge:
+            return i
+    return len(edges) - 1
+
+
+def dict_schedule_epoch(spec, index, seed, epoch):
+    """``schedule_epoch`` as it keyed members, queues and counts by bucket id
+    and sorted the ids back into order: the oracle for every draw."""
+    edges = tuple(b.max_duration for b in spec.buckets)
+    members = {b.bucket_id: [] for b in spec.buckets}
+    for utt in index.entries:
+        members[edge_bucket_of(edges, utt.capped_duration)].append(utt)
+    queues = {}
+    for bucket in spec.buckets:
+        utts = members[bucket.bucket_id]
+        order = keyed_rng(seed, "shuffle", epoch, bucket.bucket_id).permutation(len(utts))
+        shuffled = [utts[i] for i in order]
+        queues[bucket.bucket_id] = [tuple(shuffled[i: i + bucket.batch_size])
+                                    for i in range(0, len(shuffled), bucket.batch_size)]
+    rng = keyed_rng(seed, "schedule", epoch)
+    bucket_ids = sorted(queues)
+    remaining = np.array([len(queues[b]) for b in bucket_ids], dtype=np.float64)
+    taken = {b: 0 for b in bucket_ids}
+    out = []
+    while remaining.sum() > 0:
+        probs = remaining / remaining.sum()
+        choice = int(rng.choice(len(bucket_ids), p=probs))
+        b = bucket_ids[choice]
+        out.append(datapipe.BatchDescriptor(epoch=epoch, bucket_id=b,
+                                            utterances=queues[b][taken[b]]))
+        taken[b] += 1
+        remaining[choice] -= 1
+    return out
+
+
+class TestScheduleOracle:
+    """The golden run has one bucket; these pin many-bucket schedules."""
+
+    @pytest.mark.parametrize("num_buckets", [1, 3, 6, 9])
+    def test_schedule_and_bucket_of_equal_the_keyed_oracle(self, num_buckets):
+        rng = np.random.default_rng(num_buckets)
+        # durations on a 0.5 s grid repeat, so edges tie and buckets merge;
+        # some pass the 40 s crop
+        durations = list(np.round(rng.uniform(0.5, 45.0, size=60) * 2) / 2)
+        index = CorpusIndex(entries=[Utterance(utt_id=f"u{i}", path="", duration=d)
+                                     for i, d in enumerate(durations)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # merged buckets
+            spec = datapipe.build_buckets(index, num_buckets=num_buckets, tokens_per_batch=2500)
+        assert [b.bucket_id for b in spec.buckets] == list(range(len(spec.buckets)))
+        edges = tuple(b.max_duration for b in spec.buckets)
+        for duration in np.linspace(0.0, 50.0, 401):
+            assert spec.bucket_of(duration) == edge_bucket_of(edges, duration)
+        for seed, epoch in itertools.product((0, 11), range(4)):
+            assert (datapipe.schedule_epoch(spec, index, seed, epoch)
+                    == dict_schedule_epoch(spec, index, seed, epoch))
 
 
 class TestLoadBatch:

@@ -258,8 +258,9 @@ class TestRelativeAttentionOracle:
         key_mask = np.where(np.arange(l)[None, :] < lengths[:, None], 0.0, -np.inf)
         key_mask = key_mask[:, None, None, :]
         pos_enc = encoder.sinusoid_offsets(l - 1, cfg.hidden, np.float64)
-        got = encoder._rel_attention(params, "layers.0.attn.", cfg, Tensor(x),
-                                     key_mask, pos_enc, False, None)
+        got = ad.attention_block(Tensor(x), key_mask, pos_enc,
+                                 *encoder._block_params(params, "layers.0.attn.", encoder._ATTN),
+                                 cfg.heads, encoder.LN_EPS, 0.0, None)
         want = x + self.reference(arrays, cfg, x, lengths)
         # rows for padded queries attend over valid keys in both, so compare all
         np.testing.assert_allclose(got.data, want, atol=1e-10)
@@ -287,8 +288,9 @@ class TestAttentionTape:
                    requires_grad=True)
         key_mask = np.zeros((2, 1, 1, 5), np.float32)
         pos_enc = encoder.sinusoid_offsets(4, cfg.hidden, np.float32)
-        out = encoder._rel_attention(params, "layers.0.attn.", cfg, x, key_mask,
-                                     pos_enc, True, np.random.default_rng(0))
+        out = ad.attention_block(x, key_mask, pos_enc,
+                                 *encoder._block_params(params, "layers.0.attn.", encoder._ATTN),
+                                 cfg.heads, encoder.LN_EPS, cfg.dropout, np.random.default_rng(0))
         assert recorded_nodes(out) == 1
 
 
@@ -303,8 +305,10 @@ class TestConvTape:
         x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
                    requires_grad=True)
         mask = encoder._valid_mask(np.array([5, 3]), 5, np.float32)
-        out = encoder._conv_block(params, "layers.0.conv.", cfg, x, mask, True,
-                                  np.random.default_rng(0))
+        out = ad.conv_module(x, mask,
+                             *encoder._block_params(params, "layers.0.conv.", encoder._CONV),
+                             encoder.LN_EPS, encoder.CONV_NORM_EPS, cfg.dropout,
+                             np.random.default_rng(0))
         assert recorded_nodes(out) == 1
 
 
@@ -316,8 +320,8 @@ class TestFfnTape:
         params = make_params(cfg)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 8)).astype(np.float32),
                    requires_grad=True)
-        out = encoder._half_ffn(params, "layers.0.ffn1.", cfg, x, True,
-                                np.random.default_rng(0))
+        out = ad.half_ffn(x, *encoder._block_params(params, "layers.0.ffn1.", encoder._FFN),
+                          encoder.LN_EPS, cfg.dropout, np.random.default_rng(0))
         assert recorded_nodes(out) == 1
 
 
@@ -520,34 +524,33 @@ def chain_layer_norm(x, gamma, beta, eps):
                     lambda g: ad._norm_grad(g, norm, inv, gamma.data))
 
 
-def chain_half_ffn(p, prefix, cfg, x, train, rng):
-    """``_half_ffn`` as a chain of nodes: layer norm, linear, swish as
+def chain_half_ffn(x, gamma, beta, w1, b1, w2, b2, eps, drop, rng):
+    """``ad.half_ffn`` as a chain of nodes: layer norm, linear, swish as
     sigmoid and product, dropout, linear, dropout, the halving and the
     residual's add."""
-    drop = cfg.dropout if train else 0.0
-    y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
-    y = chain_swish(ad.linear(y, p[prefix + "w1.weight"], p[prefix + "w1.bias"]))
+    y = chain_layer_norm(x, gamma, beta, eps)
+    y = chain_swish(ad.linear(y, w1, b1))
     y = float_dropout(y, drop, rng)
-    y = ad.linear(y, p[prefix + "w2.weight"], p[prefix + "w2.bias"])
+    y = ad.linear(y, w2, b2)
     return ad.add(x, ad.mul(float_dropout(y, drop, rng), 0.5))
 
 
-def chain_conv_block(p, prefix, cfg, x, mask, train, rng):
-    """``_conv_block`` as a chain of nodes: layer norm, linear, the GLU as
+def chain_conv_module(x, mask, gamma, beta, w1, b1, dw, norm_gamma, norm_beta, w2, b2,
+                      eps, norm_eps, drop, rng):
+    """``ad.conv_module`` as a chain of nodes: layer norm, linear, the GLU as
     slices, sigmoid and product, the depthwise convolution as mask, pad,
     unfold, a reshaped weight, product and sum, the masked norm, swish
     as sigmoid and product, linear, dropout and the residual's add."""
-    h, k = cfg.hidden, cfg.conv_kernel
-    y = chain_layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
-    y = ad.linear(y, p[prefix + "pw1.weight"], p[prefix + "pw1.bias"])
+    k, h = dw.shape
+    y = chain_layer_norm(x, gamma, beta, eps)
+    y = ad.linear(y, w1, b1)
     y = ad.mul(ad.mul(y[:, :, :h], chain_sigmoid(y[:, :, h:])), mask)
     windows = unfold_time_node(chain_pad_time(y, (k - 1) // 2, (k - 1) // 2), k, 1)
-    dw = ad.reshape(p[prefix + "dw.weight"], (1, 1, k, h))
+    dw = ad.reshape(dw, (1, 1, k, h))
     y = ad.sum_(ad.mul(windows, dw), axis=2)
-    y = masked_norm_node(y, p[prefix + "norm.gamma"], p[prefix + "norm.beta"],
-                         encoder.CONV_NORM_EPS, mask)
-    y = ad.linear(chain_swish(y), p[prefix + "pw2.weight"], p[prefix + "pw2.bias"])
-    return ad.add(x, float_dropout(y, cfg.dropout if train else 0.0, rng))
+    y = masked_norm_node(y, norm_gamma, norm_beta, norm_eps, mask)
+    y = ad.linear(chain_swish(y), w2, b2)
+    return ad.add(x, float_dropout(y, drop, rng))
 
 
 def chain_rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads, drop, rng):
@@ -605,19 +608,17 @@ def chain_matmul(x, w):
                     lambda g: ad._linear_grad(g, x.data, w.data, nb=False)[:2])
 
 
-def chain_attention(p, prefix, cfg, x, key_mask, pos_enc, train, rng):
-    """``_rel_attention`` as six nodes, a dropout and the residual's add:
+def chain_attention(x, key_mask, offsets, gamma, beta, wq, bq, wk, wv, bv, wo, bo,
+                    w_pos, bias_u, bias_v, heads, eps, drop, rng):
+    """``ad.attention_block`` as six nodes, a dropout and the residual's add:
     layer norm, the q, k and v projections, ``chain_rel_attention`` (which
     always adds its key mask), the output linear and dropout."""
-    drop = cfg.dropout if train else 0.0
-    y = ad.layer_norm(x, p[prefix + "ln.gamma"], p[prefix + "ln.beta"], encoder.LN_EPS)
-    q, v = (ad.linear(y, p[prefix + f"{w}.weight"], p[prefix + f"{w}.bias"])
-            for w in ("wq", "wv"))
-    k = chain_matmul(y, p[prefix + "wk.weight"])
-    ctx = chain_rel_attention(q, k, v, pos_enc, p[prefix + "pos.weight"],
-                              p[prefix + "bias_u"], p[prefix + "bias_v"], key_mask, cfg.heads,
+    y = ad.layer_norm(x, gamma, beta, eps)
+    q, v = ad.linear(y, wq, bq), ad.linear(y, wv, bv)
+    k = chain_matmul(y, wk)
+    ctx = chain_rel_attention(q, k, v, offsets, w_pos, bias_u, bias_v, key_mask, heads,
                               drop, rng)
-    out = ad.linear(ctx, p[prefix + "wo.weight"], p[prefix + "wo.bias"])
+    out = ad.linear(ctx, wo, bo)
     return ad.add(x, float_dropout(out, drop, rng))
 
 
@@ -638,9 +639,9 @@ def chain_encoder_run(monkeypatch, cfg, arrays, mel, lengths, probe, dropout_see
 
     got = run()
     monkeypatch.setattr(encoder, "_extract", chain_extract)
-    monkeypatch.setattr(encoder, "_conv_block", chain_conv_block)
-    monkeypatch.setattr(encoder, "_half_ffn", chain_half_ffn)
-    monkeypatch.setattr(encoder, "_rel_attention", chain_attention)
+    monkeypatch.setattr(ad, "conv_module", chain_conv_module)
+    monkeypatch.setattr(ad, "half_ffn", chain_half_ffn)
+    monkeypatch.setattr(ad, "attention_block", chain_attention)
     monkeypatch.setattr(ad, "layer_norm", chain_layer_norm)
     return got, run()
 
@@ -758,7 +759,9 @@ class TestConvBlockOracle:
         lengths = np.array([4, 6])
 
         mask = (np.arange(6)[None, :] < lengths[:, None]).astype(np.float64)[:, :, None]
-        got = encoder._conv_block(params, "layers.0.conv.", cfg, Tensor(x), mask, False, None)
+        got = ad.conv_module(Tensor(x), mask,
+                             *encoder._block_params(params, "layers.0.conv.", encoder._CONV),
+                             encoder.LN_EPS, encoder.CONV_NORM_EPS, 0.0, None)
         want = x + self.reference(arrays, cfg, x.copy(), lengths)
         valid0 = lengths[0]
         np.testing.assert_allclose(got.data[0, :valid0], want[0, :valid0], atol=1e-10)

@@ -531,6 +531,26 @@ class TestScore:
         assert edit_distance([], [1, 2]) == 2
 
 
+def axis_loop_spec_augment(mel, cfg, rng):
+    """``spec_augment`` as it drew its time bands and its frequency bands in a
+    loop per axis: the oracle for the draws and zeros of its one band loop."""
+    out = mel.copy()
+    t, bins = out.shape
+    apply_time = rng.random() < cfg.time_apply_prob
+    if apply_time:
+        for _ in range(cfg.time_masks):
+            width = int(rng.integers(0, cfg.max_time_width + 1))
+            width = min(width, t)
+            start = int(rng.integers(0, t - width + 1))
+            out[start: start + width, :] = 0.0
+    for _ in range(cfg.freq_masks):
+        width = int(rng.integers(0, cfg.max_freq_width + 1))
+        width = min(width, bins)
+        start = int(rng.integers(0, bins - width + 1))
+        out[:, start: start + width] = 0.0
+    return out
+
+
 class TestSpecAugment:
     def test_zero_widths_identity(self):
         cfg = SpecAugmentConfig(max_time_width=0, max_freq_width=0, time_apply_prob=1.0)
@@ -563,6 +583,25 @@ class TestSpecAugment:
             if (out == 0).all(axis=1).any():  # some frame fully zeroed
                 hits += 1
         assert abs(hits / trials - 0.2) < 0.01
+
+    @pytest.mark.parametrize("time_apply_prob", [0.0, 0.2, 1.0])
+    def test_equals_a_loop_per_axis(self, time_apply_prob):
+        # the golden run's few finetune steps need not reach the time bands;
+        # widths run past the frames and the bins, where the draw is cut
+        rng = np.random.default_rng(int(time_apply_prob * 10))
+        for case in range(80):
+            t, bins = int(rng.integers(1, 60)), int(rng.choice([80, 9]))
+            mel = rng.standard_normal((t, bins)).astype(np.float32)
+            cfg = SpecAugmentConfig(time_masks=int(rng.integers(0, 5)),
+                                    max_time_width=int(rng.integers(0, 2 * t)),
+                                    time_apply_prob=time_apply_prob,
+                                    freq_masks=int(rng.integers(0, 5)),
+                                    max_freq_width=int(rng.integers(0, 2 * bins)))
+            got_rng, want_rng = keyed_rng(case, "sa"), keyed_rng(case, "sa")
+            got = spec_augment(mel, cfg, got_rng)
+            want = axis_loop_spec_augment(mel, cfg, want_rng)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (case, cfg)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_mask_counts_bounded_by_frames_and_bins(self):
         # the frames of a 40 s utterance, and the Mel bins of a frame

@@ -94,6 +94,16 @@ def test_label_cache_path_outside_its_directory_refused(tmp_path, utt_id):
         records.label_cache_path(tmp_path, utt_id)
 
 
+@pytest.mark.parametrize("utt_id, path", [("a//b", "a/b"), ("./a", "a"), ("a/./b", "a/b"),
+                                          ("a/", "a"), ("", ".")])
+def test_label_cache_path_of_a_respelled_id_refused(tmp_path, utt_id, path):
+    # each would share its label file with the id spelled as ``path``
+    with pytest.raises(ValueError, match=f"^utterance id {utt_id!r} is not spelled as the "
+                                         f"path {path!r} that names its label file "
+                                         f"in {tmp_path}$"):
+        records.label_cache_path(tmp_path, utt_id)
+
+
 def test_label_cache_header_read_is_bounded(tmp_path, asked):
     path = tmp_path / "u.lab"
     records.write_label_cache(path, np.arange(6).reshape(3, 2), 8)
