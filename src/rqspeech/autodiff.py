@@ -222,16 +222,13 @@ def getitem(a, idx):
 
 
 def take_rows(a, idx):
-    """Select rows of a 2-D tensor by integer index; backward scatter-adds."""
+    """Rows ``idx`` of a 2-D tensor, each named at most once: the backward
+    assigns each row's gradient, so a repeated row raises ValueError."""
     a = as_tensor(a)
-    idx = np.asarray(idx)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _make(a.data[idx], (a,), backward)
+    rows = np.arange(len(a.data))[idx]  # row numbers: -1 and n - 1 are one row
+    if np.unique(rows).size < rows.size:
+        raise ValueError("take_rows needs distinct rows")
+    return getitem(a, rows)
 
 
 # reductions ---------------------------------------------------------------

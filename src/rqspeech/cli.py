@@ -17,11 +17,13 @@ stderr.
 ``pretrain`` and ``finetune`` refuse a corpus without a usable utterance
 before they write anything, and share one run loop, ``_train``, which makes
 all of a run's writes. It saves the final checkpoint at the last completed
-step also when a batch fails (exit code 1) or another write fails (exit code
-2); a failed save of it prints after the run's own error and exits 2. Every
-whole-file output (checkpoints, label files, ``config.ini``, ``decode
---out``, ``score --report``) goes through ``records.replacing``, so a write
-that fails midway leaves any previous file whole.
+step also when a batch fails (exit code 1), another write fails (exit code
+2) or a SIGINT or SIGTERM stops the run (exit code 1); a failed save of it
+prints after the run's own error and exits 2. A Ctrl-C outside ``_train``
+prints ``error: interrupted`` and exits 1. Every whole-file output
+(checkpoints, label files, ``config.ini``, ``decode --out``, ``score
+--report``) goes through ``records.replacing``, so a write that fails midway
+leaves any previous file whole.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import errno
 import json
 import math
 import os
+import signal
 import sys
 import warnings
 from pathlib import Path
@@ -101,6 +104,24 @@ def _training_index(cfg) -> datapipe.CorpusIndex:
     return index
 
 
+@contextlib.contextmanager
+def _stop_signals():
+    """A block in which SIGINT and SIGTERM only append their number to the
+    list it yields; the previous handlers come back when it ends. Off the
+    main thread, where no handler can be installed, the list stays empty."""
+    received = []
+    try:
+        previous = {sig: signal.signal(sig, lambda signum, frame: received.append(signum))
+                    for sig in (signal.SIGINT, signal.SIGTERM)}
+    except ValueError:
+        previous = {}
+    try:
+        yield received
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
 def _train(cfg, index, state, total: int, step, metrics: Path, fields, save, final: Path,
            periodic=lambda step: None) -> None:
     """Run ``step(batch, epoch)`` over epochs of ``index`` until ``state.step``
@@ -112,7 +133,9 @@ def _train(cfg, index, state, total: int, step, metrics: Path, fields, save, fin
     its metrics row, or None when it made no update. It raises before any
     update, so a failed batch or write saves the last completed step, and a
     failed save of it chains onto that failure. An epoch without any update
-    would repeat forever, so it saves and fails.
+    would repeat forever, so it saves and fails. A SIGINT or SIGTERM lets the
+    step in progress complete, then saves and fails; one during that save is
+    ignored.
     """
     with _writing():
         final.parent.mkdir(parents=True, exist_ok=True)
@@ -121,40 +144,45 @@ def _train(cfg, index, state, total: int, step, metrics: Path, fields, save, fin
     spec = datapipe.build_buckets(index, cfg["datapipe"]["num_buckets"],
                                   cfg["datapipe"]["tokens_per_batch"])
     epoch, stalled = 0, False
-    try:
-        # a diverged encoder names the step; a non-finite loss names its own
-        with _failing(1, FloatingPointError, lambda err: f"step {state.step + 1}: {err}"), \
-                _failing(1, (pretrain.NonFiniteLossError, records.LabelCacheError,
-                             finetune.InfeasibleTargetError, datapipe.UtteranceError)):
-            with _writing(metrics):
-                writer = pretrain.MetricsWriter(metrics, fields, state.step)
-            with writer:
-                while state.step < total and not stalled:
-                    stalled = True
-                    for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
-                                                     workers=cfg["datapipe"]["workers"]):
-                        m = step(batch, epoch)
-                        if m is None:
-                            continue
-                        stalled = False
-                        with _writing(metrics, f"; it lacks the row of step {state.step}, "
-                                               f"which {final.name} holds"):
-                            writer.write(m)
-                        if path := periodic(state.step):
-                            with _writing(path):
-                                save(state, path)
-                        if state.step >= total:
-                            break
-                    epoch += 1
-            if stalled:
-                raise CommandError(1, f"epoch {epoch - 1} made no update: no batch had a "
-                                      f"training target; stopped at step {state.step}")
-    except CommandError:  # a failed save chains onto it, and main prints both
+    with _stop_signals() as received:
+        try:
+            # a diverged encoder names the step; a non-finite loss names its own
+            with _failing(1, FloatingPointError, lambda err: f"step {state.step + 1}: {err}"), \
+                    _failing(1, (pretrain.NonFiniteLossError, records.LabelCacheError,
+                                 finetune.InfeasibleTargetError, datapipe.UtteranceError)):
+                with _writing(metrics):
+                    writer = pretrain.MetricsWriter(metrics, fields, state.step)
+                with writer:
+                    while state.step < total and not stalled:
+                        stalled = True
+                        for batch in datapipe.iter_epoch(spec, index, cfg.seed, epoch,
+                                                         workers=cfg["datapipe"]["workers"]):
+                            m = step(batch, epoch)
+                            if m is None:
+                                continue
+                            stalled = False
+                            with _writing(metrics, f"; it lacks the row of step {state.step}, "
+                                                   f"which {final.name} holds"):
+                                writer.write(m)
+                            if path := periodic(state.step):
+                                with _writing(path):
+                                    save(state, path)
+                            if received:
+                                raise CommandError(
+                                    1, f"stopped by {signal.Signals(received[0]).name} after "
+                                       f"step {state.step}; {final} holds it")
+                            if state.step >= total:
+                                break
+                        epoch += 1
+                if stalled:
+                    raise CommandError(1, f"epoch {epoch - 1} made no update: no batch had a "
+                                          f"training target; stopped at step {state.step}")
+        except CommandError:  # a failed save chains onto it, and main prints both
+            with _writing(final):
+                save(state, final)
+            raise
         with _writing(final):
             save(state, final)
-        raise
-    with _writing(final):
-        save(state, final)
 
 
 def cmd_pretrain(args) -> int:
@@ -405,6 +433,9 @@ def main(argv=None) -> int:
             for err in reversed(chain):
                 print(f"error: {err}", file=sys.stderr)
             return failure.code
+        except KeyboardInterrupt:  # a Ctrl-C outside a training run
+            print("error: interrupted", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

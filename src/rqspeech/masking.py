@@ -70,9 +70,8 @@ def apply_mask(mel: np.ndarray, plan: MaskPlan, cfg: MaskConfig,
         raise ValueError(f"mask length {len(plan.input_mask)} != frame count {mel.shape[0]}")
     out = mel.copy()
     idx = np.flatnonzero(plan.input_mask)
-    if idx.size:
-        noise = rng.normal(cfg.noise_mean, cfg.noise_std, size=(idx.size, mel.shape[1]))
-        out[idx] = noise.astype(mel.dtype)
+    noise = rng.normal(cfg.noise_mean, cfg.noise_std, size=(idx.size, mel.shape[1]))
+    out[idx] = noise.astype(mel.dtype)
     return out
 
 

@@ -180,13 +180,14 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, t: int) ->
     in place, in blocks of ``ADAM_BLOCK_VALUES`` values, so its temporaries
     stay in cache; each block takes the whole-tensor formula, so the bits do
     not depend on them. Of ``grads`` and ``state``, only the entries of
-    ``params`` are read."""
+    ``params`` are read. Each array is updated through a flat view of
+    itself, so a transposed one, which has none, raises ValueError."""
     beta1, beta2 = ADAM_BETAS
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, p in params.items():
-        tensors = p.data, state.m[name], state.v[name]
-        flats = [a.reshape(-1) for a in tensors] + [np.ravel(grads[name])]
+        flats = [a.reshape(-1, copy=False) for a in (p.data, state.m[name], state.v[name])]
+        flats.append(np.ravel(grads[name]))
         for i in range(0, p.data.size, ADAM_BLOCK_VALUES):
             pb, mb, vb, g = (f[i:i + ADAM_BLOCK_VALUES] for f in flats)
             mb *= beta1
@@ -194,9 +195,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, t: int) ->
             vb *= beta2
             vb += (1.0 - beta2) * g * g
             pb -= (lr / bc1) * mb / (np.sqrt(vb / bc2) + ADAM_EPS)
-        for a, flat in zip(tensors, flats):
-            if not np.may_share_memory(a, flat):  # a strided array, updated as a copy
-                a[...] = flat.reshape(a.shape)
 
 
 # training state --------------------------------------------------------------
@@ -248,20 +246,16 @@ def build_tensors(shapes: dict, seed: int, checkpoint=None, reads=lambda name: T
     return params, adam
 
 
-def _train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig, run_config: dict | None,
-                 *restore) -> TrainState:
-    """A step-0 TrainState over ``build_tensors(shapes, cfg.seed, *restore)``
-    with the quantizer of ``cfg``."""
+def init_train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig,
+                     run_config: dict | None = None, *restore) -> TrainState:
+    """A step-0 TrainState with the quantizer of ``cfg``: fresh parameters and
+    zero moments, or those of ``restore``, the ``(checkpoint, reads, moments)``
+    that ``load_checkpoint`` passes on to ``build_tensors``."""
     shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
     params, adam = build_tensors(shapes, cfg.seed, *restore)
     return TrainState(encoder_cfg=encoder_cfg, cfg=cfg, params=params, adam=adam,
                       quantizer_state=quant.init_quantizer(cfg.seed, cfg.quantizer),
                       run_config=dict(run_config or {}))
-
-
-def init_train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig,
-                     run_config: dict | None = None) -> TrainState:
-    return _train_state(encoder_cfg, cfg, run_config)
 
 
 def _labels_for(state: TrainState, utt_id: str, mel: np.ndarray,
@@ -374,7 +368,7 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     full = mode == "full"
     reads = (lambda name: True) if full else (lambda name: name.startswith("extractor."))
     header, tensors = read_checkpoint(path, keep=None if full else reads)
-    state = _train_state(encoder_cfg, cfg, run_config, (tensors, path), reads, full)
+    state = init_train_state(encoder_cfg, cfg, run_config, (tensors, path), reads, full)
     state.step = header["step"] if full else 0
     return state
 

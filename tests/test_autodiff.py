@@ -128,8 +128,30 @@ class TestPrimitives:
         assert np.all(x.grad[padded] == g[padded])
 
     def test_take_rows(self):
-        idx = np.array([0, 2, 2, 1])
-        check_op(lambda a: ad.take_rows(a, idx), (3, 4))
+        idx = np.array([0, 3, 1])
+        check_op(lambda a: ad.take_rows(a, idx), (4, 3))
+
+    @pytest.mark.parametrize("idx", [[0, 2, 2, 1], [2, -1]])
+    def test_take_rows_refuses_a_repeated_row(self, idx):
+        with pytest.raises(ValueError, match="distinct rows"):
+            ad.take_rows(Tensor(np.zeros((3, 4)), requires_grad=True), idx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_rows_gradient_equals_scatter_add(self, dtype):
+        # the scatter-add that take_rows' backward ran before it took distinct
+        # rows only; on distinct rows, and a gradient without -0.0, the bits
+        # are the same
+        rng = np.random.default_rng(7)
+        for rows, cols, picked in ((1, 1, 1), (9, 4, 5), (200, 64, 57), (64, 3, 64)):
+            idx = rng.permutation(rows)[:picked]
+            g = rng.standard_normal((picked, cols)).astype(dtype)
+            g[rng.random(g.shape) < 0.2] = 0.0
+            want = np.zeros((rows, cols), dtype)
+            np.add.at(want, idx, g)
+            a = Tensor(rng.standard_normal((rows, cols)).astype(dtype), requires_grad=True)
+            ad.take_rows(a, idx).backward(g)
+            assert a.grad.dtype == dtype
+            assert a.grad.tobytes() == want.tobytes()
 
     def test_rel_attention(self):
         # B=2, L=4, heads=2, d=3; the last key of utterance 1 is masked, and a

@@ -5,9 +5,12 @@ import inspect
 import io
 import os
 import pathlib
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -904,26 +907,12 @@ class TestQuantizeCommand:
             assert np.array_equal(online, cached)
 
 
-@pytest.fixture
-def finetuned_setup(tmp_path):
-    """Corpus + transcripts + a finetuned checkpoint produced via the CLI."""
-    corpus = tmp_path / "corpus"
-    write_corpus(corpus, [0.6, 0.8, 1.0])
-    texts = {"utt00": "ab", "utt01": "ba", "utt02": "abba"}
-    trans = tmp_path / "transcripts.tsv"
-    trans.write_text("".join(f"{k}\t{v}\n" for k, v in texts.items()), encoding="utf-8")
-
-    pre_cfg = tmp_path / "pre.ini"
-    pre_out = tmp_path / "pre_out"
-    write_pretrain_config(pre_cfg, corpus, pre_out, total_steps=2)
-    assert main(["pretrain", "--config", str(pre_cfg)]) == 0
-
-    ft_cfg = tmp_path / "ft.ini"
-    ft_out = tmp_path / "ft_out"
-    ft_cfg.write_text(f"""
+def write_finetune_config(path, corpus, trans, checkpoint, out_dir, freeze_steps=1,
+                          total_steps=3):
+    path.write_text(f"""
 [run]
 seed = 5
-output_dir = {ft_out}
+output_dir = {out_dir}
 
 [corpus]
 root = {corpus}
@@ -936,12 +925,12 @@ ffn = 32
 heads = 2
 
 [finetune]
-checkpoint = {pre_out / 'final.msec'}
+checkpoint = {checkpoint}
 encoder_lr = 1e-3
 decoder_lr = 5e-3
 warmup_steps = 5
-freeze_steps = 1
-total_steps = 3
+freeze_steps = {freeze_steps}
+total_steps = {total_steps}
 time_apply_prob = 0.0
 max_freq_width = 0
 
@@ -949,6 +938,31 @@ max_freq_width = 0
 num_buckets = 1
 tokens_per_batch = 1000
 """, encoding="utf-8")
+
+
+def pretrained_corpus(tmp_path):
+    """(corpus, transcripts file, 2-step pretrain checkpoint), made via the CLI."""
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, [0.6, 0.8, 1.0])
+    texts = {"utt00": "ab", "utt01": "ba", "utt02": "abba"}
+    trans = tmp_path / "transcripts.tsv"
+    trans.write_text("".join(f"{k}\t{v}\n" for k, v in texts.items()), encoding="utf-8")
+
+    pre_cfg = tmp_path / "pre.ini"
+    pre_out = tmp_path / "pre_out"
+    write_pretrain_config(pre_cfg, corpus, pre_out, total_steps=2)
+    assert main(["pretrain", "--config", str(pre_cfg)]) == 0
+    return corpus, trans, pre_out / "final.msec"
+
+
+@pytest.fixture
+def finetuned_setup(tmp_path):
+    """Corpus + transcripts + a finetuned checkpoint produced via the CLI."""
+    corpus, trans, pre_ckpt = pretrained_corpus(tmp_path)
+
+    ft_cfg = tmp_path / "ft.ini"
+    ft_out = tmp_path / "ft_out"
+    write_finetune_config(ft_cfg, corpus, trans, pre_ckpt, ft_out)
     assert main(["finetune", "--config", str(ft_cfg)]) == 0
     ckpt = ft_out / "finetuned.msec"
     assert ckpt.is_file()
@@ -1330,3 +1344,96 @@ def test_module_entry_exits_with_the_command_code(args, code):
     assert run.returncode == code
     if code == 0:
         assert run.stdout.startswith("usage: ")
+
+
+def signal_after_rows(args, metrics, rows, signum):
+    """Start CLI ``args`` as a child process, send it ``signum`` once
+    ``metrics`` holds ``rows`` complete rows, and return (exit code, stderr)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.Popen([sys.executable, "-m", "rqspeech.cli", *args],
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        deadline = time.monotonic() + 120
+        while not metrics.is_file() or metrics.read_text().count("\n") <= rows:
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, f"no {rows} rows in {metrics}"
+            time.sleep(0.02)
+        child.send_signal(signum)
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    return child.returncode, err
+
+
+class TestStopSignal:
+    """A SIGINT or SIGTERM ends ``pretrain`` and ``finetune`` after the step in
+    progress, with that step saved; exit 1 keeps the 0/1/2 contract."""
+
+    def assert_stopped_at_last_row(self, code, err, metrics, final, signum, capsys):
+        assert code == 1
+        assert "Traceback" not in err
+        last = metric_steps(metrics)[-1]
+        name = signal.Signals(signum).name
+        assert f"error: stopped by {name} after step {last}; {final} holds it" in err
+        assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
+        assert records.read_checkpoint(final, keep=lambda name: False)[0]["step"] == last
+        capsys.readouterr()
+        assert main(["inspect", "--ckpt", str(final)]) == 0
+        assert f"step: {last}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+    def test_pretrain_saves_the_last_completed_step(self, tmp_path, capsys, signum):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9, 1.2])
+        out_dir = tmp_path / "out"
+        write_pretrain_config(tmp_path / "c.ini", corpus, out_dir, total_steps=10**6)
+        code, err = signal_after_rows(["pretrain", "--config", str(tmp_path / "c.ini")],
+                                      out_dir / "metrics.csv", 3, signum)
+        self.assert_stopped_at_last_row(code, err, out_dir / "metrics.csv",
+                                        out_dir / "final.msec", signum, capsys)
+        assert metric_steps(out_dir / "metrics.csv")[-1] >= 3
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+    def test_finetune_past_its_freeze_saves_the_last_completed_step(self, tmp_path, capsys,
+                                                                    signum):
+        corpus, trans, pre_ckpt = pretrained_corpus(tmp_path)
+        out_dir = tmp_path / "ft_out"
+        write_finetune_config(tmp_path / "ft.ini", corpus, trans, pre_ckpt, out_dir,
+                              freeze_steps=2, total_steps=10**6)
+        metrics = out_dir / "finetune_metrics.csv"
+        code, err = signal_after_rows(["finetune", "--config", str(tmp_path / "ft.ini")],
+                                      metrics, 4, signum)
+        self.assert_stopped_at_last_row(code, err, metrics, out_dir / "finetuned.msec",
+                                        signum, capsys)
+        assert metric_steps(metrics)[-1] >= 4
+
+    def test_handlers_restored_after_the_run(self, tmp_path):
+        before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        write_pretrain_config(tmp_path / "c.ini", corpus, tmp_path / "out", total_steps=1)
+        assert main(["pretrain", "--config", str(tmp_path / "c.ini")]) == 0
+        assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
+
+    def test_run_off_the_main_thread(self, tmp_path):
+        # no handler can be installed there, and the run goes on without one
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6, 0.9])
+        write_pretrain_config(tmp_path / "c.ini", corpus, tmp_path / "out", total_steps=2)
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(main(["pretrain", "--config", str(tmp_path / "c.ini")])))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and codes == [0]
+        assert metric_steps(tmp_path / "out" / "metrics.csv") == [1, 2]
+
+    def test_interrupt_outside_a_run_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_score", interrupted)
+        assert main(["score", "--refs", "r.tsv", "--hyps", "h.tsv"]) == 1
+        assert capsys.readouterr().err == "error: interrupted\n"

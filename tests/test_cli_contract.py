@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from rqspeech import pretrain, quantizer
+from rqspeech import pretrain, records
 from rqspeech.cli import main
 
 from test_cli import write_pretrain_config
@@ -129,7 +129,7 @@ def assert_outputs_usable(command, code, tmp):
                                             else "finetuned.msec"))
     elif command == "quantize":
         for lab in (tmp / "labels").glob("*.lab"):
-            quantizer.read_label_cache(lab)
+            records.read_label_cache(lab)
     else:
         assert (tmp / "hyp.tsv").exists() == (code == 0)
 

@@ -1,7 +1,10 @@
-"""numpy stays the only runtime dependency.
+"""numpy stays the only runtime dependency, and private names stay in
+their modules.
 
 Every module under ``src/rqspeech`` is parsed with ``ast``; each of its
-imports must name the standard library, numpy or the package itself.
+imports must name the standard library, numpy or the package itself, and it
+may read another module's underscore name only where ``CROSSING_PRIVATE_NAMES``
+lists it.
 """
 
 import ast
@@ -13,6 +16,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rqspeech"
 ALLOWED = frozenset(sys.stdlib_module_names) | {"numpy", "rqspeech"}
 MODULES = sorted(PACKAGE.rglob("*.py"))
+# (reader, module, name): the encoder runs a batch's two halves as tape nodes
+# of its own, and the clipping norm sums in blocks along numpy's pairwise tree
+CROSSING_PRIVATE_NAMES = frozenset({
+    ("encoder", "autodiff", "_make"), ("encoder", "autodiff", "_backprop"),
+    ("encoder", "autodiff", "_needs_grad"), ("pretrain", "autodiff", "_pairwise_sum")})
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -31,6 +39,29 @@ def foreign_imports(source: str) -> list[str]:
     return found
 
 
+def private_reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each underscore name that ``source`` reads from a
+    module of the package, by ``from .module import _name`` or as
+    ``alias._name`` of a module it imported."""
+    tree = ast.parse(source)
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rqspeech"):
+            for alias in node.names:
+                if node.module in (None, "rqspeech"):
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((node.module.rpartition(".")[2], alias.name))
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.rpartition(".")[2]) for alias in node.names
+                           if alias.asname and alias.name.startswith("rqspeech."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
 def test_package_has_modules():
     assert PACKAGE / "__init__.py" in MODULES and len(MODULES) > 5
 
@@ -44,3 +75,18 @@ def test_foreign_imports_are_found():
     source = ("import os, scipy.signal\nfrom numpy.lib import stride_tricks\n"
               "from . import autodiff\ndef f():\n    from torch import nn\n")
     assert foreign_imports(source) == ["1: scipy.signal", "5: torch"]
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {(path.stem, module, name) for path in MODULES
+             for module, name in private_reads(path.read_text(encoding="utf-8"))}
+    assert found == CROSSING_PRIVATE_NAMES
+
+
+def test_private_reads_are_found():
+    source = ("from . import autodiff as ad, parallel\n"
+              "from .records import _read_array, write_checkpoint\n"
+              "import rqspeech.encoder as enc\nimport os\n"
+              "x = ad._make(1) + parallel.cores() + enc._block_params + os._exit\n")
+    assert private_reads(source) == {("records", "_read_array"), ("autodiff", "_make"),
+                                     ("encoder", "_block_params")}
