@@ -231,6 +231,46 @@ def take_rows(a, idx):
     return getitem(a, rows)
 
 
+def batch_halves(half, parents, b):
+    """``half(k, rows, leaves)``, a list of same-shape Tensors with ``rows``
+    first, for the batch's rows [0:ceil(b/2)] (k = 0) and the rest (k = 1),
+    one half per ``parallel.pool_map`` thread (named ``encode``), recorded as
+    one node over ``parents``; returns each output with the halves joined.
+
+    Each half runs on leaf Tensors of its own over the parents' arrays, so no
+    two threads write one ``.grad``; a per-row ``half`` gives the bits of the
+    whole batch's forward. The backward walks each half on the pool and adds
+    the parents' gradients in half order, so the gradient bits depend on this
+    fixed partition, never on the core count.
+    """
+    halves = (slice(0, (b + 1) // 2), slice((b + 1) // 2, b))
+    parents = [as_tensor(p) for p in parents]
+    leaves = [[Tensor(p.data, requires_grad=_needs_grad(p)) for p in parents] for _ in halves]
+
+    with parallel.pool_map(2, "encode") as (mapped, _):
+        outs = list(mapped(lambda k: half(k, halves[k], leaves[k]), (0, 1)))
+    data = np.empty((len(outs[0]), b) + outs[0][0].shape[1:], outs[0][0].dtype)
+    roots = []
+    for rows, outputs in zip(halves, outs):
+        for i, out in enumerate(outputs):
+            data[i, rows] = out.data
+        # the half's walk starts here: row i of its gradient is output i's
+        roots.append(_make(data[:, rows], outputs, tuple))
+
+    def backward(g):
+        def walk(k):
+            _backprop(roots[k], g[:, halves[k]])
+            return [leaf.grad for leaf in leaves[k]]
+
+        with parallel.pool_map(2, "encode") as (mapped, _):
+            grads = list(mapped(walk, (0, 1)))
+        return tuple(g0 if g1 is None else g1 if g0 is None else g0 + g1
+                     for g0, g1 in zip(*grads))
+
+    node = _make(data, parents, backward)
+    return [getitem(node, i) for i in range(len(data))]
+
+
 # reductions ---------------------------------------------------------------
 
 def sum_(a, axis=None, keepdims=False):
@@ -414,6 +454,19 @@ def _pairwise_sum(leaf, start, stop, limit, dtype) -> float:
     left = _pairwise_sum(leaf, start, start + half, limit, dtype)
     right = _pairwise_sum(leaf, start + half, stop, limit, dtype)
     return float(dtype.type(left) + dtype.type(right))
+
+
+def square_sum(a, limit: int) -> float:
+    """The float64 sum of squares of contiguous ``a``'s values in memory
+    order, in blocks of at most ``limit`` values that are nodes of numpy's
+    pairwise tree (``_pairwise_sum``), so it has the bits of ``np.sum`` over a
+    float64 copy of ``a`` without making one."""
+    flat = np.ravel(a, order="K")  # a view of any contiguous array
+
+    def block(start, stop):
+        c = flat[start:stop].astype(np.float64)
+        return float(np.sum(np.square(c, out=c)))
+    return _pairwise_sum(block, 0, flat.size, limit, np.dtype(np.float64))
 
 
 def _softmax_xent(z, labels, scale=None) -> float:

@@ -35,8 +35,8 @@ Frames past each utterance's valid length are zeroed before any op that mixes
 across time, which makes batched and solo forwards agree on the valid region.
 
 Because nothing mixes utterances, a large batch runs as two fixed halves on
-two cores (``_encode_halves``) with the whole batch's output bits; the halves
-are one tape node, and the gradient bits depend on the fixed partition only.
+two cores, one ``ad.batch_halves`` node (``_encode_halves``), with the whole
+batch's output bits; the gradient bits depend on the fixed partition only.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from . import parallel
 from .autodiff import Tensor
 from .frontend import NUM_MEL_BINS
 from .seeding import keyed_rng
@@ -304,56 +303,20 @@ def _encode(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarr
 
 def _encode_halves(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: np.ndarray,
                    train: bool, rng) -> EncoderOutput:
-    """``_encode`` of the utterances [0:ceil(B/2)] and the rest, one half per
-    pool thread (``parallel.pool_map``), recorded as one node.
-
-    Each half runs on leaf Tensors of its own over the same parameter arrays,
-    so no two threads write one ``.grad``, and keeps the padded width. The
-    encoder is per utterance, so the node's data, every half's states and
-    final norm stacked and joined on the batch axis, holds the bits of the
-    whole batch's forward. The backward walks each half on the pool
-    (``ad._backprop``) and adds the halves' parameter gradients in half order,
-    so the gradient bits depend on this fixed partition, never on the core
-    count. With dropout, each half draws from its own ``rng.spawn(2)`` stream.
-    """
-    b = len(lengths)
-    halves = (slice(0, (b + 1) // 2), slice((b + 1) // 2, b))
+    """``_encode`` of the utterances [0:ceil(B/2)] and the rest as one
+    ``ad.batch_halves`` node; the encoder is per utterance, so this is the
+    whole batch's forward. Each half keeps the padded width and, with
+    dropout, draws from its own ``rng.spawn(2)`` stream."""
     names = list(param_shapes(cfg))
-    parents = [ad.as_tensor(params[name]) for name in names]
-    leaves = [[Tensor(p.data, requires_grad=ad._needs_grad(p)) for p in parents]
-              for _ in halves]
     rngs = rng.spawn(2) if rng is not None else (None, None)
 
-    def forward(k):
-        out = _encode(dict(zip(names, leaves[k])), cfg, mel[halves[k]], lengths[halves[k]],
-                      train, rngs[k])
-        return out.layer_states + [out.final], out.lengths
+    def half(k, rows, leaves):
+        out = _encode(dict(zip(names, leaves)), cfg, mel[rows], lengths[rows], train, rngs[k])
+        return out.layer_states + [out.final]
 
-    with parallel.pool_map(2, "encode") as (mapped, _):
-        outs = list(mapped(forward, (0, 1)))
-    final = outs[0][0][-1]
-    data = np.empty((len(outs[0][0]), b) + final.shape[1:], final.dtype)
-    roots = []
-    for sl, (states, _) in zip(halves, outs):
-        for i, state in enumerate(states):
-            data[i, sl] = state.data
-        # the half's walk starts here: row i of its gradient is state i's
-        roots.append(ad._make(data[:, sl], states, tuple))
-
-    def backward(g):
-        def walk(k):
-            ad._backprop(roots[k], g[:, halves[k]])
-            return [leaf.grad for leaf in leaves[k]]
-
-        with parallel.pool_map(2, "encode") as (mapped, _):
-            grads = list(mapped(walk, (0, 1)))
-        return tuple(g0 if g1 is None else g1 if g0 is None else g0 + g1
-                     for g0, g1 in zip(*grads))
-
-    node = ad._make(data, parents, backward)
-    states = [ad.getitem(node, i) for i in range(len(data))]
+    states = ad.batch_halves(half, [params[name] for name in names], len(lengths))
     return EncoderOutput(layer_states=states[:-1], final=states[-1],
-                         lengths=np.concatenate([half_lengths for _, half_lengths in outs]))
+                         lengths=lengths // FRAME_STRIDE)
 
 
 def weighted_sum(layer_states: list, logits) -> Tensor:

@@ -26,6 +26,7 @@ No language model.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -423,19 +424,20 @@ def _finetune_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
 
 def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
                         tokenizer: CharTokenizer) -> FinetuneState:
-    """Every encoder tensor from a pretraining checkpoint; the CTC head is
-    drawn and the moments are zeros, so the file's ``head.*`` and ``opt.*``
-    tensors are not read."""
-    header, tensors = records.read_checkpoint(
-        checkpoint_path, keep=lambda name: not name.startswith(("head.", "opt.")))
-    return _finetune_state(header, tensors, checkpoint_path, cfg, tokenizer,
-                           reads=lambda name: not name.startswith("ctc_head."))
+    """Every encoder tensor from a pretraining or finetune checkpoint; the CTC
+    head is drawn and the moments are zeros, so the file's ``head.*``,
+    ``ctc_head.*`` and ``opt.*`` tensors are not read."""
+    def encoder_tensor(name):
+        return not name.startswith(("head.", "ctc_head.", "opt."))
+    header, tensors = records.read_checkpoint(checkpoint_path, keep=encoder_tensor)
+    return _finetune_state(header, tensors, checkpoint_path, cfg, tokenizer, encoder_tensor)
 
 
 def _ctc_logprobs(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
-                  train: bool, rng=None):
-    out = enc.encode(state.params, state.encoder_cfg, feats, lengths,
-                     train=train, rng=rng)
+                  train: bool, rng=None, frozen: bool = False):
+    with ad.no_grad() if frozen else contextlib.nullcontext():
+        out = enc.encode(state.params, state.encoder_cfg, feats, lengths,
+                         train=train, rng=rng)
     logits = ad.linear(out.final, state.params["ctc_head.weight"],
                        state.params["ctc_head.bias"])
     return ad.log_softmax(logits, axis=-1), out.lengths
@@ -443,7 +445,8 @@ def _ctc_logprobs(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
 
 def finetune_step(state: FinetuneState, batch, transcripts: dict,
                   epoch: int) -> dict:
-    """One CTC step; encoder updates are withheld while step <= freeze_steps."""
+    """One CTC step; while step <= freeze_steps, the encoder runs without
+    gradients, and only the head is clipped and updated."""
     cfg = state.cfg
     feats = batch.features.copy()
     targets = []
@@ -453,14 +456,15 @@ def finetune_step(state: FinetuneState, batch, transcripts: dict,
         feats[i, :t] = spec_augment(batch.features[i, :t], cfg.spec_augment, rng)
         targets.append(state.tokenizer.encode(transcripts[utt_id]))
 
+    frozen = state.step < cfg.freeze_steps
     logprobs, out_lengths = _ctc_logprobs(
         state, feats, batch.lengths, train=True,
-        rng=keyed_rng(cfg.seed, "dropout", epoch, state.step))
+        rng=keyed_rng(cfg.seed, "dropout", epoch, state.step), frozen=frozen)
     loss = batch_ctc_loss(logprobs, out_lengths, targets, batch.utt_ids)
 
-    loss_val, grads, grad_norm = pretrain.clipped_gradients(loss, state.params, state.step + 1)
+    trained = state.head_params() if frozen else state.params
+    loss_val, grads, grad_norm = pretrain.clipped_gradients(loss, trained, state.step + 1)
     state.step += 1
-    frozen = state.step <= cfg.freeze_steps
     lr_head = pretrain.lr_schedule(state.step, cfg.decoder_lr, cfg.warmup_steps)
     pretrain.adam_step(state.head_params(), grads, state.adam, lr_head, state.step)
     if not frozen:  # the encoder's first update comes after the freeze

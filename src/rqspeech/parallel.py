@@ -2,8 +2,9 @@
 two-thread compute pool and the batch prefetch.
 
 ``pool_map`` is the one compute pool: the head maps its codebooks over it,
-and the encoder its two halves. ``prefetch`` is the data loader's look-ahead.
-Neither starts more threads than the process has usable cores (``cores``).
+and ``autodiff.batch_halves`` the encoder's two halves. ``prefetch`` is the
+data loader's look-ahead. Neither starts more threads than the process has
+usable cores (``cores``).
 """
 
 from __future__ import annotations

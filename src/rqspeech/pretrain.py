@@ -134,26 +134,16 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     """The global norm of ``grads`` before clipping; above ``max_norm`` > 0,
     every gradient is scaled in place to that norm.
 
-    Each gradient's float64 sum of squares runs over its values in memory
-    order, in blocks of ``ADAM_BLOCK_VALUES`` that are nodes of numpy's
-    pairwise tree (``ad._pairwise_sum``), so it has the bits of ``np.sum``
-    over a float64 copy of the whole gradient without making one. The sums
-    are added as Python floats in ``grads`` order."""
-    total = np.sqrt(sum(_square_sum(g) for g in grads.values()))
+    Each gradient's float64 sum of squares has the bits of ``np.sum`` over a
+    float64 copy of the whole gradient without making one
+    (``ad.square_sum``, in blocks of ``ADAM_BLOCK_VALUES``). The sums are
+    added as Python floats in ``grads`` order."""
+    total = np.sqrt(sum(ad.square_sum(g, ADAM_BLOCK_VALUES) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
     return total
-
-
-def _square_sum(g) -> float:
-    flat = np.ravel(g, order="K")  # a view of any contiguous gradient
-
-    def block(start, stop):
-        c = flat[start:stop].astype(np.float64)
-        return float(np.sum(np.square(c, out=c)))
-    return ad._pairwise_sum(block, 0, flat.size, ADAM_BLOCK_VALUES, np.dtype(np.float64))
 
 
 def clipped_gradients(loss: Tensor, params: dict, step: int):

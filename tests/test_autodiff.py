@@ -902,3 +902,69 @@ class TestMaskedRelu:
                 want = np.where(a > 0, a, 0.0).astype(dtype) * mask
                 got = ad._masked_relu(a, mask)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), mask_dtype
+
+
+class TestBatchHalves:
+    """``ad.batch_halves`` on a per-row function of its own, not the encoder."""
+
+    B = 5  # odd: the halves are rows [0:3] and [3:5]
+
+    @staticmethod
+    def problem(dtype):
+        rng = np.random.default_rng(11)
+        x, probe = (rng.standard_normal((TestBatchHalves.B, 4, 3)).astype(dtype) for _ in range(2))
+        w, b = (rng.standard_normal(3).astype(dtype) for _ in range(2))
+        return x, probe, w, b
+
+    @staticmethod
+    def half(x):
+        # two outputs of one shape; the second reads the first, and the third
+        # parent needs no gradient
+        def run(k, rows, leaves):
+            w, b, c = leaves
+            first = ad.mul(ad.mul(x[rows], w), c)
+            return [first, ad.add(ad.mul(first, first), b)]
+        return run
+
+    @staticmethod
+    def parents(w, b):
+        return [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True),
+                Tensor(np.full(3, 0.5, w.dtype))]
+
+    @staticmethod
+    def backward(outs, probe):
+        terms = [ad.sum_(ad.mul(out, probe)) for out in outs]
+        ad.add(terms[0], terms[1]).backward()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_bitwise_equal_to_an_unsplit_run(self, dtype):
+        x, _, w, b = self.problem(dtype)
+        got = ad.batch_halves(self.half(x), self.parents(w, b), self.B)
+        want = self.half(x)(0, slice(0, self.B), self.parents(w, b))
+        assert len(got) == len(want) == 2
+        for g, o in zip(got, want):
+            assert g.data.dtype == dtype and g.data.tobytes() == o.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parent_gradients_add_the_halves_in_order(self, dtype):
+        x, probe, w, b = self.problem(dtype)
+        parents = self.parents(w, b)
+        self.backward(ad.batch_halves(self.half(x), parents, self.B), probe)
+        alone = []
+        for k, rows in enumerate((slice(0, 3), slice(3, 5))):
+            leaves = self.parents(w, b)
+            self.backward(self.half(x)(k, rows, leaves), probe[rows])
+            alone.append(leaves)
+        for p, first, second in zip(parents[:2], *alone):
+            assert p.grad.dtype == dtype
+            assert p.grad.tobytes() == (first.grad + second.grad).tobytes()
+        assert parents[2].grad is None
+
+    def test_records_nothing_under_no_grad(self):
+        x, _, w, b = self.problem(np.float64)
+        parents = self.parents(w, b)
+        with ad.no_grad():
+            outs = ad.batch_halves(self.half(x), parents, self.B)
+        for out in outs:
+            assert out._parents == () and out._backward is None
+        assert all(p.grad is None for p in parents)

@@ -1,16 +1,23 @@
-"""The benchmark's direct calls into the program still resolve.
+"""The benchmark's direct calls into the program still resolve, and each
+workload runs.
 
 ``bench/*.py`` calls program functions by module and name
 (``finetune.beam_decode``, ``ad.log_softmax``, ...), reads run-config keys
 (``cfg["datapipe"]["workers"]``) and builds typed configs
 (``cfg.encoder_config()``). A rename of any of them would otherwise show only
 when the benchmark runs; here the benchmark's source is parsed with ``ast``,
-not run, and every such name is looked up in the program.
+not run, and every such name is looked up in the program. Then each
+workload runs once, briefly, as the benchmark runs it.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from rqspeech import config
 
@@ -104,3 +111,16 @@ state.cfg.quantizer
         "14: config key [nosection] seed",
         "17: RunConfig.decoder_config",
     ]
+
+
+@pytest.mark.parametrize("workload", ["pretrain", "decode"])
+def test_workload_runs_correct_with_the_declared_metrics(workload):
+    # the run's work directory, .bench_work/, is removed when it ends
+    run = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload,
+                          "--seed", "1", "--seconds", "0.5", "--trace", "0"],
+                         cwd=BENCH.parent, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared["end_to_end"])

@@ -3,8 +3,7 @@ their modules.
 
 Every module under ``src/rqspeech`` is parsed with ``ast``; each of its
 imports must name the standard library, numpy or the package itself, and it
-may read another module's underscore name only where ``CROSSING_PRIVATE_NAMES``
-lists it.
+reads no other module's underscore name.
 """
 
 import ast
@@ -16,11 +15,6 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rqspeech"
 ALLOWED = frozenset(sys.stdlib_module_names) | {"numpy", "rqspeech"}
 MODULES = sorted(PACKAGE.rglob("*.py"))
-# (reader, module, name): the encoder runs a batch's two halves as tape nodes
-# of its own, and the clipping norm sums in blocks along numpy's pairwise tree
-CROSSING_PRIVATE_NAMES = frozenset({
-    ("encoder", "autodiff", "_make"), ("encoder", "autodiff", "_backprop"),
-    ("encoder", "autodiff", "_needs_grad"), ("pretrain", "autodiff", "_pairwise_sum")})
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -77,10 +71,10 @@ def test_foreign_imports_are_found():
     assert foreign_imports(source) == ["1: scipy.signal", "5: torch"]
 
 
-def test_private_names_cross_modules_only_where_listed():
+def test_no_private_name_crosses_modules():
     found = {(path.stem, module, name) for path in MODULES
              for module, name in private_reads(path.read_text(encoding="utf-8"))}
-    assert found == CROSSING_PRIVATE_NAMES
+    assert found == set()
 
 
 def test_private_reads_are_found():

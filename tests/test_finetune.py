@@ -672,6 +672,57 @@ class TestFinetuneLoop:
                       for k, p in state.encoder_params().items())
         assert changed
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_frozen_step_records_no_encoder_node(self, pretrained_ckpt, monkeypatch, split):
+        if split:  # the batch runs as one ``ad.batch_halves`` node
+            monkeypatch.setattr(enc, "_SPLIT_MIN_FRAMES", 0)
+        texts = ["ab", "ba", "aab"]
+        state = self.make_state(pretrained_ckpt, texts, freeze_steps=1)
+        batch = synth_batch(texts)
+        learners = []
+        clipped = pretrain.clipped_gradients
+
+        def keep_learners(loss, *args):  # the Tensors with requires_grad on the tape
+            nodes, stack = {}, [loss]
+            while stack:
+                node = stack.pop()
+                nodes[id(node)] = node
+                stack.extend(p for p in node._parents if id(p) not in nodes)
+            learners.append({key for key, node in nodes.items() if node.requires_grad})
+            return clipped(loss, *args)
+        monkeypatch.setattr(pretrain, "clipped_gradients", keep_learners)
+        transcripts = dict(zip(batch.utt_ids, texts))
+        steps = [finetune.finetune_step(state, batch, transcripts, epoch=0) for _ in range(2)]
+        assert [m["frozen"] for m in steps] == [True, False]
+        assert learners == [{id(p) for p in state.head_params().values()},
+                            {id(p) for p in state.params.values()}]
+
+    def test_frozen_step_clips_and_logs_the_heads_norm(self, pretrained_ckpt, monkeypatch):
+        texts = ["ab", "ba"]
+        batch = synth_batch(texts)
+        received = {}
+        adam_step = pretrain.adam_step
+
+        def keep_grads(params, grads, *args):
+            received.update((name, grads[name].copy()) for name in params)
+            return adam_step(params, grads, *args)
+        monkeypatch.setattr(pretrain, "adam_step", keep_grads)
+
+        def frozen_step(clip):
+            monkeypatch.setattr(pretrain, "GRAD_CLIP", clip)
+            received.clear()
+            state = self.make_state(pretrained_ckpt, texts, freeze_steps=1)
+            m = finetune.finetune_step(state, batch, dict(zip(batch.utt_ids, texts)), epoch=0)
+            assert m["frozen"] and list(received) == list(state.head_params())
+            return m["grad_norm"], np.sqrt(sum(np.sum(g.astype(np.float64) ** 2)
+                                              for g in received.values()))
+
+        logged, head_norm = frozen_step(1e9)  # never clipped
+        assert logged == pytest.approx(head_norm, rel=1e-12)
+        logged_again, clipped_norm = frozen_step(1e-3)
+        assert logged_again == logged
+        assert clipped_norm == pytest.approx(1e-3, rel=1e-4)
+
     def test_encoder_adam_counts_from_the_freeze(self, pretrained_ckpt, monkeypatch):
         # the encoder's first update, at step 3 after a freeze of 2, is Adam's
         # update from zero moments at t = 1, not at t = 3
@@ -882,6 +933,30 @@ def test_init_reads_encoder_tensors_only(pretrained_ckpt, monkeypatch):
                                     CharTokenizer.from_texts(texts),
                                     reads=lambda name: not name.startswith("ctc_head."))
     assert_same_state(state, full)
+
+
+def test_init_from_a_finetune_checkpoint_reads_its_encoder_only(pretrained_ckpt, tmp_path,
+                                                                monkeypatch):
+    path = tmp_path / "ft.msec"
+    finetune.save_finetune_checkpoint(trained_state(pretrained_ckpt), path)
+    read = []
+    real = records.read_checkpoint
+
+    def spy(*args, **kwargs):
+        header, tensors = real(*args, **kwargs)
+        read.extend(tensors)
+        return header, tensors
+    monkeypatch.setattr(records, "read_checkpoint", spy)
+    state = TestFinetuneLoop().make_state(path, ["ab", "ba"])
+    assert sorted(read) == sorted(enc.param_shapes(TINY_ENC))
+    _, tensors = real(path)
+    for name in enc.param_shapes(TINY_ENC):
+        assert state.params[name].data.tobytes() == tensors[name].tobytes(), name
+    # the head is drawn as a start from the pretraining checkpoint draws it
+    fresh = TestFinetuneLoop().make_state(pretrained_ckpt, ["ab", "ba"])
+    for name in ("ctc_head.weight", "ctc_head.bias"):
+        assert not np.array_equal(state.params[name].data, tensors[name]), name
+        assert state.params[name].data.tobytes() == fresh.params[name].data.tobytes(), name
 
 
 def test_init_draws_only_the_ctc_head(pretrained_ckpt, monkeypatch):
