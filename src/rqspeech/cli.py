@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datapipe, encoder, finetune, frontend, pretrain, quantizer, records
+from . import datapipe, encoder, finetune, frontend, parallel, pretrain, quantizer, records
 from .config import SEED_ENV_VAR, ConfigError, load_config, write_config
 
 
@@ -418,8 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; its exit code is 0, or that of the ``CommandError``
-    it raised, printed after every failure chained before it."""
+    it raised, printed after every failure chained before it. Every command
+    runs numpy's OpenBLAS at one thread (``parallel.hold_one_blas_thread``)."""
     args = build_parser().parse_args(argv)
+    parallel.hold_one_blas_thread()
     with warnings.catch_warnings():
         warnings.showwarning = _warn
         try:

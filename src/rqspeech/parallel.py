@@ -5,6 +5,11 @@ two-thread compute pool and the batch prefetch.
 and ``autodiff.batch_halves`` the encoder's two halves. ``prefetch`` is the
 data loader's look-ahead. Neither starts more threads than the process has
 usable cores (``cores``).
+
+The pool is the program's only parallelism: numpy's OpenBLAS is set to one
+thread for the rest of the process (``hold_one_blas_thread``) at the first
+pool map and at the start of every CLI command, and is never set back, so a
+training run writes the same bits on any number of cores.
 """
 
 from __future__ import annotations
@@ -34,25 +39,24 @@ def pool_map(n, name):
     """``(map, threads)`` for ``n`` independent tasks: the head's codebooks
     or the encoder's two batch halves.
 
-    With two usable cores and numpy's OpenBLAS at hand, ``map`` is the
-    ordered map of a two-thread pool whose threads are named after ``name``,
-    and OpenBLAS is held at one thread meanwhile; otherwise it is the builtin
-    ``map`` on one thread. Each result is bit-identical to a serial run at one
-    BLAS thread. A task enters through a private function, never through
+    With two usable cores and numpy's OpenBLAS set to one thread, ``map`` is
+    the ordered map of a two-thread pool whose threads are named after
+    ``name``; otherwise it is the builtin ``map`` on one thread. Each result
+    is bit-identical to a serial run at one BLAS thread while no caller sets
+    the count back. A task enters through a private function, never through
     ``encoder.encode`` or ``Tensor.backward``, so a tracer that keeps one
     stack of open spans around those sees them on the calling thread only.
     The caller allocates the buffers the tasks share: buffers allocated on
     pool threads cost measurably more peak memory.
     """
-    if n < 2 or cores() < 2 or openblas_threads() is None:
+    if not hold_one_blas_thread() or n < 2 or cores() < 2:
         yield map, 1
         return
-    with one_blas_thread():
-        pool = ThreadPoolExecutor(2, name)
-        try:
-            yield pool.map, 2
-        finally:
-            pool.shutdown(cancel_futures=True)  # joins the threads
+    pool = ThreadPoolExecutor(2, name)
+    try:
+        yield pool.map, 2
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the threads
 
 
 def prefetch(load, items, workers):
@@ -79,20 +83,13 @@ def prefetch(load, items, workers):
         pool.shutdown(cancel_futures=True)
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread meanwhile, where it can be set."""
+@functools.cache
+def hold_one_blas_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread for good; whether it could."""
     blas = openblas_threads()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    saved = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(saved)
+    if blas is not None:
+        blas[1](1)
+    return blas is not None
 
 
 def blas_thread_count():

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import struct
 import threading
@@ -8,7 +9,10 @@ import pytest
 
 from rqspeech import autodiff, frontend, pretrain
 from rqspeech import encoder as enc
-from rqspeech.parallel import blas_thread_count
+from rqspeech.parallel import blas_thread_count, hold_one_blas_thread, openblas_threads
+
+# the count every test starts and ends at, as in a CLI command
+hold_one_blas_thread()
 
 
 def masked_norm_node(x, gamma, beta, eps, mask):
@@ -82,6 +86,19 @@ def traced_bytes(call):
         if not tracing:
             tracemalloc.stop()
     return result, current - start, peak - start
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """numpy's OpenBLAS at ``n`` threads meanwhile, then at the count it had."""
+    get_threads, set_threads = openblas_threads()
+    found = get_threads()
+    set_threads(n)
+    try:
+        assert get_threads() == n
+        yield
+    finally:
+        set_threads(found)
 
 
 @pytest.fixture(autouse=True)

@@ -653,17 +653,10 @@ def fused_head(x, w, b, labels, n):
     return (y.data, *(t.grad for t in tensors))
 
 
-@pytest.fixture
-def one_blas_thread():
-    """OpenBLAS at one thread, the count the split runs the head at."""
-    with parallel.one_blas_thread():
-        yield
-
-
 class TestCodebookSplit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_bitwise_equal_to_serial_loop(self, one_blas_thread, n, dtype):
+    def test_bitwise_equal_to_serial_loop(self, n, dtype):
         rng = np.random.default_rng(n)
         for rows in (1, int(rng.integers(2, 300))):
             vocab, hidden = (int(v) for v in rng.integers(2, 200, 2))
@@ -673,7 +666,7 @@ class TestCodebookSplit:
                 assert a.dtype == want.dtype
                 np.testing.assert_array_equal(a, want)
 
-    def test_bitwise_equal_under_frequent_thread_switches(self, one_blas_thread):
+    def test_bitwise_equal_under_frequent_thread_switches(self):
         problem = head_problem(np.random.default_rng(4), 64, 9, 32, 8, np.float32)
         want = serial_multi_softmax_nll(*problem, 9)
         got = []
@@ -781,12 +774,14 @@ class TestCodebookSplit:
         monkeypatch.setattr(ad, "_softmax_xent", spy)
         monkeypatch.setattr(parallel, "_OPENBLAS_SET", "no_such_symbol")
         parallel.openblas_threads.cache_clear()
+        parallel.hold_one_blas_thread.cache_clear()
         try:
             assert parallel.openblas_threads() is None
             problem = head_problem(np.random.default_rng(3), 30, 3, 16, 8, np.float64)
             got = fused_head(*problem, 3)
         finally:
             parallel.openblas_threads.cache_clear()
+            parallel.hold_one_blas_thread.cache_clear()
         assert threads == {threading.current_thread().name}
         for a, want in zip(got, serial_multi_softmax_nll(*problem, 3)):
             np.testing.assert_array_equal(a, want)
@@ -822,8 +817,8 @@ class TestHeadRowBlocks:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [450, 777])
-    def test_loss_and_gx_bitwise_equal_to_serial_loop(self, one_blas_thread, head_row_blocks,
-                                                      monkeypatch, rows, dtype):
+    def test_loss_and_gx_bitwise_equal_to_serial_loop(self, head_row_blocks, monkeypatch,
+                                                      rows, dtype):
         sizes = []
         xent = ad._softmax_xent
 
@@ -844,7 +839,7 @@ class TestHeadRowBlocks:
             assert norm_relative(got, ref) <= self.GRAD_RTOL[dtype]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_small_hidden_within_rounding(self, one_blas_thread, head_row_blocks, dtype):
+    def test_small_hidden_within_rounding(self, head_row_blocks, dtype):
         # the bits of the loss and gx hold where BLAS computes each row of a
         # product the same at the block's row count as at all rows. At hidden
         # 8 numpy's OpenBLAS 0.3.31 does not (its kernel choice depends on the

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from rqspeech import config as cfgmod
-from rqspeech import (cli, datapipe, encoder, finetune, frontend, masking, pretrain, quantizer,
-                      records)
+from rqspeech import (cli, datapipe, encoder, finetune, frontend, masking, parallel, pretrain,
+                      quantizer, records)
 from rqspeech.cli import main
 
-from conftest import make_speechlike, rewrite_checkpoint_header
+from conftest import blas_threads, make_speechlike, rewrite_checkpoint_header
 
 
 def write_corpus(root, durations, seed=0):
@@ -473,8 +473,8 @@ class TestPretrainCommand:
         assert (out_dir / "metrics.csv").read_text() == first
 
     def test_prefetch_workers_do_not_change_outputs(self, tmp_path):
-        # prefetch threads call BLAS in log_mel while the head holds OpenBLAS
-        # at one thread; features, metrics and checkpoints must not notice
+        # prefetch threads call BLAS in log_mel while the head maps on the
+        # pool; features, metrics and checkpoints must not notice
         corpus = tmp_path / "corpus"
         write_corpus(corpus, [0.6, 0.9, 1.2, 0.8])
         outputs = []
@@ -486,6 +486,29 @@ class TestPretrainCommand:
                 f.write(f"workers = {workers}\n")
             assert main(["pretrain", "--config", str(cfg_path)]) == 0
             # the header differs only in run_config (workers, output_dir)
+            raw = (out_dir / "final.msec").read_bytes()
+            (header_len,) = struct.unpack("<I", raw[8:12])
+            outputs.append(((out_dir / "metrics.csv").read_bytes(), raw[12 + header_len:]))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(parallel.openblas_threads() is None or parallel.cores() < 2,
+                        reason="needs numpy's OpenBLAS and two usable cores")
+    def test_outputs_do_not_depend_on_the_starting_blas_count(self, tmp_path):
+        # an unsplit batch of 4 x 5 s, whose weight gradients differ in the
+        # last bits at two OpenBLAS threads; the run holds one thread, so a
+        # process started on two cores writes the bytes of one started on one
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [5.0] * 4)
+        outputs = []
+        for threads in (2, 1):
+            cfg_path = tmp_path / f"b{threads}.ini"
+            out_dir = tmp_path / f"out{threads}"
+            write_pretrain_config(cfg_path, corpus, out_dir, total_steps=2)
+            cfg_path.write_text(cfg_path.read_text().replace(
+                "tokens_per_batch = 400", "tokens_per_batch = 2400"))
+            with blas_threads(threads):  # as in a process started on that many cores
+                parallel.hold_one_blas_thread.cache_clear()
+                assert main(["pretrain", "--config", str(cfg_path)]) == 0
             raw = (out_dir / "final.msec").read_bytes()
             (header_len,) = struct.unpack("<I", raw[8:12])
             outputs.append(((out_dir / "metrics.csv").read_bytes(), raw[12 + header_len:]))
@@ -982,6 +1005,24 @@ class TestDecodeAndScore:
                      "--out", str(hyp), "--greedy"]) == 0
         got = finetune.read_transcripts(hyp)
         assert set(got) == {"utt00", "utt01", "utt02"}
+
+    @pytest.mark.skipif(parallel.openblas_threads() is None or parallel.cores() < 2,
+                        reason="needs numpy's OpenBLAS and two usable cores")
+    def test_decode_runs_openblas_at_one_thread(self, finetuned_setup, monkeypatch):
+        # decode never maps on the pool, so only main sets the count
+        ckpt, manifest, _, tmp = finetuned_setup
+        counts = []
+        real = finetune.transcribe
+
+        def spy(*args, **kwargs):
+            counts.append(parallel.blas_thread_count())
+            return real(*args, **kwargs)
+        monkeypatch.setattr(finetune, "transcribe", spy)
+        with blas_threads(2):  # as in a process started on two cores
+            parallel.hold_one_blas_thread.cache_clear()
+            assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                         "--out", str(tmp / "hyp.tsv")]) == 0
+        assert counts == [1, 1, 1]
 
     def test_decode_reads_no_moment_and_matches_full_state(self, finetuned_setup,
                                                           monkeypatch):

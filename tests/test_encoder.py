@@ -1027,7 +1027,7 @@ class TestBatchSplit:
     def test_pool_and_one_core_paths_give_the_same_bits(self, monkeypatch):
         problem = split_problem()
         pooled, pooled_grads = run_encoder(monkeypatch, True, *problem)
-        monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
+        monkeypatch.setattr(parallel, "hold_one_blas_thread", lambda: False)
         serial, serial_grads = run_encoder(monkeypatch, True, *problem)
         assert pooled.final.data.tobytes() == serial.final.data.tobytes()
         for name, grad in pooled_grads.items():
