@@ -1,12 +1,12 @@
 """Corpus indexing, duration bucketing, and deterministic batch scheduling.
 
-Utterances shorter than 0.3 s are dropped at scan time; anything beyond 40 s
-is cropped to a random 40 s window whose offset is resampled each epoch from a
-stream keyed by (seed, epoch, utterance id). Durations are split into
-equal-count buckets and each bucket gets a batch size of roughly
-tokens_per_batch / bucket_max_frames, so every batch carries a similar frame
-budget. Batches are ordered by sampling the next bucket with probability
-proportional to its remaining batch count, without replacement.
+Both corpus readers drop utterances under 0.3 s, so every indexed utterance has
+at least 28 Mel frames; one beyond 40 s is cropped to a random 40 s window whose
+offset is resampled each epoch from a stream keyed by (seed, epoch, utterance
+id). Durations are split into equal-count buckets and each bucket gets a batch
+size of roughly tokens_per_batch / bucket_max_frames, so every batch carries a
+similar frame budget. Batches are ordered by sampling the next bucket with
+probability proportional to its remaining batch count, without replacement.
 
 All randomness is keyed, so epochs are reproducible and independent of worker
 count; ``iter_epoch`` may prefetch with a thread pool and still yields batches
@@ -98,8 +98,6 @@ class Batch:
 def frames_for_duration(duration_s: float) -> int:
     """Mel frame count of a duration's worth of 16 kHz samples (post-crop)."""
     samples = int(round(min(duration_s, MAX_DURATION_S) * frontend.SAMPLE_RATE))
-    if samples < frontend.WINDOW_SAMPLES:
-        return 0
     return frontend.num_frames(samples)
 
 
@@ -142,21 +140,33 @@ def text_lines(path):
             yield lineno, line.rstrip("\n")
 
 
-def read_manifest(path) -> CorpusIndex:
-    """Manifest alternative to scanning: one "id<TAB>path<TAB>duration_s" per line,
-    each id once (labels, masks and caches are keyed by id)."""
-    entries, first_line = [], {}
+def id_lines(path, form):
+    """Yield (line number, id, rest) of each nonempty line of an id<TAB> file
+    that ``text_lines`` reads; the id ends at the first tab and comes once, or
+    ValueError names path:line ("expected <form>" for a line with no tab)."""
+    first_line = {}
     for lineno, line in text_lines(path):
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected id<TAB>path<TAB>duration_s")
-        utt_id, wav_path, dur = parts
+        utt_id, tab, rest = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{path}:{lineno}: expected {form}")
         if utt_id in first_line:
             raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
                              f"line {first_line[utt_id]}")
         first_line[utt_id] = lineno
+        yield lineno, utt_id, rest
+
+
+def read_manifest(path) -> CorpusIndex:
+    """Manifest alternative to scanning: one "id<TAB>path<TAB>duration_s" per
+    line, read by ``id_lines`` (labels, masks and caches are keyed by id)."""
+    form = "id<TAB>path<TAB>duration_s"
+    entries = []
+    for lineno, utt_id, rest in id_lines(path, form):
+        if rest.count("\t") != 1:
+            raise ValueError(f"{path}:{lineno}: expected {form}")
+        wav_path, dur = rest.split("\t")
         try:
             duration = float(dur)
         except ValueError:
@@ -202,7 +212,7 @@ def build_buckets(index: CorpusIndex, num_buckets: int = DEFAULT_NUM_BUCKETS,
     buckets = []
     for i, edge in enumerate(merged):
         max_frames = frames_for_duration(edge)
-        batch_size = max(1, tokens_per_batch // max(max_frames, 1))
+        batch_size = max(1, tokens_per_batch // max_frames)
         buckets.append(Bucket(bucket_id=i, max_duration=edge,
                               max_frames=max_frames, batch_size=batch_size))
     return BucketSpec(buckets=tuple(buckets))

@@ -531,24 +531,17 @@ def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
 
 
 def read_transcripts(path, need_text=()) -> dict:
-    """Transcript manifest: one "id<TAB>text" per line, UTF-8, each id once.
+    """Transcript manifest: one "id<TAB>text" per line, read by ``id_lines``.
 
-    An id in ``need_text`` (a training utterance) must have a nonempty text;
-    any other text may be empty, as a hypothesis with no symbol is.
+    Every id in ``need_text`` (the training utterances) needs a line with a
+    nonempty text; any other text may be empty, as a hypothesis with no symbol is.
     """
-    out, first_line = {}, {}
-    for lineno, line in datapipe.text_lines(path):
-        if not line:
-            continue
-        if "\t" not in line:
-            raise ValueError(f"{path}:{lineno}: expected id<TAB>text")
-        utt_id, text = line.split("\t", 1)
-        if utt_id in first_line:
-            raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} repeats "
-                             f"line {first_line[utt_id]}")
+    out = {}
+    for lineno, utt_id, text in datapipe.id_lines(path, "id<TAB>text"):
         if not text and utt_id in need_text:
             raise ValueError(f"{path}:{lineno}: utterance {utt_id!r} has an empty "
                              f"transcript")
-        first_line[utt_id] = lineno
         out[utt_id] = text
+    if missing := sorted(set(need_text) - out.keys()):
+        raise ValueError(f"{path}: transcripts missing for: {', '.join(missing[:5])}")
     return out

@@ -216,6 +216,7 @@ TRANSCRIPT_CORRUPTIONS = {
 TRAINING_TRANSCRIPT_CORRUPTIONS = {
     "empty": lambda path: path.write_bytes(b""),
     "empty_text": lambda path: path.write_bytes(GOOD_TRANSCRIPTS.replace(b"\tba", b"\t")),
+    "id_missing": lambda path: path.write_bytes(GOOD_TRANSCRIPTS.replace(b"utt01\tba\n", b"")),
 }
 
 
@@ -288,6 +289,10 @@ MANIFEST_CORRUPTIONS = {
     "repeated_id": _manifest_corruption(lambda lines: "".join([*lines, lines[0]])),
     "not_utf8": lambda path, good: path.write_bytes(
         good.encode("utf-8") + b"\xff\xfe\tx.wav\t1.0\n"),
+    "two_fields": _manifest_corruption(lambda lines: "".join(
+        [lines[0].rsplit("\t", 1)[0] + "\n", *lines[1:]])),
+    "four_fields": _manifest_corruption(lambda lines: "".join(
+        [lines[0].replace("\n", "\tx\n"), *lines[1:]])),
 }
 
 

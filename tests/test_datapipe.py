@@ -85,6 +85,15 @@ class TestScanCorpus:
         with pytest.raises(ValueError, match=rf"manifest.tsv:2: duration '{duration}' is not finite"):
             datapipe.read_manifest(manifest)
 
+    @pytest.mark.parametrize("line", ["b\tb.wav", "b\tb.wav\t1.0\tx"],
+                             ids=["two_fields", "four_fields"])
+    def test_manifest_rejects_wrong_field_count(self, tmp_path, line):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"a\ta.wav\t1.0\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            datapipe.read_manifest(manifest)
+        assert str(err.value) == f"{manifest}:2: expected id<TAB>path<TAB>duration_s"
+
     @pytest.mark.parametrize("duration", ["abc", "", "1.5s"])
     def test_manifest_rejects_non_numeric_duration(self, tmp_path, duration):
         index = build_corpus(tmp_path, [1.0])
@@ -149,6 +158,15 @@ class TestBuildBuckets:
         with pytest.warns(UserWarning, match=f"merged {num_buckets - 3} degenerate buckets"):
             spec = datapipe.build_buckets(index, num_buckets=num_buckets, tokens_per_batch=4000)
         assert tuple(b.max_duration for b in spec.buckets) == (1.0, 2.0, 3.0)
+
+    def test_floor_duration_has_28_frames(self):
+        assert datapipe.frames_for_duration(datapipe.MIN_DURATION_S) == 28
+
+    def test_entry_under_one_window_is_refused(self):
+        # both readers drop entries under 0.3 s; a hand-built index that holds
+        # one under the 25 ms window gets no zero-frame bucket
+        with pytest.raises(ValueError, match="need >= 400 samples, got 320"):
+            datapipe.build_buckets(self.index_of([0.02, 1.0]), num_buckets=2)
 
     def test_inverse_proportional_batch_size(self):
         index = self.index_of([10.0] * 6 + [20.0] * 6)

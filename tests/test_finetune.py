@@ -1188,6 +1188,18 @@ class TestTranscriptManifest:
         with pytest.raises(ValueError, match="id<TAB>text"):
             finetune.read_transcripts(path)
 
+    def test_blank_line_skipped_and_text_keeps_its_tabs(self, tmp_path):
+        path = tmp_path / "trans.tsv"
+        path.write_text("a\tx\ty\n\nb\t\n", encoding="utf-8")
+        assert finetune.read_transcripts(path) == {"a": "x\ty", "b": ""}
+
+    def test_training_id_without_a_line_rejected(self, tmp_path):
+        path = tmp_path / "trans.tsv"
+        path.write_text("a\thello\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            finetune.read_transcripts(path, need_text={"a", "b"})
+        assert str(err.value) == f"{path}: transcripts missing for: b"
+
     def test_repeated_id_rejected_naming_both_lines(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("a\thello\nb\tok\na\tworld\n", encoding="utf-8")
