@@ -8,14 +8,14 @@ so a tape is walked once and its arrays are freed as the walk goes. Gradients
 are exact for the recorded computation graph, which is what the
 finite-difference test suite checks.
 
-The op set is intentionally small: what the encoder and the losses need,
-with these as one fused node each: the convolutional feature extractor
-(``feature_extractor``), the layer norm, the Conformer's self-attention
-block (``attention_block``), macaron half feed-forward (``half_ffn``) and
-convolution module (``conv_module``), the pretraining head, and the CTC loss
-of a whole padded batch (``ctc_nll``). Each op returns a gradient for every
-parent; constants such as the mel input and the padding masks are arrays a
-node holds, not parents.
+The op set is intentionally small: what the encoder and the losses need, with
+these as one fused node each: the convolutional feature extractor
+(``feature_extractor``), the layer norm, the Conformer's self-attention block
+(``attention_block``), macaron half feed-forward (``half_ffn``) and
+convolution module (``conv_module``), the weighted layer sum (``layer_mix``),
+the pretraining head, and the CTC loss of a padded batch (``ctc_nll``). Each
+op returns a gradient for every parent; constants such as the mel input and
+the padding masks are arrays a node holds, not parents.
 Each Conformer node adds its own residual, so its output is the next
 block's input and no block output is kept beside it. The norm and the three
 Conformer nodes keep statistics and boolean dropout masks, not their
@@ -85,9 +85,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data)
@@ -301,17 +298,23 @@ def linear(x, w, b):
 
 # softmax family -----------------------------------------------------------
 
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def layer_mix(states, logits):
+    """``sum_i softmax(logits)_i * states[i]``, added in state order, as one
+    node over ``logits`` and the same-shape ``states`` (the layer weighting
+    of Yang et al., 2021) that keeps only the weights; it has the bits of a
+    softmax node, then a getitem, a mul and an add per state."""
+    logits, states = as_tensor(logits), [as_tensor(s) for s in states]
+    e = np.exp(logits.data - logits.data.max())
+    w = e / e.sum()
+    out = states[0].data * w[0]
+    for s, wi in zip(states[1:], w[1:]):
+        out = out + s.data * wi
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        d = np.array([(g * s.data).sum(axis=tuple(range(g.ndim))) for s in states], w.dtype)
+        return ((d - (d * w).sum()) * w, *(g * wi for wi in w))
 
-    return _make(y, (a,), backward)
+    return _make(out, (logits, *states), backward)
 
 
 def log_softmax(a, axis=-1):

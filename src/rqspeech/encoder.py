@@ -320,13 +320,9 @@ def _encode_halves(params: dict, cfg: EncoderConfig, mel: np.ndarray, lengths: n
 
 
 def weighted_sum(layer_states: list, logits) -> Tensor:
-    """Softmax-weighted convex combination of retained layer states."""
+    """Softmax-weighted convex combination of retained layer states, one
+    ``ad.layer_mix`` node."""
     logits = ad.as_tensor(logits)
     if logits.shape != (len(layer_states),):
         raise ValueError(f"need {len(layer_states)} layer weights, got {logits.shape}")
-    weights = ad.softmax(logits, axis=-1)
-    out = None
-    for i, state in enumerate(layer_states):
-        term = ad.mul(ad.as_tensor(state), weights[i])
-        out = term if out is None else ad.add(out, term)
-    return out
+    return ad.layer_mix(layer_states, logits)

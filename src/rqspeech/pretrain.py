@@ -108,10 +108,9 @@ def codebook_utilization(labels: np.ndarray, num_codebooks: int, vocab_size: int
     labels = np.asarray(labels).reshape(-1, num_codebooks)
     if labels.size == 0:
         raise ValueError("need at least one label")
-    distinct = 0
-    for j in range(num_codebooks):
-        distinct += np.unique(labels[:, j]).size
-    return distinct / (num_codebooks * vocab_size)
+    seen = np.zeros(num_codebooks * vocab_size, bool)
+    seen[labels + np.arange(num_codebooks) * vocab_size] = True
+    return np.count_nonzero(seen) / (num_codebooks * vocab_size)
 
 
 # optimizer -----------------------------------------------------------------
@@ -350,8 +349,12 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     A ``full`` load takes every parameter, moment and the step from the file;
     ``feature_extractor_only`` reads the ``extractor.*`` tensors and draws
     the rest as ``init_train_state`` does, at step 0. The quantizer
-    always comes from ``cfg`` (seed and config of the current run); a
-    continued run may deliberately pick a new quantizer seed.
+    always comes from ``cfg`` (seed and config of the current run). A
+    ``full`` load continues the checkpoint's model: a header that names
+    another encoder config (dropout aside) or head partition
+    (``num_codebooks``, ``vocab_size``) is a CheckpointError, raised after
+    any tensor's shape mismatch; a new quantizer seed, ``dim`` or dropout
+    continues.
     """
     if mode not in LOAD_MODES:
         raise ValueError(f"unknown load mode: {mode!r} (expected one of {LOAD_MODES})")
@@ -359,6 +362,16 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     reads = (lambda name: True) if full else (lambda name: name.startswith("extractor."))
     header, tensors = read_checkpoint(path, keep=None if full else reads)
     state = init_train_state(encoder_cfg, cfg, run_config, (tensors, path), reads, full)
+    if full:
+        saved = header["encoder_config"].to_dict()
+        ours = {**encoder_cfg.to_dict(), **asdict(cfg.quantizer)}
+        if isinstance(header.get("quantizer"), dict):
+            saved.update((key, value) for key, value in header["quantizer"].items()
+                         if key in ("num_codebooks", "vocab_size"))
+        differ = [f"{key} {saved[key]!r} (run: {ours[key]!r})" for key in saved
+                  if key != "dropout" and saved[key] != ours[key]]
+        if differ:
+            raise CheckpointError(f"checkpoint {path} holds another model: {', '.join(differ)}")
     state.step = header["step"] if full else 0
     return state
 

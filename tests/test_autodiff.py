@@ -193,9 +193,6 @@ class TestPrimitives:
     def test_unfold_time(self):
         check_op(lambda a: unfold_time_node(a, kernel=3, stride=2), (2, 9, 4))
 
-    def test_softmax(self):
-        check_op(lambda a: ad.softmax(a, axis=-1), (3, 5))
-
     def test_log_softmax(self):
         check_op(lambda a: ad.log_softmax(a, axis=-1), (3, 5))
 
@@ -516,15 +513,6 @@ class TestSemantics:
         assert not ad._rel_shift(a).flags.writeable
         assert ad._rel_shift(a, True).flags.writeable
         assert a.flags.writeable
-
-    def test_softmax_with_neginf_keys(self):
-        x = Tensor(np.array([[0.0, -np.inf, 1.0]]), requires_grad=True)
-        y = ad.softmax(x)
-        assert y.data[0, 1] == 0.0
-        assert np.isclose(y.data.sum(), 1.0)
-        ad.sum_(ad.mul(y, np.array([[1.0, 5.0, 2.0]]))).backward()
-        assert np.all(np.isfinite(x.grad[0, [0, 2]]))
-        assert x.grad[0, 1] == 0.0
 
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import dataclasses
 import errno
 import inspect
 import io
@@ -316,6 +317,28 @@ class TestPretrainCommand:
                      "--init-from", str(tmp_path / "missing.msec")])
         assert code == 2
         assert "--init-mode full or feature_extractor_only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("layers, codebooks, vocab, named", [
+        (2, 2, 32, "num_layers 2 (run: 1)"),
+        # the run's 2 x 32 head outputs, read as 4 codebooks of 16
+        (1, 4, 16, "num_codebooks 4 (run: 2), vocab_size 16 (run: 32)"),
+    ])
+    def test_full_init_from_another_model_exit_1(self, tmp_path, capsys, layers, codebooks,
+                                                 vocab, named):
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, [0.6])
+        path = tmp_path / "c.ini"
+        write_pretrain_config(path, corpus, tmp_path / "out")
+        cfg = cfgmod.load_config(path)
+        other = pretrain.PretrainConfig(quantizer=quantizer.QuantizerConfig(codebooks, vocab, 4))
+        ckpt = tmp_path / "other.msec"
+        pretrain.save_checkpoint(pretrain.init_train_state(
+            dataclasses.replace(cfg.encoder_config(), num_layers=layers), other), ckpt)
+        code = main(["pretrain", "--config", str(path), "--init-from", str(ckpt),
+                     "--init-mode", "full"])
+        assert code == 1
+        assert f"checkpoint {ckpt} holds another model: {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @staticmethod

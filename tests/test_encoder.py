@@ -795,6 +795,108 @@ class TestWeightedSum:
             encoder.weighted_sum([Tensor(np.zeros((1, 2, 2)))], np.zeros(3))
 
 
+def chain_weighted_sum(states, logits):
+    """Reference: the weighted sum as a chain of nodes, a softmax node over
+    the logits, then a getitem, a mul and an add per state."""
+    logits = ad.as_tensor(logits)
+    e = np.exp(logits.data - np.max(logits.data, axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    weights = ad._make(y, (logits,),
+                       lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,))
+    out = None
+    for i, state in enumerate(states):
+        term = ad.mul(ad.as_tensor(state), weights[i])
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+def mix_run(mix, arrays, logits, g):
+    """(output, logits' gradient, each state's gradient) of ``mix`` over
+    fresh leaves, walked from the upstream gradient ``g``."""
+    states = [Tensor(a, requires_grad=True) for a in arrays]
+    wl = Tensor(logits, requires_grad=True)
+    out = mix(states, wl)
+    out.backward(g)
+    return out.data, wl.grad, [s.grad for s in states]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLayerMix:
+    """``ad.layer_mix``, the one node behind ``weighted_sum``, against the
+    chain of nodes it replaced."""
+
+    def test_bitwise_equal_to_chain(self):
+        dtypes = [np.float32, np.float64]
+        for case in range(200):
+            rng = np.random.default_rng(case)
+            k = int(rng.integers(1, 8))
+            shape = tuple(rng.integers(1, 6, size=int(rng.integers(2, 4))))
+            # float32, float64, or each state and the logits a dtype of their own
+            kind = case % 3
+            state_dtypes = ([dtypes[kind]] * k if kind < 2
+                            else [dtypes[i] for i in rng.integers(0, 2, size=k)])
+            logit_dtype = dtypes[kind] if kind < 2 else dtypes[int(rng.integers(0, 2))]
+            arrays = [rng.standard_normal(shape).astype(dt) for dt in state_dtypes]
+            logits = (3 * rng.standard_normal(k)).astype(logit_dtype)
+            g = rng.standard_normal(shape)
+            got = mix_run(encoder.weighted_sum, arrays, logits, g)
+            want = mix_run(chain_weighted_sum, arrays, logits, g)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), case
+            assert all(same_bits(a, b) for a, b in zip(got[2], want[2])), case
+
+    def test_split_batch_states_bitwise_equal_to_chain(self, monkeypatch):
+        # the states are getitems of one ``ad.batch_halves`` node, whose
+        # backward adds their gradients
+        arrays, mel, lengths, probe = split_problem(b=3)
+        wl = np.random.default_rng(5).standard_normal(SPLIT_CFG.num_layers + 1)
+        runs = []
+        for mix in (encoder.weighted_sum, chain_weighted_sum):
+            monkeypatch.setattr(encoder, "_SPLIT_MIN_FRAMES", 0)
+            params = encoder.params_to_tensors(arrays)
+            logits = Tensor(wl.astype(np.float32), requires_grad=True)
+            out = encoder.encode(params, SPLIT_CFG, mel, lengths)
+            assert len({id(s._parents[0]) for s in out.layer_states}) == 1
+            mixed = mix(out.layer_states, logits)
+            ad.sum_(ad.mul(mixed, probe)).backward()
+            runs.append((mixed.data, logits.grad, {n: t.grad for n, t in params.items()}))
+        (out_a, gl_a, grads_a), (out_b, gl_b, grads_b) = runs
+        assert same_bits(out_a, out_b) and same_bits(gl_a, gl_b)
+        assert all(same_bits(grads_a[n], grads_b[n]) for n in grads_b)
+
+    def test_one_node_over_logits_and_states(self):
+        states = [Tensor(np.ones((2, 3, 4)), requires_grad=True) for _ in range(5)]
+        logits = Tensor(np.zeros(5), requires_grad=True)
+        out = encoder.weighted_sum(states, logits)
+        assert out._parents == (logits, *states)
+        assert all(p._backward is None for p in out._parents)
+
+    def test_keeps_no_product_or_partial_sum(self):
+        # the default encoder's five states of 8 x 400 mel frames: the chain
+        # held its five products and four partial sums, ~9 states
+        rng = np.random.default_rng(0)
+        states = [Tensor(rng.standard_normal((8, 100, 64)).astype(np.float32),
+                         requires_grad=True) for _ in range(5)]
+        logits = Tensor(np.zeros(5, np.float32), requires_grad=True)
+        out, retained, _ = traced_bytes(lambda: encoder.weighted_sum(states, logits))
+        state_bytes = states[0].data.nbytes
+        assert out.data.nbytes == state_bytes
+        assert retained <= state_bytes + 4096
+
+    def test_neginf_logit_weighs_zero_with_finite_gradients(self):
+        rng = np.random.default_rng(1)
+        arrays = [rng.standard_normal((2, 3)) for _ in range(3)]
+        logits = np.array([0.0, -np.inf, 1.0])
+        out, gl, gs = mix_run(encoder.weighted_sum, arrays, logits, rng.standard_normal((2, 3)))
+        w = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
+        np.testing.assert_allclose(out, w[0] * arrays[0] + w[1] * arrays[2], rtol=1e-12)
+        assert np.all(np.isfinite(gl)) and gl[1] == 0.0
+        assert all(np.all(np.isfinite(g)) for g in gs)
+        assert np.all(gs[1] == 0.0)
+
+
 class TestGradients:
     """Spot FD checks per parameter family; the full sweep runs in acceptance."""
 

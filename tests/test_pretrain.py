@@ -1,8 +1,10 @@
 import gc
 import json
 import os
+import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +157,22 @@ class TestUtilization:
             hits.append(pretrain.codebook_utilization(labels, 1, 16))
         expected = 1 - (15 / 16) ** 64
         assert abs(np.mean(hits) - expected) < 0.02
+
+    @pytest.mark.parametrize("vocab", [2048, 65536])
+    @pytest.mark.parametrize("codebooks", [1, 4, 32])
+    def test_equal_to_per_codebook_unique(self, codebooks, vocab):
+        def per_codebook(labels):  # reference: distinct codewords, codebook by codebook
+            labels = labels.reshape(-1, codebooks)
+            return (sum(np.unique(labels[:, j]).size for j in range(codebooks))
+                    / (codebooks * vocab))
+
+        rng = np.random.default_rng(codebooks * vocab)
+        for rows in (1, 7, 500):
+            labels = rng.integers(0, vocab, size=(rows, codebooks)).astype(np.uint16)
+            labels[:, -1] = vocab - 1  # the last codebook sees one codeword
+            for window in (labels, labels.reshape(-1)):
+                assert pretrain.codebook_utilization(window, codebooks, vocab) == \
+                    per_codebook(labels)
 
 
 class TestAdam:
@@ -509,6 +527,34 @@ class TestCheckpoint:
         want = quant.init_quantizer(2, TINY_Q)
         assert loaded.quantizer_state.fingerprint() == want.fingerprint()
         assert loaded.quantizer_state.fingerprint() != state.quantizer_state.fingerprint()
+
+    @pytest.mark.parametrize("enc_cfg, qcfg, named", [
+        # layer 1 and its moments were read, then dropped
+        (enc.EncoderConfig(num_layers=1, hidden=32, ffn=64, heads=4), TINY_Q,
+         "num_layers 2 (run: 1)"),
+        # the same 128 head outputs, read as 4 codebooks of 32
+        (TINY_ENC, quant.QuantizerConfig(num_codebooks=4, vocab_size=32, dim=8),
+         "num_codebooks 2 (run: 4), vocab_size 64 (run: 32)"),
+    ])
+    def test_full_load_of_another_model_rejected(self, tmp_path, enc_cfg, qcfg, named):
+        path = tmp_path / "m.msec"
+        pretrain.save_checkpoint(pretrain.init_train_state(TINY_ENC, tiny_config()), path)
+        want = f"checkpoint {path} holds another model: {named}"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(want)}$"):
+            pretrain.load_checkpoint(path, "full", enc_cfg, tiny_config(quantizer=qcfg))
+        # the extractor alone still starts the other model
+        pretrain.load_checkpoint(path, "feature_extractor_only", enc_cfg,
+                                 tiny_config(quantizer=qcfg))
+
+    def test_full_load_continues_with_new_seed_dim_and_dropout(self, tmp_path):
+        path = tmp_path / "m.msec"
+        state = pretrain.init_train_state(TINY_ENC, tiny_config())
+        pretrain.save_checkpoint(state, path)
+        other_q = quant.QuantizerConfig(num_codebooks=2, vocab_size=64, dim=4)
+        loaded = pretrain.load_checkpoint(path, "full", replace(TINY_ENC, dropout=0.1),
+                                          tiny_config(seed=5, quantizer=other_q))
+        assert all(np.array_equal(p.data, state.params[n].data)
+                   for n, p in loaded.params.items())
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.msec"
