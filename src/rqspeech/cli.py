@@ -353,14 +353,13 @@ def cmd_inspect(args) -> int:
         return 0
 
     with _failing(1, records.CheckpointError):
-        header, _ = records.read_checkpoint(args.ckpt, keep=lambda name: False)
+        header, _ = records.read_checkpoint(args.ckpt, lambda header: {})
     shapes = {entry["name"]: entry["shape"] for entry in header["tensors"]}
-    param_total = 0
     for name in sorted(shapes):
         print(f"{name}\t" + ("x".join(str(s) for s in shapes[name]) or "scalar"))
-        if not name.startswith("opt."):
-            param_total += math.prod(shapes[name])
-    print(f"parameters: {param_total}")
+    params = sum(math.prod(shape) for name, shape in shapes.items()
+                 if not name.startswith(pretrain.MOMENTS))
+    print(f"parameters: {params}")
     print(f"step: {header['step']}")
     print("config: " + json.dumps(header["encoder_config"].to_dict(), sort_keys=True))
     return 0

@@ -64,11 +64,8 @@ class CharTokenizer:
 
     @classmethod
     def from_texts(cls, texts) -> "CharTokenizer":
-        chars = set()
-        for text in texts:
-            chars.update(text)
-        chars.add(" ")
-        return cls("".join(chars))
+        """The characters of ``texts`` and the space."""
+        return cls(" " + "".join(texts))
 
     @property
     def vocab_size(self) -> int:
@@ -368,18 +365,13 @@ def score(refs, hyps, unit: str = "word"):
     if len(refs) != len(hyps):
         raise ValueError("refs and hyps must have equal length")
     pairs = []
-    edits = 0
-    total = 0
     for ref, hyp in zip(refs, hyps):
         r = _units(ref, unit)
-        h = _units(hyp, unit)
-        d = edit_distance(r, h)
-        pairs.append((d, len(r)))
-        edits += d
-        total += len(r)
+        pairs.append((edit_distance(r, _units(hyp, unit)), len(r)))
+    total = sum(n for _, n in pairs)
     if total == 0:
         raise ValueError("total reference length is zero")
-    return 100.0 * edits / total, pairs
+    return 100.0 * sum(d for d, _ in pairs) / total, pairs
 
 
 # finetune loop -------------------------------------------------------------------
@@ -410,27 +402,28 @@ METRICS_FIELDS = (("step", "{m[step]}"), ("loss", "{m[loss]:.6f}"),
                   ("frozen", "{m[frozen]:d}"), ("grad_norm", "{m[grad_norm]:.6f}"))
 
 
-def _finetune_state(header: dict, tensors: dict, path, cfg: FinetuneConfig,
-                    tokenizer: CharTokenizer, reads, moments: bool = False) -> FinetuneState:
+def _state_shapes(header: dict, tokenizer: CharTokenizer) -> dict:
+    encoder_cfg, vocab = header["encoder_config"], tokenizer.vocab_size
+    return {**enc.param_shapes(encoder_cfg),
+            "ctc_head.weight": (encoder_cfg.hidden, vocab), "ctc_head.bias": (vocab,)}
+
+
+def _finetune_state(header: dict, tensors: dict, cfg: FinetuneConfig,
+                    tokenizer: CharTokenizer) -> FinetuneState:
     """A step-0 state: the encoder ``header`` names and a CTC head for ``tokenizer``."""
-    encoder_cfg = header["encoder_config"]
-    vocab = tokenizer.vocab_size
-    shapes = {**enc.param_shapes(encoder_cfg),
-              "ctc_head.weight": (encoder_cfg.hidden, vocab), "ctc_head.bias": (vocab,)}
-    params, adam = pretrain.build_tensors(shapes, cfg.seed, (tensors, path), reads, moments)
-    return FinetuneState(encoder_cfg=encoder_cfg, cfg=cfg, tokenizer=tokenizer,
+    params, adam = pretrain.build_tensors(_state_shapes(header, tokenizer), cfg.seed, tensors)
+    return FinetuneState(encoder_cfg=header["encoder_config"], cfg=cfg, tokenizer=tokenizer,
                          params=params, adam=adam)
 
 
 def init_finetune_state(checkpoint_path, cfg: FinetuneConfig,
                         tokenizer: CharTokenizer) -> FinetuneState:
-    """Every encoder tensor from a pretraining or finetune checkpoint; the CTC
-    head is drawn and the moments are zeros, so the file's ``head.*``,
-    ``ctc_head.*`` and ``opt.*`` tensors are not read."""
-    def encoder_tensor(name):
-        return not name.startswith(("head.", "ctc_head.", "opt."))
-    header, tensors = records.read_checkpoint(checkpoint_path, keep=encoder_tensor)
-    return _finetune_state(header, tensors, checkpoint_path, cfg, tokenizer, encoder_tensor)
+    """Every tensor of the encoder that a pretraining or finetune checkpoint's
+    header names, and no other tensor, is read; the CTC head is drawn and the
+    moments are zeros."""
+    header, tensors = records.read_checkpoint(
+        checkpoint_path, lambda header: enc.param_shapes(header["encoder_config"]))
+    return _finetune_state(header, tensors, cfg, tokenizer)
 
 
 def _ctc_logprobs(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
@@ -493,12 +486,11 @@ def transcribe(state: FinetuneState, feats: np.ndarray, lengths: np.ndarray,
 # finetune checkpoints --------------------------------------------------------
 
 def save_finetune_checkpoint(state: FinetuneState, path) -> None:
-    records.write_checkpoint(
-        path, state.step, state.encoder_cfg,
-        pretrain.checkpoint_tensors(state.params, state.adam),
-        {"run_config": {"kind": "finetune",
-                        "alphabet": state.tokenizer.alphabet,
-                        "finetune_config": asdict(state.cfg)}})
+    run = {"kind": "finetune", "alphabet": state.tokenizer.alphabet,
+           "finetune_config": asdict(state.cfg)}
+    records.write_checkpoint(path, state.step, state.encoder_cfg,
+                             pretrain.checkpoint_tensors(state.params, state.adam),
+                             {"run_config": run})
 
 
 def _finetune_config(raw: dict) -> FinetuneConfig:
@@ -514,18 +506,22 @@ def _finetune_config(raw: dict) -> FinetuneConfig:
 
 
 def load_finetune_checkpoint(path, optimizer: bool = True) -> FinetuneState:
-    """The state saved at ``path``, drawing nothing. With ``optimizer`` False
-    the file's ``opt.*`` moments are not read and Adam starts from zeros,
-    which is all that decoding needs."""
-    keep = None if optimizer else (lambda name: not name.startswith("opt."))
-    header, tensors = records.read_checkpoint(path, keep=keep)
-    run = header.get("run_config")
-    if not isinstance(run, dict) or run.get("kind") != "finetune":
-        raise records.CheckpointError(f"not a finetune checkpoint: {path}")
-    tokenizer = records.header_value(run, "alphabet", path, CharTokenizer)
-    cfg = records.header_value(run, "finetune_config", path, _finetune_config)
-    state = _finetune_state(header, tensors, path, cfg, tokenizer,
-                            reads=lambda name: True, moments=optimizer)
+    """The state saved at ``path``, drawing nothing; another kind of run's
+    header is refused before any tensor is read. With ``optimizer`` False the
+    moments are not read and Adam starts from zeros, as decoding needs."""
+    tokenizer = cfg = None
+
+    def want(header):
+        nonlocal tokenizer, cfg
+        run = header.get("run_config")
+        if not isinstance(run, dict) or run.get("kind") != "finetune":
+            raise records.CheckpointError(f"not a finetune checkpoint: {path}")
+        tokenizer = records.header_value(run, "alphabet", path, CharTokenizer)
+        cfg = records.header_value(run, "finetune_config", path, _finetune_config)
+        shapes = _state_shapes(header, tokenizer)
+        return {**shapes, **pretrain.moment_shapes(shapes)} if optimizer else shapes
+    header, tensors = records.read_checkpoint(path, want)
+    state = _finetune_state(header, tensors, cfg, tokenizer)
     state.step = header["step"]
     return state
 

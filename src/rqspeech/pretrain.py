@@ -9,10 +9,10 @@ and no weight decay. Adam's state is its moments: its update count t is the
 training step, which the checkpoint already stores.
 
 Every start, also finetune's, builds its tensors with ``build_tensors``, each
-read from a checkpoint (``records``) or drawn, never both: ``full`` reads
-all, ``feature_extractor_only`` the ``extractor.*`` tensors, a fresh run
-nothing. The quantizer is always rebuilt from the seed and config of the
-*current* run.
+read from a checkpoint (``records``) or drawn, never both: ``full`` reads the
+parameters and moments, ``feature_extractor_only`` the ``extractor.*``
+parameters, a fresh run nothing. The quantizer is always rebuilt from the
+seed and config of the *current* run.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ LOAD_MODES = ("full", "feature_extractor_only")
 ADAM_BLOCK_VALUES = 1 << 16  # values per in-place Adam block and per clipping block
 ADAM_BETAS = (0.9, 0.98)
 ADAM_EPS = 1e-8
+MOMENTS = ("opt.m.", "opt.v.")  # checkpoint name prefixes of Adam's m and v
 GRAD_CLIP = 1.0  # bound on the global gradient norm of every training step
 
 
@@ -205,43 +206,37 @@ def _head_shapes(encoder_cfg: enc.EncoderConfig, qcfg: quant.QuantizerConfig) ->
     return {"head.weight": (encoder_cfg.hidden, n_out), "head.bias": (n_out,)}
 
 
-def build_tensors(shapes: dict, seed: int, checkpoint=None, reads=lambda name: True,
-                  moments: bool = False) -> tuple[dict, AdamState]:
+def moment_shapes(shapes: dict) -> dict:
+    """Each parameter's ``opt.m.<name>`` and ``opt.v.<name>`` moments, at its shape."""
+    return {prefix + name: shape for name, shape in shapes.items() for prefix in MOMENTS}
+
+
+def build_tensors(shapes: dict, seed: int, tensors: dict | None = None) -> tuple[dict, AdamState]:
     """A run's parameters, as Tensors in ``shapes`` order, and Adam moments.
 
-    Parameter ``name`` comes from ``checkpoint``, the ``(tensors, path)``
-    read from a file, if ``reads(name)``, else from ``enc.init_param``; the
-    moments come from its ``opt.*`` tensors if ``moments``, else are zeros.
+    A parameter comes from ``tensors``, the arrays a checkpoint reader read,
+    when there, else from ``enc.init_param``; its two moments from
+    ``tensors`` when both are there, else from ``AdamState.init``'s zeros.
     """
-    tensors, path = checkpoint or ({}, None)
-
-    def taken(name, shape):
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {name}: {path}")
-        if tensors[name].shape != shape:
-            raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint {path} "
-                                  f"has {tensors[name].shape}, config {shape}")
-        return tensors[name]
-
-    params = enc.params_to_tensors({name: taken(name, shape) if checkpoint and reads(name)
+    tensors = tensors or {}
+    params = enc.params_to_tensors({name: tensors[name] if name in tensors
                                     else enc.init_param(name, shape, seed)
                                     for name, shape in shapes.items()})
-    if not moments:
-        return params, AdamState.init(params)
-    adam = AdamState(m={}, v={})
-    for name, shape in shapes.items():
-        adam.m[name] = taken(f"opt.m.{name}", shape)
-        adam.v[name] = taken(f"opt.v.{name}", shape)
-    return params, adam
+    unsaved = {name: p for name, p in params.items()
+               if not all(prefix + name in tensors for prefix in MOMENTS)}
+    zeros = AdamState.init(unsaved) if unsaved else AdamState(m={}, v={})
+    m, v = ({name: fresh[name] if name in unsaved else tensors[prefix + name] for name in shapes}
+            for prefix, fresh in zip(MOMENTS, (zeros.m, zeros.v)))
+    return params, AdamState(m=m, v=v)
 
 
 def init_train_state(encoder_cfg: enc.EncoderConfig, cfg: PretrainConfig,
-                     run_config: dict | None = None, *restore) -> TrainState:
+                     run_config: dict | None = None, tensors: dict | None = None) -> TrainState:
     """A step-0 TrainState with the quantizer of ``cfg``: fresh parameters and
-    zero moments, or those of ``restore``, the ``(checkpoint, reads, moments)``
-    that ``load_checkpoint`` passes on to ``build_tensors``."""
+    zero moments, except those ``tensors`` holds (``build_tensors``), which
+    ``load_checkpoint`` read."""
     shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
-    params, adam = build_tensors(shapes, cfg.seed, *restore)
+    params, adam = build_tensors(shapes, cfg.seed, tensors)
     return TrainState(encoder_cfg=encoder_cfg, cfg=cfg, params=params, adam=adam,
                       quantizer_state=quant.init_quantizer(cfg.seed, cfg.quantizer),
                       run_config=dict(run_config or {}))
@@ -330,8 +325,8 @@ def train_step(state: TrainState, batch, epoch: int) -> StepMetrics | None:
 def checkpoint_tensors(params: dict, adam: AdamState) -> dict:
     """Parameters plus Adam's ``opt.m.*``/``opt.v.*`` moments."""
     return {**{name: p.data for name, p in params.items()},
-            **{f"opt.m.{k}": v for k, v in adam.m.items()},
-            **{f"opt.v.{k}": v for k, v in adam.v.items()}}
+            **{prefix + k: a for prefix, record in zip(MOMENTS, (adam.m, adam.v))
+               for k, a in record.items()}}
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -346,12 +341,12 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
                     cfg: PretrainConfig, run_config: dict | None = None) -> TrainState:
     """Build a TrainState from a checkpoint under one of the ``LOAD_MODES``.
 
-    A ``full`` load takes every parameter, moment and the step from the file;
-    ``feature_extractor_only`` reads the ``extractor.*`` tensors and draws
-    the rest as ``init_train_state`` does, at step 0. The quantizer
-    always comes from ``cfg`` (seed and config of the current run). A
-    ``full`` load continues the checkpoint's model: a header that names
-    another encoder config (dropout aside) or head partition
+    A ``full`` load reads the run's parameters, their moments and the step
+    from the file; ``feature_extractor_only`` reads the ``extractor.*``
+    parameters and draws the rest as ``init_train_state`` does, at step 0.
+    The quantizer always comes from ``cfg`` (seed and config of the current
+    run). A ``full`` load continues the checkpoint's model: a header that
+    names another encoder config (dropout aside) or head partition
     (``num_codebooks``, ``vocab_size``) is a CheckpointError, raised after
     any tensor's shape mismatch; a new quantizer seed, ``dim`` or dropout
     continues.
@@ -359,9 +354,11 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
     if mode not in LOAD_MODES:
         raise ValueError(f"unknown load mode: {mode!r} (expected one of {LOAD_MODES})")
     full = mode == "full"
-    reads = (lambda name: True) if full else (lambda name: name.startswith("extractor."))
-    header, tensors = read_checkpoint(path, keep=None if full else reads)
-    state = init_train_state(encoder_cfg, cfg, run_config, (tensors, path), reads, full)
+    shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
+    wanted = ({**shapes, **moment_shapes(shapes)} if full else
+              {name: shape for name, shape in shapes.items() if name.startswith("extractor.")})
+    header, tensors = read_checkpoint(path, lambda header: wanted)
+    state = init_train_state(encoder_cfg, cfg, run_config, tensors)
     if full:
         saved = header["encoder_config"].to_dict()
         ours = {**encoder_cfg.to_dict(), **asdict(cfg.quantizer)}

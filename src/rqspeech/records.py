@@ -108,19 +108,19 @@ def _is_count(value) -> bool:
     return type(value) is int and 0 <= value < 2**63
 
 
-def read_checkpoint(path, keep=None):
+def read_checkpoint(path, want=None):
     """(header dict, {name: float32 array}) from an MSEC file.
 
     The header's ``step`` is a count below 2**63 and its ``encoder_config``
     an ``EncoderConfig``, both checked here alone. Every tensor the header
-    lists must end inside the file; of those, only the ones whose name
-    ``keep`` accepts (all when ``keep`` is None) are read, each into an
-    array of its own.
+    lists must be listed once and end inside the file. ``want(header)``,
+    which may refuse the header, names the tensors to read as {name: shape},
+    each listed at that shape; every tensor is read when ``want`` is None.
     """
     path = Path(path)
     try:
         with open(path, "rb") as f:
-            return _read_records(f, path, keep)
+            return _read_records(f, path, want)
     except FileNotFoundError:
         raise CheckpointError(f"no such checkpoint: {path}") from None
     except OSError as err:
@@ -128,7 +128,7 @@ def read_checkpoint(path, keep=None):
                               f"({err.strerror or err})") from None
 
 
-def _read_records(f, path: Path, keep):
+def _read_records(f, path: Path, want):
     size = os.fstat(f.fileno()).st_size
     prefix = f.read(12)
     if len(prefix) < 12 or prefix[:4] != CHECKPOINT_MAGIC:
@@ -150,18 +150,26 @@ def _read_records(f, path: Path, keep):
                                             lambda raw: enc.EncoderConfig(**raw))
     base = 12 + header_len
     truncated = CheckpointError(f"corrupt checkpoint: {path} (truncated data)")
-    wanted = []
+    listed = {}  # name -> (shape, byte offset in the file)
     for entry in header_value(header, "tensors", path, list):
         name, shape, start = (header_value(entry, key, path) for key in ("name", "shape", "offset"))
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(map(_is_count, shape)) and _is_count(start)):
             raise CheckpointError(f"corrupt checkpoint: {path} (bad tensor entry {name!r})")
+        if name in listed:
+            raise CheckpointError(f"corrupt checkpoint: {path} (tensor {name!r} listed twice)")
         if base + start + 4 * math.prod(shape) > size:
             raise truncated
-        if keep is None or keep(name):
-            wanted.append((name, shape, base + start))
+        listed[name] = (tuple(shape), base + start)
+    wanted = {name: shape for name, (shape, _) in listed.items()} if want is None else want(header)
+    for name, shape in wanted.items():
+        if name not in listed:
+            raise CheckpointError(f"checkpoint missing tensor {name}: {path}")
+        if listed[name][0] != tuple(shape):
+            raise CheckpointError(f"shape mismatch for tensor {name}: checkpoint {path} "
+                                  f"has {listed[name][0]}, config {tuple(shape)}")
     return header, {name: _read_array(f, at, shape, "<f4", truncated)
-                    for name, shape, at in wanted}
+                    for name, (shape, at) in listed.items() if name in wanted}
 
 
 def label_cache_path(directory, utt_id: str) -> Path:

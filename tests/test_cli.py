@@ -1442,7 +1442,7 @@ class TestStopSignal:
         name = signal.Signals(signum).name
         assert f"error: stopped by {name} after step {last}; {final} holds it" in err
         assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
-        assert records.read_checkpoint(final, keep=lambda name: False)[0]["step"] == last
+        assert records.read_checkpoint(final, want=lambda header: {})[0]["step"] == last
         capsys.readouterr()
         assert main(["inspect", "--ckpt", str(final)]) == 0
         assert f"step: {last}\n" in capsys.readouterr().out

@@ -61,6 +61,7 @@ CHECKPOINT_CORRUPTIONS = {
     "encoder_config_list": _header_edit(lambda h: h.update(encoder_config=[1])),
     "encoder_config_unknown_key": _header_edit(lambda h: h["encoder_config"].update(bogus=1)),
     "encoder_config_float_size": _header_edit(lambda h: h["encoder_config"].update(hidden=16.0)),
+    "tensor_listed_twice": _header_edit(lambda h: h["tensors"].append(dict(h["tensors"][0]))),
 }
 
 

@@ -929,9 +929,8 @@ def test_init_reads_encoder_tensors_only(pretrained_ckpt, monkeypatch):
     # the same state as one built from every tensor of the file
     header, tensors = real(pretrained_ckpt)
     assert any(name.startswith(("head.", "opt.")) for name in tensors)
-    full = finetune._finetune_state(header, tensors, pretrained_ckpt, state.cfg,
-                                    CharTokenizer.from_texts(texts),
-                                    reads=lambda name: not name.startswith("ctc_head."))
+    encoder = {name: tensors[name] for name in enc.param_shapes(header["encoder_config"])}
+    full = finetune._finetune_state(header, encoder, state.cfg, CharTokenizer.from_texts(texts))
     assert_same_state(state, full)
 
 
@@ -1094,9 +1093,22 @@ class TestFinetuneCheckpoint:
         with pytest.raises(pretrain.CheckpointError, match="missing tensor opt.m.ctc_head.bias"):
             finetune.load_finetune_checkpoint(path)
 
-    def test_pretrain_checkpoint_is_not_a_finetune_checkpoint(self, pretrained_ckpt):
-        with pytest.raises(pretrain.CheckpointError, match="not a finetune checkpoint"):
-            finetune.load_finetune_checkpoint(pretrained_ckpt)
+    def test_pretrain_checkpoint_is_not_a_finetune_checkpoint(self, pretrained_ckpt,
+                                                              monkeypatch):
+        """Refused from its header, before any tensor is read, with or
+        without the moments."""
+        read = []
+        real = records.read_checkpoint
+
+        def spy(*args, **kwargs):
+            header, tensors = real(*args, **kwargs)
+            read.extend(tensors)
+            return header, tensors
+        monkeypatch.setattr(records, "read_checkpoint", spy)
+        for optimizer in (True, False):
+            with pytest.raises(pretrain.CheckpointError, match="not a finetune checkpoint"):
+                finetune.load_finetune_checkpoint(pretrained_ckpt, optimizer=optimizer)
+        assert read == []
 
 
 class TestCheckpointsWithDeletedBiases:

@@ -679,7 +679,7 @@ class TestCheckpointRecord:
         tensors = {name: np.full(2, i, dtype=np.float32)
                    for i, name in enumerate(["extractor.x", "head.w", "opt.m.head.w"])}
         pretrain.write_checkpoint(path, 1, TINY_ENC, tensors, {})
-        header, loaded = pretrain.read_checkpoint(path, keep=lambda n: n.startswith("head."))
+        header, loaded = pretrain.read_checkpoint(path, want=lambda header: {"head.w": (2,)})
         assert list(loaded) == ["head.w"] and loaded["head.w"].tolist() == [1.0, 1.0]
         assert len(header["tensors"]) == 3
 
@@ -689,9 +689,9 @@ class TestCheckpointRecord:
                                                       "z": np.ones(4, np.float32)}, {})
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(CheckpointError, match=r"\(truncated data\)"):
-            pretrain.read_checkpoint(path, keep=lambda name: name == "a")
+            pretrain.read_checkpoint(path, want=lambda header: {"a": (4,)})
         with pytest.raises(CheckpointError, match=r"\(truncated data\)"):
-            pretrain.read_checkpoint(path, keep=lambda name: False)
+            pretrain.read_checkpoint(path, want=lambda header: {})
 
     @staticmethod
     def corrupt(raw, how):
@@ -745,7 +745,7 @@ class TestCheckpointRecord:
         rewrite_checkpoint_header(path, lambda h: h["tensors"][0].update(shape=shape,
                                                                          offset=offset))
         with pytest.raises(CheckpointError, match=r"\(bad tensor entry 'a'\)"):
-            pretrain.read_checkpoint(path, keep=lambda name: False)
+            pretrain.read_checkpoint(path, want=lambda header: {})
 
     def test_unreadable_path_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError) as err:
@@ -767,6 +767,34 @@ class TestCheckpointRecord:
         monkeypatch.setattr(pretrain, "read_checkpoint", spy)
         pretrain.load_checkpoint(path, "feature_extractor_only", TINY_ENC, tiny_config())
         assert read and all(name.startswith("extractor.") for name in read)
+
+    def test_full_load_reads_the_runs_parameters_and_moments(self, tmp_path, monkeypatch):
+        """A file that also holds tensors the run does not name, as an older
+        file holds each layer's depthwise bias and its moments, still loads,
+        and the load reads exactly the run's parameters and moments."""
+        state = pretrain.init_train_state(TINY_ENC, tiny_config())
+        path = tmp_path / "old.msec"
+        bias = np.full(TINY_ENC.hidden, 0.5, np.float32)
+        extra = {name: bias for name in ("layers.0.conv.dw.bias", "opt.m.layers.0.conv.dw.bias",
+                                         "opt.v.layers.0.conv.dw.bias")}
+        real_write = pretrain.write_checkpoint
+        monkeypatch.setattr(pretrain, "write_checkpoint",
+                            lambda path, step, cfg, tensors, fields:
+                            real_write(path, step, cfg, {**tensors, **extra}, fields))
+        pretrain.save_checkpoint(state, path)
+        read = []
+        real = pretrain.read_checkpoint
+
+        def spy(*args, **kwargs):
+            header, tensors = real(*args, **kwargs)
+            read.extend(tensors)
+            return header, tensors
+        monkeypatch.setattr(pretrain, "read_checkpoint", spy)
+        loaded = pretrain.load_checkpoint(path, "full", TINY_ENC, tiny_config())
+        assert sorted(read) == sorted(pretrain.checkpoint_tensors(state.params, state.adam))
+        assert list(loaded.params) == list(state.params)
+        for name, p in loaded.params.items():
+            assert p.data.tobytes() == state.params[name].data.tobytes(), name
 
 
 class TestMetricsWriter:

@@ -21,6 +21,8 @@ import pytest
 from rqspeech import encoder as enc
 from rqspeech import records
 
+from conftest import rewrite_checkpoint_header
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "rqspeech"
 OWNER = "records.py"
 STRUCT_USERS = {OWNER, "frontend.py"}
@@ -43,8 +45,19 @@ def test_step_of_2_to_the_63_refused(tmp_path):
     path = tmp_path / "s.msec"
     records.write_checkpoint(path, 2**63, TINY_ENC, {"a": np.ones(4, np.float32)}, {})
     with pytest.raises(records.CheckpointError) as err:
-        records.read_checkpoint(path, keep=lambda name: False)
+        records.read_checkpoint(path, want=lambda header: {})
     assert str(err.value) == f"corrupt checkpoint: {path} (bad step {2**63})"
+
+
+def test_tensor_listed_twice_refused(tmp_path):
+    path = tmp_path / "d.msec"
+    records.write_checkpoint(path, 1, TINY_ENC, {"a": np.ones(4, np.float32),
+                                                 "b": np.full(4, 2, np.float32)}, {})
+    rewrite_checkpoint_header(path, lambda h: h["tensors"].append(
+        {**h["tensors"][0], "offset": h["tensors"][1]["offset"]}))
+    with pytest.raises(records.CheckpointError) as err:
+        records.read_checkpoint(path)
+    assert str(err.value) == f"corrupt checkpoint: {path} (tensor 'a' listed twice)"
 
 
 class Counted:
