@@ -228,9 +228,9 @@ warmup_steps = 5
 freeze_steps = 1
 total_steps = 2
 {GATE_MODEL}""", encoding="utf-8")
-    start = str(root / "pre" / "final.msec")
-    for argv in (["quantize", "--config", pretrain_config("pre", 2), "--out", str(labels)],
-                 ["pretrain", "--config", pretrain_config("pre", 2)],
+    pre, start = pretrain_config("pre", 2), str(root / "pre" / "final.msec")
+    for argv in (["quantize", "--config", pre, "--out", str(labels)],
+                 ["pretrain", "--config", pre],
                  ["pretrain", "--config", pretrain_config("full", 3),
                   "--init-from", start, "--init-mode", "full"],
                  ["pretrain", "--config", pretrain_config("fe", 1),
