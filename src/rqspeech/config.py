@@ -115,13 +115,17 @@ def _typed(want_type, raw: str):
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; the seed env var wins if set."""
     path = Path(path)
-    if not path.is_file():
-        problem = "is not a file" if path.exists() else "not found"
-        raise ConfigError(f"config file {problem}: {path}")
     # no [DEFAULT]: its keys would reach every section, so it is refused as unknown
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
+        if not path.is_file():
+            problem = "is not a file" if path.exists() else "not found"
+            raise ConfigError(f"config file {problem}: {path}")
         parser.read_file((line for _, line in datapipe.text_lines(path)), source=str(path))
+    except ConfigError:
+        raise
+    except OSError as err:  # a name the OS refuses, or a file it will not open
+        raise ConfigError(f"cannot read config file {path}: {err.strerror or err}") from None
     except configparser.Error as err:  # its own message spans lines and repeats the path
         line = getattr(err, "lineno", None) or err.errors[0][0]
         why = {configparser.MissingSectionHeaderError: "line before any [section]",

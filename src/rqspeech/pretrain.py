@@ -11,8 +11,9 @@ training step, which the checkpoint already stores.
 Every start, also finetune's, builds its tensors with ``build_tensors``, each
 read from a checkpoint (``records``) or drawn, never both: ``full`` reads the
 parameters and moments, ``feature_extractor_only`` the ``extractor.*``
-parameters, a fresh run nothing. The quantizer is always rebuilt from the
-seed and config of the *current* run.
+parameters, a fresh run nothing. ``full`` refuses a checkpoint of another
+model from its header, before it reads anything. The quantizer is always
+rebuilt from the seed and config of the *current* run.
 """
 
 from __future__ import annotations
@@ -341,34 +342,33 @@ def load_checkpoint(path, mode: str, encoder_cfg: enc.EncoderConfig,
                     cfg: PretrainConfig, run_config: dict | None = None) -> TrainState:
     """Build a TrainState from a checkpoint under one of the ``LOAD_MODES``.
 
-    A ``full`` load reads the run's parameters, their moments and the step
-    from the file; ``feature_extractor_only`` reads the ``extractor.*``
-    parameters and draws the rest as ``init_train_state`` does, at step 0.
-    The quantizer always comes from ``cfg`` (seed and config of the current
-    run). A ``full`` load continues the checkpoint's model: a header that
-    names another encoder config (dropout aside) or head partition
-    (``num_codebooks``, ``vocab_size``) is a CheckpointError, raised after
-    any tensor's shape mismatch; a new quantizer seed, ``dim`` or dropout
-    continues.
-    """
+    ``full`` reads the run's parameters, their moments and the step;
+    ``feature_extractor_only`` reads the ``extractor.*`` parameters and draws
+    the rest as ``init_train_state`` does, at step 0; the quantizer is always
+    ``cfg``'s. ``full`` continues the checkpoint's model: a header naming
+    another encoder config (dropout aside) or head partition
+    (``num_codebooks``, ``vocab_size``) is refused in ``want``, by a
+    CheckpointError naming the keys that differ, before any tensor is read
+    or the quantizer drawn; a new quantizer seed, ``dim`` or dropout continues."""
     if mode not in LOAD_MODES:
         raise ValueError(f"unknown load mode: {mode!r} (expected one of {LOAD_MODES})")
     full = mode == "full"
     shapes = {**enc.param_shapes(encoder_cfg), **_head_shapes(encoder_cfg, cfg.quantizer)}
-    wanted = ({**shapes, **moment_shapes(shapes)} if full else
-              {name: shape for name, shape in shapes.items() if name.startswith("extractor.")})
-    header, tensors = read_checkpoint(path, lambda header: wanted)
-    state = init_train_state(encoder_cfg, cfg, run_config, tensors)
-    if full:
+
+    def want(header):
+        if not full:
+            return {name: shape for name, shape in shapes.items() if name.startswith("extractor.")}
         saved = header["encoder_config"].to_dict()
         ours = {**encoder_cfg.to_dict(), **asdict(cfg.quantizer)}
         if isinstance(header.get("quantizer"), dict):
             saved.update((key, value) for key, value in header["quantizer"].items()
                          if key in ("num_codebooks", "vocab_size"))
-        differ = [f"{key} {saved[key]!r} (run: {ours[key]!r})" for key in saved
-                  if key != "dropout" and saved[key] != ours[key]]
-        if differ:
+        if differ := [f"{key} {saved[key]!r} (run: {ours[key]!r})" for key in saved
+                      if key != "dropout" and saved[key] != ours[key]]:
             raise CheckpointError(f"checkpoint {path} holds another model: {', '.join(differ)}")
+        return {**shapes, **moment_shapes(shapes)}
+    header, tensors = read_checkpoint(path, want)
+    state = init_train_state(encoder_cfg, cfg, run_config, tensors)
     state.step = header["step"] if full else 0
     return state
 

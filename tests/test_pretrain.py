@@ -11,7 +11,7 @@ import pytest
 
 from rqspeech import autodiff as ad
 from rqspeech import encoder as enc
-from rqspeech import masking, pretrain
+from rqspeech import masking, pretrain, records
 from rqspeech import quantizer as quant
 from rqspeech.autodiff import Tensor
 from rqspeech.datapipe import Batch
@@ -516,8 +516,9 @@ class TestCheckpoint:
         path = tmp_path / "s.msec"
         pretrain.save_checkpoint(state, path)
         other = enc.EncoderConfig(num_layers=2, hidden=16, ffn=64, heads=4)
+        # under ``full`` the header's hidden is named first (the test below)
         with pytest.raises(CheckpointError, match="extractor.conv1.weight"):
-            pretrain.load_checkpoint(path, "full", other, tiny_config())
+            pretrain.load_checkpoint(path, "feature_extractor_only", other, tiny_config())
 
     def test_quantizer_from_run_config_not_checkpoint(self, tmp_path):
         state = pretrain.init_train_state(TINY_ENC, tiny_config(seed=1))
@@ -529,22 +530,32 @@ class TestCheckpoint:
         assert loaded.quantizer_state.fingerprint() != state.quantizer_state.fingerprint()
 
     @pytest.mark.parametrize("enc_cfg, qcfg, named", [
-        # layer 1 and its moments were read, then dropped
+        # every tensor of the run is in the file: layer 1 would be dropped
         (enc.EncoderConfig(num_layers=1, hidden=32, ffn=64, heads=4), TINY_Q,
          "num_layers 2 (run: 1)"),
         # the same 128 head outputs, read as 4 codebooks of 32
         (TINY_ENC, quant.QuantizerConfig(num_codebooks=4, vocab_size=32, dim=8),
          "num_codebooks 2 (run: 4), vocab_size 64 (run: 32)"),
+        # every tensor has another shape, the extractor's too
+        (replace(TINY_ENC, hidden=16), TINY_Q, "hidden 32 (run: 16)"),
     ])
-    def test_full_load_of_another_model_rejected(self, tmp_path, enc_cfg, qcfg, named):
+    def test_full_load_of_another_model_rejected(self, tmp_path, monkeypatch, enc_cfg, qcfg,
+                                                 named):
         path = tmp_path / "m.msec"
         pretrain.save_checkpoint(pretrain.init_train_state(TINY_ENC, tiny_config()), path)
+        calls = []
+        for module, name in ((records, "_read_array"), (quant, "init_quantizer")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
         want = f"checkpoint {path} holds another model: {named}"
         with pytest.raises(CheckpointError, match=f"^{re.escape(want)}$"):
             pretrain.load_checkpoint(path, "full", enc_cfg, tiny_config(quantizer=qcfg))
-        # the extractor alone still starts the other model
-        pretrain.load_checkpoint(path, "feature_extractor_only", enc_cfg,
-                                 tiny_config(quantizer=qcfg))
+        assert calls == []  # refused from the header: no tensor read, no quantizer drawn
+        if enc_cfg.hidden == TINY_ENC.hidden:  # the extractor alone starts the other model
+            pretrain.load_checkpoint(path, "feature_extractor_only", enc_cfg,
+                                     tiny_config(quantizer=qcfg))
+            assert calls.count("init_quantizer") == 1
 
     def test_full_load_continues_with_new_seed_dim_and_dropout(self, tmp_path):
         path = tmp_path / "m.msec"
